@@ -20,10 +20,15 @@ switched on.
 
 Brand-new users (no ratings, no purchases) get the popularity ranking from
 the implicit model instead.
+
+Every index derived from a training dataset lives in one IndexSnapshot that
+all engines over that dataset share, so building several engines (one per
+mode, rules off and on) builds each index once.
 """
 
 from __future__ import annotations
 
+import threading
 from dataclasses import dataclass, field
 
 from .corpus import Dataset
@@ -31,7 +36,7 @@ from .errors import ConfigError, NoProfileError, NotFoundError
 from .implicit_vsm import build_iif, new_user_scores
 from .rules import AssociationRule, fp_growth, generate_rules
 from .sequence import bought_after, build_precedence_index
-from .similarity import MODES, UserVector, profile_weights, rank_by_cosine
+from .similarity import MODES, Postings, UserVector, build_postings, profile_weights, top_k_neighbors
 
 
 @dataclass
@@ -73,6 +78,10 @@ class RecommenderConfig:
             raise ConfigError("top_n must be >= 1")
         if not 0.0 <= self.exclusion_threshold <= 10.0:
             raise ConfigError("exclusion_threshold must be within [0, 10]")
+        if not 0.0 < self.minsup_pct <= 100.0:
+            raise ConfigError("minsup_pct must be within (0, 100]")
+        if not 0.0 < self.minconf_pct <= 100.0:
+            raise ConfigError("minconf_pct must be within (0, 100]")
 
 
 @dataclass
@@ -92,44 +101,88 @@ def profile_of(dataset: Dataset, user: str) -> Profile:
     )
 
 
+# Serialises snapshot creation and part builds, so that engines constructed
+# concurrently still build each part once.
+_BUILD_LOCK = threading.Lock()
+# Key of the snapshot in its dataset's __dict__, beside the dataset's cached tables.
+_SNAPSHOT_KEY = "_index_snapshot"
+
+
+class IndexSnapshot:
+    """Every index engines derive from one training dataset, shared by all of them.
+
+    The precedence index and the iif table are built with the snapshot; the
+    posting lists of a mode and the rules of a (minsup, minconf) pair are
+    built by the first engine whose config needs them. A part never changes
+    once built, so queries only read. The snapshot holds no reference to its
+    dataset, which holds the snapshot.
+    """
+
+    def __init__(self, train: Dataset):
+        self.precedence = build_precedence_index(train)
+        self.iif = build_iif(train).iif if train.users else {}
+        self.postings: dict[str, Postings] = {}
+        self.rules: dict[tuple[float, float], list[AssociationRule]] = {}
+
+    @classmethod
+    def of(cls, train: Dataset) -> "IndexSnapshot":
+        """The dataset's snapshot, built on first use and memoised on the dataset."""
+        with _BUILD_LOCK:
+            snapshot = train.__dict__.get(_SNAPSHOT_KEY)
+            if snapshot is None:
+                snapshot = train.__dict__[_SNAPSHOT_KEY] = cls(train)
+        return snapshot
+
+    def mode_postings(self, train: Dataset, mode: str) -> Postings:
+        """Posting lists of the training users' vectors in one mode."""
+        with _BUILD_LOCK:
+            if mode not in self.postings:
+                self.postings[mode] = build_postings(
+                    {
+                        u: profile_weights(
+                            train.ratings_by_user[u], train.purchase_counts_by_user[u], mode, self.iif
+                        )
+                        for u in train.users
+                    }
+                )
+            return self.postings[mode]
+
+    def mined_rules(self, train: Dataset, minsup_pct: float, minconf_pct: float) -> list[AssociationRule]:
+        """Association rules mined from the training transactions at these thresholds."""
+        key = (minsup_pct, minconf_pct)
+        with _BUILD_LOCK:
+            if key not in self.rules:
+                self.rules[key] = generate_rules(fp_growth(train.transactions, minsup_pct), minconf_pct)
+            return self.rules[key]
+
+
 class Recommender:
     """Recommendation engine over an immutable training dataset.
 
-    Builds its indices (inverse-frequency table, precedence index, mined
-    rules, per-mode user vectors) once and serves any number of queries.
+    Construction validates the config and takes from the dataset's shared
+    IndexSnapshot what the config needs: the precedence index, the iif table,
+    the posting lists of its mode and, with use_rules, the mined rules. A
+    query only reads them, so one engine serves concurrent queries, and its
+    neighbour search costs the postings of the query's items rather than a
+    pass over every training user.
     """
 
     def __init__(self, train: Dataset, config: RecommenderConfig | None = None):
         self.train = train
         self.config = config or RecommenderConfig()
         self.config.validate()
-        self.precedence = build_precedence_index(train)
-        self.iif = build_iif(train).iif if train.users else {}
-        self._vectors: dict[str, dict[str, UserVector]] = {}
-        self._rules: list[AssociationRule] | None = None
+        self.snapshot = IndexSnapshot.of(train)
+        self.precedence = self.snapshot.precedence
+        self.iif = self.snapshot.iif
+        self.postings = self.snapshot.mode_postings(train, self.config.mode)
+        self._rules = self._mine_rules() if self.config.use_rules else None
 
-    def _mode_vectors(self, mode: str) -> dict[str, UserVector]:
-        if mode not in self._vectors:
-            self._vectors[mode] = {
-                u: UserVector(
-                    user=u,
-                    weights=profile_weights(
-                        self.train.ratings_by_user[u],
-                        self.train.purchase_counts_by_user[u],
-                        mode,
-                        self.iif,
-                    ),
-                    mode=mode,
-                )
-                for u in self.train.users
-            }
-        return self._vectors[mode]
+    def _mine_rules(self) -> list[AssociationRule]:
+        return self.snapshot.mined_rules(self.train, self.config.minsup_pct, self.config.minconf_pct)
 
     def rules(self) -> list[AssociationRule]:
-        if self._rules is None:
-            frequents = fp_growth(self.train.transactions, self.config.minsup_pct)
-            self._rules = generate_rules(frequents, self.config.minconf_pct)
-        return self._rules
+        """The rules at this engine's thresholds; mined at construction when use_rules is set."""
+        return self._rules if self._rules is not None else self._mine_rules()
 
     def recommend_user(self, user: str) -> list[Recommendation]:
         """Recommend for a user already present in the training data."""
@@ -144,14 +197,7 @@ class Recommender:
         )
         if not target.nonzero():
             raise NoProfileError(f"query profile is empty in mode {cfg.mode}")
-
-        candidates = {
-            u: vec for u, vec in self._mode_vectors(cfg.mode).items() if u != exclude_user
-        }
-        if not candidates:
-            return []
-        ranked = rank_by_cosine(target, candidates, cfg.k_neighbors)
-        neighbors = [(u, sim) for u, sim in ranked if sim > 0.0]
+        neighbors = top_k_neighbors(target.weights, self.postings, cfg.k_neighbors, exclude=exclude_user)
 
         seen = profile.seen_items
         history = profile.history

@@ -11,10 +11,19 @@ where n(u, i) counts purchase occurrences of item i across the user's
 transactions. Weight maps are sparse: a coordinate that would be 0 (an item
 rated but never purchased, in the weighted modes) is simply absent, and a
 user with no purchases has an empty weighted vector.
+
+Neighbours are found through posting lists (item -> [(user, weight)]) rather
+than by scoring every user: the restricted cosine reads only the target's
+coordinates, so both the dot product and the other user's restricted norm
+accumulate from the posting lists of the target's items. A query's cost
+follows the postings it touches, and users sharing no coordinate with the
+target are never visited (inverted-index accumulation; Bayardo, Ma and
+Srikant, "Scaling Up All Pairs Similarity Search", WWW 2007).
 """
 
 from __future__ import annotations
 
+import heapq
 import math
 from dataclasses import dataclass
 from typing import Mapping
@@ -23,6 +32,9 @@ from .corpus import Dataset
 from .errors import NoOverlapError, NoProfileError, NotFoundError, RangeError
 
 MODES = ("simple", "method1", "method2", "implicit")
+
+# item -> [(user, weight)], users in the order their vectors were given
+Postings = dict[str, list[tuple[str, float]]]
 
 
 @dataclass
@@ -136,21 +148,59 @@ def user_vector(dataset: Dataset, user: str, mode: str = "simple") -> UserVector
     return UserVector(user=user, weights=weights, mode=mode)
 
 
-def rank_by_cosine(
-    target: UserVector, candidates: Mapping[str, UserVector], k: int
+def build_postings(vectors: Mapping[str, Mapping[str, float]]) -> Postings:
+    """Invert user -> weight maps into item -> [(user, weight)] posting lists."""
+    postings: Postings = {}
+    for user, weights in vectors.items():
+        for item, w in weights.items():
+            postings.setdefault(item, []).append((user, w))
+    return postings
+
+
+def top_k_neighbors(
+    weights: Mapping[str, float], postings: Postings, k: int, exclude: str | None = None
 ) -> list[tuple[str, float]]:
-    """Rank candidate vectors against a target, top-k, ties by ascending user id."""
+    """The k users most cosine-similar to a profile, similarity above 0 only.
+
+    Ranked by descending similarity, ties by ascending user id; ``exclude``
+    never appears. Each score equals ``cosine_restricted`` bit for bit: per
+    candidate, the products are summed in the target's coordinate order, and
+    the coordinates the candidate lacks, which are skipped here, only ever
+    added 0.0 there.
+    """
     if k < 1:
         raise RangeError(f"k must be >= 1, got {k}")
-    scored = [(u, cosine_restricted(target, vec)) for u, vec in candidates.items()]
-    scored.sort(key=lambda e: (-e[1], e[0]))
-    return scored[:k]
+    sums: dict[str, list[float]] = {}  # user -> [dot, restricted norm]
+    norm_t = 0.0
+    for item, w in weights.items():
+        norm_t += w * w
+        for user, v in postings.get(item, ()):
+            acc = sums.get(user)
+            if acc is None:
+                # w * v alone differs from 0.0 + w * v only in the sign of a
+                # zero, and a zero dot never makes a positive similarity
+                sums[user] = [w * v, v * v]
+            else:
+                acc[0] += w * v
+                acc[1] += v * v
+    sums.pop(exclude, None)
+    if norm_t == 0.0:
+        return []
+    root_t = math.sqrt(norm_t)
+    scored = []
+    for user, (dot, norm_o) in sums.items():
+        if dot > 0.0 and norm_o > 0.0:
+            sim = dot / (root_t * math.sqrt(norm_o))
+            if sim > 0.0:
+                scored.append((-sim, user))
+    return [(user, -neg) for neg, user in heapq.nsmallest(k, scored)]
 
 
 def nearest_neighbors(dataset: Dataset, target: str, k: int = 5, mode: str = "simple") -> NeighborList:
     """Find the k most cosine-similar users to a dataset user.
 
-    Every other user is scored, including ones with no overlap (similarity 0).
+    Users with no positive similarity (no overlap, or a zero restricted norm)
+    fill any places left, with similarity 0 and in ascending id order.
     Raises NoProfileError when the target's profile is all-zero in this mode.
     """
     iif = None
@@ -173,5 +223,8 @@ def nearest_neighbors(dataset: Dataset, target: str, k: int = 5, mode: str = "si
     target_vec = vector(target)
     if not target_vec.nonzero():
         raise NoProfileError(f"user {target} has an all-zero profile in mode {mode}")
-    candidates = {u: vector(u) for u in dataset.users if u != target}
-    return NeighborList(target=target, entries=rank_by_cosine(target_vec, candidates, k))
+    postings = build_postings({u: vector(u).weights for u in dataset.users})
+    entries = top_k_neighbors(target_vec.weights, postings, k, exclude=target)
+    found = {u for u, _ in entries}
+    entries += [(u, 0.0) for u in dataset.users if u != target and u not in found][: k - len(entries)]
+    return NeighborList(target=target, entries=entries)

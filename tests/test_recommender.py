@@ -1,18 +1,26 @@
+import copy
+import importlib
 import random
+import sys
+import threading
+from collections import Counter
 
 import pytest
 from pytest import approx
 
-from shoprec.corpus import Dataset, Transaction
-from shoprec.errors import NoProfileError, NotFoundError
+from shoprec.corpus import Dataset, SyntheticConfig, Transaction, generate_synthetic, split_users
+from shoprec.errors import ConfigError, NoProfileError, NotFoundError
+from shoprec.evaluate import ExperimentConfig, run_experiment
 from shoprec.recommend import (
     Profile,
     Recommender,
     RecommenderConfig,
+    profile_of,
     recommend,
     recommend_new_user,
 )
 from shoprec.sequence import bought_after, build_precedence_index
+from shoprec.similarity import MODES
 
 from conftest import TABLE1_ROWS, random_dataset, rate, tx
 
@@ -203,3 +211,132 @@ class TestColdStart:
     def test_no_purchases(self):
         ds = Dataset.build(ratings=[rate("U1", "P1", 5)])
         assert recommend_new_user(ds, RecommenderConfig()) == []
+
+
+class TestConfigValidation:
+    @pytest.mark.parametrize("use_rules", [True, False])
+    @pytest.mark.parametrize(
+        "thresholds",
+        [
+            {"minsup_pct": 500.0, "minconf_pct": -3.0},
+            {"minsup_pct": 0.0},
+            {"minsup_pct": 100.5},
+            {"minsup_pct": float("nan")},
+            {"minconf_pct": 0.0},
+            {"minconf_pct": -3.0},
+            {"minconf_pct": 101.0},
+        ],
+    )
+    def test_rule_thresholds_rejected_at_construction(self, worked_example, thresholds, use_rules):
+        with pytest.raises(ConfigError):
+            Recommender(worked_example, RecommenderConfig(use_rules=use_rules, **thresholds))
+
+    def test_threshold_bounds_inclusive_at_100(self, worked_example):
+        Recommender(worked_example, RecommenderConfig(minsup_pct=100.0, minconf_pct=100.0))
+
+
+def count_builds(monkeypatch) -> Counter:
+    """Count calls of the index builders where the engine looks them up."""
+    module = importlib.import_module("shoprec.recommend")  # the package re-exports a function of that name
+    calls: Counter = Counter()
+    for name in ("build_precedence_index", "build_iif", "fp_growth"):
+        original = getattr(module, name)
+
+        def counted(*args, _name=name, _original=original, **kwargs):
+            calls[_name] += 1
+            return _original(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, counted)
+    return calls
+
+
+class TestSharedSnapshot:
+    def test_engines_over_one_dataset_build_each_index_once(self, worked_example, monkeypatch):
+        calls = count_builds(monkeypatch)
+        engines = [Recommender(worked_example, RecommenderConfig(mode=mode)) for mode in MODES]
+        assert calls == {"build_precedence_index": 1, "build_iif": 1, "fp_growth": 1}
+        assert all(e.snapshot is engines[0].snapshot for e in engines)
+
+    def test_rules_mined_only_when_enabled(self, worked_example, monkeypatch):
+        calls = count_builds(monkeypatch)
+        Recommender(worked_example, RecommenderConfig(use_rules=False))
+        assert calls["fp_growth"] == 0
+
+    def test_run_experiment_builds_once(self, monkeypatch):
+        ds = generate_synthetic(SyntheticConfig(users_per_class=8, rng_seed=5))
+        calls = count_builds(monkeypatch)
+        run_experiment(ds, ExperimentConfig(seed=1, minsup_pct=1.0, minconf_pct=10.0))
+        assert calls == {"build_precedence_index": 1, "build_iif": 1, "fp_growth": 1}
+
+    def test_equal_datasets_do_not_share(self, monkeypatch):
+        def build():
+            return Dataset.build(ratings=[rate("N", "P1", 8.0), rate("Q", "P1", 5.0)])
+
+        calls = count_builds(monkeypatch)
+        a, b = Recommender(build()), Recommender(build())
+        assert a.train == b.train
+        assert a.snapshot is not b.snapshot
+        assert calls["build_precedence_index"] == 2
+
+
+def engine_state(engine):
+    """Everything an engine or its snapshot holds, copied, plus the dataset's cached names."""
+    own = {name: value for name, value in vars(engine).items() if name not in ("train", "snapshot")}
+    return (
+        copy.deepcopy(own),
+        copy.deepcopy(vars(engine.snapshot)),
+        sorted(vars(engine.train)),
+        [id(value) for value in vars(engine).values()],
+    )
+
+
+class TestConcurrentQueries:
+    THREADS = 8
+
+    def test_threads_match_sequential_and_change_nothing(self):
+        ds = generate_synthetic(SyntheticConfig(rng_seed=2024))
+        train, test = split_users(ds, 0.8, 42)
+        engines = {
+            mode: Recommender(train, RecommenderConfig(mode=mode, minsup_pct=1.0, minconf_pct=10.0))
+            for mode in MODES
+        }
+        profiles = [profile_of(test, user) for user in test.users]
+        jobs = [(mode, i) for mode in MODES for i in range(len(profiles))]
+
+        def answer(job):
+            mode, i = job
+            try:
+                return engines[mode].recommend_profile(profiles[i])
+            except NoProfileError:
+                return None
+
+        before = {mode: engine_state(engine) for mode, engine in engines.items()}
+        expected = {job: answer(job) for job in jobs}
+        assert any(expected.values())
+        answers: list[list] = [[] for _ in range(self.THREADS)]
+        errors: list[Exception] = []
+
+        def worker(t):
+            try:
+                shift = t * len(jobs) // self.THREADS
+                for job in jobs[shift:] + jobs[:shift]:
+                    answers[t].append((job, answer(job)))
+            except Exception as exc:  # reported by the main thread
+                errors.append(exc)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            threads = [threading.Thread(target=worker, args=(t,)) for t in range(self.THREADS)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert errors == []
+        for got in answers:
+            assert len(got) == len(jobs)
+            assert all(out == expected[job] for job, out in got)
+        assert {mode: engine_state(engine) for mode, engine in engines.items()} == before

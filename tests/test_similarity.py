@@ -2,18 +2,26 @@ import math
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from pytest import approx
 
-from shoprec.errors import NoOverlapError, NoProfileError, NotFoundError
+from shoprec.corpus import Dataset
+from shoprec.errors import NoOverlapError, NoProfileError, NotFoundError, RangeError
+from shoprec.implicit_vsm import build_iif
 from shoprec.similarity import (
+    MODES,
     UserVector,
+    build_postings,
     cosine_restricted,
     msd,
     nearest_neighbors,
+    profile_weights,
+    top_k_neighbors,
     user_vector,
 )
 
-from conftest import random_dataset
+from conftest import random_dataset, rate, tx
 
 
 def vec(user, **weights):
@@ -194,6 +202,57 @@ class TestNearestNeighbors:
                 assert [u for u, _ in got] == [u for u, _ in expected]
                 for (_, s1), (_, s2) in zip(got, expected):
                     assert s1 == approx(s2, abs=1e-12)
+
+
+# Few distinct values, 0 included, so that zero coordinates and tied
+# similarities (identical or proportional profiles) are common.
+RATING_VALUES = st.sampled_from([0.0, 2.5, 5.0, 10.0])
+
+
+@st.composite
+def small_datasets(draw):
+    # ids whose sort order differs from their creation order, so that a tie
+    # broken by first appearance in the postings shows
+    users = draw(st.lists(st.sampled_from("ZAQMBXC"), min_size=1, max_size=7, unique=True))
+    items = [f"I{i}" for i in range(draw(st.integers(1, 5)))]
+    ratings, txns = [], []
+    for user in users:
+        for item in draw(st.lists(st.sampled_from(items), unique=True)):
+            ratings.append(rate(user, item, draw(RATING_VALUES)))
+        baskets = draw(st.lists(st.lists(st.sampled_from(items), min_size=1, max_size=3, unique=True), max_size=4))
+        txns.extend(tx(user, seq, *basket) for seq, basket in enumerate(baskets, start=1))
+    return Dataset.build(users=users, items=items, transactions=txns, ratings=ratings)
+
+
+class TestTopKNeighbors:
+    @settings(max_examples=300, deadline=None)
+    @given(ds=small_datasets(), mode=st.sampled_from(MODES), k=st.integers(1, 10), data=st.data())
+    def test_equals_brute_force_scan(self, ds, mode, k, data):
+        """Exact equality with scoring every user by cosine_restricted and sorting.
+
+        k ranges past the user count, so it often exceeds the overlapping users.
+        """
+        iif = build_iif(ds).iif
+        vectors = {
+            u: profile_weights(ds.ratings_by_user[u], ds.purchase_counts_by_user[u], mode, iif)
+            for u in ds.users
+        }
+        target = data.draw(st.sampled_from(ds.users))
+        exclude = data.draw(st.sampled_from([target, None]))
+        got = top_k_neighbors(vectors[target], build_postings(vectors), k, exclude=exclude)
+        if not vectors[target]:
+            assert got == []
+            return
+        query = UserVector(target, vectors[target])
+        scan = sorted(
+            ((u, cosine_restricted(query, UserVector(u, vectors[u]))) for u in ds.users if u != exclude),
+            key=lambda e: (-e[1], e[0]),
+        )
+        assert got == [(u, sim) for u, sim in scan if sim > 0.0][:k]
+
+    def test_invalid_k(self):
+        with pytest.raises(RangeError):
+            top_k_neighbors({"P1": 1.0}, {}, 0)
 
 
 def _oracle_cosine(target_ratings, other_ratings):
