@@ -27,14 +27,12 @@ from .evaluate import (
     recall_at_n,
     run_experiment,
 )
-from .implicit_vsm import IifTable, build_iif, implicit_vector, new_user_scores
+from .implicit_vsm import build_iif, new_user_scores
 from .recommend import (
     Profile,
     Recommendation,
     Recommender,
     RecommenderConfig,
-    recommend,
-    recommend_new_user,
 )
 from .rules import (
     AssociationRule,
@@ -46,12 +44,8 @@ from .rules import (
 from .sequence import PrecedenceIndex, bought_after, build_precedence_index
 from .similarity import (
     MODES,
-    NeighborList,
     UserVector,
     cosine_restricted,
-    msd,
-    nearest_neighbors,
-    user_vector,
 )
 
 __all__ = [
@@ -61,9 +55,7 @@ __all__ = [
     "EvalRow",
     "ExperimentConfig",
     "FrequentItemset",
-    "IifTable",
     "MODES",
-    "NeighborList",
     "PrecedenceIndex",
     "Profile",
     "RatingRecord",
@@ -80,23 +72,17 @@ __all__ = [
     "fp_growth",
     "generate_rules",
     "generate_synthetic",
-    "implicit_vector",
     "itemset_support",
     "load_dataset",
     "load_ratings",
     "load_transactions",
-    "msd",
-    "nearest_neighbors",
     "new_user_scores",
     "precision_at_n",
     "recall_at_n",
-    "recommend",
-    "recommend_new_user",
     "run_experiment",
     "save_ratings",
     "save_transactions",
     "split_users",
-    "user_vector",
 ]
 
 __version__ = "0.1.0"

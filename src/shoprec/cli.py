@@ -1,7 +1,11 @@
 """Command-line interface.
 
 Subcommands: ingest-check, recommend, recommend-new, mine-rules, dump-index,
-gen-data, evaluate. Exit codes: 0 success, 1 usage error, 2 data error.
+gen-data, evaluate. Exit codes: 0 success; 1 usage error, when the arguments
+do not parse (an unknown command or flag, a missing value, a non-number, a
+--mode outside its choices); 2 data or config error, for an unreadable or
+invalid input file and for a flag that parses but has a bad value (--k 0,
+--minsup 0, --modes bogus).
 Every command is deterministic given the same files, flags and seeds; --json
 switches list outputs to one JSON object per line.
 """
@@ -24,7 +28,7 @@ from .corpus import (
 )
 from .errors import ShoprecError
 from .evaluate import ExperimentConfig, format_report, report_rows_as_dicts, run_experiment
-from .recommend import RecommenderConfig, recommend, recommend_new_user
+from .recommend import Recommender, RecommenderConfig
 from .rules import format_rule, fp_growth, generate_rules
 from .sequence import build_precedence_index, dump_lines
 from .similarity import MODES
@@ -82,7 +86,7 @@ def _cmd_ingest_check(args) -> int:
 
 def _cmd_recommend(args) -> int:
     ds = load_dataset(args.transactions, args.ratings)
-    recs = recommend(ds, args.user, _recommender_config(args))
+    recs = Recommender(ds, _recommender_config(args)).recommend_user(args.user)
     _print_recommendations(recs, args.json)
     return 0
 
@@ -90,7 +94,7 @@ def _cmd_recommend(args) -> int:
 def _cmd_recommend_new(args) -> int:
     ds = load_dataset(args.transactions, args.ratings)
     cfg = RecommenderConfig(top_n=args.top_n)
-    _print_recommendations(recommend_new_user(ds, cfg), args.json)
+    _print_recommendations(Recommender(ds, cfg).recommend_new_user(), args.json)
     return 0
 
 
@@ -155,9 +159,6 @@ def _cmd_evaluate(args) -> int:
         exclusion_threshold=args.threshold,
         relevance_threshold=args.threshold,
     )
-    for mode in config.modes:
-        if mode not in MODES:
-            raise ShoprecError(f"unknown mode {mode!r}; expected one of {MODES}")
     report = run_experiment(ds, config)
     if args.json:
         for row in report_rows_as_dicts(report):

@@ -4,7 +4,7 @@ The Dataset is the single source of truth for every index in the package:
 user vectors, the inverse-frequency table, the purchase-precedence index and
 the transaction list used for rule mining are all derived from it.
 
-Two CSV formats are supported (UTF-8, LF line endings):
+Two CSV formats are supported (UTF-8; LF and CRLF line endings both load):
 
     transactions.csv    header ``tid,user,seq,items``; items are ``;``-separated
     ratings.csv         header ``user,item,value``; value is a real in [0, 10]

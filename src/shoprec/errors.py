@@ -33,10 +33,6 @@ class EmptyDatasetError(ShoprecError):
     """An operation needs a non-empty dataset and got an empty one."""
 
 
-class NoOverlapError(ShoprecError):
-    """Two users share no co-rated items, so their distance is undefined."""
-
-
 class NoProfileError(ShoprecError):
     """The target user has no usable profile in the requested mode."""
 

@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 from typing import Iterable, Sequence
 
 from .corpus import Dataset, split_users
-from .errors import ExperimentError, MetricUndefinedError, NoProfileError, RangeError
+from .errors import ConfigError, ExperimentError, MetricUndefinedError, NoProfileError, RangeError
 from .recommend import Profile, Recommender, RecommenderConfig
 from .similarity import MODES
 
@@ -34,7 +34,8 @@ def precision_at_n(recommended: Sequence[str], relevant: Iterable[str], n: int) 
     if not recommended:
         return 0.0
     top = recommended[:n]
-    hits = sum(1 for item in top if item in set(relevant))
+    relevant = set(relevant)
+    hits = sum(1 for item in top if item in relevant)
     return 100.0 * hits / min(n, len(recommended))
 
 
@@ -45,8 +46,8 @@ def recall_at_n(recommended: Sequence[str], relevant: Iterable[str], n: int) -> 
     relevant = set(relevant)
     if not relevant:
         raise MetricUndefinedError("recall is undefined for an empty relevant set")
-    top = recommended[:n]
-    hits = sum(1 for item in relevant if item in set(top))
+    top = set(recommended[:n])
+    hits = sum(1 for item in relevant if item in top)
     return 100.0 * hits / len(relevant)
 
 
@@ -61,6 +62,30 @@ class ExperimentConfig:
     minconf_pct: float = 60.0
     exclusion_threshold: float = 7.0
     relevance_threshold: float = 7.0
+
+    def engine_configs(self) -> list[RecommenderConfig]:
+        """One engine config per report row: each mode with rules off, then on."""
+        return [
+            RecommenderConfig(
+                mode=mode,
+                k_neighbors=self.k_neighbors,
+                top_n=self.top_n,
+                minsup_pct=self.minsup_pct,
+                minconf_pct=self.minconf_pct,
+                exclusion_threshold=self.exclusion_threshold,
+                use_rules=rules_enabled,
+            )
+            for mode in self.modes
+            for rules_enabled in (False, True)
+        ]
+
+    def validate(self) -> None:
+        if not self.modes:
+            raise ConfigError("modes must name at least one mode")
+        if not 0.0 <= self.relevance_threshold <= 10.0:
+            raise ConfigError("relevance_threshold must be within [0, 10]")
+        for engine_config in self.engine_configs():
+            engine_config.validate()
 
 
 @dataclass
@@ -102,56 +127,46 @@ def run_experiment(dataset: Dataset, config: ExperimentConfig | None = None) -> 
     """Run the full mode x rules comparison on one dataset.
 
     Deterministic for a fixed dataset and config: the split, every index and
-    every recommendation are seed-driven and tie-broken by id.
+    every recommendation are seed-driven and tie-broken by id. The whole
+    config is validated before anything is split or built.
     """
     config = config or ExperimentConfig()
+    config.validate()
     train, test = split_users(dataset, config.train_fraction, config.seed)
     if not test.users:
         raise ExperimentError("test split is empty; dataset too small for this fraction")
 
     report = EvalReport(train_user_count=len(train.users), test_user_count=len(test.users))
-    for mode in config.modes:
-        for rules_enabled in (False, True):
-            engine = Recommender(
-                train,
-                RecommenderConfig(
-                    mode=mode,
-                    k_neighbors=config.k_neighbors,
-                    top_n=config.top_n,
-                    minsup_pct=config.minsup_pct,
-                    minconf_pct=config.minconf_pct,
-                    exclusion_threshold=config.exclusion_threshold,
-                    use_rules=rules_enabled,
-                ),
+    for engine_config in config.engine_configs():
+        engine = Recommender(train, engine_config)
+        precisions: list[float] = []
+        recalls: list[float] = []
+        skipped = 0
+        for user in test.users:
+            profile, relevant = _holdout_profile(test, user, config.relevance_threshold)
+            if not relevant:
+                skipped += 1
+                continue
+            try:
+                recs = engine.recommend_profile(profile)
+            except NoProfileError:
+                skipped += 1
+                continue
+            items = [r.item for r in recs]
+            precisions.append(precision_at_n(items, relevant, config.top_n))
+            recalls.append(recall_at_n(items, relevant, config.top_n))
+        evaluated = len(precisions)
+        report.rows.append(
+            EvalRow(
+                mode=engine_config.mode,
+                rules_enabled=engine_config.use_rules,
+                precision_pct=sum(precisions) / evaluated if evaluated else 0.0,
+                recall_pct=sum(recalls) / evaluated if evaluated else 0.0,
+                top_n=config.top_n,
+                users_evaluated=evaluated,
+                users_skipped=skipped,
             )
-            precisions: list[float] = []
-            recalls: list[float] = []
-            skipped = 0
-            for user in test.users:
-                profile, relevant = _holdout_profile(test, user, config.relevance_threshold)
-                if not relevant:
-                    skipped += 1
-                    continue
-                try:
-                    recs = engine.recommend_profile(profile)
-                except NoProfileError:
-                    skipped += 1
-                    continue
-                items = [r.item for r in recs]
-                precisions.append(precision_at_n(items, relevant, config.top_n))
-                recalls.append(recall_at_n(items, relevant, config.top_n))
-            evaluated = len(precisions)
-            report.rows.append(
-                EvalRow(
-                    mode=mode,
-                    rules_enabled=rules_enabled,
-                    precision_pct=sum(precisions) / evaluated if evaluated else 0.0,
-                    recall_pct=sum(recalls) / evaluated if evaluated else 0.0,
-                    top_n=config.top_n,
-                    users_evaluated=evaluated,
-                    users_skipped=skipped,
-                )
-            )
+        )
     return report
 
 

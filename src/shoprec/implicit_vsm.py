@@ -5,6 +5,8 @@ frequency downweights ubiquitous items: a user's coordinate on item i is
 n(u, i) * iif(i) with iif(i) = ln((1 + U) / U_i), U the total user count and
 U_i the number of distinct purchasers of i. Natural log throughout; every
 consumer is ranking-only, so the base is unobservable downstream.
+``build_iif`` returns the table as an item -> iif dict, which
+``similarity.profile_weights`` reads in implicit mode.
 
 Brand-new users, who have no profile at all, are served a popularity ranking
 through ln(U_i / (1 + U)). The formula is negative-valued but strictly
@@ -15,46 +17,21 @@ order.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 from .corpus import Dataset
-from .errors import EmptyDatasetError, NotFoundError
-from .similarity import UserVector
+from .errors import EmptyDatasetError
 
 
-@dataclass
-class IifTable:
-    """Inverse item frequencies for one dataset snapshot.
+def build_iif(dataset: Dataset) -> dict[str, float]:
+    """Compute iif(i) = ln((1 + U) / U_i) for every purchased item.
 
     Items nobody purchased are absent (their frequency is undefined).
     """
-
-    total_users: int
-    purchaser_counts: dict[str, int]
-    iif: dict[str, float]
-
-
-def build_iif(dataset: Dataset) -> IifTable:
-    """Compute iif(i) = ln((1 + U) / U_i) for every purchased item."""
     total = len(dataset.users)
     if total == 0:
         raise EmptyDatasetError("cannot build an inverse-frequency table without users")
     counts = dataset.purchaser_counts
-    iif = {item: math.log((1 + total) / u_i) for item, u_i in counts.items()}
-    return IifTable(total_users=total, purchaser_counts=dict(counts), iif=iif)
-
-
-def implicit_vector(dataset: Dataset, iif: IifTable, user: str) -> UserVector:
-    """Purchase-count vector weighted by inverse item frequency.
-
-    Items the user never purchased get no coordinate; a user with no
-    purchases yields an (empty) all-zero vector.
-    """
-    if not dataset.has_user(user):
-        raise NotFoundError(f"unknown user {user!r}")
-    counts = dataset.purchase_counts_by_user[user]
-    weights = {item: n * iif.iif[item] for item, n in counts.items() if item in iif.iif}
-    return UserVector(user=user, weights=weights, mode="implicit")
+    return {item: math.log((1 + total) / u_i) for item, u_i in counts.items()}
 
 
 def new_user_scores(dataset: Dataset) -> list[tuple[str, float]]:

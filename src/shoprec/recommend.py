@@ -120,7 +120,7 @@ class IndexSnapshot:
 
     def __init__(self, train: Dataset):
         self.precedence = build_precedence_index(train)
-        self.iif = build_iif(train).iif if train.users else {}
+        self.iif = build_iif(train) if train.users else {}
         self.postings: dict[str, Postings] = {}
         self.rules: dict[tuple[float, float], list[AssociationRule]] = {}
 
@@ -175,14 +175,15 @@ class Recommender:
         self.precedence = self.snapshot.precedence
         self.iif = self.snapshot.iif
         self.postings = self.snapshot.mode_postings(train, self.config.mode)
-        self._rules = self._mine_rules() if self.config.use_rules else None
-
-    def _mine_rules(self) -> list[AssociationRule]:
-        return self.snapshot.mined_rules(self.train, self.config.minsup_pct, self.config.minconf_pct)
+        self._rules = (
+            self.snapshot.mined_rules(train, self.config.minsup_pct, self.config.minconf_pct)
+            if self.config.use_rules
+            else []
+        )
 
     def rules(self) -> list[AssociationRule]:
-        """The rules at this engine's thresholds; mined at construction when use_rules is set."""
-        return self._rules if self._rules is not None else self._mine_rules()
+        """The rules at this engine's thresholds, mined at construction; [] when use_rules is off."""
+        return self._rules
 
     def recommend_user(self, user: str) -> list[Recommendation]:
         """Recommend for a user already present in the training data."""
@@ -259,16 +260,3 @@ class Recommender:
             Recommendation(item=item, score=score, source="popularity", explain="cold-start")
             for item, score in new_user_scores(self.train)[: self.config.top_n]
         ]
-
-
-def recommend(train: Dataset, target: str | Profile, config: RecommenderConfig | None = None) -> list[Recommendation]:
-    """One-shot recommendation for a training user (by id) or an external profile."""
-    engine = Recommender(train, config)
-    if isinstance(target, Profile):
-        return engine.recommend_profile(target)
-    return engine.recommend_user(target)
-
-
-def recommend_new_user(train: Dataset, config: RecommenderConfig | None = None) -> list[Recommendation]:
-    """One-shot cold-start recommendation from purchase popularity."""
-    return Recommender(train, config).recommend_new_user()

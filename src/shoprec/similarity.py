@@ -19,6 +19,11 @@ accumulate from the posting lists of the target's items. A query's cost
 follows the postings it touches, and users sharing no coordinate with the
 target are never visited (inverted-index accumulation; Bayardo, Ma and
 Srikant, "Scaling Up All Pairs Similarity Search", WWW 2007).
+
+Each quantity has one path: ``profile_weights`` builds a weight map,
+``build_postings`` and ``top_k_neighbors`` find the neighbours, and
+``cosine_restricted`` over two ``UserVector``s is the pairwise kernel whose
+scores the search reproduces bit for bit, kept as the reference.
 """
 
 from __future__ import annotations
@@ -28,8 +33,7 @@ import math
 from dataclasses import dataclass
 from typing import Mapping
 
-from .corpus import Dataset
-from .errors import NoOverlapError, NoProfileError, NotFoundError, RangeError
+from .errors import NoProfileError, RangeError
 
 MODES = ("simple", "method1", "method2", "implicit")
 
@@ -47,35 +51,6 @@ class UserVector:
 
     def nonzero(self) -> bool:
         return any(w != 0.0 for w in self.weights.values())
-
-
-@dataclass
-class NeighborList:
-    """Users ranked by similarity to a target, most similar first.
-
-    Ties are broken by ascending user id; the target never appears.
-    """
-
-    target: str
-    entries: list[tuple[str, float]]
-
-
-def msd(target_ratings: UserVector, other_ratings: UserVector) -> float:
-    """Mean squared rating difference over co-rated items (0 = most similar).
-
-    This is the classic baseline comparator; it is not used by the
-    recommendation pipeline, which ranks neighbors by cosine instead.
-    """
-    shared = target_ratings.weights.keys() & other_ratings.weights.keys()
-    if not shared:
-        raise NoOverlapError(
-            f"users {target_ratings.user} and {other_ratings.user} share no rated items"
-        )
-    total = 0.0
-    for item in shared:
-        diff = target_ratings.weights[item] - other_ratings.weights[item]
-        total += diff * diff
-    return total / len(shared)
 
 
 def cosine_restricted(target: UserVector, other: UserVector) -> float:
@@ -133,21 +108,6 @@ def profile_weights(
     raise ValueError(f"unknown mode {mode!r}; expected one of {MODES}")
 
 
-def user_vector(dataset: Dataset, user: str, mode: str = "simple") -> UserVector:
-    """Build the profile vector of a dataset user in the given mode."""
-    if not dataset.has_user(user):
-        raise NotFoundError(f"unknown user {user!r}")
-    iif = None
-    if mode == "implicit":
-        from .implicit_vsm import build_iif
-
-        iif = build_iif(dataset).iif
-    weights = profile_weights(
-        dataset.ratings_by_user[user], dataset.purchase_counts_by_user[user], mode, iif
-    )
-    return UserVector(user=user, weights=weights, mode=mode)
-
-
 def build_postings(vectors: Mapping[str, Mapping[str, float]]) -> Postings:
     """Invert user -> weight maps into item -> [(user, weight)] posting lists."""
     postings: Postings = {}
@@ -194,37 +154,3 @@ def top_k_neighbors(
             if sim > 0.0:
                 scored.append((-sim, user))
     return [(user, -neg) for neg, user in heapq.nsmallest(k, scored)]
-
-
-def nearest_neighbors(dataset: Dataset, target: str, k: int = 5, mode: str = "simple") -> NeighborList:
-    """Find the k most cosine-similar users to a dataset user.
-
-    Users with no positive similarity (no overlap, or a zero restricted norm)
-    fill any places left, with similarity 0 and in ascending id order.
-    Raises NoProfileError when the target's profile is all-zero in this mode.
-    """
-    iif = None
-    if mode == "implicit":
-        from .implicit_vsm import build_iif
-
-        iif = build_iif(dataset).iif
-
-    def vector(u: str) -> UserVector:
-        return UserVector(
-            user=u,
-            weights=profile_weights(
-                dataset.ratings_by_user[u], dataset.purchase_counts_by_user[u], mode, iif
-            ),
-            mode=mode,
-        )
-
-    if not dataset.has_user(target):
-        raise NotFoundError(f"unknown user {target!r}")
-    target_vec = vector(target)
-    if not target_vec.nonzero():
-        raise NoProfileError(f"user {target} has an all-zero profile in mode {mode}")
-    postings = build_postings({u: vector(u).weights for u in dataset.users})
-    entries = top_k_neighbors(target_vec.weights, postings, k, exclude=target)
-    found = {u for u, _ in entries}
-    entries += [(u, 0.0) for u in dataset.users if u != target and u not in found][: k - len(entries)]
-    return NeighborList(target=target, entries=entries)

@@ -3,6 +3,7 @@ import random
 import sys
 
 import pytest
+from hypothesis import strategies as st
 
 SRC = pathlib.Path(__file__).resolve().parents[1] / "src"
 if str(SRC) not in sys.path:
@@ -93,4 +94,24 @@ def random_dataset(rng: random.Random, n_users=5, n_items=6, max_txns=4, max_bas
         if with_ratings:
             for item in rng.sample(items, rng.randint(0, n_items)):
                 ratings.append(rate(user, item, round(rng.uniform(0, 10), 1)))
+    return Dataset.build(users=users, items=items, transactions=txns, ratings=ratings)
+
+
+# Few distinct values, 0 included, so that zero coordinates and tied
+# similarities (identical or proportional profiles) are common.
+RATING_VALUES = st.sampled_from([0.0, 2.5, 5.0, 10.0])
+
+
+@st.composite
+def small_datasets(draw):
+    # ids whose sort order differs from their creation order, so that a tie
+    # broken by first appearance in the postings shows
+    users = draw(st.lists(st.sampled_from("ZAQMBXC"), min_size=1, max_size=7, unique=True))
+    items = [f"I{i}" for i in range(draw(st.integers(1, 5)))]
+    ratings, txns = [], []
+    for user in users:
+        for item in draw(st.lists(st.sampled_from(items), unique=True)):
+            ratings.append(rate(user, item, draw(RATING_VALUES)))
+        baskets = draw(st.lists(st.lists(st.sampled_from(items), min_size=1, max_size=3, unique=True), max_size=4))
+        txns.extend(tx(user, seq, *basket) for seq, basket in enumerate(baskets, start=1))
     return Dataset.build(users=users, items=items, transactions=txns, ratings=ratings)

@@ -11,9 +11,9 @@ from pytest import approx
 from shoprec.corpus import Dataset, SyntheticConfig, generate_synthetic
 from shoprec.evaluate import ExperimentConfig, precision_at_n, recall_at_n, run_experiment
 from shoprec.implicit_vsm import new_user_scores
-from shoprec.recommend import Profile, Recommender, RecommenderConfig
+from shoprec.recommend import IndexSnapshot, Profile, Recommender, RecommenderConfig
 from shoprec.rules import fp_growth, generate_rules
-from shoprec.similarity import UserVector, cosine_restricted, nearest_neighbors, user_vector
+from shoprec.similarity import UserVector, cosine_restricted, profile_weights, top_k_neighbors
 
 from conftest import random_dataset, rate, tx
 from test_cli import run_cli
@@ -67,8 +67,11 @@ def test_criterion_01_worked_cosine_example(worked_example):
     # .73 and .99 are these values to two digits; the gate is the exact pair
     assert first == approx(0.7296, abs=0.005)
     assert second == approx(0.9951, abs=0.005)
-    neighbors = nearest_neighbors(worked_example, "U3", k=1, mode="simple")
-    assert neighbors.entries[0][0] == "U2"
+    ds = worked_example
+    postings = IndexSnapshot.of(ds).mode_postings(ds, "simple")
+    query = profile_weights(ds.ratings_by_user["U3"], ds.purchase_counts_by_user["U3"], "simple")
+    neighbors = top_k_neighbors(query, postings, 1, exclude="U3")
+    assert neighbors[0][0] == "U2"
     elapsed = time.perf_counter() - started
     assert elapsed < 0.5
     report_pass(1, f"(cosine {first:.4f} / {second:.4f}, top neighbor U2, {elapsed * 1000:.1f} ms)")
@@ -78,7 +81,7 @@ def test_criterion_02_frequency_weighted_component():
     # rating 0.5 on the unit scale is 5 canonical; n=5 of 10 purchases
     txns = [tx("U1", s, "P1") for s in range(1, 6)] + [tx("U1", s, "P2") for s in range(6, 11)]
     ds = Dataset.build(transactions=txns, ratings=[rate("U1", "P1", 5.0)])
-    weight = user_vector(ds, "U1", "method1").weights["P1"]
+    weight = profile_weights(ds.ratings_by_user["U1"], ds.purchase_counts_by_user["U1"], "method1")["P1"]
     assert weight == approx(2.5, abs=1e-12)
     assert weight / 10 == approx(0.25, abs=1e-13)  # the unit-scale reading
     report_pass(2, f"(component {weight})")

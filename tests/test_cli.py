@@ -72,6 +72,18 @@ class TestExitCodes:
         result = run_cli("mine-rules", "--transactions", "no-such-file.csv")
         assert result.returncode == 2
 
+    def test_bad_flag_value_is_config_error(self, data_dir):
+        # parses as an int, but no engine takes zero neighbours
+        result = run_cli(
+            "recommend",
+            "--transactions", str(data_dir / "worked_t.csv"),
+            "--ratings", str(data_dir / "worked_r.csv"),
+            "--user", "U3", "--k", "0",
+        )
+        assert result.returncode == 2
+        assert "k_neighbors" in result.stderr
+        assert result.stdout == ""
+
     def test_corrupt_file_is_data_error(self, tmp_path):
         bad = tmp_path / "bad.csv"
         bad.write_text("tid,user,seq,items\nT1,U1,one,P1\n")

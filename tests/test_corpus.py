@@ -100,6 +100,21 @@ def test_round_trip(tmp_path):
     assert reloaded == ds
 
 
+def test_crlf_files_load_like_lf(tmp_path):
+    ds = generate_synthetic(SyntheticConfig(users_per_class=6, rng_seed=9))
+    paths = {}
+    for ending in ("\n", "\r\n"):
+        tp, rp = tmp_path / f"t{len(ending)}.csv", tmp_path / f"r{len(ending)}.csv"
+        tp.write_bytes(to_transaction_csv(ds).replace("\n", ending).encode("utf-8"))
+        rp.write_bytes(to_rating_csv(ds).replace("\n", ending).encode("utf-8"))
+        paths[ending] = (tp, rp)
+    assert b"\r\n" in paths["\r\n"][0].read_bytes() and b"\r\n" in paths["\r\n"][1].read_bytes()
+    lf = load_dataset(*paths["\n"])
+    crlf = load_dataset(*paths["\r\n"])
+    assert lf == ds
+    assert crlf == lf
+
+
 class TestDatasetBuild:
     def test_unknown_references_rejected(self):
         with pytest.raises(IntegrityError):

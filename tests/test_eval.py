@@ -4,7 +4,8 @@ import pytest
 from pytest import approx
 
 from shoprec.corpus import Dataset, SyntheticConfig, generate_synthetic
-from shoprec.errors import ExperimentError, MetricUndefinedError, RangeError
+import shoprec.evaluate
+from shoprec.errors import ConfigError, ExperimentError, MetricUndefinedError, RangeError
 from shoprec.evaluate import (
     ExperimentConfig,
     precision_at_n,
@@ -35,6 +36,11 @@ class TestPrecision:
     def test_invalid_n(self):
         with pytest.raises(RangeError):
             precision_at_n(["A"], {"A"}, 0)
+
+    def test_relevant_given_as_an_iterator(self):
+        # the relevant items are read once, not once per recommended item
+        assert precision_at_n(["a", "b"], iter(["a", "b"]), 2) == 100.0
+        assert recall_at_n(["a", "b"], iter(["a", "b"]), 2) == 100.0
 
 
 class TestRecall:
@@ -133,6 +139,34 @@ class TestRunExperiment:
         simple = pinned_report.row("simple", False).precision_pct
         implicit = pinned_report.row("implicit", False).precision_pct
         assert simple > implicit
+
+    @pytest.mark.parametrize(
+        "bad",
+        [
+            {"modes": ("simple", "bogus")},
+            {"modes": ()},
+            {"relevance_threshold": 10.5},
+            {"relevance_threshold": -1.0},
+            {"relevance_threshold": float("nan")},
+            {"k_neighbors": 0},
+            {"minsup_pct": 0.0},
+        ],
+    )
+    def test_config_rejected_before_any_work(self, bad, monkeypatch):
+        def fail(*args, **kwargs):
+            raise AssertionError("split or built before the config was validated")
+
+        monkeypatch.setattr(shoprec.evaluate, "split_users", fail)
+        monkeypatch.setattr(shoprec.evaluate, "Recommender", fail)
+        ds = generate_synthetic(SyntheticConfig(users_per_class=8, rng_seed=5))
+        with pytest.raises(ConfigError):
+            run_experiment(ds, ExperimentConfig(seed=1, minconf_pct=10.0, **{"minsup_pct": 1.0, **bad}))
+
+    def test_relevance_threshold_bounds_inclusive(self):
+        ds = generate_synthetic(SyntheticConfig(users_per_class=8, rng_seed=5))
+        for threshold in (0.0, 10.0):
+            config = ExperimentConfig(modes=("simple",), seed=1, relevance_threshold=threshold)
+            assert len(run_experiment(ds, config).rows) == 2
 
     def test_rules_never_hurt_recall(self, pinned_report):
         for mode in ("simple", "method1", "method2", "implicit"):

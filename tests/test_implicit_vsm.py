@@ -6,7 +6,9 @@ from pytest import approx
 
 from shoprec.corpus import Dataset
 from shoprec.errors import EmptyDatasetError, NotFoundError
-from shoprec.implicit_vsm import build_iif, implicit_vector, new_user_scores
+from shoprec.implicit_vsm import build_iif, new_user_scores
+from shoprec.recommend import IndexSnapshot, profile_of
+from shoprec.similarity import UserVector, profile_weights
 
 from conftest import random_dataset, rate, tx
 
@@ -24,20 +26,26 @@ def nine_user_dataset():
     return Dataset.build(users=users, items=["IA", "IB", "IC", "IZ"], transactions=txns)
 
 
+def implicit_weights(ds, iif, user):
+    """A dataset user's implicit-mode weight map."""
+    return profile_weights(ds.ratings_by_user[user], ds.purchase_counts_by_user[user], "implicit", iif)
+
+
 class TestBuildIif:
     def test_direct_substitution(self):
-        table = build_iif(nine_user_dataset())
-        assert table.total_users == 9
-        assert table.iif["IA"] == approx(math.log(10 / 5))
-        assert table.iif["IC"] == approx(math.log(10 / 9))
+        ds = nine_user_dataset()
+        table = build_iif(ds)
+        assert len(ds.users) == 9
+        assert table["IA"] == approx(math.log(10 / 5))
+        assert table["IC"] == approx(math.log(10 / 9))
 
     def test_rarer_items_weigh_more(self):
         table = build_iif(nine_user_dataset())
-        assert table.iif["IB"] > table.iif["IA"] > table.iif["IC"] > 0.0
+        assert table["IB"] > table["IA"] > table["IC"] > 0.0
 
     def test_never_purchased_absent(self):
         table = build_iif(nine_user_dataset())
-        assert "IZ" not in table.iif
+        assert "IZ" not in table
 
     def test_empty_dataset(self):
         with pytest.raises(EmptyDatasetError):
@@ -50,14 +58,14 @@ class TestBuildIif:
             if not ds.users:
                 continue
             table = build_iif(ds)
-            assert all(v > 0 for v in table.iif.values())
-            pairs = sorted(table.purchaser_counts.items(), key=lambda e: e[1])
+            assert all(v > 0 for v in table.values())
+            pairs = sorted(ds.purchaser_counts.items(), key=lambda e: e[1])
             for (i1, c1), (i2, c2) in zip(pairs, pairs[1:]):
                 if c1 < c2:
-                    assert table.iif[i1] > table.iif[i2]
+                    assert table[i1] > table[i2]
 
 
-class TestImplicitVector:
+class TestImplicitWeights:
     def test_count_times_iif(self):
         # target buys IA in three separate transactions; five of nine buy IA
         txns = [tx("U1", s, "IA") for s in (1, 2, 3)]
@@ -65,22 +73,19 @@ class TestImplicitVector:
         users = [f"U{i}" for i in range(1, 10)]
         ds = Dataset.build(users=users, items=["IA"], transactions=txns)
         table = build_iif(ds)
-        v = implicit_vector(ds, table, "U1")
-        assert v.weights["IA"] == approx(3 * math.log(2))
-        assert v.mode == "implicit"
+        assert implicit_weights(ds, table, "U1")["IA"] == approx(3 * math.log(2))
 
     def test_no_purchases(self):
         ds = nine_user_dataset()
         # U9 purchased only IC
-        v = implicit_vector(ds, build_iif(ds), "U9")
-        assert set(v.weights) == {"IC"}
+        assert set(implicit_weights(ds, build_iif(ds), "U9")) == {"IC"}
         ds2 = Dataset.build(users=["U1", "U2"], items=["IA"], transactions=[tx("U1", 1, "IA")])
-        assert implicit_vector(ds2, build_iif(ds2), "U2").weights == {}
+        assert implicit_weights(ds2, build_iif(ds2), "U2") == {}
 
     def test_unknown_user(self):
         ds = nine_user_dataset()
         with pytest.raises(NotFoundError):
-            implicit_vector(ds, build_iif(ds), "nobody")
+            profile_of(ds, "nobody")
 
     def test_matches_recount_oracle(self):
         rng = random.Random(7)
@@ -90,7 +95,7 @@ class TestImplicitVector:
                 continue
             table = build_iif(ds)
             for user in ds.users:
-                got = implicit_vector(ds, table, user).weights
+                got = implicit_weights(ds, table, user)
                 # independent two-pass recount straight from the transactions
                 counts = {}
                 for t in ds.transactions:
@@ -112,7 +117,7 @@ class TestImplicitVector:
 
 def test_neighbor_search_uses_same_kernel_in_implicit_mode():
     """Implicit vectors flow through the identical restricted-cosine ranking."""
-    from shoprec.similarity import cosine_restricted, nearest_neighbors
+    from shoprec.similarity import cosine_restricted, top_k_neighbors
 
     rng = random.Random(20)
     for _ in range(20):
@@ -120,19 +125,21 @@ def test_neighbor_search_uses_same_kernel_in_implicit_mode():
         if not ds.users:
             continue
         table = build_iif(ds)
+        postings = IndexSnapshot.of(ds).mode_postings(ds, "implicit")
         for target in ds.users:
-            tv = implicit_vector(ds, table, target)
+            tv = UserVector(target, implicit_weights(ds, table, target), "implicit")
             if not tv.nonzero():
                 continue
-            got = nearest_neighbors(ds, target, k=4, mode="implicit").entries
-            expected = sorted(
+            got = top_k_neighbors(tv.weights, postings, 4, exclude=target)
+            scan = sorted(
                 (
-                    (u, cosine_restricted(tv, implicit_vector(ds, table, u)))
+                    (u, cosine_restricted(tv, UserVector(u, implicit_weights(ds, table, u), "implicit")))
                     for u in ds.users
                     if u != target
                 ),
                 key=lambda e: (-e[1], e[0]),
-            )[:4]
+            )
+            expected = [(u, sim) for u, sim in scan if sim > 0.0][:4]
             assert got == expected
 
 

@@ -6,34 +6,29 @@ import threading
 from collections import Counter
 
 import pytest
+from hypothesis import Phase, example, find, given, settings
+from hypothesis import strategies as st
 from pytest import approx
 
 from shoprec.corpus import Dataset, SyntheticConfig, Transaction, generate_synthetic, split_users
 from shoprec.errors import ConfigError, NoProfileError, NotFoundError
 from shoprec.evaluate import ExperimentConfig, run_experiment
-from shoprec.recommend import (
-    Profile,
-    Recommender,
-    RecommenderConfig,
-    profile_of,
-    recommend,
-    recommend_new_user,
-)
+from shoprec.recommend import Profile, Recommender, RecommenderConfig, profile_of
 from shoprec.sequence import bought_after, build_precedence_index
 from shoprec.similarity import MODES
 
-from conftest import TABLE1_ROWS, random_dataset, rate, tx
+from conftest import TABLE1_ROWS, random_dataset, rate, small_datasets, tx
 
 
 class TestWorkedScenario:
     def test_p5_recommended_p4_excluded(self, worked_example):
-        recs = recommend(worked_example, "U3", RecommenderConfig(top_n=5))
+        recs = Recommender(worked_example, RecommenderConfig(top_n=5)).recommend_user("U3")
         items = [r.item for r in recs]
         assert "P5" in items
         assert "P4" not in items
 
     def test_p5_comes_from_the_closer_neighbor(self, worked_example):
-        recs = recommend(worked_example, "U3", RecommenderConfig(top_n=5))
+        recs = Recommender(worked_example, RecommenderConfig(top_n=5)).recommend_user("U3")
         top = recs[0]
         assert top.item == "P5"
         assert top.source == "neighbor"
@@ -113,12 +108,12 @@ class TestThresholdExclusion:
             rate("Q", "P1", 5.0),
         ]
         ds = Dataset.build(ratings=ratings)
-        recs = recommend(ds, "Q", RecommenderConfig(top_n=5))
+        recs = Recommender(ds, RecommenderConfig(top_n=5)).recommend_user("Q")
         assert recs == []
 
     def test_item_at_threshold_is_offered(self):
         ds = Dataset.build(ratings=[rate("N", "P1", 5.0), rate("N", "P2", 7.0), rate("Q", "P1", 5.0)])
-        recs = recommend(ds, "Q", RecommenderConfig(top_n=5))
+        recs = Recommender(ds, RecommenderConfig(top_n=5)).recommend_user("Q")
         assert [r.item for r in recs] == ["P2"]
 
 
@@ -126,59 +121,82 @@ class TestContracts:
     def test_no_profile_error(self):
         ds = Dataset.build(ratings=[rate("N", "P1", 8.0)])
         with pytest.raises(NoProfileError):
-            recommend(ds, Profile(), RecommenderConfig())
+            Recommender(ds, RecommenderConfig()).recommend_profile(Profile())
 
     def test_unknown_user(self):
         ds = Dataset.build(ratings=[rate("N", "P1", 8.0)])
         with pytest.raises(NotFoundError):
-            recommend(ds, "nobody", RecommenderConfig())
+            Recommender(ds, RecommenderConfig()).recommend_user("nobody")
 
     def test_alone_in_dataset_gives_empty_result(self):
         ds = Dataset.build(ratings=[rate("N", "P1", 8.0)])
-        assert recommend(ds, "N", RecommenderConfig()) == []
+        assert Recommender(ds, RecommenderConfig()).recommend_user("N") == []
 
     def test_output_respects_top_n(self, worked_example):
         for n in (1, 2, 3):
-            assert len(recommend(worked_example, "U3", RecommenderConfig(top_n=n))) <= n
+            assert len(Recommender(worked_example, RecommenderConfig(top_n=n)).recommend_user("U3")) <= n
 
     def test_deterministic(self, worked_example):
-        a = recommend(worked_example, "U3", RecommenderConfig(top_n=5))
-        b = recommend(worked_example, "U3", RecommenderConfig(top_n=5))
+        a = Recommender(worked_example, RecommenderConfig(top_n=5)).recommend_user("U3")
+        b = Recommender(worked_example, RecommenderConfig(top_n=5)).recommend_user("U3")
         assert a == b
 
 
+def check_pipeline_invariants(ds, mode) -> int:
+    """Assert the engine invariants for every user of ds; return how many lists rules grew."""
+    config = dict(mode=mode, top_n=4, minsup_pct=10.0, minconf_pct=20.0)
+    engine_off = Recommender(ds, RecommenderConfig(use_rules=False, **config))
+    engine_on = Recommender(ds, RecommenderConfig(use_rules=True, **config))
+    index = build_precedence_index(ds)
+    grown = 0
+    for user in ds.users:
+        profile = Profile(
+            ratings=dict(ds.ratings_by_user[user]),
+            purchase_counts=dict(ds.purchase_counts_by_user[user]),
+        )
+        try:
+            off = engine_off.recommend_profile(profile, exclude_user=user)
+            on = engine_on.recommend_profile(profile, exclude_user=user)
+        except NoProfileError:
+            continue
+        seen = profile.seen_items
+        for rec in on:
+            assert rec.item not in seen
+            assert bought_after(index, rec.item, profile.history)
+        # enabling rules only appends: the rules-off list is a prefix
+        assert [r.item for r in on[: len(off)]] == [r.item for r in off]
+        # two tiers: every neighbour item precedes every rule item
+        sources = [r.source for r in on]
+        assert sources == sorted(sources, key=lambda source: source == "rule")
+        if len(on) > len(off):
+            grown += 1
+    return grown
+
+
+def tier_order_dataset():
+    """A's neighbours B and C pick I1 (score 8) and I4 (score 7); the rule I1 => I0
+    at 100% confidence scores I0 at 8, above I4, so only the two-tier order keeps
+    the neighbour item I4 ahead of the rule item I0.
+    """
+    ratings = [rate("A", "I2", 5.0), rate("B", "I1", 8.0), rate("B", "I2", 5.0)]
+    ratings += [rate("C", "I2", 5.0), rate("C", "I4", 7.0)]
+    return Dataset.build(transactions=[tx("C", 1, "I0", "I1")], ratings=ratings)
+
+
 class TestPipelineInvariants:
-    def test_random_datasets(self):
-        rng = random.Random(15)
-        checked_rules_growth = 0
-        for _ in range(40):
-            ds = random_dataset(rng, n_users=6, n_items=6, max_txns=4)
-            engine_off = Recommender(
-                ds, RecommenderConfig(top_n=4, minsup_pct=10.0, minconf_pct=20.0, use_rules=False)
-            )
-            engine_on = Recommender(
-                ds, RecommenderConfig(top_n=4, minsup_pct=10.0, minconf_pct=20.0, use_rules=True)
-            )
-            index = build_precedence_index(ds)
-            for user in ds.users:
-                profile = Profile(
-                    ratings=dict(ds.ratings_by_user[user]),
-                    purchase_counts=dict(ds.purchase_counts_by_user[user]),
-                )
-                try:
-                    off = engine_off.recommend_profile(profile, exclude_user=user)
-                    on = engine_on.recommend_profile(profile, exclude_user=user)
-                except NoProfileError:
-                    continue
-                seen = profile.seen_items
-                for rec in on:
-                    assert rec.item not in seen
-                    assert bought_after(index, rec.item, profile.history)
-                # enabling rules only appends: the rules-off list is a prefix
-                assert [r.item for r in on[: len(off)]] == [r.item for r in off]
-                if len(on) > len(off):
-                    checked_rules_growth += 1
-        assert checked_rules_growth > 0  # the property was exercised for real
+    @settings(max_examples=200, deadline=None)
+    @given(ds=small_datasets(), mode=st.sampled_from(MODES))
+    @example(ds=tier_order_dataset(), mode="simple")
+    def test_random_datasets(self, ds, mode):
+        check_pipeline_invariants(ds, mode)
+
+    def test_rule_growth_is_reached(self):
+        """The strategy reaches datasets where rules add items, so the prefix property is exercised."""
+        find(
+            st.tuples(small_datasets(), st.sampled_from(MODES)),
+            lambda case: check_pipeline_invariants(*case) > 0,
+            settings=settings(max_examples=200, database=None, phases=[Phase.generate]),
+        )
 
 
 class TestColdStart:
@@ -187,21 +205,21 @@ class TestColdStart:
         txns += [tx(f"U{i}", 2, "IB") for i in range(1, 3)]
         users = [f"U{i}" for i in range(1, 10)]
         ds = Dataset.build(users=users, items=["IA", "IB"], transactions=txns)
-        recs = recommend_new_user(ds, RecommenderConfig(top_n=5))
+        recs = Recommender(ds, RecommenderConfig(top_n=5)).recommend_new_user()
         assert [r.item for r in recs] == ["IA", "IB"]
         assert all(r.source == "popularity" and r.explain == "cold-start" for r in recs)
 
     def test_top_n_one(self):
         txns = [tx(f"U{i}", 1, "IA") for i in range(1, 6)] + [tx("U9", 1, "IB")]
         ds = Dataset.build(transactions=txns)
-        recs = recommend_new_user(ds, RecommenderConfig(top_n=1))
+        recs = Recommender(ds, RecommenderConfig(top_n=1)).recommend_new_user()
         assert [r.item for r in recs] == ["IA"]
 
     def test_oracle_on_random_data(self):
         rng = random.Random(16)
         for _ in range(50):
             ds = random_dataset(rng, with_ratings=False)
-            got = [r.item for r in recommend_new_user(ds, RecommenderConfig(top_n=100))]
+            got = [r.item for r in Recommender(ds, RecommenderConfig(top_n=100)).recommend_new_user()]
             buyers = {}
             for t in ds.transactions:
                 for i in t.items:
@@ -210,7 +228,7 @@ class TestColdStart:
 
     def test_no_purchases(self):
         ds = Dataset.build(ratings=[rate("U1", "P1", 5)])
-        assert recommend_new_user(ds, RecommenderConfig()) == []
+        assert Recommender(ds, RecommenderConfig()).recommend_new_user() == []
 
 
 class TestConfigValidation:
@@ -237,7 +255,7 @@ class TestConfigValidation:
 
 def count_builds(monkeypatch) -> Counter:
     """Count calls of the index builders where the engine looks them up."""
-    module = importlib.import_module("shoprec.recommend")  # the package re-exports a function of that name
+    module = importlib.import_module("shoprec.recommend")
     calls: Counter = Counter()
     for name in ("build_precedence_index", "build_iif", "fp_growth"):
         original = getattr(module, name)

@@ -6,49 +6,35 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from pytest import approx
 
-from shoprec.corpus import Dataset
-from shoprec.errors import NoOverlapError, NoProfileError, NotFoundError, RangeError
+from shoprec.errors import NoProfileError, NotFoundError, RangeError
 from shoprec.implicit_vsm import build_iif
+from shoprec.recommend import IndexSnapshot, Recommender, RecommenderConfig, profile_of
 from shoprec.similarity import (
     MODES,
     UserVector,
     build_postings,
     cosine_restricted,
-    msd,
-    nearest_neighbors,
     profile_weights,
     top_k_neighbors,
-    user_vector,
 )
 
-from conftest import random_dataset, rate, tx
+from conftest import random_dataset, small_datasets
 
 
 def vec(user, **weights):
     return UserVector(user=user, weights={k: float(v) for k, v in weights.items()})
 
 
-class TestMsd:
-    def test_identical_vectors(self):
-        a = vec("a", P1=5, P2=6)
-        assert msd(a, vec("b", P1=5, P2=6)) == 0.0
+def dataset_weights(ds, user, mode):
+    """The weight map of a dataset user in a mode."""
+    return profile_weights(ds.ratings_by_user[user], ds.purchase_counts_by_user[user], mode, build_iif(ds))
 
-    def test_hand_case(self):
-        # ((5-6)^2 + (6-8)^2) / 2
-        assert msd(vec("a", P1=5, P2=6), vec("b", P1=6, P2=8)) == approx(2.5)
 
-    def test_disjoint(self):
-        with pytest.raises(NoOverlapError):
-            msd(vec("a", P1=5), vec("b", P2=5))
-
-    def test_symmetric(self):
-        rng = random.Random(1)
-        for _ in range(50):
-            items = [f"I{i}" for i in range(rng.randint(1, 5))]
-            a = UserVector("a", {i: rng.uniform(0, 10) for i in items})
-            b = UserVector("b", {i: rng.uniform(0, 10) for i in items})
-            assert msd(a, b) == approx(msd(b, a))
-            assert msd(a, a) == 0.0
+def neighbors(ds, target, k, mode):
+    """The engine's neighbour search for a dataset user, over the dataset's snapshot."""
+    snapshot = IndexSnapshot.of(ds)
+    weights = profile_weights(ds.ratings_by_user[target], ds.purchase_counts_by_user[target], mode, snapshot.iif)
+    return top_k_neighbors(weights, snapshot.mode_postings(ds, mode), k, exclude=target)
 
 
 class TestCosineRestricted:
@@ -94,7 +80,7 @@ class TestCosineRestricted:
             assert cosine_restricted(a, b) == approx(cosine_restricted(b, a), abs=1e-12)
 
 
-class TestUserVector:
+class TestProfileWeights:
     def dataset(self):
         from conftest import rate, tx
         from shoprec.corpus import Dataset
@@ -107,12 +93,12 @@ class TestUserVector:
 
     def test_simple_mode_is_identity(self):
         ds = self.dataset()
-        assert user_vector(ds, "U1", "simple").weights == {"P1": 5.0, "P2": 8.0, "P3": 9.0}
+        assert dataset_weights(ds, "U1", "simple") == {"P1": 5.0, "P2": 8.0, "P3": 9.0}
 
     def test_method1_worked_component(self):
         # rating 5 (0.5 on the unit scale), n=5 of 10 purchases -> 5 * 5/10 = 2.5
         ds = self.dataset()
-        w = user_vector(ds, "U1", "method1").weights
+        w = dataset_weights(ds, "U1", "method1")
         assert w["P1"] == approx(2.5, abs=1e-12)
         assert w["P2"] == approx(8.0 * 5 / 10)
 
@@ -123,24 +109,24 @@ class TestUserVector:
         txns = [tx("U1", s, "P1") for s in range(1, 6)]  # n(P1) = 5
         txns += [tx("U1", s, "P2") for s in range(6, 14)]  # n(P2) = 8 = max
         ds = Dataset.build(transactions=txns, ratings=[rate("U1", "P1", 5.0)])
-        assert user_vector(ds, "U1", "method2").weights["P1"] == approx(5 * 5 / 8)
+        assert dataset_weights(ds, "U1", "method2")["P1"] == approx(5 * 5 / 8)
 
     def test_rated_but_never_purchased_has_zero_weight(self):
         ds = self.dataset()
         for mode in ("method1", "method2"):
-            assert user_vector(ds, "U1", mode).weights.get("P3", 0.0) == 0.0
+            assert dataset_weights(ds, "U1", mode).get("P3", 0.0) == 0.0
 
     def test_no_purchases_gives_zero_vector(self):
         from conftest import rate
         from shoprec.corpus import Dataset
 
         ds = Dataset.build(ratings=[rate("U1", "P1", 5.0)])
-        v = user_vector(ds, "U1", "method1")
+        v = UserVector("U1", dataset_weights(ds, "U1", "method1"), "method1")
         assert not v.nonzero()
 
     def test_unknown_user(self):
         with pytest.raises(NotFoundError):
-            user_vector(self.dataset(), "nobody", "simple")
+            profile_of(self.dataset(), "nobody")
 
     def test_method1_weights_sum_identity(self):
         rng = random.Random(4)
@@ -153,19 +139,19 @@ class TestUserVector:
                 if total == 0:
                     continue
                 expected = sum(r * counts.get(i, 0) for i, r in ratings.items()) / total
-                got = sum(user_vector(ds, user, "method1").weights.values())
+                got = sum(dataset_weights(ds, user, "method1").values())
                 assert got == approx(expected, abs=1e-9)
 
 
-class TestNearestNeighbors:
+class TestNeighborSearch:
     def test_worked_scenario(self, worked_example):
-        nl = nearest_neighbors(worked_example, "U3", k=1, mode="simple")
-        assert nl.entries[0][0] == "U2"
-        assert nl.entries[0][1] == approx(0.9951, abs=5e-4)
+        found = neighbors(worked_example, "U3", k=1, mode="simple")
+        assert found[0][0] == "U2"
+        assert found[0][1] == approx(0.9951, abs=5e-4)
 
     def test_k_saturation(self, worked_example):
-        nl = nearest_neighbors(worked_example, "U3", k=50, mode="simple")
-        assert [u for u, _ in nl.entries] == ["U2", "U1"]
+        found = neighbors(worked_example, "U3", k=50, mode="simple")
+        assert [u for u, _ in found] == ["U2", "U1"]
 
     def test_tie_break_by_user_id(self):
         from conftest import rate
@@ -173,8 +159,8 @@ class TestNearestNeighbors:
 
         ratings = [rate(u, "P1", 5.0) for u in ("U1", "UB", "UA")]
         ds = Dataset.build(ratings=ratings)
-        nl = nearest_neighbors(ds, "U1", k=2, mode="simple")
-        assert [u for u, _ in nl.entries] == ["UA", "UB"]
+        found = neighbors(ds, "U1", k=2, mode="simple")
+        assert [u for u, _ in found] == ["UA", "UB"]
 
     def test_no_profile(self):
         from conftest import rate
@@ -184,7 +170,7 @@ class TestNearestNeighbors:
             users=["U1", "U2"], items=["P1"], ratings=[rate("U2", "P1", 5.0)]
         )
         with pytest.raises(NoProfileError):
-            nearest_neighbors(ds, "U1", k=1, mode="simple")
+            Recommender(ds, RecommenderConfig(k_neighbors=1, mode="simple")).recommend_user("U1")
 
     def test_matches_brute_force_oracle(self):
         rng = random.Random(5)
@@ -194,34 +180,15 @@ class TestNearestNeighbors:
                 ratings = ds.ratings_by_user[target]
                 if not any(v != 0 for v in ratings.values()):
                     continue
-                got = nearest_neighbors(ds, target, k=4, mode="simple").entries
-                expected = sorted(
+                got = neighbors(ds, target, k=4, mode="simple")
+                scan = sorted(
                     ((u, _oracle_cosine(ratings, ds.ratings_by_user[u])) for u in ds.users if u != target),
                     key=lambda e: (-e[1], e[0]),
-                )[:4]
+                )
+                expected = [(u, sim) for u, sim in scan if sim > 0.0][:4]
                 assert [u for u, _ in got] == [u for u, _ in expected]
                 for (_, s1), (_, s2) in zip(got, expected):
                     assert s1 == approx(s2, abs=1e-12)
-
-
-# Few distinct values, 0 included, so that zero coordinates and tied
-# similarities (identical or proportional profiles) are common.
-RATING_VALUES = st.sampled_from([0.0, 2.5, 5.0, 10.0])
-
-
-@st.composite
-def small_datasets(draw):
-    # ids whose sort order differs from their creation order, so that a tie
-    # broken by first appearance in the postings shows
-    users = draw(st.lists(st.sampled_from("ZAQMBXC"), min_size=1, max_size=7, unique=True))
-    items = [f"I{i}" for i in range(draw(st.integers(1, 5)))]
-    ratings, txns = [], []
-    for user in users:
-        for item in draw(st.lists(st.sampled_from(items), unique=True)):
-            ratings.append(rate(user, item, draw(RATING_VALUES)))
-        baskets = draw(st.lists(st.lists(st.sampled_from(items), min_size=1, max_size=3, unique=True), max_size=4))
-        txns.extend(tx(user, seq, *basket) for seq, basket in enumerate(baskets, start=1))
-    return Dataset.build(users=users, items=items, transactions=txns, ratings=ratings)
 
 
 class TestTopKNeighbors:
@@ -232,7 +199,7 @@ class TestTopKNeighbors:
 
         k ranges past the user count, so it often exceeds the overlapping users.
         """
-        iif = build_iif(ds).iif
+        iif = build_iif(ds)
         vectors = {
             u: profile_weights(ds.ratings_by_user[u], ds.purchase_counts_by_user[u], mode, iif)
             for u in ds.users
