@@ -28,9 +28,9 @@ from .corpus import (
 )
 from .errors import ShoprecError
 from .evaluate import ExperimentConfig, format_report, report_rows_as_dicts, run_experiment
-from .recommend import Recommender, RecommenderConfig
+from .recommend import Recommender, RecommenderConfig, cold_start
 from .rules import format_rule, fp_growth, generate_rules
-from .sequence import build_precedence_index, dump_lines
+from .sequence import dump_lines, precedence_counts
 from .similarity import MODES
 
 
@@ -94,7 +94,8 @@ def _cmd_recommend(args) -> int:
 def _cmd_recommend_new(args) -> int:
     ds = load_dataset(args.transactions, args.ratings)
     cfg = RecommenderConfig(top_n=args.top_n)
-    _print_recommendations(Recommender(ds, cfg).recommend_new_user(), args.json)
+    cfg.validate()
+    _print_recommendations(cold_start(ds, cfg.top_n), args.json)
     return 0
 
 
@@ -119,7 +120,7 @@ def _cmd_mine_rules(args) -> int:
 
 def _cmd_dump_index(args) -> int:
     ds = load_transactions(args.transactions)
-    for line in dump_lines(build_precedence_index(ds)):
+    for line in dump_lines(precedence_counts(ds)):
         print(line)
     return 0
 

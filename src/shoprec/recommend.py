@@ -9,7 +9,8 @@ Candidate generation runs in two phases over a training dataset:
 
   Phase B - rule expansion. For every Phase-A item, association rules whose
   antecedent contains it contribute their consequent items, again subject to
-  the purchase-order filter and the not-already-seen rule.
+  the purchase-order filter and the not-already-seen rule. The rules are
+  looked up by antecedent item, each item's list in mined order.
 
 Neighbor candidates are ranked by similarity * neighbor rating, rule
 candidates by (confidence / 100) * parent score, and the final list keeps
@@ -19,7 +20,7 @@ recommendation out of the top-N, so recall can only improve when rules are
 switched on.
 
 Brand-new users (no ratings, no purchases) get the popularity ranking from
-the implicit model instead.
+the implicit model instead, through ``cold_start``, which reads no index.
 
 Every index derived from a training dataset lives in one IndexSnapshot that
 all engines over that dataset share, so building several engines (one per
@@ -101,6 +102,9 @@ def profile_of(dataset: Dataset, user: str) -> Profile:
     )
 
 
+# Rules listed under each item of their antecedents, each list in mined order.
+RulesByItem = dict[str, list[AssociationRule]]
+
 # Serialises snapshot creation and part builds, so that engines constructed
 # concurrently still build each part once.
 _BUILD_LOCK = threading.Lock()
@@ -112,17 +116,17 @@ class IndexSnapshot:
     """Every index engines derive from one training dataset, shared by all of them.
 
     The precedence index and the iif table are built with the snapshot; the
-    posting lists of a mode and the rules of a (minsup, minconf) pair are
-    built by the first engine whose config needs them. A part never changes
-    once built, so queries only read. The snapshot holds no reference to its
-    dataset, which holds the snapshot.
+    posting lists of a mode and the rules of a (minsup, minconf) pair, also
+    listed by antecedent item, are built by the first engine whose config
+    needs them. A part never changes once built, so queries only read. The
+    snapshot holds no reference to its dataset, which holds the snapshot.
     """
 
     def __init__(self, train: Dataset):
         self.precedence = build_precedence_index(train)
         self.iif = build_iif(train) if train.users else {}
         self.postings: dict[str, Postings] = {}
-        self.rules: dict[tuple[float, float], list[AssociationRule]] = {}
+        self.rules: dict[tuple[float, float], tuple[list[AssociationRule], RulesByItem]] = {}
 
     @classmethod
     def of(cls, train: Dataset) -> "IndexSnapshot":
@@ -147,12 +151,20 @@ class IndexSnapshot:
                 )
             return self.postings[mode]
 
-    def mined_rules(self, train: Dataset, minsup_pct: float, minconf_pct: float) -> list[AssociationRule]:
-        """Association rules mined from the training transactions at these thresholds."""
+    def mined_rules(
+        self, train: Dataset, minsup_pct: float, minconf_pct: float
+    ) -> tuple[list[AssociationRule], RulesByItem]:
+        """Rules mined from the training transactions at these thresholds, and the same
+        rules listed under each item of their antecedents, in mined order."""
         key = (minsup_pct, minconf_pct)
         with _BUILD_LOCK:
             if key not in self.rules:
-                self.rules[key] = generate_rules(fp_growth(train.transactions, minsup_pct), minconf_pct)
+                rules = generate_rules(fp_growth(train.transactions, minsup_pct), minconf_pct)
+                by_item: RulesByItem = {}
+                for rule in rules:
+                    for item in rule.antecedent:
+                        by_item.setdefault(item, []).append(rule)
+                self.rules[key] = (rules, by_item)
             return self.rules[key]
 
 
@@ -175,10 +187,10 @@ class Recommender:
         self.precedence = self.snapshot.precedence
         self.iif = self.snapshot.iif
         self.postings = self.snapshot.mode_postings(train, self.config.mode)
-        self._rules = (
+        self._rules, self._rules_by_item = (
             self.snapshot.mined_rules(train, self.config.minsup_pct, self.config.minconf_pct)
             if self.config.use_rules
-            else []
+            else ([], {})
         )
 
     def rules(self) -> list[AssociationRule]:
@@ -227,9 +239,8 @@ class Recommender:
         if cfg.use_rules and neighbor_scores:
             parents = sorted(neighbor_scores.items(), key=lambda e: (-e[1][0], e[0]))
             for parent_item, (parent_score, _) in parents:
-                for rule in self.rules():
-                    if parent_item not in rule.antecedent:
-                        continue
+                # mined order, so a later rule with an equal score never replaces an earlier one
+                for rule in self._rules_by_item.get(parent_item, ()):
                     for item in rule.consequent:
                         if item in seen or item in neighbor_scores:
                             continue
@@ -256,7 +267,12 @@ class Recommender:
 
     def recommend_new_user(self) -> list[Recommendation]:
         """Cold-start path: most-purchased items first."""
-        return [
-            Recommendation(item=item, score=score, source="popularity", explain="cold-start")
-            for item, score in new_user_scores(self.train)[: self.config.top_n]
-        ]
+        return cold_start(self.train, self.config.top_n)
+
+
+def cold_start(train: Dataset, top_n: int) -> list[Recommendation]:
+    """The top_n most-purchased items, for a user with no profile; builds no index."""
+    return [
+        Recommendation(item=item, score=score, source="popularity", explain="cold-start")
+        for item, score in new_user_scores(train)[:top_n]
+    ]

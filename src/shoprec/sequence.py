@@ -1,35 +1,88 @@
 """Purchase-order precedence index.
 
-Records, across all training users, how often item b was bought in a later
-transaction than item a. "Later" means anywhere later in that user's
+The filter question is "has this candidate ever been bought after something
+the target already owns?" - a candidate that never was is suppressed. "After"
+means in a later transaction of the same user, anywhere later in that user's
 chronological stream, not immediately next; items inside one transaction are
-simultaneous and produce no pair. The index answers the filter question
-"has this candidate ever been bought after something the target already
-owns?" - a candidate that never was is suppressed.
+simultaneous and produce no pair.
+
+The filter only asks whether a pair (earlier h, later c) exists, and it does
+exactly when some user bought h first in an earlier transaction than the one
+in which they bought c last: first_pos_u(h) < last_pos_u(c), positions being
+indexes in the user's seq-sorted transactions. ``build_precedence_index``
+therefore makes one pass over each user's transactions, recording the first
+and last position of each item, and adds to each item c the prefix, in
+first-position order, of the items whose first position precedes c's last
+(found by bisection). That costs one pass over the purchase events plus the
+pairs each user contributes, instead of the square of each user's events.
 
 Both (a, b) and (b, a) may be present: different users shop in different
-orders, and the filter only asks for existence.
+orders. How often each pair occurs is only shown by ``dump-index``;
+``precedence_counts`` computes it there, on its own quadratic path.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left
+from collections.abc import Set
 from dataclasses import dataclass, field
-from typing import Iterable
 
 from .corpus import Dataset
 
+_NONE: frozenset[str] = frozenset()
 
-@dataclass
+
+@dataclass(frozen=True)
 class PrecedenceIndex:
-    """Occurrence counts of (earlier item, later item) purchase pairs."""
+    """For each item, the items some user bought in an earlier transaction.
 
-    counts: dict[tuple[str, str], int] = field(default_factory=dict)
+    The sets are built once and only read afterwards, so one index serves
+    concurrent queries.
+    """
 
-    def count(self, earlier: str, later: str) -> int:
-        return self.counts.get((earlier, later), 0)
+    before: dict[str, set[str]] = field(default_factory=dict)
+
+    def __len__(self) -> int:
+        """The number of (earlier item, later item) pairs."""
+        return sum(map(len, self.before.values()))
 
 
 def build_precedence_index(dataset: Dataset) -> PrecedenceIndex:
+    """Find, per item c, every item h with first_pos_u(h) < last_pos_u(c) for some user u."""
+    before: dict[str, set[str]] = {}
+    for user in dataset.users:
+        first: dict[str, int] = {}
+        last: dict[str, int] = {}
+        for pos, txn in enumerate(dataset.transactions_by_user[user]):  # seq-sorted
+            for item in txn.items:
+                first.setdefault(item, pos)
+                last[item] = pos
+        # first was filled in position order, so its keys are sorted by first position
+        order = list(first)
+        firsts = list(first.values())
+        for item, pos in last.items():
+            earlier = bisect_left(firsts, pos)
+            if not earlier:
+                continue
+            items = before.get(item)
+            if items is None:
+                before[item] = set(order[:earlier])
+            else:
+                items.update(order[:earlier])
+    return PrecedenceIndex(before=before)
+
+
+def bought_after(index: PrecedenceIndex, candidate: str, history: Set[str]) -> bool:
+    """True when the candidate was ever bought after any item in the history.
+
+    An empty history imposes no constraint and always passes, so brand-new
+    users receive unfiltered recommendations. The history is a set, which the
+    caller builds once per query.
+    """
+    return not history or not index.before.get(candidate, _NONE).isdisjoint(history)
+
+
+def precedence_counts(dataset: Dataset) -> dict[tuple[str, str], int]:
     """Count every cross-transaction ordered item pair per user.
 
     For each user, every purchase event in a transaction with lower seq pairs
@@ -43,21 +96,9 @@ def build_precedence_index(dataset: Dataset) -> PrecedenceIndex:
                 for a in earlier_txn.items:
                     for b in later_txn.items:
                         counts[(a, b)] = counts.get((a, b), 0) + 1
-    return PrecedenceIndex(counts=counts)
+    return counts
 
 
-def bought_after(index: PrecedenceIndex, candidate: str, history: Iterable[str]) -> bool:
-    """True when the candidate was ever bought after any item in the history.
-
-    An empty history imposes no constraint and always passes, so brand-new
-    users receive unfiltered recommendations.
-    """
-    history = set(history)
-    if not history:
-        return True
-    return any(index.count(h, candidate) >= 1 for h in history)
-
-
-def dump_lines(index: PrecedenceIndex) -> list[str]:
-    """Render the index as ``earlier,later,count`` lines, lexicographically sorted."""
-    return [f"{a},{b},{n}" for (a, b), n in sorted(index.counts.items())]
+def dump_lines(counts: dict[tuple[str, str], int]) -> list[str]:
+    """Render pair counts as ``earlier,later,count`` lines, lexicographically sorted."""
+    return [f"{a},{b},{n}" for (a, b), n in sorted(counts.items())]

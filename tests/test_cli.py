@@ -161,6 +161,11 @@ class TestRecommendNew:
         assert lines[0].split()[1] == "P1"  # bought by four of five users
         assert lines[1].split()[1] == "P4"
 
+    def test_top_n_zero_is_config_error(self, data_dir):
+        result = run_cli("recommend-new", "--transactions", str(data_dir / "table1.csv"), "--top-n", "0")
+        assert result.returncode == 2
+        assert "top_n" in result.stderr
+
 
 class TestDumpIndex:
     def test_golden_lines(self, data_dir):

@@ -10,6 +10,7 @@ from hypothesis import Phase, example, find, given, settings
 from hypothesis import strategies as st
 from pytest import approx
 
+from shoprec import cli
 from shoprec.corpus import Dataset, SyntheticConfig, Transaction, generate_synthetic, split_users
 from shoprec.errors import ConfigError, NoProfileError, NotFoundError
 from shoprec.evaluate import ExperimentConfig, run_experiment
@@ -98,6 +99,19 @@ class TestRuleExpansion:
         items = [r.item for r in engine.recommend_profile(self.query())]
         assert "P1" in items
         assert "P4" not in items
+
+    def test_equal_scores_keep_the_rule_mined_first(self):
+        """Every rule from parent P scores 8; each consequent keeps the first rule in mined order."""
+        ratings = [rate("A", "Z", 5.0), rate("B", "Z", 5.0), rate("B", "P", 8.0)]
+        ds = Dataset.build(transactions=[tx("C", 1, "P", "X", "Y")], ratings=ratings)
+        engine = Recommender(ds, self.config())
+        mined = [f"{';'.join(r.antecedent)} => {';'.join(r.consequent)}" for r in engine.rules()]
+        assert mined[:5] == ["P => X", "P => X;Y", "P => Y", "P;X => Y", "P;Y => X"]
+        recs = engine.recommend_user("A")
+        assert [(r.item, r.score, r.source) for r in recs] == [
+            ("P", 8.0, "neighbor"), ("X", 8.0, "rule"), ("Y", 8.0, "rule"),
+        ]
+        assert [r.explain for r in recs[1:]] == ["P => X", "P => X;Y"]
 
 
 class TestThresholdExclusion:
@@ -195,7 +209,7 @@ class TestPipelineInvariants:
         find(
             st.tuples(small_datasets(), st.sampled_from(MODES)),
             lambda case: check_pipeline_invariants(*case) > 0,
-            settings=settings(max_examples=200, database=None, phases=[Phase.generate]),
+            settings=settings(max_examples=1000, database=None, phases=[Phase.generate]),
         )
 
 
@@ -285,6 +299,16 @@ class TestSharedSnapshot:
         calls = count_builds(monkeypatch)
         run_experiment(ds, ExperimentConfig(seed=1, minsup_pct=1.0, minconf_pct=10.0))
         assert calls == {"build_precedence_index": 1, "build_iif": 1, "fp_growth": 1}
+
+    def test_recommend_new_builds_nothing(self, tmp_path, monkeypatch, capsys):
+        (tmp_path / "t.csv").write_text("tid,user,seq,items\n1,U1,1,P1;P2\n2,U2,1,P1\n3,U2,2,P3\n")
+        calls = count_builds(monkeypatch)
+        assert cli.main(["recommend-new", "--transactions", str(tmp_path / "t.csv"), "--top-n", "2"]) == 0
+        assert capsys.readouterr().out.splitlines() == [
+            "1. P1 -0.4055 popularity cold-start",
+            "2. P2 -1.0986 popularity cold-start",
+        ]
+        assert calls == {}
 
     def test_equal_datasets_do_not_share(self, monkeypatch):
         def build():

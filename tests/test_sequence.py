@@ -1,42 +1,45 @@
 import random
 
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
 from shoprec.corpus import Dataset
-from shoprec.sequence import bought_after, build_precedence_index, dump_lines
+from shoprec.sequence import bought_after, build_precedence_index, dump_lines, precedence_counts
 
-from conftest import random_dataset, tx
+from conftest import random_dataset, small_datasets, tx
 
 
-class TestBuildIndex:
+class TestPrecedenceCounts:
     def test_four_purchase_chain(self):
         ds = Dataset.build(transactions=[tx("U1", s, f"P{s}") for s in (1, 2, 3, 4)])
-        idx = build_precedence_index(ds)
+        counts = precedence_counts(ds)
         expected = {
             ("P1", "P2"): 1, ("P1", "P3"): 1, ("P1", "P4"): 1,
             ("P2", "P3"): 1, ("P2", "P4"): 1, ("P3", "P4"): 1,
         }
-        assert idx.counts == expected
+        assert counts == expected
 
     def test_items_in_one_transaction_are_simultaneous(self):
         ds = Dataset.build(transactions=[tx("U1", 1, "P1", "P2")])
-        assert build_precedence_index(ds).counts == {}
+        assert precedence_counts(ds) == {}
 
     def test_empty_dataset(self):
-        assert build_precedence_index(Dataset()).counts == {}
+        assert precedence_counts(Dataset()) == {}
 
     def test_pairs_aggregate_across_users(self):
         ds = Dataset.build(
             transactions=[tx("U1", 1, "A"), tx("U1", 2, "B"), tx("U2", 1, "B"), tx("U2", 2, "A")]
         )
-        idx = build_precedence_index(ds)
+        counts = precedence_counts(ds)
         # both directions exist because the two users shopped in opposite order
-        assert idx.count("A", "B") == 1
-        assert idx.count("B", "A") == 1
+        assert counts.get(("A", "B"), 0) == 1
+        assert counts.get(("B", "A"), 0) == 1
 
     def test_matches_brute_force_oracle(self):
         rng = random.Random(9)
         for _ in range(40):
             ds = random_dataset(rng, n_users=4, n_items=5, with_ratings=False)
-            got = build_precedence_index(ds).counts
+            got = precedence_counts(ds)
             expected = {}
             for user in ds.users:
                 events = [
@@ -53,7 +56,33 @@ class TestBuildIndex:
 
     def test_rebuild_is_identical(self):
         ds = random_dataset(random.Random(10), with_ratings=False)
-        assert build_precedence_index(ds).counts == build_precedence_index(ds).counts
+        assert precedence_counts(ds) == precedence_counts(ds)
+
+
+class TestBuildIndex:
+    """The index holds exactly the pairs that precedence_counts counts at least once."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(ds=small_datasets())
+    def test_pairs_are_the_counted_pairs(self, ds):
+        index = build_precedence_index(ds)
+        pairs = {(h, c) for c, earlier in index.before.items() for h in earlier}
+        assert pairs == set(precedence_counts(ds))
+        assert len(index) == len(pairs)
+
+    @settings(max_examples=300, deadline=None)
+    @given(data=st.data(), ds=small_datasets())
+    def test_bought_after_matches_counts(self, data, ds):
+        index, counts = build_precedence_index(ds), precedence_counts(ds)
+        items = sorted(ds.items) + ["unknown"]
+        history = data.draw(st.sets(st.sampled_from(items)), label="history")
+        for candidate in items:
+            expected = not history or any(counts.get((h, candidate), 0) >= 1 for h in history)
+            assert bought_after(index, candidate, history) == expected
+
+    def test_repurchase_precedes_itself(self):
+        ds = Dataset.build(transactions=[tx("U1", 1, "P1"), tx("U1", 2, "P2"), tx("U1", 3, "P1")])
+        assert build_precedence_index(ds).before == {"P1": {"P1", "P2"}, "P2": {"P1"}}
 
 
 class TestBoughtAfter:
@@ -90,7 +119,7 @@ class TestBoughtAfter:
 
 
 def test_dump_lines_sorted(physics):
-    lines = dump_lines(build_precedence_index(physics))
+    lines = dump_lines(precedence_counts(physics))
     assert lines == [
         "Ph1,Ph2,1",
         "Ph1,Ph3,1",
