@@ -4,12 +4,18 @@ Users are split 80/20 (configurable) into train and test. For every test
 user the items they rated at or above the relevance threshold are hidden
 from their profile - ratings and purchases both - and the rest is fed as the
 query. Recommendations from the training population are then scored against
-the hidden relevant set. Each similarity mode is measured twice, with rule
+the hidden relevant set. Each similarity mode is reported twice, with rule
 expansion off and on, and metrics are macro-averaged over the test users
 that could be evaluated.
 
+Both rows of a mode come from one rules-on engine and one query per test
+user. The rules-off row scores the neighbour entries of that answer: the
+engine ranks every neighbour candidate ahead of every rule candidate and
+truncates last, so those entries are exactly the rules-off list, and rules
+cannot lower recall by construction.
+
 Test users with no relevant items (recall undefined) or an empty residual
-profile in the active mode are skipped and counted.
+profile in the active mode are skipped and counted, in both rows alike.
 """
 
 from __future__ import annotations
@@ -19,7 +25,7 @@ from typing import Iterable, Sequence
 
 from .corpus import Dataset, split_users
 from .errors import ConfigError, ExperimentError, MetricUndefinedError, NoProfileError, RangeError
-from .recommend import Profile, Recommender, RecommenderConfig
+from .recommend import Profile, Recommendation, Recommender, RecommenderConfig
 from .similarity import MODES
 
 
@@ -63,29 +69,25 @@ class ExperimentConfig:
     exclusion_threshold: float = 7.0
     relevance_threshold: float = 7.0
 
-    def engine_configs(self) -> list[RecommenderConfig]:
-        """One engine config per report row: each mode with rules off, then on."""
-        return [
-            RecommenderConfig(
-                mode=mode,
-                k_neighbors=self.k_neighbors,
-                top_n=self.top_n,
-                minsup_pct=self.minsup_pct,
-                minconf_pct=self.minconf_pct,
-                exclusion_threshold=self.exclusion_threshold,
-                use_rules=rules_enabled,
-            )
-            for mode in self.modes
-            for rules_enabled in (False, True)
-        ]
+    def engine_config(self, mode: str) -> RecommenderConfig:
+        """The rules-on engine config that answers both report rows of a mode."""
+        return RecommenderConfig(
+            mode=mode,
+            k_neighbors=self.k_neighbors,
+            top_n=self.top_n,
+            minsup_pct=self.minsup_pct,
+            minconf_pct=self.minconf_pct,
+            exclusion_threshold=self.exclusion_threshold,
+            use_rules=True,
+        )
 
     def validate(self) -> None:
         if not self.modes:
             raise ConfigError("modes must name at least one mode")
         if not 0.0 <= self.relevance_threshold <= 10.0:
             raise ConfigError("relevance_threshold must be within [0, 10]")
-        for engine_config in self.engine_configs():
-            engine_config.validate()
+        for mode in self.modes:
+            self.engine_config(mode).validate()
 
 
 @dataclass
@@ -123,9 +125,33 @@ def _holdout_profile(dataset: Dataset, user: str, relevance_threshold: float):
     return Profile(ratings=residual_ratings, purchase_counts=residual_purchases), relevant
 
 
+def _scores(recs: Sequence[Recommendation], relevant: set[str], n: int) -> tuple[float, float]:
+    """(precision, recall) of one recommendation list against the hidden relevant set."""
+    items = [r.item for r in recs]
+    return precision_at_n(items, relevant, n), recall_at_n(items, relevant, n)
+
+
+def _row(
+    mode: str, rules_enabled: bool, top_n: int, scores: list[tuple[float, float]], skipped: int
+) -> EvalRow:
+    """Macro-average the (precision, recall) pairs of the evaluated users into one row."""
+    evaluated = len(scores)
+    return EvalRow(
+        mode=mode,
+        rules_enabled=rules_enabled,
+        precision_pct=sum(p for p, _ in scores) / evaluated if evaluated else 0.0,
+        recall_pct=sum(r for _, r in scores) / evaluated if evaluated else 0.0,
+        top_n=top_n,
+        users_evaluated=evaluated,
+        users_skipped=skipped,
+    )
+
+
 def run_experiment(dataset: Dataset, config: ExperimentConfig | None = None) -> EvalReport:
     """Run the full mode x rules comparison on one dataset.
 
+    One rules-on engine per mode answers each held-out profile once; the
+    rules-off row is scored from the neighbour entries of the same answer.
     Deterministic for a fixed dataset and config: the split, every index and
     every recommendation are seed-driven and tie-broken by id. The whole
     config is validated before anything is split or built.
@@ -136,14 +162,15 @@ def run_experiment(dataset: Dataset, config: ExperimentConfig | None = None) -> 
     if not test.users:
         raise ExperimentError("test split is empty; dataset too small for this fraction")
 
+    holdouts = [_holdout_profile(test, user, config.relevance_threshold) for user in test.users]
     report = EvalReport(train_user_count=len(train.users), test_user_count=len(test.users))
-    for engine_config in config.engine_configs():
-        engine = Recommender(train, engine_config)
-        precisions: list[float] = []
-        recalls: list[float] = []
+    n = config.top_n
+    for mode in config.modes:
+        engine = Recommender(train, config.engine_config(mode))
+        off: list[tuple[float, float]] = []
+        on: list[tuple[float, float]] = []
         skipped = 0
-        for user in test.users:
-            profile, relevant = _holdout_profile(test, user, config.relevance_threshold)
+        for profile, relevant in holdouts:
             if not relevant:
                 skipped += 1
                 continue
@@ -152,21 +179,10 @@ def run_experiment(dataset: Dataset, config: ExperimentConfig | None = None) -> 
             except NoProfileError:
                 skipped += 1
                 continue
-            items = [r.item for r in recs]
-            precisions.append(precision_at_n(items, relevant, config.top_n))
-            recalls.append(recall_at_n(items, relevant, config.top_n))
-        evaluated = len(precisions)
-        report.rows.append(
-            EvalRow(
-                mode=engine_config.mode,
-                rules_enabled=engine_config.use_rules,
-                precision_pct=sum(precisions) / evaluated if evaluated else 0.0,
-                recall_pct=sum(recalls) / evaluated if evaluated else 0.0,
-                top_n=config.top_n,
-                users_evaluated=evaluated,
-                users_skipped=skipped,
-            )
-        )
+            off.append(_scores([r for r in recs if r.source == "neighbor"], relevant, n))
+            on.append(_scores(recs, relevant, n))
+        report.rows.append(_row(mode, False, n, off, skipped))
+        report.rows.append(_row(mode, True, n, on, skipped))
     return report
 
 

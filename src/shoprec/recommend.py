@@ -24,7 +24,7 @@ the implicit model instead, through ``cold_start``, which reads no index.
 
 Every index derived from a training dataset lives in one IndexSnapshot that
 all engines over that dataset share, so building several engines (one per
-mode, rules off and on) builds each index once.
+mode, say) builds each index once.
 """
 
 from __future__ import annotations

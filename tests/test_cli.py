@@ -5,6 +5,8 @@ import sys
 
 import pytest
 
+from shoprec import cli
+
 from conftest import SRC, TABLE1_CSV
 
 WORKED_TRANSACTIONS = (
@@ -34,6 +36,19 @@ WORKED_RATINGS = (
     )
     + "\n"
 )
+
+
+# evaluate --json at the reference config (ROADMAP's reference-quality table)
+REFERENCE_EVALUATE_JSON = [
+    '{"mode": "simple", "precision_pct": 54.5, "recall_pct": 23.9982, "rules_enabled": false, "top_n": 5, "users_evaluated": 20, "users_skipped": 0}',
+    '{"mode": "simple", "precision_pct": 51.9167, "recall_pct": 25.768, "rules_enabled": true, "top_n": 5, "users_evaluated": 20, "users_skipped": 0}',
+    '{"mode": "method1", "precision_pct": 61.2037, "recall_pct": 27.8375, "rules_enabled": false, "top_n": 5, "users_evaluated": 18, "users_skipped": 2}',
+    '{"mode": "method1", "precision_pct": 58.4259, "recall_pct": 31.1532, "rules_enabled": true, "top_n": 5, "users_evaluated": 18, "users_skipped": 2}',
+    '{"mode": "method2", "precision_pct": 57.7778, "recall_pct": 27.0042, "rules_enabled": false, "top_n": 5, "users_evaluated": 18, "users_skipped": 2}',
+    '{"mode": "method2", "precision_pct": 56.1111, "recall_pct": 30.3199, "rules_enabled": true, "top_n": 5, "users_evaluated": 18, "users_skipped": 2}',
+    '{"mode": "implicit", "precision_pct": 46.8519, "recall_pct": 21.8498, "rules_enabled": false, "top_n": 5, "users_evaluated": 18, "users_skipped": 2}',
+    '{"mode": "implicit", "precision_pct": 46.4815, "recall_pct": 23.8163, "rules_enabled": true, "top_n": 5, "users_evaluated": 18, "users_skipped": 2}',
+]
 
 
 def run_cli(*args, cwd=None):
@@ -226,6 +241,18 @@ class TestGenDataAndEvaluate:
             assert int(fields[4]) == row["top_n"]
             assert int(fields[5]) == row["users_evaluated"]
             assert int(fields[6]) == row["users_skipped"]
+
+    def test_reference_evaluate_json_is_pinned(self, tmp_path, capsys):
+        """The reference-quality table: gen-data --seed 2024, evaluate --seed 42 --minsup 1 --minconf 10."""
+        assert cli.main(["gen-data", "--seed", "2024", "--out", str(tmp_path)]) == 0
+        capsys.readouterr()
+        assert cli.main([
+            "evaluate",
+            "--transactions", str(tmp_path / "transactions.csv"),
+            "--ratings", str(tmp_path / "ratings.csv"),
+            "--json", "--seed", "42", "--minsup", "1", "--minconf", "10",
+        ]) == 0
+        assert capsys.readouterr().out.splitlines() == REFERENCE_EVALUATE_JSON
 
     def test_evaluate_bad_mode(self, tmp_path):
         gen = run_cli("gen-data", "--out", str(tmp_path / "d"), "--users-per-class", "5", "--seed", "1")

@@ -1,19 +1,24 @@
 import itertools
 
 import pytest
+from hypothesis import Phase, assume, example, find, given, settings
+from hypothesis import strategies as st
 from pytest import approx
 
-from shoprec.corpus import Dataset, SyntheticConfig, generate_synthetic
+from shoprec.corpus import Dataset, SyntheticConfig, generate_synthetic, split_users
 import shoprec.evaluate
-from shoprec.errors import ConfigError, ExperimentError, MetricUndefinedError, RangeError
+from shoprec.errors import ConfigError, ExperimentError, MetricUndefinedError, NoProfileError, RangeError
 from shoprec.evaluate import (
+    EvalRow,
     ExperimentConfig,
+    _holdout_profile,
     precision_at_n,
     recall_at_n,
     run_experiment,
 )
+from shoprec.recommend import Recommender, RecommenderConfig
 
-from conftest import rate, tx
+from conftest import rate, small_datasets, tx
 
 
 class TestPrecision:
@@ -173,3 +178,105 @@ class TestRunExperiment:
             off = pinned_report.row(mode, False).recall_pct
             on = pinned_report.row(mode, True).recall_pct
             assert on >= off
+
+
+def reference_rows(dataset: Dataset, config: ExperimentConfig) -> list[EvalRow]:
+    """The report rows computed with one engine per (mode, rules off/on), each
+    held-out profile answered by both engines of its mode."""
+    train, test = split_users(dataset, config.train_fraction, config.seed)
+    rows = []
+    for mode in config.modes:
+        for use_rules in (False, True):
+            engine = Recommender(
+                train,
+                RecommenderConfig(
+                    mode=mode,
+                    k_neighbors=config.k_neighbors,
+                    top_n=config.top_n,
+                    minsup_pct=config.minsup_pct,
+                    minconf_pct=config.minconf_pct,
+                    exclusion_threshold=config.exclusion_threshold,
+                    use_rules=use_rules,
+                ),
+            )
+            precisions, recalls, skipped = [], [], 0
+            for user in test.users:
+                profile, relevant = _holdout_profile(test, user, config.relevance_threshold)
+                if not relevant:
+                    skipped += 1
+                    continue
+                try:
+                    items = [r.item for r in engine.recommend_profile(profile)]
+                except NoProfileError:
+                    skipped += 1
+                    continue
+                precisions.append(precision_at_n(items, relevant, config.top_n))
+                recalls.append(recall_at_n(items, relevant, config.top_n))
+            evaluated = len(precisions)
+            rows.append(
+                EvalRow(
+                    mode=mode,
+                    rules_enabled=use_rules,
+                    precision_pct=sum(precisions) / evaluated if evaluated else 0.0,
+                    recall_pct=sum(recalls) / evaluated if evaluated else 0.0,
+                    top_n=config.top_n,
+                    users_evaluated=evaluated,
+                    users_skipped=skipped,
+                )
+            )
+    return rows
+
+
+def oracle_case(ds, seed, top_n, threshold, minsup_pct):
+    """Check run_experiment against reference_rows on one case; return the rows."""
+    config = ExperimentConfig(
+        train_fraction=0.6,
+        top_n=top_n,
+        seed=seed,
+        k_neighbors=3,
+        minsup_pct=minsup_pct,
+        minconf_pct=20.0,
+        exclusion_threshold=threshold,
+        relevance_threshold=threshold,
+    )
+    assume(split_users(ds, config.train_fraction, seed)[1].users)
+    rows = run_experiment(ds, config).rows
+    assert rows == reference_rows(ds, config)
+    for off, on in zip(rows[::2], rows[1::2]):
+        assert on.recall_pct >= off.recall_pct
+    return rows
+
+
+def rules_change_recall(rows) -> bool:
+    return any(on.recall_pct != off.recall_pct for off, on in zip(rows[::2], rows[1::2]))
+
+
+ORACLE_CASE = dict(
+    seed=st.integers(0, 3),
+    top_n=st.integers(1, 4),
+    threshold=st.sampled_from([2.5, 5.0, 7.0]),
+    minsup_pct=st.sampled_from([1.0, 10.0]),
+)
+
+
+class TestOneQueryPerUser:
+    """Both rows of a mode come from one rules-on answer per held-out user; they
+    must equal the rows of separate rules-off and rules-on engines."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(ds=small_datasets(), **ORACLE_CASE)
+    @example(
+        ds=generate_synthetic(SyntheticConfig(users_per_class=8, rng_seed=5)),
+        seed=1, top_n=4, threshold=7.0, minsup_pct=1.0,
+    )
+    def test_rows_match_separate_engines(self, ds, seed, top_n, threshold, minsup_pct):
+        oracle_case(ds, seed, top_n, threshold, minsup_pct)
+
+    def test_rules_changing_recall_is_reached(self):
+        """The strategy reaches cases where rules raise recall, so the rules-off row
+        is checked apart from the rules-on row."""
+        find(
+            st.fixed_dictionaries({"ds": small_datasets(), **ORACLE_CASE}),
+            lambda case: rules_change_recall(oracle_case(**case)),
+            settings=settings(max_examples=2000, database=None, phases=[Phase.generate]),
+        )

@@ -267,11 +267,11 @@ class TestConfigValidation:
         Recommender(worked_example, RecommenderConfig(minsup_pct=100.0, minconf_pct=100.0))
 
 
-def count_builds(monkeypatch) -> Counter:
-    """Count calls of the index builders where the engine looks them up."""
-    module = importlib.import_module("shoprec.recommend")
+def count_calls(monkeypatch, module_name, names) -> Counter:
+    """Count calls of the named callables where module_name looks them up."""
+    module = importlib.import_module(module_name)
     calls: Counter = Counter()
-    for name in ("build_precedence_index", "build_iif", "fp_growth"):
+    for name in names:
         original = getattr(module, name)
 
         def counted(*args, _name=name, _original=original, **kwargs):
@@ -280,6 +280,11 @@ def count_builds(monkeypatch) -> Counter:
 
         monkeypatch.setattr(module, name, counted)
     return calls
+
+
+def count_builds(monkeypatch) -> Counter:
+    """Count calls of the index builders where the engine looks them up."""
+    return count_calls(monkeypatch, "shoprec.recommend", ("build_precedence_index", "build_iif", "fp_growth"))
 
 
 class TestSharedSnapshot:
@@ -299,6 +304,16 @@ class TestSharedSnapshot:
         calls = count_builds(monkeypatch)
         run_experiment(ds, ExperimentConfig(seed=1, minsup_pct=1.0, minconf_pct=10.0))
         assert calls == {"build_precedence_index": 1, "build_iif": 1, "fp_growth": 1}
+
+    def test_run_experiment_queries_once_per_mode_and_user(self, monkeypatch):
+        """One rules-on engine per mode; each held-out user is searched at most once per mode."""
+        ds = generate_synthetic(SyntheticConfig(users_per_class=8, rng_seed=5))
+        engines = count_calls(monkeypatch, "shoprec.evaluate", ("Recommender",))
+        searches = count_calls(monkeypatch, "shoprec.recommend", ("top_k_neighbors",))
+        config = ExperimentConfig(seed=1, minsup_pct=1.0, minconf_pct=10.0)
+        report = run_experiment(ds, config)
+        assert engines["Recommender"] == len(config.modes)
+        assert 0 < searches["top_k_neighbors"] <= len(config.modes) * report.test_user_count
 
     def test_recommend_new_builds_nothing(self, tmp_path, monkeypatch, capsys):
         (tmp_path / "t.csv").write_text("tid,user,seq,items\n1,U1,1,P1;P2\n2,U2,1,P1\n3,U2,2,P3\n")
