@@ -4,20 +4,31 @@ The Dataset is the single source of truth for every index in the package:
 user vectors, the inverse-frequency table, the purchase-precedence index and
 the transaction list used for rule mining are all derived from it.
 
-Two CSV formats are supported (UTF-8; LF and CRLF line endings both load):
+Two CSV formats are supported (UTF-8; LF and CRLF line endings both load,
+and a leading UTF-8 byte-order mark is skipped):
 
     transactions.csv    header ``tid,user,seq,items``; items are ``;``-separated
     ratings.csv         header ``user,item,value``; value is a real in [0, 10]
 
 Identifiers are opaque strings; they may not contain ``,``, ``;`` or newlines
 (the formats are unquoted). Ratings use a single canonical 0-10 scale.
+
+Every record is validated once, where it enters. ``Dataset.build`` validates
+records made in code (the synthetic generator, tests). The loaders check each
+row as they read it, so their errors name the file and line, and then hand
+their sorted records to the private trusted constructor, as do the merge in
+``load_dataset`` and the subsets made by ``split_users``: a subset of a valid
+dataset is valid, and filtering a sorted tuple keeps it sorted.
 """
 
 from __future__ import annotations
 
 import random
+import re
+from codecs import BOM_UTF8
 from dataclasses import dataclass
 from functools import cached_property
+from operator import attrgetter
 from pathlib import Path
 
 from .errors import ConfigError, IntegrityError, ParseError, RangeError
@@ -25,12 +36,12 @@ from .errors import ConfigError, IntegrityError, ParseError, RangeError
 TRANSACTION_HEADER = "tid,user,seq,items"
 RATING_HEADER = "user,item,value"
 
-_FORBIDDEN_ID_CHARS = (",", ";", "\n", "\r")
+_forbidden_id_char = re.compile("[,;\n\r]").search
 
 
-def _check_id(kind: str, value: str) -> str:
-    if not value or any(c in value for c in _FORBIDDEN_ID_CHARS):
-        raise IntegrityError(f"invalid {kind} id {value!r}")
+def _check_id(kind: str, value: str, where: str = "") -> str:
+    if not value or _forbidden_id_char(value):
+        raise IntegrityError(f"{where}invalid {kind} id {value!r}")
     return value
 
 
@@ -61,10 +72,12 @@ class RatingRecord:
 class Dataset:
     """Immutable-by-convention container of users, items, transactions and ratings.
 
-    Always construct through :meth:`build`, which validates invariants and
-    canonicalizes ordering so that equal datasets compare equal. Derived
-    lookup tables are cached on first access; do not mutate a Dataset after
-    construction.
+    Records built in code go through :meth:`build`, which validates invariants
+    and canonicalizes ordering so that equal datasets compare equal. The
+    loaders, the merge in :func:`load_dataset` and :func:`split_users` check
+    their records where they read them, or take them from a valid dataset,
+    and construct through the private :meth:`_trusted`. Derived lookup tables
+    are cached on first access; do not mutate a Dataset after construction.
     """
 
     users: tuple[str, ...] = ()
@@ -121,12 +134,17 @@ class Dataset:
                 raise IntegrityError(f"duplicate rating for ({r.user}, {r.item})")
             seen_rating.add(key)
 
-        return cls(
-            users=users,
-            items=items,
-            transactions=tuple(sorted(transactions, key=lambda t: (t.user, t.seq))),
-            ratings=tuple(sorted(ratings, key=lambda r: (r.user, r.item))),
-        )
+        return cls._trusted(users, items, _sorted_transactions(transactions), _sorted_ratings(ratings))
+
+    @classmethod
+    def _trusted(cls, users, items, transactions, ratings) -> "Dataset":
+        """Construct without checks from records that are already valid.
+
+        The caller guarantees what :meth:`build` would check: unique sorted
+        ids that are all valid, records that reference only those ids, no
+        duplicate keys, values in range, and records in canonical order.
+        """
+        return cls(tuple(users), tuple(items), tuple(transactions), tuple(ratings))
 
     # Derived lookup tables. Cached: the dataset must not be mutated after use.
 
@@ -167,14 +185,31 @@ class Dataset:
         return user in self.ratings_by_user
 
 
+def _sorted_transactions(transactions):
+    return sorted(transactions, key=attrgetter("user", "seq"))
+
+
+def _sorted_ratings(ratings):
+    return sorted(ratings, key=attrgetter("user", "item"))
+
+
 # ---------------------------------------------------------------------------
 # CSV ingestion / serialization
 # ---------------------------------------------------------------------------
 
 
 def _read_rows(path, expected_header: str, n_fields: int):
-    """Yield (line_number, fields) for each data row; tolerate empty files."""
-    text = Path(path).read_text(encoding="utf-8")
+    """Yield (line_number, fields) for each data row; tolerate empty files.
+
+    A leading UTF-8 byte-order mark is skipped; bytes that are not UTF-8
+    raise ParseError naming the line they sit on.
+    """
+    data = Path(path).read_bytes().removeprefix(BOM_UTF8)
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        lineno = data.count(b"\n", 0, exc.start) + 1
+        raise ParseError(f"{path}: line {lineno}: not valid UTF-8") from None
     lines = text.splitlines()
     if not lines:
         return
@@ -193,11 +228,16 @@ def load_transactions(path) -> Dataset:
     """Load a transaction CSV into a Dataset fragment (users/items inferred).
 
     Parsing is atomic: any malformed row raises ParseError naming the line,
-    any duplicate (user, seq) raises IntegrityError, and nothing is returned.
+    an invalid id, a duplicate item within a row or a duplicate (user, seq)
+    raises IntegrityError naming the line, and nothing is returned.
     """
     transactions = []
     seen_seq = set()
     for lineno, (tid, user, seq_text, items_text) in _read_rows(path, TRANSACTION_HEADER, 4):
+        # the line and field splits leave ";" as the one forbidden character a tid or user can hold
+        if not (tid and user) or ";" in tid or ";" in user:
+            _check_id("transaction", tid, f"{path}: line {lineno}: ")
+            _check_id("user", user, f"{path}: line {lineno}: ")
         try:
             seq = int(seq_text)
         except ValueError:
@@ -211,14 +251,28 @@ def load_transactions(path) -> Dataset:
             raise IntegrityError(f"{path}: line {lineno}: duplicate seq {seq} for user {user}")
         seen_seq.add((user, seq))
         transactions.append(Transaction(tid=tid, user=user, seq=seq, items=items))
-    return Dataset.build(transactions=transactions)
+    return Dataset._trusted(
+        sorted({t.user for t in transactions}),
+        sorted({i for t in transactions for i in t.items}),
+        _sorted_transactions(transactions),
+        (),
+    )
 
 
 def load_ratings(path) -> Dataset:
-    """Load a rating CSV into a Dataset fragment (users/items inferred)."""
+    """Load a rating CSV into a Dataset fragment (users/items inferred).
+
+    Parsing is atomic, as in :func:`load_transactions`: a malformed row, an
+    invalid id, a value outside [0, 10] or a duplicate (user, item) raises an
+    error naming the line.
+    """
     ratings = []
     seen = set()
     for lineno, (user, item, value_text) in _read_rows(path, RATING_HEADER, 3):
+        # the line and field splits leave ";" as the one forbidden character an id here can hold
+        if not (user and item) or ";" in user or ";" in item:
+            _check_id("user", user, f"{path}: line {lineno}: ")
+            _check_id("item", item, f"{path}: line {lineno}: ")
         try:
             value = float(value_text)
         except ValueError:
@@ -229,16 +283,28 @@ def load_ratings(path) -> Dataset:
             raise IntegrityError(f"{path}: line {lineno}: duplicate rating for ({user}, {item})")
         seen.add((user, item))
         ratings.append(RatingRecord(user=user, item=item, value=value))
-    return Dataset.build(ratings=ratings)
+    return Dataset._trusted(
+        sorted({r.user for r in ratings}),
+        sorted({r.item for r in ratings}),
+        (),
+        _sorted_ratings(ratings),
+    )
 
 
 def load_dataset(transactions_path=None, ratings_path=None) -> Dataset:
-    """Load and merge both CSV files; either may be omitted."""
+    """Load and merge both CSV files; either may be omitted.
+
+    Users and items are inferred from the records, so the two files cannot
+    disagree: the merge takes the union of their ids and each file's records
+    as loaded.
+    """
     tx = load_transactions(transactions_path) if transactions_path else Dataset()
     rt = load_ratings(ratings_path) if ratings_path else Dataset()
-    return Dataset.build(
-        transactions=tx.transactions,
-        ratings=rt.ratings,
+    return Dataset._trusted(
+        sorted(set(tx.users).union(rt.users)),
+        sorted(set(tx.items).union(rt.items)),
+        tx.transactions,
+        rt.ratings,
     )
 
 
@@ -402,7 +468,9 @@ def split_users(dataset: Dataset, train_fraction: float, seed: int) -> tuple[Dat
 
     The splits are disjoint, cover all users, and each carries only its own
     users' transactions and ratings (the item catalog is shared). The test
-    share is floored, so tiny datasets keep every user in train.
+    share is floored, so tiny datasets keep every user in train. Neither side
+    is validated again: a subset of a valid dataset is valid, and filtering
+    its sorted tuples keeps them sorted.
     """
     if not 0.0 < train_fraction < 1.0:
         raise RangeError(f"train_fraction {train_fraction} outside (0, 1)")
@@ -416,11 +484,11 @@ def split_users(dataset: Dataset, train_fraction: float, seed: int) -> tuple[Dat
     train_users = set(user_ids[test_count:])
 
     def restrict(users: set[str]) -> Dataset:
-        return Dataset.build(
-            users=users,
-            items=dataset.items,
-            transactions=[t for t in dataset.transactions if t.user in users],
-            ratings=[r for r in dataset.ratings if r.user in users],
+        return Dataset._trusted(
+            (u for u in dataset.users if u in users),
+            dataset.items,
+            (t for t in dataset.transactions if t.user in users),
+            (r for r in dataset.ratings if r.user in users),
         )
 
     return restrict(train_users), restrict(test_users)

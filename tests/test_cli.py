@@ -1,3 +1,4 @@
+import codecs
 import json
 import os
 import subprocess
@@ -105,6 +106,22 @@ class TestExitCodes:
         result = run_cli("mine-rules", "--transactions", str(bad))
         assert result.returncode == 2
         assert "line 2" in result.stderr
+
+    def test_non_utf8_file_is_data_error(self, tmp_path, capsys):
+        bad = tmp_path / "r.csv"
+        bad.write_bytes(b"user,item,value\nU1,P1,5\nU1,P\xff,5\n")
+        assert cli.main(["ingest-check", "--ratings", str(bad)]) == 2
+        assert capsys.readouterr().err.splitlines() == [f"shoprec: error: {bad}: line 3: not valid UTF-8"]
+
+    def test_byte_order_mark_is_skipped(self, data_dir, capsys):
+        for name in ("table1.csv", "worked_r.csv"):
+            path = data_dir / name
+            path.write_bytes(codecs.BOM_UTF8 + path.read_bytes())
+        args = ["ingest-check", "--transactions", str(data_dir / "table1.csv"), "--ratings", str(data_dir / "worked_r.csv")]
+        assert cli.main(args) == 0
+        captured = capsys.readouterr()
+        assert captured.out == "ok: users=8 items=5 transactions=5 ratings=12\n"
+        assert captured.err == ""
 
 
 class TestMineRules:

@@ -1,6 +1,11 @@
 import random
+import re
+import tempfile
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from shoprec.corpus import (
     Dataset,
@@ -15,7 +20,7 @@ from shoprec.corpus import (
 )
 from shoprec.errors import ConfigError, IntegrityError, ParseError, RangeError
 
-from conftest import TABLE1_CSV, rate, tx
+from conftest import TABLE1_CSV, rate, small_datasets, tx
 
 
 class TestLoadTransactions:
@@ -59,6 +64,22 @@ class TestLoadTransactions:
         with pytest.raises(ParseError, match="line 1"):
             load_transactions(path)
 
+    @pytest.mark.parametrize(
+        "row, kind",
+        [("T;2,U1,2,P2", "transaction"), (",U1,2,P2", "transaction"), ("T2,U;1,2,P2", "user"), ("T2,,2,P2", "user")],
+    )
+    def test_invalid_id_names_line(self, tmp_path, row, kind):
+        path = tmp_path / "t.csv"
+        path.write_text(f"tid,user,seq,items\nT1,U1,1,P1\n{row}\n")
+        with pytest.raises(IntegrityError, match=f"{re.escape(str(path))}: line 3: invalid {kind} id"):
+            load_transactions(path)
+
+    def test_first_faulty_line_is_reported(self, tmp_path):
+        path = tmp_path / "t.csv"
+        path.write_text("tid,user,seq,items\nT1,,1,P1\nT2,U1,x,P2\n")
+        with pytest.raises(IntegrityError, match="line 2: invalid user id ''"):
+            load_transactions(path)
+
 
 class TestLoadRatings:
     def test_basic_row(self, tmp_path):
@@ -83,6 +104,15 @@ class TestLoadRatings:
         path = tmp_path / "r.csv"
         path.write_text("user,item,value\nU1,P1,abc\n")
         with pytest.raises(ParseError, match="line 2"):
+            load_ratings(path)
+
+    @pytest.mark.parametrize(
+        "row, kind", [("U;1,P1,5", "user"), (",P1,5", "user"), ("U1,P;1,5", "item"), ("U1,,5", "item")]
+    )
+    def test_invalid_id_names_line(self, tmp_path, row, kind):
+        path = tmp_path / "r.csv"
+        path.write_text(f"user,item,value\nU1,P1,5\n{row}\n")
+        with pytest.raises(IntegrityError, match=f"{re.escape(str(path))}: line 3: invalid {kind} id"):
             load_ratings(path)
 
 
@@ -113,6 +143,38 @@ def test_crlf_files_load_like_lf(tmp_path):
     crlf = load_dataset(*paths["\r\n"])
     assert lf == ds
     assert crlf == lf
+
+
+@settings(max_examples=200, deadline=None)
+@given(ds=small_datasets(), data=st.data())
+def test_load_matches_build_of_the_records_written(ds, data):
+    """The loaders' own checks and sort give what Dataset.build gives, in any row order."""
+    paths = []
+    with tempfile.TemporaryDirectory() as tmp:
+        for name, text in (("t.csv", to_transaction_csv(ds)), ("r.csv", to_rating_csv(ds))):
+            header, *rows = text.splitlines()
+            path = Path(tmp) / name
+            path.write_text("\n".join([header, *data.draw(st.permutations(rows))]) + "\n")
+            paths.append(path)
+        loaded = load_dataset(*paths)
+    assert loaded == Dataset.build(transactions=ds.transactions, ratings=ds.ratings)
+
+
+def test_load_and_split_validate_each_record_once(tmp_path, monkeypatch):
+    ds = generate_synthetic(SyntheticConfig(users_per_class=6, rng_seed=9))
+    tp, rp = tmp_path / "t.csv", tmp_path / "r.csv"
+    tp.write_text(to_transaction_csv(ds))
+    rp.write_text(to_rating_csv(ds))
+    build = Dataset.build.__func__
+    calls = []
+
+    def counted(cls, *args, **kwargs):
+        calls.append(cls)
+        return build(cls, *args, **kwargs)
+
+    monkeypatch.setattr(Dataset, "build", classmethod(counted))
+    split_users(load_dataset(tp, rp), 0.8, seed=1)
+    assert len(calls) <= 1
 
 
 class TestDatasetBuild:
@@ -216,6 +278,18 @@ class TestSplitUsers:
         for frac in (0.0, 1.0, -0.5, 1.5):
             with pytest.raises(RangeError):
                 split_users(ds, frac, seed=1)
+
+    @settings(max_examples=200, deadline=None)
+    @given(ds=small_datasets(), frac=st.floats(0.01, 0.99), seed=st.integers(0, 2**32))
+    def test_sides_match_build_of_the_same_records(self, ds, frac, seed):
+        for side in split_users(ds, frac, seed):
+            users = set(side.users)
+            assert side == Dataset.build(
+                users=users,
+                items=ds.items,
+                transactions=[t for t in ds.transactions if t.user in users],
+                ratings=[r for r in ds.ratings if r.user in users],
+            )
 
 
 def random_ten_users():
