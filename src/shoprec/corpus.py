@@ -5,7 +5,9 @@ user vectors, the inverse-frequency table, the purchase-precedence index and
 the transaction list used for rule mining are all derived from it.
 
 Two CSV formats are supported (UTF-8; LF and CRLF line endings both load,
-and a leading UTF-8 byte-order mark is skipped):
+and a leading UTF-8 byte-order mark is skipped). Only a line feed ends a
+line: a lone carriage return, a form feed or a Unicode line separator is
+part of its row.
 
     transactions.csv    header ``tid,user,seq,items``; items are ``;``-separated
     ratings.csv         header ``user,item,value``; value is a real in [0, 10]
@@ -30,6 +32,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from operator import attrgetter
 from pathlib import Path
+from typing import NamedTuple
 
 from .errors import ConfigError, IntegrityError, ParseError, RangeError
 
@@ -45,8 +48,7 @@ def _check_id(kind: str, value: str, where: str = "") -> str:
     return value
 
 
-@dataclass(frozen=True)
-class Transaction:
+class Transaction(NamedTuple):
     """One purchase event: a user buying one or more items at sequence position seq.
 
     Items within a single transaction are simultaneous; only the per-user seq
@@ -59,8 +61,7 @@ class Transaction:
     items: tuple[str, ...]
 
 
-@dataclass(frozen=True)
-class RatingRecord:
+class RatingRecord(NamedTuple):
     """An explicit rating of one item by one user, on the 0-10 scale."""
 
     user: str
@@ -201,8 +202,10 @@ def _sorted_ratings(ratings):
 def _read_rows(path, expected_header: str, n_fields: int):
     """Yield (line_number, fields) for each data row; tolerate empty files.
 
-    A leading UTF-8 byte-order mark is skipped; bytes that are not UTF-8
-    raise ParseError naming the line they sit on.
+    Lines end at a line feed only, and one carriage return before it is
+    dropped, so every error counts lines as the UTF-8 check does. A leading
+    UTF-8 byte-order mark is skipped; bytes that are not UTF-8 raise
+    ParseError naming the line they sit on.
     """
     data = Path(path).read_bytes().removeprefix(BOM_UTF8)
     try:
@@ -210,12 +213,13 @@ def _read_rows(path, expected_header: str, n_fields: int):
     except UnicodeDecodeError as exc:
         lineno = data.count(b"\n", 0, exc.start) + 1
         raise ParseError(f"{path}: line {lineno}: not valid UTF-8") from None
-    lines = text.splitlines()
-    if not lines:
+    if not text:
         return
-    if lines[0] != expected_header:
+    lines = text.split("\n")
+    if lines[0].removesuffix("\r") != expected_header:
         raise ParseError(f"{path}: line 1: expected header {expected_header!r}")
     for lineno, line in enumerate(lines[1:], start=2):
+        line = line.removesuffix("\r")
         if not line:
             continue
         fields = line.split(",")
@@ -234,8 +238,8 @@ def load_transactions(path) -> Dataset:
     transactions = []
     seen_seq = set()
     for lineno, (tid, user, seq_text, items_text) in _read_rows(path, TRANSACTION_HEADER, 4):
-        # the line and field splits leave ";" as the one forbidden character a tid or user can hold
-        if not (tid and user) or ";" in tid or ";" in user:
+        # after the line and field splits, ";" and a lone "\r" are the forbidden characters left
+        if not (tid and user) or ";" in tid or ";" in user or "\r" in tid or "\r" in user:
             _check_id("transaction", tid, f"{path}: line {lineno}: ")
             _check_id("user", user, f"{path}: line {lineno}: ")
         try:
@@ -245,6 +249,9 @@ def load_transactions(path) -> Dataset:
         items = tuple(items_text.split(";"))
         if not items_text or any(not i for i in items):
             raise ParseError(f"{path}: line {lineno}: empty item id")
+        if "\r" in items_text:
+            for i in items:
+                _check_id("item", i, f"{path}: line {lineno}: ")
         if len(set(items)) != len(items):
             raise IntegrityError(f"{path}: line {lineno}: duplicate item within transaction")
         if (user, seq) in seen_seq:
@@ -269,8 +276,8 @@ def load_ratings(path) -> Dataset:
     ratings = []
     seen = set()
     for lineno, (user, item, value_text) in _read_rows(path, RATING_HEADER, 3):
-        # the line and field splits leave ";" as the one forbidden character an id here can hold
-        if not (user and item) or ";" in user or ";" in item:
+        # after the line and field splits, ";" and a lone "\r" are the forbidden characters left
+        if not (user and item) or ";" in user or ";" in item or "\r" in user or "\r" in item:
             _check_id("user", user, f"{path}: line {lineno}: ")
             _check_id("item", item, f"{path}: line {lineno}: ")
         try:

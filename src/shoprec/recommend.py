@@ -37,7 +37,7 @@ from .errors import ConfigError, NoProfileError, NotFoundError
 from .implicit_vsm import build_iif, new_user_scores
 from .rules import AssociationRule, fp_growth, generate_rules
 from .sequence import bought_after, build_precedence_index
-from .similarity import MODES, Postings, UserVector, build_postings, profile_weights, top_k_neighbors
+from .similarity import MODES, Postings, build_postings, profile_weights, top_k_neighbors
 
 
 @dataclass
@@ -203,14 +203,10 @@ class Recommender:
 
     def recommend_profile(self, profile: Profile, exclude_user: str | None = None) -> list[Recommendation]:
         cfg = self.config
-        target = UserVector(
-            user=exclude_user or "<query>",
-            weights=profile_weights(profile.ratings, profile.purchase_counts, cfg.mode, self.iif),
-            mode=cfg.mode,
-        )
-        if not target.nonzero():
+        weights = profile_weights(profile.ratings, profile.purchase_counts, cfg.mode, self.iif)
+        if not any(w != 0.0 for w in weights.values()):
             raise NoProfileError(f"query profile is empty in mode {cfg.mode}")
-        neighbors = top_k_neighbors(target.weights, self.postings, cfg.k_neighbors, exclude=exclude_user)
+        neighbors = top_k_neighbors(weights, self.postings, cfg.k_neighbors, exclude=exclude_user)
 
         seen = profile.seen_items
         history = profile.history

@@ -68,7 +68,7 @@ class _Node:
         self.children: dict[str, _Node] = {}
 
 
-def _mine(weighted: list[tuple[list[str], int]], min_count: int, suffix: tuple[str, ...], out):
+def _mine(weighted: list[tuple[Sequence[str], int]], min_count: int, suffix: tuple[str, ...], out):
     """Recursive FP-growth step over a (conditional) weighted transaction base."""
     counts: dict[str, int] = {}
     for items, weight in weighted:
@@ -126,7 +126,7 @@ def fp_growth(transactions: Sequence[Transaction], minsup_pct: float) -> list[Fr
     min_count = _min_count(n, minsup_pct)
 
     found: list[tuple[tuple[str, ...], int]] = []
-    _mine([(list(t.items), 1) for t in transactions], min_count, (), found)
+    _mine([(t.items, 1) for t in transactions], min_count, (), found)
     found.sort(key=lambda e: (len(e[0]), e[0]))
     return [
         FrequentItemset(items=items, support_count=c, support_pct=100.0 * c / n)

@@ -12,13 +12,16 @@ transactions. Weight maps are sparse: a coordinate that would be 0 (an item
 rated but never purchased, in the weighted modes) is simply absent, and a
 user with no purchases has an empty weighted vector.
 
-Neighbours are found through posting lists (item -> [(user, weight)]) rather
+Neighbours are found through posting lists (item -> {user: weight}) rather
 than by scoring every user: the restricted cosine reads only the target's
 coordinates, so both the dot product and the other user's restricted norm
 accumulate from the posting lists of the target's items. A query's cost
 follows the postings it touches, and users sharing no coordinate with the
 target are never visited (inverted-index accumulation; Bayardo, Ma and
-Srikant, "Scaling Up All Pairs Similarity Search", WWW 2007).
+Srikant, "Scaling Up All Pairs Similarity Search", WWW 2007). A posting list
+is a dict from user ids to weights; holding only strings and numbers, it is
+never tracked by the cyclic garbage collector, so the postings of a large
+training set add nothing to its full collections.
 
 Each quantity has one path: ``profile_weights`` builds a weight map,
 ``build_postings`` and ``top_k_neighbors`` find the neighbours, and
@@ -37,8 +40,9 @@ from .errors import NoProfileError, RangeError
 
 MODES = ("simple", "method1", "method2", "implicit")
 
-# item -> [(user, weight)], users in the order their vectors were given
-Postings = dict[str, list[tuple[str, float]]]
+# item -> {user: weight}, users in the order their vectors were given; unlike a
+# list of (user, weight) tuples, such a dict is not tracked by the garbage collector
+Postings = dict[str, dict[str, float]]
 
 
 @dataclass
@@ -109,11 +113,14 @@ def profile_weights(
 
 
 def build_postings(vectors: Mapping[str, Mapping[str, float]]) -> Postings:
-    """Invert user -> weight maps into item -> [(user, weight)] posting lists."""
+    """Invert user -> weight maps into item -> {user: weight} posting lists."""
     postings: Postings = {}
     for user, weights in vectors.items():
         for item, w in weights.items():
-            postings.setdefault(item, []).append((user, w))
+            posting = postings.get(item)
+            if posting is None:
+                posting = postings[item] = {}
+            posting[user] = w
     return postings
 
 
@@ -134,7 +141,10 @@ def top_k_neighbors(
     norm_t = 0.0
     for item, w in weights.items():
         norm_t += w * w
-        for user, v in postings.get(item, ()):
+        posting = postings.get(item)
+        if posting is None:
+            continue
+        for user, v in posting.items():
             acc = sums.get(user)
             if acc is None:
                 # w * v alone differs from 0.0 + w * v only in the sign of a

@@ -9,7 +9,9 @@ from hypothesis import strategies as st
 
 from shoprec.corpus import (
     Dataset,
+    RatingRecord,
     SyntheticConfig,
+    Transaction,
     generate_synthetic,
     load_dataset,
     load_ratings,
@@ -114,6 +116,79 @@ class TestLoadRatings:
         path.write_text(f"user,item,value\nU1,P1,5\n{row}\n")
         with pytest.raises(IntegrityError, match=f"{re.escape(str(path))}: line 3: invalid {kind} id"):
             load_ratings(path)
+
+
+class TestLineBreaks:
+    """Only a line feed ends a line; one carriage return before it is dropped."""
+
+    @pytest.mark.parametrize("char", ["\v", "\f", "\x1c", "\x1d", "\x1e", "\x85", "\u2028", "\u2029"])
+    def test_separator_is_part_of_its_row(self, tmp_path, char):
+        path = tmp_path / "r.csv"
+        path.write_bytes(f"user,item,value\nU1,P1{char},5\n".encode("utf-8"))
+        assert load_ratings(path).ratings == (RatingRecord("U1", f"P1{char}", 5.0),)
+        path.write_bytes(f"user,item,value\nU1,P1{char},5\nU2,P2,x".encode("utf-8"))
+        with pytest.raises(ParseError, match="line 3: bad value 'x'"):
+            load_ratings(path)
+
+    def test_form_feed_ending_a_row_keeps_later_line_numbers(self, tmp_path):
+        path = tmp_path / "r.csv"
+        path.write_bytes(b"user,item,value\nU1,P1,5\f\nU2,P2,x")
+        with pytest.raises(ParseError, match="line 3: bad value 'x'"):
+            load_ratings(path)
+
+    def test_lone_carriage_return_is_not_a_line_break(self, tmp_path):
+        path = tmp_path / "r.csv"
+        path.write_bytes(b"user,item,value\nU1,P1,5\rU2,P2,6\n")
+        with pytest.raises(ParseError, match="line 2: expected 3 fields, got 5"):
+            load_ratings(path)
+
+    @pytest.mark.parametrize(
+        "loader, header, row, kind",
+        [
+            (load_ratings, "user,item,value", "U\r1,P1,5", "user"),
+            (load_ratings, "user,item,value", "U1,P\r1,5", "item"),
+            (load_transactions, "tid,user,seq,items", "T\r1,U1,1,P1", "transaction"),
+            (load_transactions, "tid,user,seq,items", "T1,U\r1,1,P1", "user"),
+            (load_transactions, "tid,user,seq,items", "T1,U1,1,P1;P\r2", "item"),
+        ],
+    )
+    def test_carriage_return_in_an_id_names_line(self, tmp_path, loader, header, row, kind):
+        path = tmp_path / "f.csv"
+        path.write_bytes(f"{header}\r\n{row}\r\n".encode("utf-8"))
+        with pytest.raises(IntegrityError, match=f"line 2: invalid {kind} id"):
+            loader(path)
+
+
+class TestRecords:
+    def test_construction_and_field_order(self):
+        t = Transaction("T1", "U1", 1, ("a",))
+        assert t == Transaction(tid="T1", user="U1", seq=1, items=("a",))
+        assert (t.tid, t.user, t.seq, t.items) == ("T1", "U1", 1, ("a",))
+        r = RatingRecord("U1", "P1", 5.0)
+        assert r == RatingRecord(user="U1", item="P1", value=5.0)
+        assert (r.user, r.item, r.value) == ("U1", "P1", 5.0)
+
+    def test_repr(self):
+        assert repr(Transaction("T1", "U1", 1, ("a",))) == "Transaction(tid='T1', user='U1', seq=1, items=('a',))"
+        assert repr(RatingRecord("U1", "P1", 5.0)) == "RatingRecord(user='U1', item='P1', value=5.0)"
+
+    @pytest.mark.parametrize(
+        "record, field", [(Transaction("T1", "U1", 1, ("a",)), "seq"), (RatingRecord("U1", "P1", 5.0), "value")]
+    )
+    def test_immutable(self, record, field):
+        with pytest.raises(AttributeError):
+            setattr(record, field, 2)
+
+    def test_equal_records_hash_equal(self):
+        a, b = Transaction("T1", "U1", 1, ("a", "b")), Transaction("T1", "U1", 1, ("a", "b"))
+        assert a is not b and hash(a) == hash(b) and len({a, b}) == 1
+        r, s = RatingRecord("U1", "P1", 5.0), RatingRecord("U1", "P1", 5.0)
+        assert r is not s and hash(r) == hash(s) and len({r, s}) == 1
+
+    def test_records_unpack_like_tuples(self):
+        tid, user, seq, items = Transaction("T1", "U1", 1, ("a",))
+        assert (tid, user, seq, items) == ("T1", "U1", 1, ("a",))
+        assert RatingRecord("U1", "P1", 5.0) == ("U1", "P1", 5.0)
 
 
 def test_round_trip(tmp_path):

@@ -1,3 +1,4 @@
+import gc
 import math
 import random
 
@@ -220,6 +221,16 @@ class TestTopKNeighbors:
     def test_invalid_k(self):
         with pytest.raises(RangeError):
             top_k_neighbors({"P1": 1.0}, {}, 0)
+
+    @settings(max_examples=50, deadline=None)
+    @given(ds=small_datasets())
+    def test_posting_lists_are_untracked_dicts(self, ds):
+        """A posting list holds no object the garbage collector must walk."""
+        snapshot = IndexSnapshot.of(ds)
+        for mode in MODES:
+            for posting in snapshot.mode_postings(ds, mode).values():
+                assert type(posting) is dict
+                assert not gc.is_tracked(posting)
 
 
 def _oracle_cosine(target_ratings, other_ratings):
