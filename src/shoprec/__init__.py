@@ -34,19 +34,9 @@ from .recommend import (
     Recommender,
     RecommenderConfig,
 )
-from .rules import (
-    AssociationRule,
-    FrequentItemset,
-    fp_growth,
-    generate_rules,
-    itemset_support,
-)
+from .rules import AssociationRule, FrequentItemset, fp_growth, generate_rules
 from .sequence import PrecedenceIndex, bought_after, build_precedence_index
-from .similarity import (
-    MODES,
-    UserVector,
-    cosine_restricted,
-)
+from .similarity import MODES
 
 __all__ = [
     "AssociationRule",
@@ -64,15 +54,12 @@ __all__ = [
     "RecommenderConfig",
     "SyntheticConfig",
     "Transaction",
-    "UserVector",
     "bought_after",
     "build_iif",
     "build_precedence_index",
-    "cosine_restricted",
     "fp_growth",
     "generate_rules",
     "generate_synthetic",
-    "itemset_support",
     "load_dataset",
     "load_ratings",
     "load_transactions",

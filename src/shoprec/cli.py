@@ -101,9 +101,9 @@ def _cmd_recommend_new(args) -> int:
 
 def _cmd_mine_rules(args) -> int:
     ds = load_transactions(args.transactions)
-    frequents = fp_growth(ds.transactions, args.minsup)
-    rules = generate_rules(frequents, args.minconf, antecedent_filter=args.antecedent)
-    for rule in rules:
+    for rule in generate_rules(fp_growth(ds.transactions, args.minsup), args.minconf):
+        if args.antecedent is not None and args.antecedent not in rule.antecedent:
+            continue
         if args.json:
             _emit_json(
                 {

@@ -5,7 +5,9 @@ Candidate generation runs in two phases over a training dataset:
   Phase A - neighbor candidates. Find the k most cosine-similar users in the
   requested mode; each neighbor offers its best-rated item (rating at or
   above the exclusion threshold) that the target has not seen, falling back
-  to its next-best item whenever the purchase-order filter rejects one.
+  to its next-best item whenever the purchase-order filter rejects one. Each
+  training user's ratings are ranked once, best first, so a neighbor's pick
+  is a walk down its ranking that stops below the threshold.
 
   Phase B - rule expansion. For every Phase-A item, association rules whose
   antecedent contains it contribute their consequent items, again subject to
@@ -33,7 +35,7 @@ import threading
 from dataclasses import dataclass, field
 
 from .corpus import Dataset
-from .errors import ConfigError, NoProfileError, NotFoundError
+from .errors import ConfigError, NoProfileError, NotFoundError, RangeError
 from .implicit_vsm import build_iif, new_user_scores
 from .rules import AssociationRule, fp_growth, generate_rules
 from .sequence import bought_after, build_precedence_index
@@ -115,18 +117,26 @@ _SNAPSHOT_KEY = "_index_snapshot"
 class IndexSnapshot:
     """Every index engines derive from one training dataset, shared by all of them.
 
-    The precedence index and the iif table are built with the snapshot; the
-    posting lists of a mode and the rules of a (minsup, minconf) pair, also
-    listed by antecedent item, are built by the first engine whose config
-    needs them. A part never changes once built, so queries only read. The
-    snapshot holds no reference to its dataset, which holds the snapshot.
+    The precedence index, the iif table and the ranked ratings (each user's
+    ratings, best first, ties by ascending item id) are built with the
+    snapshot; the posting lists of a mode and the rules of a (minsup,
+    minconf) pair, listed by antecedent item, are built by the first engine
+    whose config needs them. A part never changes once built, so queries
+    only read. The snapshot holds no reference to its dataset, which holds
+    the snapshot.
     """
 
     def __init__(self, train: Dataset):
         self.precedence = build_precedence_index(train)
         self.iif = build_iif(train) if train.users else {}
+        # user -> {item: rating} in (-rating, item) order; of strings and floats
+        # only, the inner dicts are not tracked by the garbage collector
+        self.ranked: dict[str, dict[str, float]] = {
+            user: dict(sorted(train.ratings_by_user[user].items(), key=lambda e: (-e[1], e[0])))
+            for user in train.users
+        }
         self.postings: dict[str, Postings] = {}
-        self.rules: dict[tuple[float, float], tuple[list[AssociationRule], RulesByItem]] = {}
+        self.rules: dict[tuple[float, float], RulesByItem] = {}
 
     @classmethod
     def of(cls, train: Dataset) -> "IndexSnapshot":
@@ -151,20 +161,17 @@ class IndexSnapshot:
                 )
             return self.postings[mode]
 
-    def mined_rules(
-        self, train: Dataset, minsup_pct: float, minconf_pct: float
-    ) -> tuple[list[AssociationRule], RulesByItem]:
-        """Rules mined from the training transactions at these thresholds, and the same
-        rules listed under each item of their antecedents, in mined order."""
+    def mined_rules(self, train: Dataset, minsup_pct: float, minconf_pct: float) -> RulesByItem:
+        """Rules mined from the training transactions at these thresholds, listed
+        under each item of their antecedents, in mined order."""
         key = (minsup_pct, minconf_pct)
         with _BUILD_LOCK:
             if key not in self.rules:
-                rules = generate_rules(fp_growth(train.transactions, minsup_pct), minconf_pct)
                 by_item: RulesByItem = {}
-                for rule in rules:
+                for rule in generate_rules(fp_growth(train.transactions, minsup_pct), minconf_pct):
                     for item in rule.antecedent:
                         by_item.setdefault(item, []).append(rule)
-                self.rules[key] = (rules, by_item)
+                self.rules[key] = by_item
             return self.rules[key]
 
 
@@ -173,10 +180,10 @@ class Recommender:
 
     Construction validates the config and takes from the dataset's shared
     IndexSnapshot what the config needs: the precedence index, the iif table,
-    the posting lists of its mode and, with use_rules, the mined rules. A
-    query only reads them, so one engine serves concurrent queries, and its
-    neighbour search costs the postings of the query's items rather than a
-    pass over every training user.
+    the ranked ratings, the posting lists of its mode and, with use_rules, the
+    mined rules. A query only reads them, so one engine serves concurrent
+    queries, and its neighbour search costs the postings of the query's items
+    rather than a pass over every training user.
     """
 
     def __init__(self, train: Dataset, config: RecommenderConfig | None = None):
@@ -186,22 +193,22 @@ class Recommender:
         self.snapshot = IndexSnapshot.of(train)
         self.precedence = self.snapshot.precedence
         self.iif = self.snapshot.iif
+        self.ranked = self.snapshot.ranked
         self.postings = self.snapshot.mode_postings(train, self.config.mode)
-        self._rules, self._rules_by_item = (
+        self._rules_by_item = (
             self.snapshot.mined_rules(train, self.config.minsup_pct, self.config.minconf_pct)
             if self.config.use_rules
-            else ([], {})
+            else {}
         )
-
-    def rules(self) -> list[AssociationRule]:
-        """The rules at this engine's thresholds, mined at construction; [] when use_rules is off."""
-        return self._rules
 
     def recommend_user(self, user: str) -> list[Recommendation]:
         """Recommend for a user already present in the training data."""
         return self.recommend_profile(profile_of(self.train, user), exclude_user=user)
 
     def recommend_profile(self, profile: Profile, exclude_user: str | None = None) -> list[Recommendation]:
+        """Recommend for a query profile; RangeError for a rating outside [0, 10] or a
+        purchase count that is not an int of at least 1."""
+        _check_profile(profile)
         cfg = self.config
         weights = profile_weights(profile.ratings, profile.purchase_counts, cfg.mode, self.iif)
         if not any(w != 0.0 for w in weights.values()):
@@ -214,27 +221,23 @@ class Recommender:
         # Phase A: one pick per neighbor, best rating first, sequence-filtered
         neighbor_scores: dict[str, tuple[float, str]] = {}
         for user, sim in neighbors:
-            eligible = sorted(
-                (
-                    (item, value)
-                    for item, value in self.train.ratings_by_user[user].items()
-                    if value >= cfg.exclusion_threshold and item not in seen
-                ),
-                key=lambda e: (-e[1], e[0]),
-            )
-            for item, value in eligible:
-                if not bought_after(self.precedence, item, history):
+            for item, value in self.ranked[user].items():
+                if value < cfg.exclusion_threshold:
+                    break  # every later rating is lower still
+                if item in seen or not bought_after(self.precedence, item, history):
                     continue
                 score = sim * value
                 if item not in neighbor_scores or score > neighbor_scores[item][0]:
                     neighbor_scores[item] = (score, user)
                 break  # this neighbor has made its pick
 
+        # best score first, ties by item id: Phase B's parent order and the result's
+        ranked_candidates = sorted(neighbor_scores.items(), key=lambda e: (-e[1][0], e[0]))
+
         # Phase B: expand each picked item through its association rules
         rule_scores: dict[str, tuple[float, str]] = {}
-        if cfg.use_rules and neighbor_scores:
-            parents = sorted(neighbor_scores.items(), key=lambda e: (-e[1][0], e[0]))
-            for parent_item, (parent_score, _) in parents:
+        if cfg.use_rules:
+            for parent_item, (parent_score, _) in ranked_candidates:
                 # mined order, so a later rule with an equal score never replaces an earlier one
                 for rule in self._rules_by_item.get(parent_item, ()):
                     for item in rule.consequent:
@@ -249,9 +252,7 @@ class Recommender:
 
         result = [
             Recommendation(item=item, score=score, source="neighbor", explain=user)
-            for item, (score, user) in sorted(
-                neighbor_scores.items(), key=lambda e: (-e[1][0], e[0])
-            )
+            for item, (score, user) in ranked_candidates
         ]
         result.extend(
             Recommendation(item=item, score=score, source="rule", explain=explain)
@@ -261,9 +262,14 @@ class Recommender:
         )
         return result[: cfg.top_n]
 
-    def recommend_new_user(self) -> list[Recommendation]:
-        """Cold-start path: most-purchased items first."""
-        return cold_start(self.train, self.config.top_n)
+
+def _check_profile(profile: Profile) -> None:
+    for item, rating in profile.ratings.items():
+        if not 0.0 <= rating <= 10.0:  # also false for NaN
+            raise RangeError(f"item {item}: rating {rating} outside [0, 10]")
+    for item, count in profile.purchase_counts.items():
+        if isinstance(count, bool) or not isinstance(count, int) or count < 1:
+            raise RangeError(f"item {item}: purchase count {count!r} is not an integer >= 1")
 
 
 def cold_start(train: Dataset, top_n: int) -> list[Recommendation]:

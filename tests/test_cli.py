@@ -1,4 +1,5 @@
 import codecs
+import hashlib
 import json
 import os
 import subprocess
@@ -7,6 +8,10 @@ import sys
 import pytest
 
 from shoprec import cli
+from shoprec.corpus import load_dataset
+from shoprec.errors import ShoprecError
+from shoprec.recommend import Recommender
+from shoprec.similarity import MODES
 
 from conftest import SRC, TABLE1_CSV
 
@@ -50,6 +55,9 @@ REFERENCE_EVALUATE_JSON = [
     '{"mode": "implicit", "precision_pct": 46.8519, "recall_pct": 21.8498, "rules_enabled": false, "top_n": 5, "users_evaluated": 18, "users_skipped": 2}',
     '{"mode": "implicit", "precision_pct": 46.4815, "recall_pct": 23.8163, "rules_enabled": true, "top_n": 5, "users_evaluated": 18, "users_skipped": 2}',
 ]
+
+# sha256 of test_reference_recommend_json_is_pinned's rendering
+REFERENCE_RECOMMEND_JSON_SHA256 = "7e9609e379d9de41e403c419091d4efa086bd90a20da0295a9c6533ab536d108"
 
 
 def run_cli(*args, cwd=None):
@@ -141,6 +149,24 @@ class TestMineRules:
         assert len(text) == len(rows)
         for line, row in zip(text, rows):
             assert line.startswith(";".join(row["antecedent"]) + " => " + ";".join(row["consequent"]))
+
+    @pytest.mark.parametrize("as_json", [False, True])
+    def test_antecedent_filter(self, data_dir, capsys, as_json):
+        """--antecedent keeps exactly the unfiltered rules whose antecedent holds the item."""
+        args = ["mine-rules", "--transactions", str(data_dir / "table1.csv"), "--minsup", "40", "--minconf", "50"]
+        args += ["--json"] if as_json else []
+
+        def antecedent(line):
+            return json.loads(line)["antecedent"] if as_json else line.split(" => ")[0].split(";")
+
+        assert cli.main(args) == 0
+        unfiltered = capsys.readouterr().out.splitlines()
+        assert cli.main([*args, "--antecedent", "P2"]) == 0
+        filtered = capsys.readouterr().out.splitlines()
+        assert filtered == [line for line in unfiltered if "P2" in antecedent(line)]
+        assert 0 < len(filtered) < len(unfiltered)
+        assert cli.main([*args, "--antecedent", "P9"]) == 0
+        assert capsys.readouterr().out == ""
 
 
 class TestRecommend:
@@ -270,6 +296,31 @@ class TestGenDataAndEvaluate:
             "--json", "--seed", "42", "--minsup", "1", "--minconf", "10",
         ]) == 0
         assert capsys.readouterr().out.splitlines() == REFERENCE_EVALUATE_JSON
+
+    def test_reference_recommend_json_is_pinned(self, tmp_path, capsys):
+        """recommend --json --minsup 1 --minconf 10 for every user of gen-data --seed 2024,
+        in every mode with rules on and off, rendered as the CLI renders it; one engine
+        per config stands in for 800 cli.main calls."""
+        assert cli.main(["gen-data", "--seed", "2024", "--out", str(tmp_path)]) == 0
+        capsys.readouterr()
+        ds = load_dataset(tmp_path / "transactions.csv", tmp_path / "ratings.csv")
+        parser = cli.build_parser()
+        for mode in MODES:
+            for rules_flag in ([], ["--no-rules"]):
+                args = parser.parse_args([
+                    "recommend", "--transactions", "t", "--ratings", "r", "--user", "-",
+                    "--json", "--mode", mode, "--minsup", "1", "--minconf", "10", *rules_flag,
+                ])
+                engine = Recommender(ds, cli._recommender_config(args))
+                for user in ds.users:
+                    print(mode, *rules_flag, user)
+                    try:
+                        cli._print_recommendations(engine.recommend_user(user), True)
+                    except ShoprecError as exc:
+                        print(f"shoprec: error: {exc}")
+        out = capsys.readouterr().out
+        assert out.count("\n") > 800
+        assert hashlib.sha256(out.encode()).hexdigest() == REFERENCE_RECOMMEND_JSON_SHA256
 
     def test_evaluate_bad_mode(self, tmp_path):
         gen = run_cli("gen-data", "--out", str(tmp_path / "d"), "--users-per-class", "5", "--seed", "1")

@@ -8,7 +8,7 @@ from shoprec.corpus import Dataset
 from shoprec.errors import EmptyDatasetError, NotFoundError
 from shoprec.implicit_vsm import build_iif, new_user_scores
 from shoprec.recommend import IndexSnapshot, profile_of
-from shoprec.similarity import UserVector, profile_weights
+from shoprec.similarity import profile_weights
 
 from conftest import random_dataset, rate, tx
 
@@ -117,7 +117,9 @@ class TestImplicitWeights:
 
 def test_neighbor_search_uses_same_kernel_in_implicit_mode():
     """Implicit vectors flow through the identical restricted-cosine ranking."""
-    from shoprec.similarity import cosine_restricted, top_k_neighbors
+    from shoprec.similarity import top_k_neighbors
+
+    from oracles import cosine_restricted
 
     rng = random.Random(20)
     for _ in range(20):
@@ -127,13 +129,13 @@ def test_neighbor_search_uses_same_kernel_in_implicit_mode():
         table = build_iif(ds)
         postings = IndexSnapshot.of(ds).mode_postings(ds, "implicit")
         for target in ds.users:
-            tv = UserVector(target, implicit_weights(ds, table, target), "implicit")
-            if not tv.nonzero():
+            tv = implicit_weights(ds, table, target)
+            if not any(tv.values()):
                 continue
-            got = top_k_neighbors(tv.weights, postings, 4, exclude=target)
+            got = top_k_neighbors(tv, postings, 4, exclude=target)
             scan = sorted(
                 (
-                    (u, cosine_restricted(tv, UserVector(u, implicit_weights(ds, table, u), "implicit")))
+                    (u, cosine_restricted(tv, implicit_weights(ds, table, u)))
                     for u in ds.users
                     if u != target
                 ),

@@ -1,5 +1,7 @@
 import copy
+import gc
 import importlib
+import math
 import random
 import sys
 import threading
@@ -12,11 +14,12 @@ from pytest import approx
 
 from shoprec import cli
 from shoprec.corpus import Dataset, SyntheticConfig, Transaction, generate_synthetic, split_users
-from shoprec.errors import ConfigError, NoProfileError, NotFoundError
+from shoprec.errors import ConfigError, NoProfileError, NotFoundError, RangeError
 from shoprec.evaluate import ExperimentConfig, run_experiment
-from shoprec.recommend import Profile, Recommender, RecommenderConfig, profile_of
+from shoprec.recommend import IndexSnapshot, Profile, Recommender, RecommenderConfig, cold_start, profile_of
+from shoprec.rules import fp_growth, generate_rules
 from shoprec.sequence import bought_after, build_precedence_index
-from shoprec.similarity import MODES
+from shoprec.similarity import MODES, profile_weights, top_k_neighbors
 
 from conftest import TABLE1_ROWS, random_dataset, rate, small_datasets, tx
 
@@ -105,8 +108,11 @@ class TestRuleExpansion:
         ratings = [rate("A", "Z", 5.0), rate("B", "Z", 5.0), rate("B", "P", 8.0)]
         ds = Dataset.build(transactions=[tx("C", 1, "P", "X", "Y")], ratings=ratings)
         engine = Recommender(ds, self.config())
-        mined = [f"{';'.join(r.antecedent)} => {';'.join(r.consequent)}" for r in engine.rules()]
+        rules = generate_rules(fp_growth(ds.transactions, 10.0), 30.0)
+        mined = [f"{';'.join(r.antecedent)} => {';'.join(r.consequent)}" for r in rules]
         assert mined[:5] == ["P => X", "P => X;Y", "P => Y", "P;X => Y", "P;Y => X"]
+        # the engine lists P's rules in the same mined order
+        assert engine.snapshot.mined_rules(ds, 10.0, 30.0)["P"] == [r for r in rules if "P" in r.antecedent]
         recs = engine.recommend_user("A")
         assert [(r.item, r.score, r.source) for r in recs] == [
             ("P", 8.0, "neighbor"), ("X", 8.0, "rule"), ("Y", 8.0, "rule"),
@@ -213,27 +219,111 @@ class TestPipelineInvariants:
         )
 
 
+def neighbor_pick(ds, neighbor, threshold, profile, index):
+    """The neighbour's best-rated item, ties by lowest id, at or above the threshold,
+    unseen and bought after the history; None when it has no such item."""
+    seen, history = profile.seen_items, profile.history
+    eligible = [
+        (-value, item)
+        for item, value in ds.ratings_by_user[neighbor].items()
+        if value >= threshold and item not in seen and bought_after(index, item, history)
+    ]
+    return min(eligible)[1] if eligible else None
+
+
+class TestPhaseAPick:
+    @settings(max_examples=200, deadline=None)
+    @given(
+        ds=small_datasets(),
+        mode=st.sampled_from(MODES),
+        k=st.integers(1, 7),
+        threshold=st.sampled_from([0.0, 2.5, 4.0, 5.0, 7.0, 10.0]),
+    )
+    def test_each_neighbor_offers_its_best_eligible_item(self, ds, mode, k, threshold):
+        config = RecommenderConfig(mode=mode, k_neighbors=k, top_n=100, exclusion_threshold=threshold, use_rules=False)
+        engine = Recommender(ds, config)
+        index = build_precedence_index(ds)
+        for user in ds.users:
+            profile = profile_of(ds, user)
+            try:
+                recs = engine.recommend_user(user)
+            except NoProfileError:
+                continue
+            weights = profile_weights(profile.ratings, profile.purchase_counts, mode, engine.iif)
+            neighbors = [n for n, _ in top_k_neighbors(weights, engine.postings, k, exclude=user)]
+            for rec in recs:
+                assert rec.source == "neighbor" and rec.explain in neighbors
+                assert rec.item == neighbor_pick(ds, rec.explain, threshold, profile, index)
+                assert ds.ratings_by_user[rec.explain][rec.item] >= threshold
+            # every neighbour with an eligible item offers it
+            picks = {neighbor_pick(ds, n, threshold, profile, index) for n in neighbors}
+            assert {rec.item for rec in recs} == picks - {None}
+
+    @settings(max_examples=50, deadline=None)
+    @given(ds=small_datasets())
+    def test_ranked_ratings_are_untracked_dicts_best_first(self, ds):
+        ranked = IndexSnapshot.of(ds).ranked
+        assert list(ranked) == list(ds.users)
+        for user, ratings in ranked.items():
+            assert ratings == ds.ratings_by_user[user]
+            assert list(ratings) == sorted(ratings, key=lambda item: (-ratings[item], item))
+            assert not gc.is_tracked(ratings)
+
+
+def seed_2024_engine(mode):
+    ds = generate_synthetic(SyntheticConfig(rng_seed=2024))
+    return Recommender(ds, RecommenderConfig(mode=mode, minsup_pct=1.0, minconf_pct=10.0))
+
+
+class TestProfileChecks:
+    """A query profile is checked before any work: ratings within [0, 10], purchase
+    counts ints (not bools) of at least 1."""
+
+    @pytest.mark.parametrize(
+        "mode, ratings, counts",
+        [
+            # each used to answer, or to fail partway with ZeroDivisionError
+            ("method1", {"I001": 8.0, "I002": 8.0}, {"I001": 1, "I002": -1}),
+            ("simple", {"I001": 50.0}, {}),
+            ("simple", {"I001": math.nan, "I002": 5.0}, {}),
+            ("simple", {"I001": -0.5}, {}),
+            ("method1", {"I001": 8.0}, {"I001": 0.5}),
+            ("simple", {"I001": 8.0}, {"I001": 1, "I002": 0}),
+            ("method1", {"I001": 8.0}, {"I001": True}),
+        ],
+        ids=["negative-count", "rating-50", "rating-nan", "rating-negative", "count-half", "count-zero", "count-bool"],
+    )
+    def test_bad_profile_is_range_error(self, mode, ratings, counts):
+        with pytest.raises(RangeError):
+            seed_2024_engine(mode).recommend_profile(Profile(ratings=ratings, purchase_counts=counts))
+
+    def test_bounds_are_accepted(self):
+        engine = seed_2024_engine("method1")
+        profile = Profile(ratings={"I001": 0.0, "I002": 10.0}, purchase_counts={"I001": 1, "I002": 3})
+        assert engine.recommend_profile(profile)
+
+
 class TestColdStart:
     def test_ranking_matches_popularity(self):
         txns = [tx(f"U{i}", 1, "IA") for i in range(1, 6)]
         txns += [tx(f"U{i}", 2, "IB") for i in range(1, 3)]
         users = [f"U{i}" for i in range(1, 10)]
         ds = Dataset.build(users=users, items=["IA", "IB"], transactions=txns)
-        recs = Recommender(ds, RecommenderConfig(top_n=5)).recommend_new_user()
+        recs = cold_start(ds, 5)
         assert [r.item for r in recs] == ["IA", "IB"]
         assert all(r.source == "popularity" and r.explain == "cold-start" for r in recs)
 
     def test_top_n_one(self):
         txns = [tx(f"U{i}", 1, "IA") for i in range(1, 6)] + [tx("U9", 1, "IB")]
         ds = Dataset.build(transactions=txns)
-        recs = Recommender(ds, RecommenderConfig(top_n=1)).recommend_new_user()
+        recs = cold_start(ds, 1)
         assert [r.item for r in recs] == ["IA"]
 
     def test_oracle_on_random_data(self):
         rng = random.Random(16)
         for _ in range(50):
             ds = random_dataset(rng, with_ratings=False)
-            got = [r.item for r in Recommender(ds, RecommenderConfig(top_n=100)).recommend_new_user()]
+            got = [r.item for r in cold_start(ds, 100)]
             buyers = {}
             for t in ds.transactions:
                 for i in t.items:
@@ -242,7 +332,7 @@ class TestColdStart:
 
     def test_no_purchases(self):
         ds = Dataset.build(ratings=[rate("U1", "P1", 5)])
-        assert Recommender(ds, RecommenderConfig()).recommend_new_user() == []
+        assert cold_start(ds, 5) == []
 
 
 class TestConfigValidation:

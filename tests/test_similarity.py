@@ -10,20 +10,14 @@ from pytest import approx
 from shoprec.errors import NoProfileError, NotFoundError, RangeError
 from shoprec.implicit_vsm import build_iif
 from shoprec.recommend import IndexSnapshot, Recommender, RecommenderConfig, profile_of
-from shoprec.similarity import (
-    MODES,
-    UserVector,
-    build_postings,
-    cosine_restricted,
-    profile_weights,
-    top_k_neighbors,
-)
+from shoprec.similarity import MODES, build_postings, profile_weights, top_k_neighbors
 
 from conftest import random_dataset, small_datasets
+from oracles import cosine_restricted
 
 
-def vec(user, **weights):
-    return UserVector(user=user, weights={k: float(v) for k, v in weights.items()})
+def vec(**weights):
+    return {k: float(v) for k, v in weights.items()}
 
 
 def dataset_weights(ds, user, mode):
@@ -40,35 +34,35 @@ def neighbors(ds, target, k, mode):
 
 class TestCosineRestricted:
     def test_worked_values(self):
-        target = vec("U3", P1=4, P2=5, P3=6)
-        full = vec("U1", P1=5, P2=6, P4=7, P5=8)  # restricts to (5, 6, 0)
-        overlapping = vec("U2", P1=5, P2=6, P3=6, P4=2, P5=9)  # restricts to (5, 6, 6)
+        target = vec(P1=4, P2=5, P3=6)
+        full = vec(P1=5, P2=6, P4=7, P5=8)  # restricts to (5, 6, 0)
+        overlapping = vec(P1=5, P2=6, P3=6, P4=2, P5=9)  # restricts to (5, 6, 6)
         assert cosine_restricted(target, full) == approx(0.7296, abs=5e-4)
         assert cosine_restricted(target, overlapping) == approx(0.9951, abs=5e-4)
 
     def test_self_similarity(self):
-        v = vec("a", P1=3, P2=9, P3=1)
+        v = vec(P1=3, P2=9, P3=1)
         assert cosine_restricted(v, v) == approx(1.0, abs=1e-12)
 
     def test_zero_norm_returns_zero(self):
-        target = vec("a", P1=4, P2=5)
-        assert cosine_restricted(target, vec("b", P9=7)) == 0.0
+        target = vec(P1=4, P2=5)
+        assert cosine_restricted(target, vec(P9=7)) == 0.0
 
     def test_empty_target(self):
         with pytest.raises(NoProfileError):
-            cosine_restricted(UserVector("a", {}), vec("b", P1=1))
+            cosine_restricted({}, vec(P1=1))
 
     def test_range_and_scale_invariance(self):
         rng = random.Random(2)
         for _ in range(100):
             items = [f"I{i}" for i in range(6)]
-            a = UserVector("a", {i: rng.uniform(0, 10) for i in rng.sample(items, rng.randint(1, 6))})
-            b = UserVector("b", {i: rng.uniform(0, 10) for i in rng.sample(items, rng.randint(0, 6))})
+            a = {i: rng.uniform(0, 10) for i in rng.sample(items, rng.randint(1, 6))}
+            b = {i: rng.uniform(0, 10) for i in rng.sample(items, rng.randint(0, 6))}
             sim = cosine_restricted(a, b)
             assert 0.0 <= sim <= 1.0 + 1e-12
             c = rng.uniform(0.1, 20)
-            scaled_a = UserVector("a", {i: w * c for i, w in a.weights.items()})
-            scaled_b = UserVector("b", {i: w * c for i, w in b.weights.items()})
+            scaled_a = {i: w * c for i, w in a.items()}
+            scaled_b = {i: w * c for i, w in b.items()}
             assert cosine_restricted(scaled_a, b) == approx(sim, abs=1e-9)
             assert cosine_restricted(a, scaled_b) == approx(sim, abs=1e-9)
 
@@ -76,8 +70,8 @@ class TestCosineRestricted:
         rng = random.Random(3)
         for _ in range(50):
             items = [f"I{i}" for i in range(4)]
-            a = UserVector("a", {i: rng.uniform(0.1, 10) for i in items})
-            b = UserVector("b", {i: rng.uniform(0.1, 10) for i in items})
+            a = {i: rng.uniform(0.1, 10) for i in items}
+            b = {i: rng.uniform(0.1, 10) for i in items}
             assert cosine_restricted(a, b) == approx(cosine_restricted(b, a), abs=1e-12)
 
 
@@ -122,8 +116,7 @@ class TestProfileWeights:
         from shoprec.corpus import Dataset
 
         ds = Dataset.build(ratings=[rate("U1", "P1", 5.0)])
-        v = UserVector("U1", dataset_weights(ds, "U1", "method1"), "method1")
-        assert not v.nonzero()
+        assert not any(dataset_weights(ds, "U1", "method1").values())
 
     def test_unknown_user(self):
         with pytest.raises(NotFoundError):
@@ -211,9 +204,8 @@ class TestTopKNeighbors:
         if not vectors[target]:
             assert got == []
             return
-        query = UserVector(target, vectors[target])
         scan = sorted(
-            ((u, cosine_restricted(query, UserVector(u, vectors[u]))) for u in ds.users if u != exclude),
+            ((u, cosine_restricted(vectors[target], vectors[u])) for u in ds.users if u != exclude),
             key=lambda e: (-e[1], e[0]),
         )
         assert got == [(u, sim) for u, sim in scan if sim > 0.0][:k]
