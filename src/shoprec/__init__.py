@@ -3,7 +3,8 @@
 User-based collaborative filtering with a restricted cosine kernel and
 purchase-frequency weighting, an implicit purchase-count vector model with a
 popularity cold-start path, a purchase-order precedence filter, association
-rule expansion via FP-growth, and an offline precision/recall harness.
+rule expansion over itemsets mined by tid-set intersection, and an offline
+precision/recall harness.
 """
 
 from .corpus import (

@@ -13,7 +13,10 @@ part of its row.
     ratings.csv         header ``user,item,value``; value is a real in [0, 10]
 
 Identifiers are opaque strings; they may not contain ``,``, ``;`` or newlines
-(the formats are unquoted). Ratings use a single canonical 0-10 scale.
+(the formats are unquoted). Ratings use a single canonical 0-10 scale. A seq
+is an optional ``-`` followed by ASCII digits, as :func:`to_transaction_csv`
+writes it; ``int()`` would also take ``1_0``, `` 1``, ``+1`` and non-ASCII
+digits, which a seq is not.
 
 Every record is validated once, where it enters. ``Dataset.build`` validates
 records made in code (the synthetic generator, tests). The loaders check each
@@ -28,8 +31,10 @@ from __future__ import annotations
 import random
 import re
 from codecs import BOM_UTF8
+from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import chain
 from operator import attrgetter
 from pathlib import Path
 from typing import NamedTuple
@@ -40,12 +45,33 @@ TRANSACTION_HEADER = "tid,user,seq,items"
 RATING_HEADER = "user,item,value"
 
 _forbidden_id_char = re.compile("[,;\n\r]").search
+# A record from a list of its field values, without the keyword-argument
+# constructor's Python-level call: the loaders build one per row.
+_new_record = tuple.__new__
 
 
 def _check_id(kind: str, value: str, where: str = "") -> str:
     if not value or _forbidden_id_char(value):
         raise IntegrityError(f"{where}invalid {kind} id {value!r}")
     return value
+
+
+def _check_ids(kind: str, values) -> None:
+    """IntegrityError for the first of the values that is not a valid id string.
+
+    A few C-level passes check all of them; only a failed pass walks the
+    values one by one, to name the offender.
+    """
+    try:
+        joined = "".join(values)
+    except TypeError:  # a value that is not a string
+        joined = None
+    # the characters of _forbidden_id_char: four scans beat one regex search here
+    if joined is None or "" in values or "," in joined or ";" in joined or "\n" in joined or "\r" in joined:
+        for value in values:
+            if not isinstance(value, str):
+                raise IntegrityError(f"invalid {kind} id {value!r}")
+            _check_id(kind, value)
 
 
 class Transaction(NamedTuple):
@@ -135,7 +161,8 @@ class Dataset:
                 raise IntegrityError(f"duplicate rating for ({r.user}, {r.item})")
             seen_rating.add(key)
 
-        return cls._trusted(users, items, _sorted_transactions(transactions), _sorted_ratings(ratings))
+        # a rating's tuple order is its (user, item) order: the pair is unique
+        return cls._trusted(users, items, _sorted_transactions(transactions), sorted(ratings))
 
     @classmethod
     def _trusted(cls, users, items, transactions, ratings) -> "Dataset":
@@ -176,11 +203,8 @@ class Dataset:
     @cached_property
     def purchaser_counts(self) -> dict[str, int]:
         """Number of distinct users who purchased each item (purchased items only)."""
-        buyers: dict[str, set[str]] = {}
-        for t in self.transactions:
-            for i in t.items:
-                buyers.setdefault(i, set()).add(t.user)
-        return {i: len(us) for i, us in buyers.items()}
+        # each user's count map holds each item it bought once, so its keys count buyers
+        return Counter(chain.from_iterable(self.purchase_counts_by_user.values()))
 
     def has_user(self, user: str) -> bool:
         return user in self.ratings_by_user
@@ -190,22 +214,19 @@ def _sorted_transactions(transactions):
     return sorted(transactions, key=attrgetter("user", "seq"))
 
 
-def _sorted_ratings(ratings):
-    return sorted(ratings, key=attrgetter("user", "item"))
-
-
 # ---------------------------------------------------------------------------
 # CSV ingestion / serialization
 # ---------------------------------------------------------------------------
 
 
-def _read_rows(path, expected_header: str, n_fields: int):
-    """Yield (line_number, fields) for each data row; tolerate empty files.
+def _read_lines(path, expected_header: str) -> list[str]:
+    """The lines of a CSV file after its header, which is checked; [] for an empty file.
 
     Lines end at a line feed only, and one carriage return before it is
-    dropped, so every error counts lines as the UTF-8 check does. A leading
-    UTF-8 byte-order mark is skipped; bytes that are not UTF-8 raise
-    ParseError naming the line they sit on.
+    dropped, so every error counts lines as the UTF-8 check does: the line at
+    index i is line i + 2 of the file. A leading UTF-8 byte-order mark is
+    skipped; bytes that are not UTF-8 raise ParseError naming the line they
+    sit on.
     """
     data = Path(path).read_bytes().removeprefix(BOM_UTF8)
     try:
@@ -214,18 +235,12 @@ def _read_rows(path, expected_header: str, n_fields: int):
         lineno = data.count(b"\n", 0, exc.start) + 1
         raise ParseError(f"{path}: line {lineno}: not valid UTF-8") from None
     if not text:
-        return
-    lines = text.split("\n")
-    if lines[0].removesuffix("\r") != expected_header:
+        return []
+    lines = text.replace("\r\n", "\n").split("\n")
+    lines[-1] = lines[-1].removesuffix("\r")
+    if lines[0] != expected_header:
         raise ParseError(f"{path}: line 1: expected header {expected_header!r}")
-    for lineno, line in enumerate(lines[1:], start=2):
-        line = line.removesuffix("\r")
-        if not line:
-            continue
-        fields = line.split(",")
-        if len(fields) != n_fields:
-            raise ParseError(f"{path}: line {lineno}: expected {n_fields} fields, got {len(fields)}")
-        yield lineno, fields
+    return lines[1:]
 
 
 def load_transactions(path) -> Dataset:
@@ -236,31 +251,46 @@ def load_transactions(path) -> Dataset:
     raises IntegrityError naming the line, and nothing is returned.
     """
     transactions = []
-    seen_seq = set()
-    for lineno, (tid, user, seq_text, items_text) in _read_rows(path, TRANSACTION_HEADER, 4):
+    # a set per user, not a (user, seq) tuple per row: fewer objects for the collector to walk
+    seqs_by_user: dict[str, set[int]] = {}
+    for lineno, line in enumerate(_read_lines(path, TRANSACTION_HEADER), 2):
+        if not line:
+            continue
+        fields = line.split(",")
+        if len(fields) != 4:
+            raise ParseError(f"{path}: line {lineno}: expected 4 fields, got {len(fields)}")
+        tid, user, seq_text, items_text = fields
         # after the line and field splits, ";" and a lone "\r" are the forbidden characters left
-        if not (tid and user) or ";" in tid or ";" in user or "\r" in tid or "\r" in user:
+        if not (tid and user) or ";" in tid or ";" in user or "\r" in line:
             _check_id("transaction", tid, f"{path}: line {lineno}: ")
             _check_id("user", user, f"{path}: line {lineno}: ")
         try:
-            seq = int(seq_text)
+            if not (seq_text.isascii() and seq_text.removeprefix("-").isdigit()):
+                raise ValueError
+            seq = int(seq_text)  # ValueError too for more digits than int() converts
         except ValueError:
             raise ParseError(f"{path}: line {lineno}: bad seq {seq_text!r}") from None
         items = tuple(items_text.split(";"))
-        if not items_text or any(not i for i in items):
+        if "" in items:
             raise ParseError(f"{path}: line {lineno}: empty item id")
         if "\r" in items_text:
             for i in items:
                 _check_id("item", i, f"{path}: line {lineno}: ")
-        if len(set(items)) != len(items):
+        if len(items) > 1 and len(set(items)) != len(items):
             raise IntegrityError(f"{path}: line {lineno}: duplicate item within transaction")
-        if (user, seq) in seen_seq:
+        seqs = seqs_by_user.get(user)
+        if seqs is None:
+            seqs_by_user[user] = {seq}
+        elif seq in seqs:
             raise IntegrityError(f"{path}: line {lineno}: duplicate seq {seq} for user {user}")
-        seen_seq.add((user, seq))
-        transactions.append(Transaction(tid=tid, user=user, seq=seq, items=items))
+        else:
+            seqs.add(seq)
+        fields[2] = seq
+        fields[3] = items
+        transactions.append(_new_record(Transaction, fields))
     return Dataset._trusted(
-        sorted({t.user for t in transactions}),
-        sorted({i for t in transactions for i in t.items}),
+        sorted(seqs_by_user),
+        sorted(set(chain.from_iterable(t.items for t in transactions))),
         _sorted_transactions(transactions),
         (),
     )
@@ -274,10 +304,16 @@ def load_ratings(path) -> Dataset:
     error naming the line.
     """
     ratings = []
-    seen = set()
-    for lineno, (user, item, value_text) in _read_rows(path, RATING_HEADER, 3):
+    rated_by_user: dict[str, set[str]] = {}  # as in load_transactions
+    for lineno, line in enumerate(_read_lines(path, RATING_HEADER), 2):
+        if not line:
+            continue
+        fields = line.split(",")
+        if len(fields) != 3:
+            raise ParseError(f"{path}: line {lineno}: expected 3 fields, got {len(fields)}")
+        user, item, value_text = fields
         # after the line and field splits, ";" and a lone "\r" are the forbidden characters left
-        if not (user and item) or ";" in user or ";" in item or "\r" in user or "\r" in item:
+        if not (user and item) or ";" in line or "\r" in line:
             _check_id("user", user, f"{path}: line {lineno}: ")
             _check_id("item", item, f"{path}: line {lineno}: ")
         try:
@@ -286,16 +322,17 @@ def load_ratings(path) -> Dataset:
             raise ParseError(f"{path}: line {lineno}: bad value {value_text!r}") from None
         if not 0.0 <= value <= 10.0:
             raise RangeError(f"{path}: line {lineno}: value {value} outside [0, 10]")
-        if (user, item) in seen:
+        rated = rated_by_user.get(user)
+        if rated is None:
+            rated_by_user[user] = {item}
+        elif item in rated:
             raise IntegrityError(f"{path}: line {lineno}: duplicate rating for ({user}, {item})")
-        seen.add((user, item))
-        ratings.append(RatingRecord(user=user, item=item, value=value))
-    return Dataset._trusted(
-        sorted({r.user for r in ratings}),
-        sorted({r.item for r in ratings}),
-        (),
-        _sorted_ratings(ratings),
-    )
+        else:
+            rated.add(item)
+        fields[2] = value
+        ratings.append(_new_record(RatingRecord, fields))
+    ratings.sort()  # as in Dataset.build
+    return Dataset._trusted(sorted(rated_by_user), sorted(set().union(*rated_by_user.values())), (), ratings)
 
 
 def load_dataset(transactions_path=None, ratings_path=None) -> Dataset:

@@ -33,8 +33,10 @@ from __future__ import annotations
 
 import threading
 from dataclasses import dataclass, field
+from numbers import Real
+from operator import itemgetter
 
-from .corpus import Dataset
+from .corpus import Dataset, _check_ids
 from .errors import ConfigError, NoProfileError, NotFoundError, RangeError
 from .implicit_vsm import build_iif, new_user_scores
 from .rules import AssociationRule, fp_growth, generate_rules
@@ -131,10 +133,11 @@ class IndexSnapshot:
         self.iif = build_iif(train) if train.users else {}
         # user -> {item: rating} in (-rating, item) order; of strings and floats
         # only, the inner dicts are not tracked by the garbage collector
-        self.ranked: dict[str, dict[str, float]] = {
-            user: dict(sorted(train.ratings_by_user[user].items(), key=lambda e: (-e[1], e[0])))
-            for user in train.users
-        }
+        self.ranked: dict[str, dict[str, float]] = {}
+        for user, ratings in train.ratings_by_user.items():
+            ranked = sorted(ratings.items())  # by item: ids are unique
+            ranked.sort(key=itemgetter(1), reverse=True)  # stable, so ties stay by item
+            self.ranked[user] = dict(ranked)
         self.postings: dict[str, Postings] = {}
         self.rules: dict[tuple[float, float], RulesByItem] = {}
 
@@ -206,8 +209,12 @@ class Recommender:
         return self.recommend_profile(profile_of(self.train, user), exclude_user=user)
 
     def recommend_profile(self, profile: Profile, exclude_user: str | None = None) -> list[Recommendation]:
-        """Recommend for a query profile; RangeError for a rating outside [0, 10] or a
-        purchase count that is not an int of at least 1."""
+        """Recommend for a query profile.
+
+        IntegrityError for an item id that is not a valid id string; RangeError
+        for a rating that is not a real number in [0, 10] or a purchase count
+        that is not an int (a bool is not) of at least 1.
+        """
         _check_profile(profile)
         cfg = self.config
         weights = profile_weights(profile.ratings, profile.purchase_counts, cfg.mode, self.iif)
@@ -263,13 +270,29 @@ class Recommender:
         return result[: cfg.top_n]
 
 
+_INTS = frozenset((int,))  # a bool or any other subclass of int takes the walk
+
+
 def _check_profile(profile: Profile) -> None:
-    for item, rating in profile.ratings.items():
-        if not 0.0 <= rating <= 10.0:  # also false for NaN
-            raise RangeError(f"item {item}: rating {rating} outside [0, 10]")
-    for item, count in profile.purchase_counts.items():
-        if isinstance(count, bool) or not isinstance(count, int) or count < 1:
-            raise RangeError(f"item {item}: purchase count {count!r} is not an integer >= 1")
+    """Check the item ids and the counts in bulk, walking a map entry by entry
+    only to name its offender; check the ratings in one loop."""
+    _check_ids("item", profile.ratings)
+    _check_ids("item", profile.purchase_counts)
+    try:
+        # one chained comparison per rating costs less than a min and a max pass
+        for item, rating in profile.ratings.items():
+            if not 0.0 <= rating <= 10.0:  # also false for NaN
+                raise RangeError(f"item {item}: rating {rating} outside [0, 10]")
+        sum(profile.ratings.values(), 0.0)  # a Decimal compares with a float but does not add to one
+    except TypeError:
+        for item, rating in profile.ratings.items():
+            if not isinstance(rating, Real):
+                raise RangeError(f"item {item}: rating {rating!r} is not a real number") from None
+    counts = profile.purchase_counts.values()
+    if counts and not (_INTS.issuperset(map(type, counts)) and min(counts) >= 1):
+        for item, count in profile.purchase_counts.items():
+            if isinstance(count, bool) or not isinstance(count, int) or count < 1:
+                raise RangeError(f"item {item}: purchase count {count!r} is not an integer >= 1")
 
 
 def cold_start(train: Dataset, top_n: int) -> list[Recommendation]:

@@ -2,15 +2,20 @@
 
 Support and confidence are percentages: an itemset X has support
 100 * |{t : X subseteq t}| / |T|, and a rule X => Y holds with confidence
-100 * count(X u Y) / count(X). Mining is FP-growth over a prefix tree whose
-paths are ordered by descending global item frequency (ties broken by
-ascending item id), so output is deterministic and golden-testable.
+100 * count(X u Y) / count(X). Frequent itemsets are mined by tid-set
+intersection (Zaki, "Scalable Algorithms for Association Mining", IEEE TKDE
+2000): each frequent item's transactions form an int bitset, an item pair is
+counted over the transactions of its first item, and a larger itemset's
+transactions are the ``&`` of two of its subsets', counted with
+``int.bit_count()``. Output is in canonical order (size, then item ids), so it
+is deterministic and golden-testable.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
+from collections import Counter, defaultdict
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
@@ -47,65 +52,38 @@ def _min_count(n_transactions: int, minsup_pct: float) -> int:
     return max(1, math.ceil(n_transactions * minsup_pct / 100.0 - 1e-9))
 
 
-class _Node:
-    __slots__ = ("item", "count", "parent", "children")
-
-    def __init__(self, item, parent):
-        self.item = item
-        self.count = 0
-        self.parent = parent
-        self.children: dict[str, _Node] = {}
+def _bitset(indexes: list[int]) -> int:
+    """The int whose bit i is set for each transaction index i."""
+    bits = bytearray(indexes[-1] // 8 + 1)  # indexes ascend
+    for i in indexes:
+        bits[i >> 3] |= 1 << (i & 7)
+    return int.from_bytes(bits, "little")
 
 
-def _mine(weighted: list[tuple[Sequence[str], int]], min_count: int, suffix: tuple[str, ...], out):
-    """Recursive FP-growth step over a (conditional) weighted transaction base."""
-    counts: dict[str, int] = {}
-    for items, weight in weighted:
-        for item in items:
-            counts[item] = counts.get(item, 0) + weight
-    frequent = {item: c for item, c in counts.items() if c >= min_count}
-    if not frequent:
-        return
-
-    order = sorted(frequent, key=lambda i: (-frequent[i], i))
-    rank = {item: r for r, item in enumerate(order)}
-
-    root = _Node(None, None)
-    headers: dict[str, list[_Node]] = {item: [] for item in order}
-    for items, weight in weighted:
-        path = sorted((i for i in items if i in frequent), key=rank.__getitem__)
-        node = root
-        for item in path:
-            child = node.children.get(item)
-            if child is None:
-                child = _Node(item, node)
-                node.children[item] = child
-                headers[item].append(child)
-            child.count += weight
-            node = child
-
-    # grow patterns from the least frequent item upward
-    for item in reversed(order):
-        found = tuple(sorted(suffix + (item,)))
-        out.append((found, frequent[item]))
-        base: list[tuple[list[str], int]] = []
-        for node in headers[item]:
-            path = []
-            parent = node.parent
-            while parent is not None and parent.item is not None:
-                path.append(parent.item)
-                parent = parent.parent
-            if path:
-                base.append((path, node.count))
-        if base:
-            _mine(base, min_count, found, out)
+def _extend(prefix: tuple[str, ...], tails: list[tuple[str, int, int]], min_count: int, out) -> None:
+    """Emit prefix + (item,) for each (item, tid bitset, count) tail, ascending by item,
+    and recurse into each one's frequent extensions by the tails after it."""
+    for index, (item, bits, count) in enumerate(tails):
+        itemset = prefix + (item,)
+        out.append((itemset, count))
+        deeper = []
+        for other, other_bits, _ in tails[index + 1 :]:
+            both = bits & other_bits
+            both_count = both.bit_count()
+            if both_count >= min_count:
+                deeper.append((other, both, both_count))
+        if deeper:
+            _extend(itemset, deeper, min_count, out)
 
 
 def fp_growth(transactions: Sequence[Transaction], minsup_pct: float) -> list[FrequentItemset]:
     """All itemsets with support >= minsup_pct, canonically ordered.
 
     Output is sorted by itemset size then lexicographically, so identical
-    inputs always produce identical lists.
+    inputs always produce identical lists. The miner is tid-set intersection,
+    not FP-growth, but both find exactly the frequent itemsets; the name
+    stays because the benchmark's tracer and build counters look the
+    function up by it, and renaming it is a change to the benchmark.
     """
     if not 0.0 < minsup_pct <= 100.0:
         raise RangeError(f"minsup_pct {minsup_pct} outside (0, 100]")
@@ -114,9 +92,27 @@ def fp_growth(transactions: Sequence[Transaction], minsup_pct: float) -> list[Fr
         return []
     min_count = _min_count(n, minsup_pct)
 
+    tids: dict[str, list[int]] = defaultdict(list)
+    for index, t in enumerate(transactions):
+        for item in t.items:
+            tids[item].append(index)
+    frequent = sorted(item for item, indexes in tids.items() if len(indexes) >= min_count)
+    bits = {item: _bitset(tids[item]) for item in frequent}
+
     found: list[tuple[tuple[str, ...], int]] = []
-    _mine([(t.items, 1) for t in transactions], min_count, (), found)
-    found.sort(key=lambda e: (len(e[0]), e[0]))
+    for item in frequent:
+        found.append(((item,), len(tids[item])))
+        # a pair's count, over the transactions of its first item only: a sparse
+        # catalogue never pays for the pairs that never occur
+        together = Counter(itertools.chain.from_iterable(transactions[i].items for i in tids[item]))
+        tails = sorted(
+            (other, bits[item] & bits[other], count)
+            for other, count in together.items()
+            if other > item and count >= min_count
+        )
+        _extend((item,), tails, min_count, found)
+    # depth first in item order is lexicographic order; the stable sort keeps it within a size
+    found.sort(key=lambda e: len(e[0]))
     return [
         FrequentItemset(items=items, support_count=c, support_pct=100.0 * c / n)
         for items, c in found

@@ -1,14 +1,20 @@
 import codecs
+import contextlib
 import hashlib
+import io
 import json
 import os
 import subprocess
 import sys
+import tempfile
+from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from shoprec import cli
-from shoprec.corpus import load_dataset
+from shoprec.corpus import load_dataset, to_rating_csv, to_transaction_csv
 from shoprec.errors import ShoprecError
 from shoprec.recommend import Recommender
 from shoprec.similarity import MODES
@@ -352,3 +358,101 @@ class TestDeterminism:
             second = run_cli(*args)
             assert first.returncode == second.returncode == 0
             assert first.stdout == second.stdout
+
+
+# Near-valid input for the input-boundary property: well-formed rows with
+# unique keys, some of whose fields are swapped for a form that int(), float()
+# or a loose id check would take. Each oddity shrinks away, so a failing
+# example shrinks to the fewest of them.
+_USERS = [f"U{n}" for n in range(1, 9)]
+_ITEMS = ["P1", "P2", "P3", "P4", "P5"]
+_ODD_FIELDS = [
+    "", "1_0", " 1", "+1", "-1", "nan", "1e400", "inf", "١", "x\x0b", "P1\u2028", "U1\r", "\ufeffU1", "P1;P1", "P1;", "a,b",
+]
+
+
+def _rarely(draw, one_in: int) -> bool:
+    return draw(st.integers(1, one_in)) == one_in
+
+
+@st.composite
+def _transaction_rows(draw):
+    keys = draw(st.lists(st.tuples(st.sampled_from(_USERS), st.integers(1, 20)), unique=True, max_size=16))
+    items = st.lists(st.sampled_from(_ITEMS), min_size=1, max_size=3, unique=True)
+    return [[f"T{n}", user, str(seq), ";".join(draw(items))] for n, (user, seq) in enumerate(keys)]
+
+
+@st.composite
+def _rating_rows(draw):
+    keys = draw(st.lists(st.tuples(st.sampled_from(_USERS), st.sampled_from(_ITEMS)), unique=True, max_size=16))
+    return [[user, item, draw(st.sampled_from(["10", "8.25", "7", "2.5", "0"]))] for user, item in keys]
+
+
+@st.composite
+def _near_valid_csv(draw, header, rows):
+    lines = [header.upper() if _rarely(draw, 20) else header]
+    for fields in draw(rows):
+        if _rarely(draw, 10):
+            fields[draw(st.integers(0, len(fields) - 1))] = draw(st.sampled_from(_ODD_FIELDS))
+        if _rarely(draw, 30):
+            fields.append("")  # an extra comma
+        lines.append(",".join(fields))
+        if _rarely(draw, 20):
+            lines.append("")
+    endings = draw(st.sampled_from(["\n", "\r\n", "mixed"]))
+    text = "".join(
+        line + (draw(st.sampled_from(["\n", "\r\n", "\r"])) if endings == "mixed" else endings) for line in lines
+    )
+    data = text.encode("utf-8")
+    if _rarely(draw, 5):
+        data = codecs.BOM_UTF8 + data
+    if _rarely(draw, 10):
+        at = draw(st.integers(0, len(data)))
+        data = data[:at] + draw(st.sampled_from([b"\xff", b"\xc3", b"\xed\xa0\x80"])) + data[at:]
+    return data
+
+
+def _main(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = cli.main(argv)
+    return code, out.getvalue(), err.getvalue()
+
+
+class TestInputBoundary:
+    @settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    @given(
+        transactions=_near_valid_csv("tid,user,seq,items", _transaction_rows()),
+        ratings=_near_valid_csv("user,item,value", _rating_rows()),
+    )
+    def test_bad_input_exits_2_with_one_error_line(self, transactions, ratings):
+        """Any input file gives exit 0, or exit 2 with exactly one error line; never a
+        traceback. What loads writes back to files that load to an equal dataset."""
+        with tempfile.TemporaryDirectory() as tmp:
+            t, r = Path(tmp) / "t.csv", Path(tmp) / "r.csv"
+            t.write_bytes(transactions)
+            r.write_bytes(ratings)
+            data = ["--transactions", str(t), "--ratings", str(r)]
+            rules = ["--minsup", "10", "--minconf", "10"]
+            commands = [
+                ["ingest-check", *data],
+                ["recommend", *data, "--user", "U1", *rules],
+                ["evaluate", *data, *rules, "--json"],
+                ["dump-index", "--transactions", str(t)],
+                ["mine-rules", "--transactions", str(t), *rules],
+            ]
+            codes = []
+            for argv in commands:
+                code, _, err = _main(argv)
+                assert code in (0, 2), argv
+                errors = err.splitlines()
+                if code == 2:
+                    assert len(errors) == 1 and errors[0].startswith("shoprec: error: "), errors
+                else:
+                    assert errors == []
+                codes.append(code)
+            if codes[0] == 0:
+                ds = load_dataset(t, r)
+                t.write_text(to_transaction_csv(ds), encoding="utf-8", newline="")
+                r.write_text(to_rating_csv(ds), encoding="utf-8", newline="")
+                assert load_dataset(t, r) == ds

@@ -82,6 +82,34 @@ class TestLoadTransactions:
         with pytest.raises(IntegrityError, match="line 2: invalid user id ''"):
             load_transactions(path)
 
+    @pytest.mark.parametrize("items_text", ["", "P1;", ";P1", "P1;;P2", ";"])
+    def test_empty_item_id_names_line(self, tmp_path, items_text):
+        path = tmp_path / "t.csv"
+        path.write_text(f"tid,user,seq,items\nT1,U1,1,P1\nT2,U1,2,{items_text}\n")
+        with pytest.raises(ParseError, match="line 3: empty item id"):
+            load_transactions(path)
+
+    @pytest.mark.parametrize(
+        "seq_text, seq", [("1", 1), ("-3", -3), ("0", 0), ("-0", 0), ("007", 7), ("9" * 20, int("9" * 20))]
+    )
+    def test_seq_is_an_optional_minus_and_ascii_digits(self, tmp_path, seq_text, seq):
+        path = tmp_path / "t.csv"
+        path.write_text(f"tid,user,seq,items\nT1,U1,{seq_text},P1\n")
+        assert load_transactions(path).transactions[0].seq == seq
+
+    @pytest.mark.parametrize(
+        "seq_text",
+        # int() reads the first seven as 10, 1, 1, 1, 1, 1 and 1
+        ["1_0", " 1", "1 ", "+1", "١", "１", "\x0b1", "", "-", "--1", "1.0", "1e3", "0x1", "nan", "9" * 5000],
+        ids=["underscore", "leading-space", "trailing-space", "plus", "arabic-indic-digit", "fullwidth-digit", "vertical-tab",
+             "empty", "minus-only", "double-minus", "decimal-point", "exponent", "hex", "nan", "too-many-digits"],
+    )
+    def test_any_other_seq_is_a_parse_error(self, tmp_path, seq_text):
+        path = tmp_path / "t.csv"
+        path.write_text(f"tid,user,seq,items\nT1,U1,1,P1\nT2,U1,{seq_text},P2\n", encoding="utf-8")
+        with pytest.raises(ParseError, match=f"line 3: bad seq {re.escape(repr(seq_text))}"):
+            load_transactions(path)
+
 
 class TestLoadRatings:
     def test_basic_row(self, tmp_path):
@@ -141,6 +169,13 @@ class TestLineBreaks:
         path.write_bytes(b"user,item,value\nU1,P1,5\rU2,P2,6\n")
         with pytest.raises(ParseError, match="line 2: expected 3 fields, got 5"):
             load_ratings(path)
+
+    def test_carriage_return_ending_the_file_is_dropped(self, tmp_path):
+        path = tmp_path / "t.csv"
+        path.write_bytes(b"tid,user,seq,items\r\nT1,U1,1,P1\r")
+        assert load_transactions(path).transactions == (Transaction("T1", "U1", 1, ("P1",)),)
+        path.write_bytes(b"tid,user,seq,items\r")
+        assert load_transactions(path).transactions == ()
 
     @pytest.mark.parametrize(
         "loader, header, row, kind",

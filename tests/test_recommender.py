@@ -3,9 +3,12 @@ import gc
 import importlib
 import math
 import random
+import re
 import sys
 import threading
 from collections import Counter
+from decimal import Decimal
+from fractions import Fraction
 
 import pytest
 from hypothesis import Phase, example, find, given, settings
@@ -14,7 +17,7 @@ from pytest import approx
 
 from shoprec import cli
 from shoprec.corpus import Dataset, SyntheticConfig, Transaction, generate_synthetic, split_users
-from shoprec.errors import ConfigError, NoProfileError, NotFoundError, RangeError
+from shoprec.errors import ConfigError, IntegrityError, NoProfileError, NotFoundError, RangeError
 from shoprec.evaluate import ExperimentConfig, run_experiment
 from shoprec.recommend import IndexSnapshot, Profile, Recommender, RecommenderConfig, cold_start, profile_of
 from shoprec.rules import fp_growth, generate_rules
@@ -276,8 +279,8 @@ def seed_2024_engine(mode):
 
 
 class TestProfileChecks:
-    """A query profile is checked before any work: ratings within [0, 10], purchase
-    counts ints (not bools) of at least 1."""
+    """A query profile is checked before any work: item ids valid id strings, ratings
+    real numbers within [0, 10], purchase counts ints (not bools) of at least 1."""
 
     @pytest.mark.parametrize(
         "mode, ratings, counts",
@@ -301,6 +304,53 @@ class TestProfileChecks:
         engine = seed_2024_engine("method1")
         profile = Profile(ratings={"I001": 0.0, "I002": 10.0}, purchase_counts={"I001": 1, "I002": 3})
         assert engine.recommend_profile(profile)
+
+    @pytest.mark.parametrize(
+        "ratings, counts, bad",
+        [
+            # each of the first three used to answer as if the id were an unknown item
+            ({"I0,01": 8.0, "I002": 8.0}, {}, "'I0,01'"),
+            ({1: 8.0, "I002": 8.0}, {}, "1"),
+            ({"": 8.0, "I002": 8.0}, {}, "''"),
+            ({"I001": 8.0}, {"I001": 1, "I0;02": 2}, "'I0;02'"),
+            ({"I001": 8.0, "I002\n": 8.0}, {}, "'I002\\n'"),
+            ({"I001": 8.0}, {b"I001": 1}, "b'I001'"),
+        ],
+        ids=["comma", "int-key", "empty", "count-key-semicolon", "line-feed", "bytes-key"],
+    )
+    def test_bad_item_id_is_integrity_error(self, ratings, counts, bad):
+        engine = seed_2024_engine("method1")
+        with pytest.raises(IntegrityError, match=f"^invalid item id {re.escape(bad)}$"):
+            engine.recommend_profile(Profile(ratings=ratings, purchase_counts=counts))
+
+    @pytest.mark.parametrize(
+        "rating",
+        # "8" used to raise a bare TypeError from the range check
+        ["8", None, 8 + 0j, Decimal("8")],
+        ids=["str", "none", "complex", "decimal"],
+    )
+    def test_rating_that_is_not_a_real_number_is_range_error(self, rating):
+        engine = seed_2024_engine("simple")
+        with pytest.raises(RangeError, match="is not a real number"):
+            engine.recommend_profile(Profile(ratings={"I002": 8.0, "I001": rating}))
+
+    def test_nan_after_valid_ratings_is_range_error(self):
+        # min() and max() skip a NaN that is not first
+        ratings = {"I001": 8.0, "I002": 5.0, "I003": math.nan, "I004": 9.0}
+        with pytest.raises(RangeError, match="rating nan outside"):
+            seed_2024_engine("simple").recommend_profile(Profile(ratings=ratings))
+
+    def test_real_numbers_of_other_types_are_accepted(self):
+        engine = seed_2024_engine("simple")
+        exact = engine.recommend_profile(Profile(ratings={"I001": 8.0, "I002": 7.5, "I003": 3.0, "I004": 1.0}))
+        other = engine.recommend_profile(
+            Profile(ratings={"I001": 8, "I002": Fraction(15, 2), "I003": _Float(3.0), "I004": True})
+        )
+        assert other == exact
+
+
+class _Float(float):
+    """A float subclass, as numpy.float64 is."""
 
 
 class TestColdStart:

@@ -2,6 +2,8 @@ import itertools
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from pytest import approx
 
 from shoprec.errors import EmptyDatasetError, RangeError
@@ -94,6 +96,24 @@ class TestFpGrowth:
             got = {(f.items, f.support_count) for f in fp_growth(txns, minsup)}
             expected = set(brute_force_frequent_itemsets(txns, minsup).items())
             assert got == expected
+
+    @settings(max_examples=150, deadline=None)
+    @given(data=st.data())
+    def test_oracle_equivalence_across_byte_boundaries(self, data):
+        """Up to 70 transactions, so tid bitsets span several bytes and machine words;
+        two item groups that never share a transaction; minsup down to one transaction."""
+        n = data.draw(st.integers(1, 70), label="transactions")
+        masks = data.draw(st.lists(st.integers(1, 2**9 - 1), min_size=n, max_size=n), label="masks")
+        items = ["A1", "A2", "A3", "A4", "A5", "A6", "B1", "B2", "B3"]
+        txns = []
+        for t, mask in enumerate(masks):
+            mask = mask & 0b111111 or mask  # either A items only or B items only
+            txns.append(tx(f"U{t}", 1, *(item for bit, item in enumerate(items) if mask >> bit & 1)))
+        min_count = data.draw(st.integers(1, len(txns)), label="min_count")
+        minsup = 100.0 * min_count / len(txns)
+        found = fp_growth(txns, minsup)
+        assert [(f.items, f.support_count) for f in found] == list(brute_force_frequent_itemsets(txns, minsup).items())
+        assert all(f.support_pct == 100.0 * f.support_count / len(txns) for f in found)
 
     def test_anti_monotonicity(self, table1_txns):
         rng = random.Random(13)
