@@ -13,10 +13,19 @@ part of its row.
     ratings.csv         header ``user,item,value``; value is a real in [0, 10]
 
 Identifiers are opaque strings; they may not contain ``,``, ``;`` or newlines
-(the formats are unquoted). Ratings use a single canonical 0-10 scale. A seq
-is an optional ``-`` followed by ASCII digits, as :func:`to_transaction_csv`
-writes it; ``int()`` would also take ``1_0``, `` 1``, ``+1`` and non-ASCII
-digits, which a seq is not.
+(the formats are unquoted). A tid is unique within its file. Ratings use a
+single canonical 0-10 scale. A seq is an optional ``-`` followed by ASCII
+digits, as :func:`to_transaction_csv` writes it; ``int()`` would also take
+``1_0``, `` 1``, ``+1`` and non-ASCII digits, which a seq is not. A rating
+value is ASCII text that ``float()`` reads, with no ``_`` and no leading or
+trailing whitespace, which covers every form :func:`to_rating_csv` writes.
+
+One load keeps one object per id: within a :func:`load_dataset` call every
+mention of a user or item id, in both files, is the same ``str`` as the
+matching element of ``Dataset.users`` or ``Dataset.items``, and rows with the
+same value text share one ``float``. The records then hold one string per id
+rather than one per row; :func:`split_users` reuses the records, so its
+subsets share them too.
 
 Every record is validated once, where it enters. ``Dataset.build`` validates
 records made in code (the synthetic generator, tests). The loaders check each
@@ -131,9 +140,13 @@ class Dataset:
         items = tuple(sorted({_check_id("item", i) for i in items}))
         user_set, item_set = set(users), set(items)
 
+        seen_tid: set[str] = set()
         seen_seq: set[tuple[str, int]] = set()
         for t in transactions:
             _check_id("transaction", t.tid)
+            if t.tid in seen_tid:
+                raise IntegrityError(f"duplicate transaction id {t.tid}")
+            seen_tid.add(t.tid)
             if t.user not in user_set:
                 raise IntegrityError(f"transaction {t.tid}: unknown user {t.user!r}")
             if not t.items:
@@ -247,12 +260,26 @@ def load_transactions(path) -> Dataset:
     """Load a transaction CSV into a Dataset fragment (users/items inferred).
 
     Parsing is atomic: any malformed row raises ParseError naming the line,
-    an invalid id, a duplicate item within a row or a duplicate (user, seq)
-    raises IntegrityError naming the line, and nothing is returned.
+    an invalid id, a duplicate item within a row, a duplicate (user, seq) or
+    a repeated transaction id raises IntegrityError naming the line, and
+    nothing is returned.
     """
+    return _load_transactions(path, {})
+
+
+def _load_transactions(path, ids: dict[str, str]) -> Dataset:
+    """:func:`load_transactions`, taking each user and item id from ``ids``.
+
+    ``ids`` maps an id to the one object that stands for it; an id not yet
+    there is added.
+    """
+    canonical = ids.setdefault
     transactions = []
-    # a set per user, not a (user, seq) tuple per row: fewer objects for the collector to walk
-    seqs_by_user: dict[str, set[int]] = {}
+    tids: set[str] = set()
+    seq_of_text: dict[str, int] = {}  # each distinct seq text is checked and parsed once
+    # per user, its id object and a set of its seqs, not a (user, seq) tuple per
+    # row: fewer objects for the collector to walk
+    seqs_by_user: dict[str, tuple[str, set[int]]] = {}
     for lineno, line in enumerate(_read_lines(path, TRANSACTION_HEADER), 2):
         if not line:
             continue
@@ -264,13 +291,17 @@ def load_transactions(path) -> Dataset:
         if not (tid and user) or ";" in tid or ";" in user or "\r" in line:
             _check_id("transaction", tid, f"{path}: line {lineno}: ")
             _check_id("user", user, f"{path}: line {lineno}: ")
-        try:
-            if not (seq_text.isascii() and seq_text.removeprefix("-").isdigit()):
-                raise ValueError
-            seq = int(seq_text)  # ValueError too for more digits than int() converts
-        except ValueError:
-            raise ParseError(f"{path}: line {lineno}: bad seq {seq_text!r}") from None
-        items = tuple(items_text.split(";"))
+        seq = seq_of_text.get(seq_text)
+        if seq is None:
+            try:
+                if not (seq_text.isascii() and seq_text.removeprefix("-").isdigit()):
+                    raise ValueError
+                seq = int(seq_text)  # ValueError too for more digits than int() converts
+            except ValueError:
+                raise ParseError(f"{path}: line {lineno}: bad seq {seq_text!r}") from None
+            seq_of_text[seq_text] = seq
+        item_texts = items_text.split(";")
+        items = tuple(map(canonical, item_texts, item_texts))
         if "" in items:
             raise ParseError(f"{path}: line {lineno}: empty item id")
         if "\r" in items_text:
@@ -278,19 +309,25 @@ def load_transactions(path) -> Dataset:
                 _check_id("item", i, f"{path}: line {lineno}: ")
         if len(items) > 1 and len(set(items)) != len(items):
             raise IntegrityError(f"{path}: line {lineno}: duplicate item within transaction")
-        seqs = seqs_by_user.get(user)
-        if seqs is None:
-            seqs_by_user[user] = {seq}
-        elif seq in seqs:
-            raise IntegrityError(f"{path}: line {lineno}: duplicate seq {seq} for user {user}")
+        known = seqs_by_user.get(user)
+        if known is None:
+            user = canonical(user, user)
+            seqs_by_user[user] = (user, {seq})
         else:
+            user, seqs = known
+            if seq in seqs:
+                raise IntegrityError(f"{path}: line {lineno}: duplicate seq {seq} for user {user}")
             seqs.add(seq)
+        if tid in tids:
+            raise IntegrityError(f"{path}: line {lineno}: duplicate transaction id {tid}")
+        tids.add(tid)
+        fields[1] = user
         fields[2] = seq
         fields[3] = items
         transactions.append(_new_record(Transaction, fields))
     return Dataset._trusted(
         sorted(seqs_by_user),
-        sorted(set(chain.from_iterable(t.items for t in transactions))),
+        sorted(set(chain.from_iterable(map(attrgetter("items"), transactions)))),
         _sorted_transactions(transactions),
         (),
     )
@@ -303,8 +340,17 @@ def load_ratings(path) -> Dataset:
     invalid id, a value outside [0, 10] or a duplicate (user, item) raises an
     error naming the line.
     """
+    return _load_ratings(path, {})
+
+
+def _load_ratings(path, ids: dict[str, str]) -> Dataset:
+    """:func:`load_ratings`, taking each user and item id from ``ids``, as in
+    :func:`_load_transactions`."""
+    canonical = ids.setdefault
     ratings = []
-    rated_by_user: dict[str, set[str]] = {}  # as in load_transactions
+    rated_by_user: dict[str, tuple[str, set[str]]] = {}  # as in _load_transactions
+    # one float per distinct value text, whose form and range are checked once
+    values: dict[str, float] = {}
     for lineno, line in enumerate(_read_lines(path, RATING_HEADER), 2):
         if not line:
             continue
@@ -316,23 +362,35 @@ def load_ratings(path) -> Dataset:
         if not (user and item) or ";" in line or "\r" in line:
             _check_id("user", user, f"{path}: line {lineno}: ")
             _check_id("item", item, f"{path}: line {lineno}: ")
-        try:
-            value = float(value_text)
-        except ValueError:
-            raise ParseError(f"{path}: line {lineno}: bad value {value_text!r}") from None
-        if not 0.0 <= value <= 10.0:
-            raise RangeError(f"{path}: line {lineno}: value {value} outside [0, 10]")
-        rated = rated_by_user.get(user)
-        if rated is None:
-            rated_by_user[user] = {item}
-        elif item in rated:
-            raise IntegrityError(f"{path}: line {lineno}: duplicate rating for ({user}, {item})")
+        value = values.get(value_text)
+        if value is None:
+            try:
+                # float() also takes "1_0", surrounding whitespace and non-ASCII digits
+                if not value_text.isascii() or "_" in value_text or value_text != value_text.strip():
+                    raise ValueError
+                value = float(value_text)
+            except ValueError:
+                raise ParseError(f"{path}: line {lineno}: bad value {value_text!r}") from None
+            if not 0.0 <= value <= 10.0:
+                raise RangeError(f"{path}: line {lineno}: value {value} outside [0, 10]")
+            values[value_text] = value
+        item = canonical(item, item)
+        known = rated_by_user.get(user)
+        if known is None:
+            user = canonical(user, user)
+            rated_by_user[user] = (user, {item})
         else:
+            user, rated = known
+            if item in rated:
+                raise IntegrityError(f"{path}: line {lineno}: duplicate rating for ({user}, {item})")
             rated.add(item)
+        fields[0] = user
+        fields[1] = item
         fields[2] = value
         ratings.append(_new_record(RatingRecord, fields))
     ratings.sort()  # as in Dataset.build
-    return Dataset._trusted(sorted(rated_by_user), sorted(set().union(*rated_by_user.values())), (), ratings)
+    items = set().union(*(rated for _, rated in rated_by_user.values()))
+    return Dataset._trusted(sorted(rated_by_user), sorted(items), (), ratings)
 
 
 def load_dataset(transactions_path=None, ratings_path=None) -> Dataset:
@@ -342,8 +400,9 @@ def load_dataset(transactions_path=None, ratings_path=None) -> Dataset:
     disagree: the merge takes the union of their ids and each file's records
     as loaded.
     """
-    tx = load_transactions(transactions_path) if transactions_path else Dataset()
-    rt = load_ratings(ratings_path) if ratings_path else Dataset()
+    ids: dict[str, str] = {}  # one object per id, shared by both files' records
+    tx = _load_transactions(transactions_path, ids) if transactions_path else Dataset()
+    rt = _load_ratings(ratings_path, ids) if ratings_path else Dataset()
     return Dataset._trusted(
         sorted(set(tx.users).union(rt.users)),
         sorted(set(tx.items).union(rt.items)),

@@ -16,6 +16,8 @@ from shoprec.corpus import (
     load_dataset,
     load_ratings,
     load_transactions,
+    save_ratings,
+    save_transactions,
     split_users,
     to_rating_csv,
     to_transaction_csv,
@@ -89,6 +91,13 @@ class TestLoadTransactions:
         with pytest.raises(ParseError, match="line 3: empty item id"):
             load_transactions(path)
 
+    @pytest.mark.parametrize("row", ["T1,U2,1,P2", "T1,U1,2,P2"], ids=["other-user", "same-user"])
+    def test_repeated_tid_names_line(self, tmp_path, row):
+        path = tmp_path / "t.csv"
+        path.write_text(f"tid,user,seq,items\nT1,U1,1,P1\nT2,U1,3,P1\n{row}\n")
+        with pytest.raises(IntegrityError, match="line 4: duplicate transaction id T1$"):
+            load_transactions(path)
+
     @pytest.mark.parametrize(
         "seq_text, seq", [("1", 1), ("-3", -3), ("0", 0), ("-0", 0), ("007", 7), ("9" * 20, int("9" * 20))]
     )
@@ -137,6 +146,39 @@ class TestLoadRatings:
             load_ratings(path)
 
     @pytest.mark.parametrize(
+        "value_text, value",
+        [("5", 5.0), ("0", 0.0), ("10.0", 10.0), ("8.25", 8.25), ("1e-05", 1e-05), ("-0.0", -0.0), ("0.1", 0.1)],
+    )
+    def test_value_is_ascii_with_no_underscore_or_surrounding_space(self, tmp_path, value_text, value):
+        path = tmp_path / "r.csv"
+        path.write_text(f"user,item,value\nU1,P1,{value_text}\nU2,P1,{value_text}\n")
+        loaded = [r.value for r in load_ratings(path).ratings]
+        assert [repr(v) for v in loaded] == [repr(value)] * 2  # -0.0 keeps its sign
+        assert loaded[0] is loaded[1]  # one float per distinct text
+
+    @pytest.mark.parametrize(
+        "value_text",
+        # float() reads the first nine as 10, 8, 8, 8, 8, 5, 8, 8 and 8
+        ["1_0", " 8", "8 ", "\t8", "8\x0b", "5\f", "٨", "８", "8\x85", "", "abc", "0x1", "8;"],
+        ids=["underscore", "leading-space", "trailing-space", "leading-tab", "vertical-tab", "form-feed",
+             "arabic-indic-digit", "fullwidth-digit", "next-line", "empty", "word", "hex", "semicolon"],
+    )
+    def test_any_other_value_is_a_parse_error(self, tmp_path, value_text):
+        path = tmp_path / "r.csv"
+        path.write_text(f"user,item,value\nU1,P1,5\nU2,P2,{value_text}\n", encoding="utf-8")
+        with pytest.raises(ParseError, match=f"line 3: bad value {re.escape(repr(value_text))}"):
+            load_ratings(path)
+
+    @settings(max_examples=200, deadline=None)
+    @given(value=st.floats(0.0, 10.0))
+    def test_every_value_written_loads_back(self, value):
+        ds = Dataset.build(ratings=[rate("U1", "P1", value)])
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "r.csv"
+            save_ratings(ds, path)
+            assert repr(load_ratings(path).ratings[0].value) == repr(value)
+
+    @pytest.mark.parametrize(
         "row, kind", [("U;1,P1,5", "user"), (",P1,5", "user"), ("U1,P;1,5", "item"), ("U1,,5", "item")]
     )
     def test_invalid_id_names_line(self, tmp_path, row, kind):
@@ -159,10 +201,11 @@ class TestLineBreaks:
             load_ratings(path)
 
     def test_form_feed_ending_a_row_keeps_later_line_numbers(self, tmp_path):
-        path = tmp_path / "r.csv"
-        path.write_bytes(b"user,item,value\nU1,P1,5\f\nU2,P2,x")
-        with pytest.raises(ParseError, match="line 3: bad value 'x'"):
-            load_ratings(path)
+        # a rating value may not end in a form feed, so the row ends in an item id
+        path = tmp_path / "t.csv"
+        path.write_bytes(b"tid,user,seq,items\nT1,U1,1,P1\f\nT2,U1,x,P2")
+        with pytest.raises(ParseError, match="line 3: bad seq 'x'"):
+            load_transactions(path)
 
     def test_lone_carriage_return_is_not_a_line_break(self, tmp_path):
         path = tmp_path / "r.csv"
@@ -238,6 +281,36 @@ def test_round_trip(tmp_path):
     rp.write_text(to_rating_csv(ds))
     reloaded = load_dataset(tp, rp)
     assert reloaded == ds
+    assert_loaded_objects_shared(reloaded)
+
+
+def assert_loaded_objects_shared(ds):
+    """Each id occurrence in the records is the element of users or items with that
+    value, and equal rating values are one float."""
+    users = {u: u for u in ds.users}
+    items = {i: i for i in ds.items}
+    for t in ds.transactions:
+        assert t.user is users[t.user]
+        assert all(i is items[i] for i in t.items)
+    values = {}
+    for r in ds.ratings:
+        assert r.user is users[r.user]
+        assert r.item is items[r.item]
+        assert values.setdefault(repr(r.value), r.value) is r.value
+
+
+@settings(max_examples=200, deadline=None)
+@given(ds=small_datasets(), frac=st.floats(0.01, 0.99), seed=st.integers(0, 2**32))
+def test_load_shares_one_object_per_id_and_value_text(ds, frac, seed):
+    with tempfile.TemporaryDirectory() as tmp:
+        tp, rp = Path(tmp) / "t.csv", Path(tmp) / "r.csv"
+        save_transactions(ds, tp)
+        save_ratings(ds, rp)
+        loaded = load_dataset(tp, rp)
+    # the files carry the users and items that some record names
+    assert loaded == Dataset.build(transactions=ds.transactions, ratings=ds.ratings)
+    for side in (loaded, *split_users(loaded, frac, seed)):
+        assert_loaded_objects_shared(side)
 
 
 def test_crlf_files_load_like_lf(tmp_path):
@@ -301,6 +374,10 @@ class TestDatasetBuild:
     def test_empty_transaction_rejected(self):
         with pytest.raises(IntegrityError):
             Dataset.build(transactions=[tx("U1", 1)])
+
+    def test_repeated_tid_rejected(self):
+        with pytest.raises(IntegrityError, match="duplicate transaction id T1"):
+            Dataset.build(transactions=[tx("U1", 1, "P1", tid="T1"), tx("U2", 1, "P2", tid="T1")])
 
 
 class TestSynthetic:
