@@ -9,10 +9,19 @@ Candidate generation runs in two phases over a training dataset:
   training user's ratings are ranked once, best first, so a neighbor's pick
   is a walk down its ranking that stops below the threshold.
 
-  Phase B - rule expansion. For every Phase-A item, association rules whose
-  antecedent contains it contribute their consequent items, again subject to
-  the purchase-order filter and the not-already-seen rule. The rules are
-  looked up by antecedent item, each item's list in mined order.
+  Phase B - rule expansion, run only when the neighbor candidates leave
+  slots in the top-N. For every Phase-A item, association rules whose
+  antecedent contains it contribute their consequent items, looked up by
+  antecedent item in mined order. Each item keeps its best-scoring rule, the
+  first met among equal scores (parents in rank order, each one's rules in
+  mined order). Only then does each distinct item meet the filters, once:
+  not seen, not a neighbor candidate, and the purchase-order filter. All
+  three depend on the item alone, so this keeps the list that filtering each
+  rule would give. Only returned items get an explain string.
+
+An item is seen when it is in the profile's ratings or purchase counts, and
+the filter's purchase history is the purchase map's keys: a query builds no
+set of the profile.
 
 Neighbor candidates are ranked by similarity * neighbor rating, rule
 candidates by (confidence / 100) * parent score, and the final list keeps
@@ -57,10 +66,12 @@ class Profile:
 
     @property
     def seen_items(self) -> set[str]:
+        """A new set of the items in either map on every call; the engine reads the maps."""
         return set(self.ratings) | set(self.purchase_counts)
 
     @property
     def history(self) -> set[str]:
+        """A new set of the purchased items on every call; the engine reads the map's keys."""
         return set(self.purchase_counts)
 
 
@@ -77,10 +88,10 @@ class RecommenderConfig:
     def validate(self) -> None:
         if self.mode not in MODES:
             raise ConfigError(f"mode must be one of {MODES}, got {self.mode!r}")
-        if self.k_neighbors < 1:
-            raise ConfigError("k_neighbors must be >= 1")
-        if self.top_n < 1:
-            raise ConfigError("top_n must be >= 1")
+        for name in ("k_neighbors", "top_n"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, int) or value < 1:
+                raise ConfigError(f"{name} must be an int >= 1, got {value!r}")
         if not 0.0 <= self.exclusion_threshold <= 10.0:
             raise ConfigError("exclusion_threshold must be within [0, 10]")
         if not 0.0 < self.minsup_pct <= 100.0:
@@ -217,21 +228,22 @@ class Recommender:
         """
         _check_profile(profile)
         cfg = self.config
-        weights = profile_weights(profile.ratings, profile.purchase_counts, cfg.mode, self.iif)
+        ratings, counts = profile.ratings, profile.purchase_counts
+        weights = profile_weights(ratings, counts, cfg.mode, self.iif)
         if not any(w != 0.0 for w in weights.values()):
             raise NoProfileError(f"query profile is empty in mode {cfg.mode}")
         neighbors = top_k_neighbors(weights, self.postings, cfg.k_neighbors, exclude=exclude_user)
 
-        seen = profile.seen_items
-        history = profile.history
+        history = counts.keys()
+        precedence, ranked, threshold = self.precedence, self.ranked, cfg.exclusion_threshold
 
         # Phase A: one pick per neighbor, best rating first, sequence-filtered
         neighbor_scores: dict[str, tuple[float, str]] = {}
         for user, sim in neighbors:
-            for item, value in self.ranked[user].items():
-                if value < cfg.exclusion_threshold:
+            for item, value in ranked[user].items():
+                if value < threshold:
                     break  # every later rating is lower still
-                if item in seen or not bought_after(self.precedence, item, history):
+                if item in ratings or item in counts or not bought_after(precedence, item, history):
                     continue
                 score = sim * value
                 if item not in neighbor_scores or score > neighbor_scores[item][0]:
@@ -240,34 +252,36 @@ class Recommender:
 
         # best score first, ties by item id: Phase B's parent order and the result's
         ranked_candidates = sorted(neighbor_scores.items(), key=lambda e: (-e[1][0], e[0]))
-
-        # Phase B: expand each picked item through its association rules
-        rule_scores: dict[str, tuple[float, str]] = {}
-        if cfg.use_rules:
-            for parent_item, (parent_score, _) in ranked_candidates:
-                # mined order, so a later rule with an equal score never replaces an earlier one
-                for rule in self._rules_by_item.get(parent_item, ()):
-                    for item in rule.consequent:
-                        if item in seen or item in neighbor_scores:
-                            continue
-                        if not bought_after(self.precedence, item, history):
-                            continue
-                        score = rule.confidence_pct / 100.0 * parent_score
-                        if item not in rule_scores or score > rule_scores[item][0]:
-                            explain = f"{';'.join(rule.antecedent)} => {';'.join(rule.consequent)}"
-                            rule_scores[item] = (score, explain)
-
         result = [
             Recommendation(item=item, score=score, source="neighbor", explain=user)
-            for item, (score, user) in ranked_candidates
+            for item, (score, user) in ranked_candidates[: cfg.top_n]
         ]
-        result.extend(
-            Recommendation(item=item, score=score, source="rule", explain=explain)
-            for item, (score, explain) in sorted(
-                rule_scores.items(), key=lambda e: (-e[1][0], e[0])
-            )
-        )
-        return result[: cfg.top_n]
+        slots = cfg.top_n - len(result)
+        if not (cfg.use_rules and slots):
+            return result
+
+        # Phase B: parents in rank order and rules in mined order, so a later
+        # rule with an equal score never replaces an earlier one
+        best: dict[str, tuple[float, AssociationRule]] = {}
+        for parent_item, (parent_score, _) in ranked_candidates:
+            for rule in self._rules_by_item.get(parent_item, ()):
+                score = rule.confidence_pct / 100.0 * parent_score
+                for item in rule.consequent:
+                    kept = best.get(item)
+                    if kept is None or score > kept[0]:
+                        best[item] = (score, rule)
+        # every filter depends on the item alone, so it runs once per item
+        survivors = [
+            (item, kept)
+            for item, kept in best.items()
+            if not (item in ratings or item in counts or item in neighbor_scores)
+            and bought_after(precedence, item, history)
+        ]
+        survivors.sort(key=lambda e: (-e[1][0], e[0]))
+        for item, (score, rule) in survivors[:slots]:
+            explain = f"{';'.join(rule.antecedent)} => {';'.join(rule.consequent)}"
+            result.append(Recommendation(item=item, score=score, source="rule", explain=explain))
+        return result
 
 
 _INTS = frozenset((int,))  # a bool or any other subclass of int takes the walk

@@ -76,8 +76,8 @@ def bought_after(index: PrecedenceIndex, candidate: str, history: Set[str]) -> b
     """True when the candidate was ever bought after any item in the history.
 
     An empty history imposes no constraint and always passes, so brand-new
-    users receive unfiltered recommendations. The history is a set, which the
-    caller builds once per query.
+    users receive unfiltered recommendations. The history is any Set, a
+    ``dict.keys()`` view included, so a caller need not copy it into a set.
     """
     return not history or not index.before.get(candidate, _NONE).isdisjoint(history)
 

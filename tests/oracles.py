@@ -9,6 +9,9 @@ from typing import Iterable, Mapping, Sequence
 
 from shoprec.corpus import Transaction
 from shoprec.errors import EmptyDatasetError, NoProfileError, RangeError
+from shoprec.recommend import Recommendation
+from shoprec.sequence import bought_after
+from shoprec.similarity import profile_weights, top_k_neighbors
 
 
 def cosine_restricted(target: Mapping[str, float], other: Mapping[str, float]) -> float:
@@ -41,3 +44,54 @@ def itemset_support(transactions: Sequence[Transaction], itemset: Iterable[str])
         raise EmptyDatasetError("support percentage undefined over zero transactions")
     count = sum(1 for t in transactions if wanted.issubset(t.items))
     return count, 100.0 * count / len(transactions)
+
+
+def recommend_reference(engine, profile, exclude_user=None):
+    """The engine's answer by its plain definition: per-query seen and history
+    sets, the filters run for every rule entry, every candidate built, and the
+    list truncated last. Reads the engine's config and shared indexes only."""
+    cfg = engine.config
+    weights = profile_weights(profile.ratings, profile.purchase_counts, cfg.mode, engine.iif)
+    if not any(w != 0.0 for w in weights.values()):
+        raise NoProfileError(f"query profile is empty in mode {cfg.mode}")
+    neighbors = top_k_neighbors(weights, engine.postings, cfg.k_neighbors, exclude=exclude_user)
+    seen = set(profile.ratings) | set(profile.purchase_counts)
+    history = set(profile.purchase_counts)
+
+    neighbor_scores = {}
+    for user, sim in neighbors:
+        for item, value in engine.ranked[user].items():
+            if value < cfg.exclusion_threshold:
+                break
+            if item in seen or not bought_after(engine.precedence, item, history):
+                continue
+            score = sim * value
+            if item not in neighbor_scores or score > neighbor_scores[item][0]:
+                neighbor_scores[item] = (score, user)
+            break
+    ranked_candidates = sorted(neighbor_scores.items(), key=lambda e: (-e[1][0], e[0]))
+
+    rules_by_item = (
+        engine.snapshot.mined_rules(engine.train, cfg.minsup_pct, cfg.minconf_pct) if cfg.use_rules else {}
+    )
+    rule_scores = {}
+    for parent_item, (parent_score, _) in ranked_candidates:
+        for rule in rules_by_item.get(parent_item, ()):
+            for item in rule.consequent:
+                if item in seen or item in neighbor_scores:
+                    continue
+                if not bought_after(engine.precedence, item, history):
+                    continue
+                score = rule.confidence_pct / 100.0 * parent_score
+                if item not in rule_scores or score > rule_scores[item][0]:
+                    rule_scores[item] = (score, f"{';'.join(rule.antecedent)} => {';'.join(rule.consequent)}")
+
+    result = [
+        Recommendation(item=item, score=score, source="neighbor", explain=user)
+        for item, (score, user) in ranked_candidates
+    ]
+    result.extend(
+        Recommendation(item=item, score=score, source="rule", explain=explain)
+        for item, (score, explain) in sorted(rule_scores.items(), key=lambda e: (-e[1][0], e[0]))
+    )
+    return result[: cfg.top_n]

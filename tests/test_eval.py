@@ -155,6 +155,7 @@ class TestRunExperiment:
             {"relevance_threshold": float("nan")},
             {"k_neighbors": 0},
             {"minsup_pct": 0.0},
+            *({name: value} for name in ("top_n", "k_neighbors") for value in (2.5, "3", True)),
         ],
     )
     def test_config_rejected_before_any_work(self, bad, monkeypatch):

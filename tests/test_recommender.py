@@ -9,6 +9,7 @@ import threading
 from collections import Counter
 from decimal import Decimal
 from fractions import Fraction
+from functools import partial
 
 import pytest
 from hypothesis import Phase, example, find, given, settings
@@ -24,7 +25,8 @@ from shoprec.rules import fp_growth, generate_rules
 from shoprec.sequence import bought_after, build_precedence_index
 from shoprec.similarity import MODES, profile_weights, top_k_neighbors
 
-from conftest import TABLE1_ROWS, random_dataset, rate, small_datasets, tx
+from conftest import RATING_VALUES, TABLE1_ROWS, random_dataset, rate, small_datasets, tx
+from oracles import recommend_reference
 
 
 class TestWorkedScenario:
@@ -71,6 +73,23 @@ def rule_expansion_dataset():
     return Dataset.build(transactions=txns, ratings=ratings)
 
 
+def equal_scores_query():
+    """Every rule from parent P scores 8, so Y's rule is the first in mined order."""
+    ratings = [rate("A", "Z", 5.0), rate("B", "Z", 5.0), rate("B", "P", 8.0)]
+    ds = Dataset.build(transactions=[tx("C", 1, "P", "X", "Y")], ratings=ratings)
+    return ds, profile_of(ds, "A"), "A"
+
+
+def cross_parent_tie():
+    """A's neighbours B and C, in that order, pick P1 (score 5) and P2 (score 10); the
+    rules P1 => X at 100% and P2 => X at 50% both score X at 5, and P1 => X comes
+    first in mined order."""
+    ratings = [rate("A", "Z", 5.0), rate("B", "Z", 5.0), rate("B", "P1", 5.0)]
+    ratings += [rate("C", "Z", 5.0), rate("C", "P2", 10.0)]
+    txns = [tx("D", 1, "P1", "X"), tx("D", 2, "P2", "X"), tx("D", 3, "P2")]
+    return Dataset.build(transactions=txns, ratings=ratings), Profile(ratings={"Z": 5.0})
+
+
 class TestRuleExpansion:
     def config(self, use_rules=True, minsup=10.0, minconf=30.0):
         return RecommenderConfig(
@@ -108,19 +127,37 @@ class TestRuleExpansion:
 
     def test_equal_scores_keep_the_rule_mined_first(self):
         """Every rule from parent P scores 8; each consequent keeps the first rule in mined order."""
-        ratings = [rate("A", "Z", 5.0), rate("B", "Z", 5.0), rate("B", "P", 8.0)]
-        ds = Dataset.build(transactions=[tx("C", 1, "P", "X", "Y")], ratings=ratings)
+        ds, _, user = equal_scores_query()
         engine = Recommender(ds, self.config())
         rules = generate_rules(fp_growth(ds.transactions, 10.0), 30.0)
         mined = [f"{';'.join(r.antecedent)} => {';'.join(r.consequent)}" for r in rules]
         assert mined[:5] == ["P => X", "P => X;Y", "P => Y", "P;X => Y", "P;Y => X"]
         # the engine lists P's rules in the same mined order
         assert engine.snapshot.mined_rules(ds, 10.0, 30.0)["P"] == [r for r in rules if "P" in r.antecedent]
-        recs = engine.recommend_user("A")
+        recs = engine.recommend_user(user)
         assert [(r.item, r.score, r.source) for r in recs] == [
             ("P", 8.0, "neighbor"), ("X", 8.0, "rule"), ("Y", 8.0, "rule"),
         ]
         assert [r.explain for r in recs[1:]] == ["P => X", "P => X;Y"]
+
+    def test_equal_scores_from_two_parents_keep_the_higher_parent(self):
+        """X scores 5 from both parents; the rule met first, from the higher-ranked parent, names it."""
+        ds, profile = cross_parent_tie()
+        engine = Recommender(ds, RecommenderConfig(minsup_pct=10.0, minconf_pct=30.0, exclusion_threshold=5.0))
+        recs = engine.recommend_profile(profile, exclude_user="A")
+        assert [(r.item, r.score, r.source, r.explain) for r in recs] == [
+            ("P2", 10.0, "neighbor", "C"), ("P1", 5.0, "neighbor", "B"), ("X", 5.0, "rule", "P2 => X"),
+        ]
+
+    @pytest.mark.parametrize("top_n, filtered", [(1, 1), (3, 3)])
+    def test_each_rule_item_is_filtered_once(self, monkeypatch, top_n, filtered):
+        """X and Y are consequents of three rules each, yet each meets the purchase-order
+        filter once, after P; when the neighbour pick P fills the top-N, no rule is expanded."""
+        ds, profile, exclude = equal_scores_query()
+        engine = Recommender(ds, RecommenderConfig(top_n=top_n, minsup_pct=10.0, minconf_pct=30.0))
+        calls = count_calls(monkeypatch, "shoprec.recommend", ("bought_after",))
+        assert len(engine.recommend_profile(profile, exclude_user=exclude)) == top_n
+        assert calls["bought_after"] == filtered
 
 
 class TestThresholdExclusion:
@@ -232,6 +269,83 @@ def neighbor_pick(ds, neighbor, threshold, profile, index):
         if value >= threshold and item not in seen and bought_after(index, item, history)
     ]
     return min(eligible)[1] if eligible else None
+
+
+@st.composite
+def rule_datasets(draw):
+    """Denser than small_datasets: every user rates an item and buys, so neighbours
+    pick items and rules expand them far more often."""
+    users = draw(st.lists(st.sampled_from("ZAQMBXC"), min_size=2, max_size=7, unique=True))
+    items = [f"I{i}" for i in range(draw(st.integers(3, 6)))]
+    ratings, txns = [], []
+    for user in users:
+        for item in draw(st.lists(st.sampled_from(items), min_size=1, unique=True)):
+            ratings.append(rate(user, item, draw(st.sampled_from([2.5, 5.0, 7.5, 10.0]))))
+        baskets = draw(st.lists(st.lists(st.sampled_from(items), min_size=1, max_size=3, unique=True), min_size=1, max_size=4))
+        txns.extend(tx(user, seq, *basket) for seq, basket in enumerate(baskets, start=1))
+    return Dataset.build(users=users, items=items, transactions=txns, ratings=ratings)
+
+
+@st.composite
+def queries(draw):
+    """A dataset, a query profile and the training user to exclude, if any.
+
+    The profile keeps part of a training user's ratings and purchases, as a
+    held-out query does, and may add items of its own, one outside the dataset.
+    """
+    ds = draw(st.one_of(small_datasets(), rule_datasets()))
+    user = draw(st.sampled_from(ds.users))
+    ratings, counts = ds.ratings_by_user[user], ds.purchase_counts_by_user[user]
+    kept = {item for item in sorted(ratings.keys() | counts.keys()) if draw(st.booleans())}
+    items = st.sampled_from(sorted(ds.items) + ["I9"])
+    profile = Profile(
+        ratings={item: v for item, v in ratings.items() if item in kept}
+        | draw(st.dictionaries(items, RATING_VALUES, max_size=2)),
+        purchase_counts={item: n for item, n in counts.items() if item in kept}
+        | draw(st.dictionaries(items, st.integers(1, 3), max_size=2)),
+    )
+    return ds, profile, draw(st.sampled_from([None, user]))
+
+
+def answers(query, mode, top_n, threshold):
+    """The engine's and the reference's answers to one query, as comparable rows."""
+    ds, profile, exclude = query
+    config = RecommenderConfig(mode=mode, top_n=top_n, minsup_pct=1.0, minconf_pct=10.0, exclusion_threshold=threshold)
+    engine = Recommender(ds, config)
+    rows = []
+    for answer in (engine.recommend_profile, partial(recommend_reference, engine)):
+        try:
+            rows.append([(r.item, r.score.hex(), r.source, r.explain) for r in answer(profile, exclude)])
+        except NoProfileError:
+            rows.append(None)
+    return rows
+
+
+class TestReferenceEquivalence:
+    """Scoring rules before filtering, filtering once per item and building only the
+    returned entries gives, bit for bit, the list of the plain reference path."""
+
+    @settings(max_examples=400, deadline=None)
+    @given(
+        query=queries(),
+        mode=st.sampled_from(MODES),
+        top_n=st.integers(1, 6),
+        threshold=st.sampled_from([0.0, 5.0, 7.0]),
+    )
+    @example(query=equal_scores_query(), mode="simple", top_n=3, threshold=7.0)
+    @example(query=equal_scores_query(), mode="simple", top_n=2, threshold=7.0)
+    @example(query=(*cross_parent_tie(), "A"), mode="simple", top_n=3, threshold=5.0)
+    def test_matches_the_reference(self, query, mode, top_n, threshold):
+        engine_rows, reference_rows = answers(query, mode, top_n, threshold)
+        assert engine_rows == reference_rows
+
+    def test_rule_items_are_reached(self):
+        """The strategy reaches answers with rule items, so Phase B is compared too."""
+        find(
+            st.tuples(queries(), st.sampled_from(MODES), st.integers(1, 6), st.sampled_from([0.0, 5.0, 7.0])),
+            lambda case: any(row[2] == "rule" for row in answers(*case)[1] or ()),
+            settings=settings(max_examples=1000, database=None, phases=[Phase.generate]),
+        )
 
 
 class TestPhaseAPick:
@@ -405,6 +519,14 @@ class TestConfigValidation:
 
     def test_threshold_bounds_inclusive_at_100(self, worked_example):
         Recommender(worked_example, RecommenderConfig(minsup_pct=100.0, minconf_pct=100.0))
+
+    @pytest.mark.parametrize("name", ["top_n", "k_neighbors"])
+    @pytest.mark.parametrize("value", [2.5, "3", True])
+    def test_count_that_is_not_an_int_rejected_at_construction(self, worked_example, name, value):
+        with pytest.raises(ConfigError, match=name):
+            RecommenderConfig(**{name: value}).validate()
+        with pytest.raises(ConfigError, match=name):
+            Recommender(worked_example, RecommenderConfig(**{name: value}))
 
 
 def count_calls(monkeypatch, module_name, names) -> Counter:

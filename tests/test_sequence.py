@@ -1,5 +1,6 @@
 import random
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -70,15 +71,18 @@ class TestBuildIndex:
         assert pairs == set(precedence_counts(ds))
         assert len(index) == len(pairs)
 
+    @pytest.mark.parametrize("as_set", [set, frozenset, lambda items: dict.fromkeys(items, 1).keys()])
     @settings(max_examples=300, deadline=None)
     @given(data=st.data(), ds=small_datasets())
-    def test_bought_after_matches_counts(self, data, ds):
+    def test_bought_after_matches_counts(self, as_set, data, ds):
+        """Any Set serves as the history, a dict's keys view included; an empty one passes everything."""
         index, counts = build_precedence_index(ds), precedence_counts(ds)
         items = sorted(ds.items) + ["unknown"]
-        history = data.draw(st.sets(st.sampled_from(items)), label="history")
-        for candidate in items:
-            expected = not history or any(counts.get((h, candidate), 0) >= 1 for h in history)
-            assert bought_after(index, candidate, history) == expected
+        drawn = data.draw(st.sets(st.sampled_from(items)), label="history")
+        for history in (as_set(drawn), as_set(())):
+            for candidate in items:
+                expected = not history or any(counts.get((h, candidate), 0) >= 1 for h in history)
+                assert bought_after(index, candidate, history) == expected
 
     def test_repurchase_precedes_itself(self):
         ds = Dataset.build(transactions=[tx("U1", 1, "P1"), tx("U1", 2, "P2"), tx("U1", 3, "P1")])
