@@ -1,4 +1,4 @@
-"""Dataset model, CSV ingestion, synthetic data generation, and user splitting.
+r"""Dataset model, CSV ingestion, synthetic data generation, and user splitting.
 
 The Dataset is the single source of truth for every index in the package:
 user vectors, the inverse-frequency table, the purchase-precedence index and
@@ -12,8 +12,10 @@ part of its row.
     transactions.csv    header ``tid,user,seq,items``; items are ``;``-separated
     ratings.csv         header ``user,item,value``; value is a real in [0, 10]
 
-Identifiers are opaque strings; they may not contain ``,``, ``;`` or newlines
-(the formats are unquoted). A tid is unique within its file. Ratings use a
+Identifiers are opaque strings. An id is non-empty and may hold any character
+except ``,``, ``;``, ``\n`` and ``\r`` (the formats are unquoted), so ``\v``,
+``\f``, ``\x1c``-``\x1e``, ``\x85``, U+2028 and U+2029 are allowed and
+round-trip. A tid is unique within its file. Ratings use a
 single canonical 0-10 scale. A seq is an optional ``-`` followed by ASCII
 digits, as :func:`to_transaction_csv` writes it; ``int()`` would also take
 ``1_0``, `` 1``, ``+1`` and non-ASCII digits, which a seq is not. A rating
@@ -27,12 +29,15 @@ same value text share one ``float``. The records then hold one string per id
 rather than one per row; :func:`split_users` reuses the records, so its
 subsets share them too.
 
-Every record is validated once, where it enters. ``Dataset.build`` validates
-records made in code (the synthetic generator, tests). The loaders check each
-row as they read it, so their errors name the file and line, and then hand
-their sorted records to the private trusted constructor, as do the merge in
-``load_dataset`` and the subsets made by ``split_users``: a subset of a valid
-dataset is valid, and filtering a sorted tuple keeps it sorted.
+Every record is checked once, on one path: the walks ``_check_transactions``
+and ``_check_ratings`` state each record invariant and its message.
+``Dataset.build`` runs them on records made in code; the loaders parse text
+into records (header, UTF-8, field count, seq and value syntax, empty item
+ids), run them, and prefix their errors with the file and line. A file with
+several faults reports the first faulty line; within one row, a syntax fault
+comes first. The loaders, the merge in ``load_dataset`` and ``split_users``
+then use the private trusted constructor: a subset of a valid dataset is
+valid, and filtering a sorted tuple keeps it sorted.
 """
 
 from __future__ import annotations
@@ -43,7 +48,7 @@ from codecs import BOM_UTF8
 from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import chain
+from itertools import chain, islice
 from operator import attrgetter
 from pathlib import Path
 from typing import NamedTuple
@@ -54,14 +59,18 @@ TRANSACTION_HEADER = "tid,user,seq,items"
 RATING_HEADER = "user,item,value"
 
 _forbidden_id_char = re.compile("[,;\n\r]").search
-# A record from a list of its field values, without the keyword-argument
+# A record from a tuple of its field values, without the keyword-argument
 # constructor's Python-level call: the loaders build one per row.
 _new_record = tuple.__new__
 
 
-def _check_id(kind: str, value: str, where: str = "") -> str:
+def _nowhere(k: int) -> str:  # where a record made in code came from
+    return ""
+
+
+def _check_id(kind: str, value: str, at=_nowhere, k: int = 0) -> str:
     if not value or _forbidden_id_char(value):
-        raise IntegrityError(f"{where}invalid {kind} id {value!r}")
+        raise IntegrityError(f"{at(k)}invalid {kind} id {value!r}")
     return value
 
 
@@ -110,10 +119,10 @@ class Dataset:
 
     Records built in code go through :meth:`build`, which validates invariants
     and canonicalizes ordering so that equal datasets compare equal. The
-    loaders, the merge in :func:`load_dataset` and :func:`split_users` check
-    their records where they read them, or take them from a valid dataset,
-    and construct through the private :meth:`_trusted`. Derived lookup tables
-    are cached on first access; do not mutate a Dataset after construction.
+    loaders check their records by the same walks; they, the merge in
+    :func:`load_dataset` and :func:`split_users` construct through the private
+    :meth:`_trusted`. Derived lookup tables are cached on first access; do not
+    mutate a Dataset after construction.
     """
 
     users: tuple[str, ...] = ()
@@ -126,56 +135,19 @@ class Dataset:
         """Validate and canonicalize into a Dataset.
 
         When ``users``/``items`` are None they are inferred from the records.
-        Raises IntegrityError on duplicate keys or unknown references and
-        RangeError on out-of-range rating values.
+        A faulty record raises what a loader raises for it, without the line;
+        an unknown reference raises IntegrityError.
         """
         transactions = tuple(transactions)
         ratings = tuple(ratings)
-
-        if users is None:
-            users = {t.user for t in transactions} | {r.user for r in ratings}
-        if items is None:
-            items = {i for t in transactions for i in t.items} | {r.item for r in ratings}
-        users = tuple(sorted({_check_id("user", u) for u in users}))
-        items = tuple(sorted({_check_id("item", i) for i in items}))
-        user_set, item_set = set(users), set(items)
-
-        seen_tid: set[str] = set()
-        seen_seq: set[tuple[str, int]] = set()
-        for t in transactions:
-            _check_id("transaction", t.tid)
-            if t.tid in seen_tid:
-                raise IntegrityError(f"duplicate transaction id {t.tid}")
-            seen_tid.add(t.tid)
-            if t.user not in user_set:
-                raise IntegrityError(f"transaction {t.tid}: unknown user {t.user!r}")
-            if not t.items:
-                raise IntegrityError(f"transaction {t.tid}: empty item list")
-            if len(set(t.items)) != len(t.items):
-                raise IntegrityError(f"transaction {t.tid}: duplicate item in one transaction")
-            for i in t.items:
-                if i not in item_set:
-                    raise IntegrityError(f"transaction {t.tid}: unknown item {i!r}")
-            key = (t.user, t.seq)
-            if key in seen_seq:
-                raise IntegrityError(f"duplicate seq {t.seq} for user {t.user}")
-            seen_seq.add(key)
-
-        seen_rating: set[tuple[str, str]] = set()
-        for r in ratings:
-            if r.user not in user_set:
-                raise IntegrityError(f"rating: unknown user {r.user!r}")
-            if r.item not in item_set:
-                raise IntegrityError(f"rating: unknown item {r.item!r}")
-            if not 0.0 <= r.value <= 10.0:
-                raise RangeError(f"rating {r.user},{r.item}: value {r.value} outside [0, 10]")
-            key = (r.user, r.item)
-            if key in seen_rating:
-                raise IntegrityError(f"duplicate rating for ({r.user}, {r.item})")
-            seen_rating.add(key)
-
-        # a rating's tuple order is its (user, item) order: the pair is unique
-        return cls._trusted(users, items, _sorted_transactions(transactions), sorted(ratings))
+        tx_users, tx_items = _check_transactions(transactions, _nowhere)
+        rt_users, rt_items = _check_ratings(ratings, _nowhere)
+        return cls._trusted(
+            _declared_ids("user", users, tx_users | rt_users),
+            _declared_ids("item", items, tx_items | rt_items),
+            _sorted_transactions(transactions),
+            sorted(ratings),  # a rating's tuple order is its (user, item) order: the pair is unique
+        )
 
     @classmethod
     def _trusted(cls, users, items, transactions, ratings) -> "Dataset":
@@ -227,19 +199,76 @@ def _sorted_transactions(transactions):
     return sorted(transactions, key=attrgetter("user", "seq"))
 
 
+def _check_transactions(transactions, at):
+    """The user ids and item ids the transactions name; raise for the first faulty one.
+
+    ``at(k)``, called only to raise, prefixes the message with where the k-th
+    record came from. Each user and item id is checked when first met.
+    """
+    tids: set[str] = set()
+    # per user a set of its seqs, not a (user, seq) tuple per record: fewer objects to collect
+    seqs_by_user: dict[str, set[int]] = {}
+    items: set[str] = set()
+    for k, (tid, user, seq, basket) in enumerate(transactions):
+        if not tid or "," in tid or ";" in tid or "\n" in tid or "\r" in tid:  # as in _check_ids
+            _check_id("transaction", tid, at, k)
+        if (seqs := seqs_by_user.get(user)) is None:
+            seqs = seqs_by_user[_check_id("user", user, at, k)] = set()
+        if not basket:
+            raise IntegrityError(f"{at(k)}transaction {tid}: empty item list")
+        if not items.issuperset(basket):  # a basket with an item not met before
+            items.update(_check_id("item", item, at, k) for item in basket)
+        if len(basket) > 1 and len(set(basket)) != len(basket):
+            raise IntegrityError(f"{at(k)}transaction {tid}: duplicate item in one transaction")
+        if seq in seqs:
+            raise IntegrityError(f"{at(k)}duplicate seq {seq} for user {user}")
+        seqs.add(seq)
+        if tid in tids:
+            raise IntegrityError(f"{at(k)}duplicate transaction id {tid}")
+        tids.add(tid)
+    return seqs_by_user.keys(), items
+
+
+def _check_ratings(ratings, at):
+    """:func:`_check_transactions` for ratings: a value is in [0, 10], NaN not."""
+    rated_by_user: dict[str, set[str]] = {}  # as in _check_transactions
+    items: set[str] = set()
+    for k, (user, item, value) in enumerate(ratings):
+        if (rated := rated_by_user.get(user)) is None:
+            rated = rated_by_user[_check_id("user", user, at, k)] = set()
+        if item not in items:
+            items.add(_check_id("item", item, at, k))
+        if not 0.0 <= value <= 10.0:
+            raise RangeError(f"{at(k)}rating {user},{item}: value {value} outside [0, 10]")
+        if item in rated:
+            raise IntegrityError(f"{at(k)}duplicate rating for ({user}, {item})")
+        rated.add(item)
+    return rated_by_user.keys(), items
+
+
+def _declared_ids(kind: str, declared, met) -> list[str]:
+    """The sorted ``declared`` ids, which must cover the ids ``met``; those when None."""
+    if declared is None:
+        return sorted(met)
+    declared = {_check_id(kind, value) for value in declared}
+    if unknown := met - declared:
+        raise IntegrityError(f"unknown {kind} {min(unknown)!r}")
+    return sorted(declared)
+
+
 # ---------------------------------------------------------------------------
 # CSV ingestion / serialization
 # ---------------------------------------------------------------------------
 
 
-def _read_lines(path, expected_header: str) -> list[str]:
-    """The lines of a CSV file after its header, which is checked; [] for an empty file.
+def _read_rows(path, expected_header: str):
+    """The non-blank rows of a CSV file after its header, which is checked, and
+    ``at(k)``, the ``"{path}: line {n}: "`` prefix naming the k-th row's line.
 
     Lines end at a line feed only, and one carriage return before it is
-    dropped, so every error counts lines as the UTF-8 check does: the line at
-    index i is line i + 2 of the file. A leading UTF-8 byte-order mark is
-    skipped; bytes that are not UTF-8 raise ParseError naming the line they
-    sit on.
+    dropped, so every error counts lines as the UTF-8 check does. A leading
+    UTF-8 byte-order mark is skipped; bytes that are not UTF-8 raise
+    ParseError naming the line they sit on. An empty file has no rows.
     """
     data = Path(path).read_bytes().removeprefix(BOM_UTF8)
     try:
@@ -247,90 +276,59 @@ def _read_lines(path, expected_header: str) -> list[str]:
     except UnicodeDecodeError as exc:
         lineno = data.count(b"\n", 0, exc.start) + 1
         raise ParseError(f"{path}: line {lineno}: not valid UTF-8") from None
-    if not text:
-        return []
-    lines = text.replace("\r\n", "\n").split("\n")
+    lines = text.replace("\r\n", "\n").split("\n") if text else [expected_header]
     lines[-1] = lines[-1].removesuffix("\r")
     if lines[0] != expected_header:
         raise ParseError(f"{path}: line 1: expected header {expected_header!r}")
-    return lines[1:]
+
+    def at(k: int) -> str:  # counts lines only when an error is raised
+        rows = (n for n, line in enumerate(lines, 1) if line)
+        return f"{path}: line {next(islice(rows, k + 1, None))}: "
+
+    return list(filter(None, lines[1:])), at
 
 
 def load_transactions(path) -> Dataset:
     """Load a transaction CSV into a Dataset fragment (users/items inferred).
 
-    Parsing is atomic: any malformed row raises ParseError naming the line,
-    an invalid id, a duplicate item within a row, a duplicate (user, seq) or
-    a repeated transaction id raises IntegrityError naming the line, and
-    nothing is returned.
+    Parsing is atomic: a malformed row raises ParseError, and an invalid id, a
+    duplicate item within a row, a duplicate (user, seq) or a repeated tid
+    raises IntegrityError, each naming the first faulty line.
     """
     return _load_transactions(path, {})
 
 
 def _load_transactions(path, ids: dict[str, str]) -> Dataset:
-    """:func:`load_transactions`, taking each user and item id from ``ids``.
-
-    ``ids`` maps an id to the one object that stands for it; an id not yet
-    there is added.
-    """
+    """:func:`load_transactions`, taking each user and item id from ``ids``, which
+    maps an id to the one object that stands for it and gains the ids not yet there."""
+    rows, at = _read_rows(path, TRANSACTION_HEADER)
     canonical = ids.setdefault
     transactions = []
-    tids: set[str] = set()
     seq_of_text: dict[str, int] = {}  # each distinct seq text is checked and parsed once
-    # per user, its id object and a set of its seqs, not a (user, seq) tuple per
-    # row: fewer objects for the collector to walk
-    seqs_by_user: dict[str, tuple[str, set[int]]] = {}
-    for lineno, line in enumerate(_read_lines(path, TRANSACTION_HEADER), 2):
-        if not line:
-            continue
-        fields = line.split(",")
-        if len(fields) != 4:
-            raise ParseError(f"{path}: line {lineno}: expected 4 fields, got {len(fields)}")
-        tid, user, seq_text, items_text = fields
-        # after the line and field splits, ";" and a lone "\r" are the forbidden characters left
-        if not (tid and user) or ";" in tid or ";" in user or "\r" in line:
-            _check_id("transaction", tid, f"{path}: line {lineno}: ")
-            _check_id("user", user, f"{path}: line {lineno}: ")
-        seq = seq_of_text.get(seq_text)
-        if seq is None:
-            try:
-                if not (seq_text.isascii() and seq_text.removeprefix("-").isdigit()):
-                    raise ValueError
-                seq = int(seq_text)  # ValueError too for more digits than int() converts
-            except ValueError:
-                raise ParseError(f"{path}: line {lineno}: bad seq {seq_text!r}") from None
-            seq_of_text[seq_text] = seq
-        item_texts = items_text.split(";")
-        items = tuple(map(canonical, item_texts, item_texts))
-        if "" in items:
-            raise ParseError(f"{path}: line {lineno}: empty item id")
-        if "\r" in items_text:
-            for i in items:
-                _check_id("item", i, f"{path}: line {lineno}: ")
-        if len(items) > 1 and len(set(items)) != len(items):
-            raise IntegrityError(f"{path}: line {lineno}: duplicate item within transaction")
-        known = seqs_by_user.get(user)
-        if known is None:
-            user = canonical(user, user)
-            seqs_by_user[user] = (user, {seq})
-        else:
-            user, seqs = known
-            if seq in seqs:
-                raise IntegrityError(f"{path}: line {lineno}: duplicate seq {seq} for user {user}")
-            seqs.add(seq)
-        if tid in tids:
-            raise IntegrityError(f"{path}: line {lineno}: duplicate transaction id {tid}")
-        tids.add(tid)
-        fields[1] = user
-        fields[2] = seq
-        fields[3] = items
-        transactions.append(_new_record(Transaction, fields))
-    return Dataset._trusted(
-        sorted(seqs_by_user),
-        sorted(set(chain.from_iterable(map(attrgetter("items"), transactions)))),
-        _sorted_transactions(transactions),
-        (),
-    )
+    try:
+        for row in rows:
+            fields = row.split(",")
+            if len(fields) != 4:
+                raise ParseError(f"{at(len(transactions))}expected 4 fields, got {len(fields)}")
+            tid, user, seq_text, items_text = fields
+            if (seq := seq_of_text.get(seq_text)) is None:
+                try:
+                    if not (seq_text.isascii() and seq_text.removeprefix("-").isdigit()):
+                        raise ValueError
+                    seq = int(seq_text)  # ValueError too for more digits than int() converts
+                except ValueError:
+                    raise ParseError(f"{at(len(transactions))}bad seq {seq_text!r}") from None
+                seq_of_text[seq_text] = seq
+            item_texts = items_text.split(";")
+            items = tuple(map(canonical, item_texts, item_texts))
+            if "" in items:
+                raise ParseError(f"{at(len(transactions))}empty item id")
+            transactions.append(_new_record(Transaction, (tid, canonical(user, user), seq, items)))
+    except ParseError:
+        _check_transactions(transactions, at)  # a record fault on an earlier line comes first
+        raise
+    users, items = _check_transactions(transactions, at)
+    return Dataset._trusted(sorted(users), sorted(items), _sorted_transactions(transactions), ())
 
 
 def load_ratings(path) -> Dataset:
@@ -338,59 +336,39 @@ def load_ratings(path) -> Dataset:
 
     Parsing is atomic, as in :func:`load_transactions`: a malformed row, an
     invalid id, a value outside [0, 10] or a duplicate (user, item) raises an
-    error naming the line.
+    error naming the first faulty line.
     """
     return _load_ratings(path, {})
 
 
 def _load_ratings(path, ids: dict[str, str]) -> Dataset:
-    """:func:`load_ratings`, taking each user and item id from ``ids``, as in
-    :func:`_load_transactions`."""
+    """:func:`load_ratings`, taking each id from ``ids`` as :func:`_load_transactions` does."""
+    rows, at = _read_rows(path, RATING_HEADER)
     canonical = ids.setdefault
     ratings = []
-    rated_by_user: dict[str, tuple[str, set[str]]] = {}  # as in _load_transactions
-    # one float per distinct value text, whose form and range are checked once
-    values: dict[str, float] = {}
-    for lineno, line in enumerate(_read_lines(path, RATING_HEADER), 2):
-        if not line:
-            continue
-        fields = line.split(",")
-        if len(fields) != 3:
-            raise ParseError(f"{path}: line {lineno}: expected 3 fields, got {len(fields)}")
-        user, item, value_text = fields
-        # after the line and field splits, ";" and a lone "\r" are the forbidden characters left
-        if not (user and item) or ";" in line or "\r" in line:
-            _check_id("user", user, f"{path}: line {lineno}: ")
-            _check_id("item", item, f"{path}: line {lineno}: ")
-        value = values.get(value_text)
-        if value is None:
-            try:
-                # float() also takes "1_0", surrounding whitespace and non-ASCII digits
-                if not value_text.isascii() or "_" in value_text or value_text != value_text.strip():
-                    raise ValueError
-                value = float(value_text)
-            except ValueError:
-                raise ParseError(f"{path}: line {lineno}: bad value {value_text!r}") from None
-            if not 0.0 <= value <= 10.0:
-                raise RangeError(f"{path}: line {lineno}: value {value} outside [0, 10]")
-            values[value_text] = value
-        item = canonical(item, item)
-        known = rated_by_user.get(user)
-        if known is None:
-            user = canonical(user, user)
-            rated_by_user[user] = (user, {item})
-        else:
-            user, rated = known
-            if item in rated:
-                raise IntegrityError(f"{path}: line {lineno}: duplicate rating for ({user}, {item})")
-            rated.add(item)
-        fields[0] = user
-        fields[1] = item
-        fields[2] = value
-        ratings.append(_new_record(RatingRecord, fields))
+    values: dict[str, float] = {}  # one float per distinct value text, whose form is checked once
+    try:
+        for row in rows:
+            fields = row.split(",")
+            if len(fields) != 3:
+                raise ParseError(f"{at(len(ratings))}expected 3 fields, got {len(fields)}")
+            user, item, value_text = fields
+            if (value := values.get(value_text)) is None:
+                try:
+                    # float() also takes "1_0", surrounding whitespace and non-ASCII digits
+                    if not value_text.isascii() or "_" in value_text or value_text != value_text.strip():
+                        raise ValueError
+                    value = float(value_text)
+                except ValueError:
+                    raise ParseError(f"{at(len(ratings))}bad value {value_text!r}") from None
+                values[value_text] = value
+            ratings.append(_new_record(RatingRecord, (canonical(user, user), canonical(item, item), value)))
+    except ParseError:
+        _check_ratings(ratings, at)  # as in _load_transactions
+        raise
+    users, items = _check_ratings(ratings, at)
     ratings.sort()  # as in Dataset.build
-    items = set().union(*(rated for _, rated in rated_by_user.values()))
-    return Dataset._trusted(sorted(rated_by_user), sorted(items), (), ratings)
+    return Dataset._trusted(sorted(users), sorted(items), (), ratings)
 
 
 def load_dataset(transactions_path=None, ratings_path=None) -> Dataset:

@@ -136,11 +136,17 @@ def _row(
 ) -> EvalRow:
     """Macro-average the (precision, recall) pairs of the evaluated users into one row."""
     evaluated = len(scores)
+    # added left to right: sum() compensates floats from Python 3.12 on, which
+    # would make a row's last bit depend on the interpreter
+    precision = recall = 0.0
+    for p, r in scores:
+        precision += p
+        recall += r
     return EvalRow(
         mode=mode,
         rules_enabled=rules_enabled,
-        precision_pct=sum(p for p, _ in scores) / evaluated if evaluated else 0.0,
-        recall_pct=sum(r for _, r in scores) / evaluated if evaluated else 0.0,
+        precision_pct=precision / evaluated if evaluated else 0.0,
+        recall_pct=recall / evaluated if evaluated else 0.0,
         top_n=top_n,
         users_evaluated=evaluated,
         users_skipped=skipped,

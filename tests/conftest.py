@@ -115,3 +115,18 @@ def small_datasets(draw):
         baskets = draw(st.lists(st.lists(st.sampled_from(items), min_size=1, max_size=3, unique=True), max_size=4))
         txns.extend(tx(user, seq, *basket) for seq, basket in enumerate(baskets, start=1))
     return Dataset.build(users=users, items=items, transactions=txns, ratings=ratings)
+
+
+@st.composite
+def rule_datasets(draw):
+    """Denser than small_datasets: every user rates an item and buys, so neighbours
+    pick items and rules expand them far more often."""
+    users = draw(st.lists(st.sampled_from("ZAQMBXC"), min_size=2, max_size=7, unique=True))
+    items = [f"I{i}" for i in range(draw(st.integers(3, 6)))]
+    ratings, txns = [], []
+    for user in users:
+        for item in draw(st.lists(st.sampled_from(items), min_size=1, unique=True)):
+            ratings.append(rate(user, item, draw(st.sampled_from([2.5, 5.0, 7.5, 10.0]))))
+        baskets = draw(st.lists(st.lists(st.sampled_from(items), min_size=1, max_size=3, unique=True), min_size=1, max_size=4))
+        txns.extend(tx(user, seq, *basket) for seq, basket in enumerate(baskets, start=1))
+    return Dataset.build(users=users, items=items, transactions=txns, ratings=ratings)

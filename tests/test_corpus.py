@@ -4,7 +4,7 @@ import tempfile
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from shoprec.corpus import (
@@ -22,7 +22,7 @@ from shoprec.corpus import (
     to_rating_csv,
     to_transaction_csv,
 )
-from shoprec.errors import ConfigError, IntegrityError, ParseError, RangeError
+from shoprec.errors import ConfigError, IntegrityError, ParseError, RangeError, ShoprecError
 
 from conftest import TABLE1_CSV, rate, small_datasets, tx
 
@@ -186,6 +186,71 @@ class TestLoadRatings:
         path.write_text(f"user,item,value\nU1,P1,5\n{row}\n")
         with pytest.raises(IntegrityError, match=f"{re.escape(str(path))}: line 3: invalid {kind} id"):
             load_ratings(path)
+
+
+# One fault that a CSV file can hold, made from a drawn record of the list it
+# joins: (list name, new record, whether the drawn record shares its key).
+FAULTS = {
+    "repeated tid": ("transactions", lambda t: Transaction(t.tid, "NEW", 1, ("I0",)), True),
+    "repeated seq": ("transactions", lambda t: Transaction("NEWT", t.user, t.seq, ("I0",)), True),
+    "repeated item": ("transactions", lambda t: Transaction("NEWT", "NEW", 1, ("I0", "I0")), False),
+    "empty tid": ("transactions", lambda t: Transaction("", "NEW", 1, ("I0",)), False),
+    "empty transaction user": ("transactions", lambda t: Transaction("NEWT", "", 1, ("I0",)), False),
+    "repeated rating": ("ratings", lambda r: RatingRecord(r.user, r.item, 5.0), True),
+    "value above range": ("ratings", lambda r: RatingRecord("NEW", "I0", 10.5), False),
+    "value below range": ("ratings", lambda r: RatingRecord("NEW", "I0", -0.5), False),
+    "value nan": ("ratings", lambda r: RatingRecord("NEW", "I0", float("nan")), False),
+    "empty rating user": ("ratings", lambda r: RatingRecord("", "I0", 5.0), False),
+    "empty rating item": ("ratings", lambda r: RatingRecord("NEW", "", 5.0), False),
+}
+
+
+class TestOneCheckingPath:
+    """A loaded file and Dataset.build of the same records go through the same checks."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(ds=small_datasets(), fault=st.sampled_from(sorted(FAULTS)), data=st.data())
+    def test_load_and_build_raise_the_same_error(self, ds, fault, data):
+        kind, make, shares_key = FAULTS[fault]
+        records = {"transactions": list(ds.transactions), "ratings": list(ds.ratings)}
+        faulty = records[kind]
+        involved = [len(faulty)]  # the new record's index
+        if shares_key:
+            assume(faulty)  # a record to repeat
+            involved.append(data.draw(st.integers(0, len(faulty) - 1)))
+        faulty.append(make(faulty[involved[-1]] if shares_key else None))
+        order = data.draw(st.permutations(range(len(faulty))))
+        records[kind] = [faulty[i] for i in order]
+        # the fault sits on the later of the rows that share a key, after the header
+        line = max(order.index(i) for i in involved) + 2
+        for name in records:
+            if name != kind:
+                records[name] = data.draw(st.permutations(records[name]))
+
+        with pytest.raises(ShoprecError) as built:
+            Dataset.build(**records)
+        with tempfile.TemporaryDirectory() as tmp:
+            tp, rp = Path(tmp) / "t.csv", Path(tmp) / "r.csv"
+            save_transactions(Dataset(transactions=records["transactions"]), tp)
+            save_ratings(Dataset(ratings=records["ratings"]), rp)
+            with pytest.raises(ShoprecError) as loaded:
+                load_dataset(tp, rp)
+        path = tp if kind == "transactions" else rp
+        assert type(loaded.value) is type(built.value)
+        assert str(loaded.value) == f"{path}: line {line}: {built.value}"
+
+    @pytest.mark.parametrize(
+        "loader, text, message",
+        [
+            (load_transactions, "tid,user,seq,items\nT;1,U1,x,P1\n", "line 2: bad seq 'x'"),
+            (load_ratings, "user,item,value\nU;1,P1,x\n", "line 2: bad value 'x'"),
+        ],
+    )
+    def test_within_a_row_a_syntax_fault_comes_first(self, tmp_path, loader, text, message):
+        path = tmp_path / "f.csv"
+        path.write_text(text)
+        with pytest.raises(ParseError, match=f"{re.escape(message)}$"):
+            loader(path)
 
 
 class TestLineBreaks:
@@ -374,6 +439,22 @@ class TestDatasetBuild:
     def test_empty_transaction_rejected(self):
         with pytest.raises(IntegrityError):
             Dataset.build(transactions=[tx("U1", 1)])
+
+    @pytest.mark.parametrize("char", [",", ";", "\n", "\r"])
+    @pytest.mark.parametrize(
+        "kind, records",
+        [
+            ("transaction", lambda bad: {"transactions": [tx("U1", 1, "P1", tid=bad)]}),
+            ("user", lambda bad: {"transactions": [tx(bad, 1, "P1", tid="T1")]}),
+            ("item", lambda bad: {"transactions": [tx("U1", 1, "P1", bad)]}),
+            ("user", lambda bad: {"ratings": [rate(bad, "P1", 5)]}),
+            ("item", lambda bad: {"ratings": [rate("U1", bad, 5)]}),
+        ],
+    )
+    def test_id_with_a_forbidden_character_rejected(self, char, kind, records):
+        bad = f"X{char}1"
+        with pytest.raises(IntegrityError, match=f"^invalid {kind} id {re.escape(repr(bad))}$"):
+            Dataset.build(**records(bad))
 
     def test_repeated_tid_rejected(self):
         with pytest.raises(IntegrityError, match="duplicate transaction id T1"):

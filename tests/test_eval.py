@@ -1,4 +1,6 @@
+import functools
 import itertools
+import operator
 
 import pytest
 from hypothesis import Phase, assume, example, find, given, settings
@@ -12,6 +14,7 @@ from shoprec.evaluate import (
     EvalRow,
     ExperimentConfig,
     _holdout_profile,
+    _row,
     precision_at_n,
     recall_at_n,
     run_experiment,
@@ -104,6 +107,12 @@ PINNED_EXPERIMENT = ExperimentConfig(
 )
 
 
+def test_row_adds_left_to_right():
+    """The same rows on every Python: sum() gives 0.1 here from 3.12 on."""
+    row = _row("simple", False, 5, [(0.1, 0.1)] * 10, 0)
+    assert row.precision_pct == row.recall_pct == 0.09999999999999999
+
+
 @pytest.fixture(scope="module")
 def pinned_report():
     return run_experiment(generate_synthetic(PINNED_SYNTHETIC), PINNED_EXPERIMENT)
@@ -181,6 +190,11 @@ class TestRunExperiment:
             assert on >= off
 
 
+def left_to_right_sum(values) -> float:
+    """Plain float addition in order; sum() compensates from Python 3.12 on."""
+    return functools.reduce(operator.add, values, 0.0)
+
+
 def reference_rows(dataset: Dataset, config: ExperimentConfig) -> list[EvalRow]:
     """The report rows computed with one engine per (mode, rules off/on), each
     held-out profile answered by both engines of its mode."""
@@ -218,8 +232,8 @@ def reference_rows(dataset: Dataset, config: ExperimentConfig) -> list[EvalRow]:
                 EvalRow(
                     mode=mode,
                     rules_enabled=use_rules,
-                    precision_pct=sum(precisions) / evaluated if evaluated else 0.0,
-                    recall_pct=sum(recalls) / evaluated if evaluated else 0.0,
+                    precision_pct=left_to_right_sum(precisions) / evaluated if evaluated else 0.0,
+                    recall_pct=left_to_right_sum(recalls) / evaluated if evaluated else 0.0,
                     top_n=config.top_n,
                     users_evaluated=evaluated,
                     users_skipped=skipped,

@@ -25,7 +25,7 @@ from shoprec.rules import fp_growth, generate_rules
 from shoprec.sequence import bought_after, build_precedence_index
 from shoprec.similarity import MODES, profile_weights, top_k_neighbors
 
-from conftest import RATING_VALUES, TABLE1_ROWS, random_dataset, rate, small_datasets, tx
+from conftest import RATING_VALUES, TABLE1_ROWS, random_dataset, rate, rule_datasets, small_datasets, tx
 from oracles import recommend_reference
 
 
@@ -245,7 +245,7 @@ def tier_order_dataset():
 
 class TestPipelineInvariants:
     @settings(max_examples=200, deadline=None)
-    @given(ds=small_datasets(), mode=st.sampled_from(MODES))
+    @given(ds=st.one_of(small_datasets(), rule_datasets()), mode=st.sampled_from(MODES))
     @example(ds=tier_order_dataset(), mode="simple")
     def test_random_datasets(self, ds, mode):
         check_pipeline_invariants(ds, mode)
@@ -269,21 +269,6 @@ def neighbor_pick(ds, neighbor, threshold, profile, index):
         if value >= threshold and item not in seen and bought_after(index, item, history)
     ]
     return min(eligible)[1] if eligible else None
-
-
-@st.composite
-def rule_datasets(draw):
-    """Denser than small_datasets: every user rates an item and buys, so neighbours
-    pick items and rules expand them far more often."""
-    users = draw(st.lists(st.sampled_from("ZAQMBXC"), min_size=2, max_size=7, unique=True))
-    items = [f"I{i}" for i in range(draw(st.integers(3, 6)))]
-    ratings, txns = [], []
-    for user in users:
-        for item in draw(st.lists(st.sampled_from(items), min_size=1, unique=True)):
-            ratings.append(rate(user, item, draw(st.sampled_from([2.5, 5.0, 7.5, 10.0]))))
-        baskets = draw(st.lists(st.lists(st.sampled_from(items), min_size=1, max_size=3, unique=True), min_size=1, max_size=4))
-        txns.extend(tx(user, seq, *basket) for seq, basket in enumerate(baskets, start=1))
-    return Dataset.build(users=users, items=items, transactions=txns, ratings=ratings)
 
 
 @st.composite
