@@ -257,7 +257,7 @@ class Recommender:
             for item, (score, user) in ranked_candidates[: cfg.top_n]
         ]
         slots = cfg.top_n - len(result)
-        if not (cfg.use_rules and slots):
+        if not (slots and cfg.use_rules and self._rules_by_item):
             return result
 
         # Phase B: parents in rank order and rules in mined order, so a later

@@ -21,10 +21,10 @@ coordinates, so both the dot product and the other user's restricted norm
 accumulate from the posting lists of the target's items. A query's cost
 follows the postings it touches, and users sharing no coordinate with the
 target are never visited (inverted-index accumulation; Bayardo, Ma and
-Srikant, "Scaling Up All Pairs Similarity Search", WWW 2007). A posting list
-is a dict from user ids to weights; holding only strings and numbers, it is
-never tracked by the cyclic garbage collector, so the postings of a large
-training set add nothing to its full collections.
+Srikant, "Scaling Up All Pairs Similarity Search", WWW 2007). The k best are
+then selected by threshold: one float sort of every candidate's similarity
+gives the k-th largest, and only the candidates at or above it, ties included,
+are sorted by (similarity, id). This holds for finite, non-negative weights.
 
 Each quantity has one path: ``profile_weights`` builds a weight map, and
 ``build_postings`` and ``top_k_neighbors`` find the neighbours.
@@ -32,7 +32,6 @@ Each quantity has one path: ``profile_weights`` builds a weight map, and
 
 from __future__ import annotations
 
-import heapq
 import math
 from typing import Mapping
 
@@ -100,7 +99,10 @@ def top_k_neighbors(
     never appears. Each score equals the pairwise restricted cosine bit for
     bit: per candidate, the products are summed in the target's coordinate
     order, and the coordinates the candidate lacks, which are skipped here,
-    would only ever add 0.0.
+    would only ever add 0.0. Only the candidates at or above the k-th best
+    similarity, ties included, are sorted, so the answer is a full sort's.
+    Weights must be finite and non-negative, as ``profile_weights`` makes
+    them, and no sum of squares may overflow but the target's, which gives [].
     """
     if k < 1:
         raise RangeError(f"k must be >= 1, got {k}")
@@ -121,13 +123,10 @@ def top_k_neighbors(
                 acc[0] += w * v
                 acc[1] += v * v
     sums.pop(exclude, None)
-    if norm_t == 0.0:
+    if norm_t == 0.0 or not sums:
         return []
     root_t = math.sqrt(norm_t)
-    scored = []
-    for user, (dot, norm_o) in sums.items():
-        if dot > 0.0 and norm_o > 0.0:
-            sim = dot / (root_t * math.sqrt(norm_o))
-            if sim > 0.0:
-                scored.append((-sim, user))
-    return [(user, -neg) for neg, user in heapq.nsmallest(k, scored)]
+    sims = [dot / (root_t * math.sqrt(norm_o)) if norm_o else 0.0 for dot, norm_o in sums.values()]
+    floor = max(sorted(sims)[-k:][0], math.ulp(0.0))  # the k-th largest, or the least if fewer; 0 never ranks
+    finalists = sorted((-sim, user) for user, sim in zip(sums, sims) if sim >= floor)
+    return [(user, -neg) for neg, user in finalists[:k]]

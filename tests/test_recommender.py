@@ -112,6 +112,21 @@ class TestRuleExpansion:
         engine = Recommender(rule_expansion_dataset(), self.config(use_rules=False))
         assert [r.item for r in engine.recommend_profile(self.query())] == ["P2"]
 
+    def test_no_mined_rule_answers_as_rules_off(self):
+        """Rules on, with thresholds that no rule meets: Phase B is skipped, and every answer is unchanged."""
+        ds = rule_expansion_dataset()
+        engine_on = Recommender(ds, self.config(minsup=100.0, minconf=100.0))
+        engine_off = Recommender(ds, self.config(use_rules=False, minsup=100.0, minconf=100.0))
+        assert engine_on.config.use_rules and not engine_on.snapshot.mined_rules(ds, 100.0, 100.0)
+        queries = [(self.query(), None)] + [(profile_of(ds, user), user) for user in ds.users]
+        for profile, user in queries:
+            try:
+                expected = recommend_reference(engine_on, profile, user)
+            except NoProfileError:
+                continue
+            assert engine_on.recommend_profile(profile, exclude_user=user) == expected
+            assert engine_off.recommend_profile(profile, exclude_user=user) == expected
+
     def test_rule_candidates_rank_below_neighbors(self):
         engine = Recommender(rule_expansion_dataset(), self.config())
         recs = engine.recommend_profile(self.query())

@@ -32,6 +32,22 @@ def neighbors(ds, target, k, mode):
     return top_k_neighbors(weights, snapshot.mode_postings(ds, mode), k, exclude=target)
 
 
+_ITEMS = ("P1", "P2", "P3", "P4")
+_USERS = tuple(f"U{n}" for n in range(8))
+_TIE_WEIGHTS = (0.0, 1.0, 2.0, 2.5)
+
+
+def brute_force_scan(target, vectors, k, exclude):
+    """The k best users by cosine_restricted over every vector, sorted by (-similarity, id)."""
+    if not target:
+        return []
+    scan = sorted(
+        ((u, cosine_restricted(target, v)) for u, v in vectors.items() if u != exclude),
+        key=lambda e: (-e[1], e[0]),
+    )
+    return [(u, sim) for u, sim in scan if sim > 0.0][:k]
+
+
 class TestCosineRestricted:
     def test_worked_values(self):
         target = vec(P1=4, P2=5, P3=6)
@@ -201,14 +217,50 @@ class TestTopKNeighbors:
         target = data.draw(st.sampled_from(ds.users))
         exclude = data.draw(st.sampled_from([target, None]))
         got = top_k_neighbors(vectors[target], build_postings(vectors), k, exclude=exclude)
-        if not vectors[target]:
-            assert got == []
-            return
-        scan = sorted(
-            ((u, cosine_restricted(vectors[target], vectors[u])) for u in ds.users if u != exclude),
-            key=lambda e: (-e[1], e[0]),
-        )
-        assert got == [(u, sim) for u, sim in scan if sim > 0.0][:k]
+        assert got == brute_force_scan(vectors[target], vectors, k, exclude)
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        target=st.dictionaries(st.sampled_from(_ITEMS), st.sampled_from(_TIE_WEIGHTS), min_size=1),
+        vectors=st.dictionaries(
+            st.sampled_from(_USERS), st.dictionaries(st.sampled_from(_ITEMS), st.sampled_from(_TIE_WEIGHTS))
+        ),
+        k=st.integers(1, 10),
+        exclude=st.sampled_from(_USERS + (None,)),
+    )
+    def test_equals_brute_force_scan_with_exact_ties(self, target, vectors, k, exclude):
+        """Few distinct weights make equal similarities, and ties at the k-th value, common."""
+        got = top_k_neighbors(target, build_postings(vectors), k, exclude=exclude)
+        expected = brute_force_scan(target, vectors, k, exclude)
+        assert got == expected
+        assert [(u, sim.hex()) for u, sim in got] == [(u, sim.hex()) for u, sim in expected]
+
+    def test_exact_tie_keeps_the_smallest_ids(self):
+        postings = {"P1": {u: 2.0 for u in ("U7", "U3", "U6", "U1", "U5", "U2", "U4")}}
+        got = top_k_neighbors({"P1": 1.0}, postings, 5)
+        assert got == [(u, 1.0) for u in ("U1", "U2", "U3", "U4", "U5")]
+
+    def test_zero_weight_overlap_is_absent(self):
+        """A candidate with a zero dot, from its own 0.0 weight or the target's, never ranks."""
+        postings = {"P1": {"Z": 0.0, "A": 1.0}, "P2": {"Y": 3.0}}
+        got = top_k_neighbors({"P1": 1.0, "P2": 0.0}, postings, 5)
+        assert got == [("A", 1.0)]
+
+    def test_overflowing_target_norm_gives_nothing(self):
+        # the target's norm is inf: A scores 0.0, and B, whose dot and norm are inf, scores NaN
+        postings = {"P1": {"A": 1.0, "B": 1e200}}
+        assert top_k_neighbors({"P1": 1e200}, postings, 5) == []
+
+    def test_k_beyond_the_candidates_returns_them_all(self):
+        postings = {"P1": {"A": 1.0, "B": 2.0}, "P2": {"B": 1.0, "C": 4.0}}
+        got = top_k_neighbors({"P1": 1.0, "P2": 1.0}, postings, 10)
+        # A and C tie exactly: 4 / (root_t * 4) is 1 / root_t
+        assert got == [("B", 3 / (math.sqrt(2) * math.sqrt(5))), ("A", 1 / math.sqrt(2)), ("C", 1 / math.sqrt(2))]
+
+    def test_excluding_the_best_neighbour(self):
+        postings = {"P1": {"A": 1.0, "B": 2.0}, "P2": {"B": 1.0, "C": 4.0}}
+        got = top_k_neighbors({"P1": 1.0, "P2": 1.0}, postings, 2, exclude="B")
+        assert [u for u, _ in got] == ["A", "C"]
 
     def test_invalid_k(self):
         with pytest.raises(RangeError):
