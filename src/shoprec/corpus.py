@@ -43,12 +43,12 @@ valid, and filtering a sorted tuple keeps it sorted.
 from __future__ import annotations
 
 import random
-import re
 from codecs import BOM_UTF8
 from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import chain, islice
+from numbers import Real
 from operator import attrgetter
 from pathlib import Path
 from typing import NamedTuple
@@ -58,7 +58,6 @@ from .errors import ConfigError, IntegrityError, ParseError, RangeError
 TRANSACTION_HEADER = "tid,user,seq,items"
 RATING_HEADER = "user,item,value"
 
-_forbidden_id_char = re.compile("[,;\n\r]").search
 # A record from a tuple of its field values, without the keyword-argument
 # constructor's Python-level call: the loaders build one per row.
 _new_record = tuple.__new__
@@ -68,8 +67,8 @@ def _nowhere(k: int) -> str:  # where a record made in code came from
     return ""
 
 
-def _check_id(kind: str, value: str, at=_nowhere, k: int = 0) -> str:
-    if not value or _forbidden_id_char(value):
+def _check_id(kind: str, value, at=_nowhere, k: int = 0) -> str:
+    if not isinstance(value, str) or not value or "," in value or ";" in value or "\n" in value or "\r" in value:
         raise IntegrityError(f"{at(k)}invalid {kind} id {value!r}")
     return value
 
@@ -84,12 +83,28 @@ def _check_ids(kind: str, values) -> None:
         joined = "".join(values)
     except TypeError:  # a value that is not a string
         joined = None
-    # the characters of _forbidden_id_char: four scans beat one regex search here
     if joined is None or "" in values or "," in joined or ";" in joined or "\n" in joined or "\r" in joined:
         for value in values:
-            if not isinstance(value, str):
-                raise IntegrityError(f"invalid {kind} id {value!r}")
             _check_id(kind, value)
+
+
+def _is_int(value) -> bool:  # a count, a seq or a seed
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _is_real(value) -> bool:  # a threshold or a percentage
+    return isinstance(value, Real) and not isinstance(value, bool)
+
+
+def _is_rating(value) -> bool:  # a threshold on the rating scale
+    return _is_real(value) and 0.0 <= value <= 10.0
+
+
+def _check_fields(config, names: str, ok, rule: str) -> None:
+    """ConfigError for the first field in ``names`` whose value fails ``ok``, which ``rule`` states."""
+    for name in names.split():
+        if not ok(value := getattr(config, name)):
+            raise ConfigError(f"{name} must be {rule}, got {value!r}")
 
 
 class Transaction(NamedTuple):
@@ -113,16 +128,16 @@ class RatingRecord(NamedTuple):
     value: float
 
 
-@dataclass
+@dataclass(frozen=True)
 class Dataset:
-    """Immutable-by-convention container of users, items, transactions and ratings.
+    """Frozen container of users, items, transactions and ratings.
 
     Records built in code go through :meth:`build`, which validates invariants
     and canonicalizes ordering so that equal datasets compare equal. The
     loaders check their records by the same walks; they, the merge in
     :func:`load_dataset` and :func:`split_users` construct through the private
-    :meth:`_trusted`. Derived lookup tables are cached on first access; do not
-    mutate a Dataset after construction.
+    :meth:`_trusted`. Assigning a field raises ``FrozenInstanceError``; build
+    a new dataset instead. Derived lookup tables are cached on first access.
     """
 
     users: tuple[str, ...] = ()
@@ -136,7 +151,9 @@ class Dataset:
 
         When ``users``/``items`` are None they are inferred from the records.
         A faulty record raises what a loader raises for it, without the line;
-        an unknown reference raises IntegrityError.
+        an unknown reference raises IntegrityError, and so does a field of the
+        wrong type (RangeError for a value): ids are str, a seq an int, items a
+        tuple, a value an int or a float, and a bool none of these.
         """
         transactions = tuple(transactions)
         ratings = tuple(ratings)
@@ -159,7 +176,7 @@ class Dataset:
         """
         return cls(tuple(users), tuple(items), tuple(transactions), tuple(ratings))
 
-    # Derived lookup tables. Cached: the dataset must not be mutated after use.
+    # Derived lookup tables, cached in the instance's __dict__, which freezing leaves writable.
 
     @cached_property
     def ratings_by_user(self) -> dict[str, dict[str, float]]:
@@ -210,13 +227,20 @@ def _check_transactions(transactions, at):
     seqs_by_user: dict[str, set[int]] = {}
     items: set[str] = set()
     for k, (tid, user, seq, basket) in enumerate(transactions):
-        if not tid or "," in tid or ";" in tid or "\n" in tid or "\r" in tid:  # as in _check_ids
+        # a class test first, so that no lookup meets an id that is not a string
+        if tid.__class__ is not str or not tid or "," in tid or ";" in tid or "\n" in tid or "\r" in tid:
             _check_id("transaction", tid, at, k)
-        if (seqs := seqs_by_user.get(user)) is None:
-            seqs = seqs_by_user[_check_id("user", user, at, k)] = set()
-        if not basket:
-            raise IntegrityError(f"{at(k)}transaction {tid}: empty item list")
-        if not items.issuperset(basket):  # a basket with an item not met before
+        if user.__class__ is not str or (seqs := seqs_by_user.get(user)) is None:
+            seqs = seqs_by_user.setdefault(_check_id("user", user, at, k), set())
+        if seq.__class__ is not int and not _is_int(seq):
+            raise IntegrityError(f"{at(k)}transaction {tid}: seq {seq!r} is not an int")
+        if basket.__class__ is not tuple or not basket:
+            raise IntegrityError(f"{at(k)}transaction {tid}: items {basket!r} are not a non-empty tuple")
+        try:
+            known = items.issuperset(basket)
+        except TypeError:  # an unhashable item, which _check_id names
+            known = False
+        if not known:  # a basket with an item not met before
             items.update(_check_id("item", item, at, k) for item in basket)
         if len(basket) > 1 and len(set(basket)) != len(basket):
             raise IntegrityError(f"{at(k)}transaction {tid}: duplicate item in one transaction")
@@ -234,10 +258,12 @@ def _check_ratings(ratings, at):
     rated_by_user: dict[str, set[str]] = {}  # as in _check_transactions
     items: set[str] = set()
     for k, (user, item, value) in enumerate(ratings):
-        if (rated := rated_by_user.get(user)) is None:
-            rated = rated_by_user[_check_id("user", user, at, k)] = set()
-        if item not in items:
+        if user.__class__ is not str or (rated := rated_by_user.get(user)) is None:
+            rated = rated_by_user.setdefault(_check_id("user", user, at, k), set())
+        if item.__class__ is not str or item not in items:
             items.add(_check_id("item", item, at, k))
+        if not (isinstance(value, float) or _is_int(value)):
+            raise RangeError(f"{at(k)}rating {user},{item}: value {value!r} is not an int or a float")
         if not 0.0 <= value <= 10.0:
             raise RangeError(f"{at(k)}rating {user},{item}: value {value} outside [0, 10]")
         if item in rated:
@@ -416,7 +442,7 @@ def save_ratings(dataset: Dataset, path) -> None:
 # ---------------------------------------------------------------------------
 
 
-@dataclass
+@dataclass(frozen=True)
 class SyntheticConfig:
     """Parameters for the planted-class synthetic dataset.
 
@@ -426,7 +452,7 @@ class SyntheticConfig:
     8.5 and off-block ratings around 2.5, each +/- ``noise_rating_spread``
     (clamped to [0, 10]); with a spread above 1.5 some in-block ratings fall
     below the usual relevance threshold of 7, which keeps leave-relevant-out
-    querying meaningful.
+    querying meaningful. Checked and frozen as RecommenderConfig is.
     """
 
     num_classes: int = 4
@@ -438,31 +464,22 @@ class SyntheticConfig:
     noise_rating_spread: float = 3.0
     rng_seed: int = 0
 
-    def validate(self) -> None:
-        if self.num_classes < 1:
-            raise ConfigError("num_classes must be >= 1")
-        if self.num_items < 1 or self.num_items % self.num_classes != 0:
-            raise ConfigError("num_items must divide evenly into num_classes blocks")
-        if self.users_per_class < 0:
-            raise ConfigError("users_per_class must be >= 0")
-        for name in ("ratings_per_user", "transactions_per_user"):
-            lo, hi = getattr(self, name)
-            if lo < 0 or hi < lo:
-                raise ConfigError(f"{name} must be a (lo, hi) range with 0 <= lo <= hi")
-        if not 0.0 < self.class_affinity <= 1.0:
-            raise ConfigError("class_affinity must be in (0, 1]")
-        if self.noise_rating_spread < 0.0:
-            raise ConfigError("noise_rating_spread must be >= 0")
+    def __post_init__(self) -> None:
+        _check_fields(self, "num_classes num_items", lambda v: _is_int(v) and v >= 1, "an int >= 1")
+        _check_fields(self, "num_items", lambda v: v % self.num_classes == 0, "a multiple of num_classes")
+        _check_fields(self, "users_per_class", lambda v: _is_int(v) and v >= 0, "an int >= 0")
+        spans = "ratings_per_user transactions_per_user"
+        _check_fields(self, spans, lambda v: isinstance(v, tuple) and len(v) == 2, "a (lo, hi) tuple")
+        _check_fields(self, spans, lambda v: all(map(_is_int, v)) and 0 <= v[0] <= v[1], "ints with 0 <= lo <= hi")
+        _check_fields(self, "class_affinity", lambda v: _is_real(v) and 0.0 < v <= 1.0, "a real in (0, 1]")
+        _check_fields(self, "noise_rating_spread", lambda v: _is_real(v) and v >= 0.0, "a real >= 0")
+        _check_fields(self, "rng_seed", _is_int, "an int")
 
 
 _IN_CLASS_BASE = 8.5
 _OUT_CLASS_BASE = 2.5
 _MAX_ITEMS_PER_TRANSACTION = 4
 _REPEAT_PURCHASE_PROB = 0.35
-
-
-def _clamp(value: float, lo: float, hi: float) -> float:
-    return max(lo, min(hi, value))
 
 
 def generate_synthetic(config: SyntheticConfig) -> Dataset:
@@ -475,7 +492,6 @@ def generate_synthetic(config: SyntheticConfig) -> Dataset:
     Users rate what they bought first: the rated pool starts with the
     distinct purchases and is topped up with class-biased draws.
     """
-    config.validate()
     rng = random.Random(config.rng_seed)
 
     items = [f"I{i + 1:03d}" for i in range(config.num_items)]
@@ -504,7 +520,7 @@ def generate_synthetic(config: SyntheticConfig) -> Dataset:
             if item not in taste:
                 base = _IN_CLASS_BASE if item_class[item] == cls else _OUT_CLASS_BASE
                 noise = rng.uniform(-config.noise_rating_spread, config.noise_rating_spread)
-                taste[item] = _clamp(base + noise, 0.0, 10.0)
+                taste[item] = max(0.0, min(10.0, base + noise))
             return taste[item]
 
         txn_count = rng.randint(*config.transactions_per_user)

@@ -23,8 +23,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Iterable, Sequence
 
-from .corpus import Dataset, split_users
-from .errors import ConfigError, ExperimentError, MetricUndefinedError, NoProfileError, RangeError
+from .corpus import Dataset, _check_fields, _is_int, _is_rating, _is_real, split_users
+from .errors import ExperimentError, MetricUndefinedError, NoProfileError, RangeError
 from .recommend import Profile, Recommendation, Recommender, RecommenderConfig
 from .similarity import MODES
 
@@ -57,8 +57,10 @@ def recall_at_n(recommended: Sequence[str], relevant: Iterable[str], n: int) -> 
     return 100.0 * hits / len(relevant)
 
 
-@dataclass
+@dataclass(frozen=True)
 class ExperimentConfig:
+    """The protocol's parameters, each engine's among them; checked and frozen as RecommenderConfig."""
+
     train_fraction: float = 0.8
     top_n: int = 5
     seed: int = 0
@@ -68,6 +70,15 @@ class ExperimentConfig:
     minconf_pct: float = 60.0
     exclusion_threshold: float = 7.0
     relevance_threshold: float = 7.0
+
+    def __post_init__(self) -> None:
+        _check_fields(self, "train_fraction", lambda v: _is_real(v) and 0.0 < v < 1.0, "a real in (0, 1)")
+        _check_fields(self, "seed", _is_int, "an int")
+        _check_fields(self, "relevance_threshold", _is_rating, "a real in [0, 10]")
+        _check_fields(self, "modes", lambda v: isinstance(v, tuple) and len(v) > 0, "a non-empty tuple")
+        for mode in self.modes:  # each mode is known, and the engine's fields are valid
+            self.engine_config(mode)
+        _check_fields(self, "modes", lambda v: len(set(v)) == len(v), "free of repeats")
 
     def engine_config(self, mode: str) -> RecommenderConfig:
         """The rules-on engine config that answers both report rows of a mode."""
@@ -80,14 +91,6 @@ class ExperimentConfig:
             exclusion_threshold=self.exclusion_threshold,
             use_rules=True,
         )
-
-    def validate(self) -> None:
-        if not self.modes:
-            raise ConfigError("modes must name at least one mode")
-        if not 0.0 <= self.relevance_threshold <= 10.0:
-            raise ConfigError("relevance_threshold must be within [0, 10]")
-        for mode in self.modes:
-            self.engine_config(mode).validate()
 
 
 @dataclass
@@ -159,11 +162,9 @@ def run_experiment(dataset: Dataset, config: ExperimentConfig | None = None) -> 
     One rules-on engine per mode answers each held-out profile once; the
     rules-off row is scored from the neighbour entries of the same answer.
     Deterministic for a fixed dataset and config: the split, every index and
-    every recommendation are seed-driven and tie-broken by id. The whole
-    config is validated before anything is split or built.
+    every recommendation are seed-driven and tie-broken by id.
     """
     config = config or ExperimentConfig()
-    config.validate()
     train, test = split_users(dataset, config.train_fraction, config.seed)
     if not test.users:
         raise ExperimentError("test split is empty; dataset too small for this fraction")

@@ -45,8 +45,8 @@ from dataclasses import dataclass, field
 from numbers import Real
 from operator import itemgetter
 
-from .corpus import Dataset, _check_ids
-from .errors import ConfigError, NoProfileError, NotFoundError, RangeError
+from .corpus import Dataset, _check_fields, _check_ids, _is_int, _is_rating, _is_real
+from .errors import NoProfileError, NotFoundError, RangeError
 from .implicit_vsm import build_iif, new_user_scores
 from .rules import AssociationRule, fp_growth, generate_rules
 from .sequence import bought_after, build_precedence_index
@@ -64,19 +64,11 @@ class Profile:
     ratings: dict[str, float] = field(default_factory=dict)
     purchase_counts: dict[str, int] = field(default_factory=dict)
 
-    @property
-    def seen_items(self) -> set[str]:
-        """A new set of the items in either map on every call; the engine reads the maps."""
-        return set(self.ratings) | set(self.purchase_counts)
 
-    @property
-    def history(self) -> set[str]:
-        """A new set of the purchased items on every call; the engine reads the map's keys."""
-        return set(self.purchase_counts)
-
-
-@dataclass
+@dataclass(frozen=True)
 class RecommenderConfig:
+    """One engine's parameters, checked when constructed; frozen (``dataclasses.replace`` rechecks)."""
+
     mode: str = "simple"
     k_neighbors: int = 5
     top_n: int = 5
@@ -85,19 +77,13 @@ class RecommenderConfig:
     exclusion_threshold: float = 7.0
     use_rules: bool = True
 
-    def validate(self) -> None:
-        if self.mode not in MODES:
-            raise ConfigError(f"mode must be one of {MODES}, got {self.mode!r}")
-        for name in ("k_neighbors", "top_n"):
-            value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, int) or value < 1:
-                raise ConfigError(f"{name} must be an int >= 1, got {value!r}")
-        if not 0.0 <= self.exclusion_threshold <= 10.0:
-            raise ConfigError("exclusion_threshold must be within [0, 10]")
-        if not 0.0 < self.minsup_pct <= 100.0:
-            raise ConfigError("minsup_pct must be within (0, 100]")
-        if not 0.0 < self.minconf_pct <= 100.0:
-            raise ConfigError("minconf_pct must be within (0, 100]")
+    def __post_init__(self) -> None:
+        _check_fields(self, "mode", lambda v: v in MODES, f"one of {MODES}")
+        _check_fields(self, "k_neighbors top_n", lambda v: _is_int(v) and v >= 1, "an int >= 1")
+        pcts = "minsup_pct minconf_pct"
+        _check_fields(self, pcts, lambda v: _is_real(v) and 0.0 < v <= 100.0, "a real in (0, 100]")
+        _check_fields(self, "exclusion_threshold", _is_rating, "a real in [0, 10]")
+        _check_fields(self, "use_rules", lambda v: isinstance(v, bool), "a bool")
 
 
 @dataclass
@@ -190,20 +176,19 @@ class IndexSnapshot:
 
 
 class Recommender:
-    """Recommendation engine over an immutable training dataset.
+    """Recommendation engine over a frozen training dataset and a frozen config.
 
-    Construction validates the config and takes from the dataset's shared
-    IndexSnapshot what the config needs: the precedence index, the iif table,
-    the ranked ratings, the posting lists of its mode and, with use_rules, the
-    mined rules. A query only reads them, so one engine serves concurrent
-    queries, and its neighbour search costs the postings of the query's items
-    rather than a pass over every training user.
+    Construction takes from the dataset's shared IndexSnapshot what the config
+    needs: the precedence index, the iif table, the ranked ratings, the posting
+    lists of its mode and, with use_rules, the mined rules. A query only reads
+    them, so one engine serves concurrent queries, and its neighbour search
+    costs the postings of the query's items rather than a pass over every
+    training user.
     """
 
     def __init__(self, train: Dataset, config: RecommenderConfig | None = None):
         self.train = train
         self.config = config or RecommenderConfig()
-        self.config.validate()
         self.snapshot = IndexSnapshot.of(train)
         self.precedence = self.snapshot.precedence
         self.iif = self.snapshot.iif
@@ -305,7 +290,7 @@ def _check_profile(profile: Profile) -> None:
     counts = profile.purchase_counts.values()
     if counts and not (_INTS.issuperset(map(type, counts)) and min(counts) >= 1):
         for item, count in profile.purchase_counts.items():
-            if isinstance(count, bool) or not isinstance(count, int) or count < 1:
+            if not _is_int(count) or count < 1:
                 raise RangeError(f"item {item}: purchase count {count!r} is not an integer >= 1")
 
 

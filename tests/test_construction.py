@@ -1,0 +1,345 @@
+"""Valid by construction: configs and datasets check themselves once, when made.
+
+Each config checks its fields in ``__post_init__`` and is frozen, so a config
+that exists is valid and stays so; ``dataclasses.replace`` checks the copy.
+``Dataset.build`` checks each record field's type in the walks the loaders
+share. A bad value fails at construction with ConfigError, IntegrityError or
+RangeError, never later with a TypeError.
+"""
+
+import dataclasses
+import math
+import re
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from shoprec import cli
+from shoprec.corpus import Dataset, RatingRecord, SyntheticConfig, Transaction, generate_synthetic
+from shoprec.errors import ConfigError, IntegrityError, NoProfileError, RangeError
+from shoprec.evaluate import ExperimentConfig, run_experiment
+from shoprec.recommend import IndexSnapshot, Recommender, RecommenderConfig
+from shoprec.similarity import MODES
+
+from conftest import rate, small_datasets, tx
+
+# Values of no field's type: none is an int, a float or a bool.
+JUNK = st.one_of(
+    st.none(),
+    st.text(max_size=3),
+    st.binary(max_size=2),
+    st.lists(st.integers(), max_size=2),
+    st.decimals(allow_nan=False, allow_infinity=False),
+    st.complex_numbers(max_magnitude=10),
+    st.builds(object),
+)
+
+
+def not_an_int_at_least(lo: int):
+    """Values an ``int >= lo`` field may not hold."""
+    return st.one_of(
+        JUNK,
+        st.booleans(),
+        st.integers(max_value=lo - 1),
+        st.floats(),
+        st.integers(lo, 9).map(float),
+        st.integers(lo, 9).map(str),
+    )
+
+
+def not_a_real_within(lo: float, hi: float, lo_open: bool = False, hi_open: bool = False):
+    """Values a real field within [lo, hi], or (lo, ...) / (..., hi) when open, may not hold."""
+    return st.one_of(
+        JUNK,
+        st.booleans(),
+        st.floats(max_value=lo, exclude_max=not lo_open),
+        st.floats(min_value=hi, exclude_min=not hi_open),
+        st.just(math.nan),
+        st.floats(lo, hi).map(str),
+    )
+
+
+NOT_AN_INT = st.one_of(JUNK, st.booleans(), st.floats(), st.integers().map(str))
+NOT_A_MODE = st.one_of(JUNK, st.text()).filter(lambda v: v not in MODES)
+
+ENGINE_FIELDS = {
+    "k_neighbors": not_an_int_at_least(1),
+    "top_n": not_an_int_at_least(1),
+    "minsup_pct": not_a_real_within(0, 100, lo_open=True),
+    "minconf_pct": not_a_real_within(0, 100, lo_open=True),
+    "exclusion_threshold": not_a_real_within(0, 10),
+}
+
+SPANS = st.one_of(
+    JUNK,
+    st.lists(st.integers(0, 9), min_size=2, max_size=2),  # a list, not a tuple
+    st.tuples(st.integers(0, 9)),
+    st.tuples(st.integers(0, 9), st.integers(0, 9), st.integers(0, 9)),
+    st.tuples(st.integers(0, 9), st.one_of(JUNK, st.booleans(), st.floats())),
+    st.tuples(st.integers(max_value=-1), st.integers(0, 9)),
+    st.tuples(st.integers(1, 9), st.integers(0, 8)).filter(lambda span: span[1] < span[0]),
+)
+
+BAD_FIELDS = {
+    RecommenderConfig: {
+        "mode": NOT_A_MODE,
+        **ENGINE_FIELDS,
+        "use_rules": st.one_of(JUNK, st.integers(), st.floats()),
+    },
+    ExperimentConfig: {
+        "train_fraction": not_a_real_within(0, 1, lo_open=True, hi_open=True),
+        "seed": NOT_AN_INT,
+        "modes": st.one_of(
+            JUNK,
+            st.sampled_from(MODES),  # one mode, not a tuple of them
+            st.lists(st.sampled_from(MODES), min_size=1, unique=True),
+            st.just(()),
+            st.tuples(st.sampled_from(MODES), NOT_A_MODE),
+            st.sampled_from(MODES).map(lambda mode: (mode, mode)),
+            st.permutations(MODES + MODES[:1]).map(tuple),
+        ),
+        "relevance_threshold": not_a_real_within(0, 10),
+        **ENGINE_FIELDS,
+    },
+    SyntheticConfig: {
+        "num_classes": not_an_int_at_least(1),
+        "num_items": st.one_of(not_an_int_at_least(1), st.integers(1, 99).filter(lambda n: n % 4)),
+        "users_per_class": not_an_int_at_least(0),
+        "ratings_per_user": SPANS,
+        "transactions_per_user": SPANS,
+        "class_affinity": not_a_real_within(0, 1, lo_open=True),
+        "noise_rating_spread": st.one_of(
+            JUNK, st.booleans(), st.floats(max_value=0, exclude_max=True), st.just(math.nan), st.just("3")
+        ),
+        "rng_seed": NOT_AN_INT,
+    },
+}
+
+
+@st.composite
+def bad_config_fields(draw):
+    """A config class, one of its fields and a value that field may not hold."""
+    cls = draw(st.sampled_from(list(BAD_FIELDS)))
+    name = draw(st.sampled_from(sorted(BAD_FIELDS[cls])))
+    return cls, name, draw(BAD_FIELDS[cls][name])
+
+
+class TestConfigs:
+    @settings(max_examples=600, deadline=None)
+    @given(case=bad_config_fields())
+    def test_a_bad_field_fails_at_construction(self, case):
+        cls, name, value = case
+        with pytest.raises(ConfigError) as raised:
+            cls(**{name: value})
+        # an unknown mode among the modes is named by the engine config's check
+        assert str(raised.value).startswith(f"{name} must be") or (
+            name == "modes" and str(raised.value).startswith("mode must be")
+        )
+
+    @pytest.mark.parametrize("cls", list(BAD_FIELDS))
+    def test_frozen(self, cls):
+        config = cls()
+        for field in dataclasses.fields(cls):
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                setattr(config, field.name, getattr(config, field.name))
+
+    def test_replace_checks_the_copy(self):
+        config = RecommenderConfig()
+        assert dataclasses.replace(config, mode="implicit").mode == "implicit"
+        assert config.mode == "simple"
+        with pytest.raises(ConfigError, match="^top_n must be"):
+            dataclasses.replace(config, top_n=0)
+        with pytest.raises(ConfigError, match="^modes must be"):
+            dataclasses.replace(ExperimentConfig(), modes=("simple", "simple"))
+
+
+# Probes of the mutable configs: each went wrong silently or with a bare TypeError.
+class TestConfigProbes:
+    def test_an_engine_config_cannot_change_under_the_engine(self, worked_example):
+        engine = Recommender(worked_example, RecommenderConfig())
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            engine.config.mode = "implicit"  # implicit weights against simple postings
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            engine.config.minsup_pct = 90  # the engine would still hold the 1% rules
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            engine.config.top_n = 0  # every query would return []
+
+    @pytest.mark.parametrize(
+        "fields",
+        [{"exclusion_threshold": "7"}, {"minsup_pct": "40"}, {"use_rules": "no"}, {"use_rules": 0}],
+    )
+    def test_an_ill_typed_engine_field_is_a_config_error(self, fields):
+        with pytest.raises(ConfigError, match=f"^{next(iter(fields))} must be"):
+            RecommenderConfig(**fields)
+
+    @pytest.mark.parametrize("fraction", [1.5, 1.0, 0.0, -0.2, math.nan, "0.8", True])
+    def test_train_fraction_is_checked_by_the_config(self, fraction):
+        with pytest.raises(ConfigError, match="^train_fraction must be"):
+            ExperimentConfig(train_fraction=fraction)
+
+    def test_a_repeated_mode_is_a_config_error(self):
+        with pytest.raises(ConfigError, match="^modes must be free of repeats"):
+            ExperimentConfig(modes=("simple", "method1", "simple"))
+
+    def test_cli_rejects_a_repeated_mode(self, tmp_path, capsys):
+        assert cli.main(["gen-data", "--users-per-class", "3", "--out", str(tmp_path)]) == 0
+        capsys.readouterr()
+        argv = ["evaluate", "--transactions", str(tmp_path / "transactions.csv")]
+        argv += ["--ratings", str(tmp_path / "ratings.csv"), "--modes", "simple,simple"]
+        assert cli.main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("shoprec: error: modes must be free of repeats")
+
+
+SMALL = generate_synthetic(SyntheticConfig(users_per_class=4, rng_seed=11))
+
+
+def reals_within(lo, hi, lo_open=False):
+    """Every kind of real a field within [lo, hi] (or (lo, hi] when open) may hold."""
+    return st.one_of(
+        st.floats(lo, hi, exclude_min=lo_open),
+        st.integers(lo + lo_open, hi),
+        st.fractions(lo, hi).filter(lambda f: f > lo or not lo_open),
+    )
+
+
+class TestValidConfigsWork:
+    """A config that constructs runs: no TypeError later, in an engine or the protocol."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        config=st.builds(
+            RecommenderConfig,
+            mode=st.sampled_from(MODES),
+            k_neighbors=st.integers(1, 12),
+            top_n=st.integers(1, 12),
+            minsup_pct=reals_within(0, 100, lo_open=True),
+            minconf_pct=reals_within(0, 100, lo_open=True),
+            exclusion_threshold=reals_within(0, 10),
+            use_rules=st.booleans(),
+        )
+    )
+    def test_engine(self, config):
+        engine = Recommender(SMALL, config)
+        for user in SMALL.users:
+            try:
+                recs = engine.recommend_user(user)
+            except NoProfileError:
+                continue
+            assert len(recs) <= config.top_n
+
+    @settings(max_examples=15, deadline=None)
+    @given(
+        config=st.builds(
+            ExperimentConfig,
+            train_fraction=st.floats(0.5, 0.9),
+            seed=st.integers(),
+            modes=st.lists(st.sampled_from(MODES), min_size=1, unique=True).map(tuple),
+            minsup_pct=reals_within(10, 100),
+            relevance_threshold=reals_within(0, 10),
+        )
+    )
+    def test_experiment(self, config):
+        assert len(run_experiment(SMALL, config).rows) == 2 * len(config.modes)
+
+
+# ---------------------------------------------------------------------------
+# Records
+# ---------------------------------------------------------------------------
+
+NOT_AN_ID = st.one_of(
+    JUNK.filter(lambda v: not isinstance(v, str)),
+    st.integers(),
+    st.booleans(),
+    st.tuples(st.just("U1")),
+    st.lists(st.just("U1"), max_size=1),  # unhashable, so no lookup may meet it before its check
+    st.just(""),
+    st.sampled_from(",;\n\r").map(lambda char: f"X{char}"),
+)
+
+# (records, field) -> what the field may not hold, and the error it raises
+BAD_RECORD_FIELDS = {
+    ("transactions", "tid"): (NOT_AN_ID, IntegrityError),
+    ("transactions", "user"): (NOT_AN_ID, IntegrityError),
+    ("transactions", "seq"): (NOT_AN_INT, IntegrityError),
+    ("transactions", "items"): (
+        st.one_of(
+            JUNK,  # "ABC" among them, which is not the items A, B and C
+            st.just(()),
+            st.lists(st.just("I0"), min_size=1, max_size=1),
+            st.tuples(NOT_AN_ID),
+            st.tuples(st.just("I0"), NOT_AN_ID),
+        ),
+        IntegrityError,
+    ),
+    ("ratings", "user"): (NOT_AN_ID, IntegrityError),
+    ("ratings", "item"): (NOT_AN_ID, IntegrityError),
+    ("ratings", "value"): (
+        st.one_of(
+            JUNK,
+            st.booleans(),
+            st.floats(max_value=0, exclude_max=True),
+            st.floats(min_value=10, exclude_min=True),
+            st.just(math.nan),
+            st.floats(0, 10).map(str),
+            st.fractions(0, 10),
+        ),
+        RangeError,
+    ),
+}
+
+FRESH = {"transactions": Transaction("NEWT", "NEW", 1, ("I0",)), "ratings": RatingRecord("NEW", "I0", 5.0)}
+
+
+class TestRecords:
+    @settings(max_examples=600, deadline=None)
+    @given(ds=small_datasets(), field=st.sampled_from(sorted(BAD_RECORD_FIELDS)), data=st.data())
+    def test_a_bad_field_fails_at_build(self, ds, field, data):
+        """A fresh record with one bad field, anywhere among valid ones, fails the build."""
+        kind, name = field
+        values, error = BAD_RECORD_FIELDS[field]
+        records = {"transactions": list(ds.transactions), "ratings": list(ds.ratings)}
+        bad = FRESH[kind]._replace(**{name: data.draw(values, label="value")})
+        records[kind].insert(data.draw(st.integers(0, len(records[kind])), label="at"), bad)
+        with pytest.raises(error):
+            Dataset.build(**records)
+
+    def test_fresh_records_build(self):
+        assert Dataset.build(**{kind: [record] for kind, record in FRESH.items()}).users == ("NEW",)
+
+    @pytest.mark.parametrize(
+        "records, error, message",
+        [
+            ({"transactions": [Transaction("T1", "U1", 1, "ABC")]}, IntegrityError, "transaction T1: items 'ABC' are not"),
+            ({"transactions": [tx("U1", 1.5, "P1", tid="T1")]}, IntegrityError, "transaction T1: seq 1.5 is not an int"),
+            ({"transactions": [tx("U1", True, "P1", tid="T1")]}, IntegrityError, "transaction T1: seq True is not an int"),
+            ({"transactions": [tx("U1", "1", "P1", tid="T1")]}, IntegrityError, "transaction T1: seq '1' is not an int"),
+            ({"transactions": [tx(1, 1, "P1", tid="T1")]}, IntegrityError, "invalid user id 1"),
+            ({"transactions": [tx(["U1"], 1, "P1", tid="T1")]}, IntegrityError, re.escape("invalid user id ['U1']")),
+            ({"transactions": [tx("U1", 1, ["P1"], tid="T1")]}, IntegrityError, re.escape("invalid item id ['P1']")),
+            ({"ratings": [RatingRecord("U1", "P1", True)]}, RangeError, "rating U1,P1: value True is not an int or a float"),
+            ({"ratings": [RatingRecord("U1", "P1", "7")]}, RangeError, "rating U1,P1: value '7' is not an int or a float"),
+            ({"ratings": [RatingRecord(1, "P1", 7.0)]}, IntegrityError, "invalid user id 1"),
+            ({"ratings": [RatingRecord("U1", ["P1"], 7.0)]}, IntegrityError, re.escape("invalid item id ['P1']")),
+        ],
+    )
+    def test_probe(self, records, error, message):
+        with pytest.raises(error, match=f"^{message}"):
+            Dataset.build(**records)
+
+    def test_an_int_value_is_kept(self):
+        assert Dataset.build(ratings=[RatingRecord("U1", "P1", 7)]).ratings_by_user == {"U1": {"P1": 7}}
+
+
+class TestFrozenDataset:
+    def test_fields_cannot_be_assigned(self, worked_example):
+        for field in dataclasses.fields(Dataset):
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                setattr(worked_example, field.name, ())
+
+    def test_cached_tables_and_snapshot_still_memoise(self):
+        ds = Dataset.build(transactions=[tx("U1", 1, "P1")], ratings=[rate("U1", "P1", 8)])
+        assert ds.ratings_by_user is ds.ratings_by_user
+        assert IndexSnapshot.of(ds) is IndexSnapshot.of(ds)

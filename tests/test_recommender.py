@@ -234,10 +234,10 @@ def check_pipeline_invariants(ds, mode) -> int:
             on = engine_on.recommend_profile(profile, exclude_user=user)
         except NoProfileError:
             continue
-        seen = profile.seen_items
+        seen = profile.ratings.keys() | profile.purchase_counts.keys()
         for rec in on:
             assert rec.item not in seen
-            assert bought_after(index, rec.item, profile.history)
+            assert bought_after(index, rec.item, profile.purchase_counts.keys())
         # enabling rules only appends: the rules-off list is a prefix
         assert [r.item for r in on[: len(off)]] == [r.item for r in off]
         # two tiers: every neighbour item precedes every rule item
@@ -277,7 +277,7 @@ class TestPipelineInvariants:
 def neighbor_pick(ds, neighbor, threshold, profile, index):
     """The neighbour's best-rated item, ties by lowest id, at or above the threshold,
     unseen and bought after the history; None when it has no such item."""
-    seen, history = profile.seen_items, profile.history
+    seen, history = profile.ratings.keys() | profile.purchase_counts.keys(), profile.purchase_counts.keys()
     eligible = [
         (-value, item)
         for item, value in ds.ratings_by_user[neighbor].items()
@@ -524,7 +524,7 @@ class TestConfigValidation:
     @pytest.mark.parametrize("value", [2.5, "3", True])
     def test_count_that_is_not_an_int_rejected_at_construction(self, worked_example, name, value):
         with pytest.raises(ConfigError, match=name):
-            RecommenderConfig(**{name: value}).validate()
+            RecommenderConfig(**{name: value})
         with pytest.raises(ConfigError, match=name):
             Recommender(worked_example, RecommenderConfig(**{name: value}))
 
