@@ -99,7 +99,7 @@ def _cmd_recommend_new(args) -> int:
 
 def _cmd_mine_rules(args) -> int:
     ds = load_transactions(args.transactions)
-    for rule in generate_rules(fp_growth(ds.transactions, args.minsup), args.minconf):
+    for rule in generate_rules(fp_growth(ds.transaction_rows, args.minsup), args.minconf):
         if args.antecedent is not None and args.antecedent not in rule.antecedent:
             continue
         if args.json:

@@ -22,12 +22,21 @@ digits, as :func:`to_transaction_csv` writes it; ``int()`` would also take
 value is ASCII text that ``float()`` reads, with no ``_`` and no leading or
 trailing whitespace, which covers every form :func:`to_rating_csv` writes.
 
+A dataset stores its transactions and ratings as plain tuples, rows
+``(tid, user, seq, items)`` and ``(user, item, value)``, and hands out a
+:class:`Transaction` or :class:`RatingRecord` only when one is read through
+``Dataset.transactions`` or ``Dataset.ratings``. The cyclic garbage collector
+stops tracking an exact tuple of strings and numbers at its first
+collection, but tracks a tuple subclass such as a named tuple for good, so
+stored rows add nothing to the full collections that run during a load and
+the engine builds. Every path in this package reads the rows.
+
 One load keeps one object per id: within a :func:`load_dataset` call every
 mention of a user or item id, in both files, is the same ``str`` as the
 matching element of ``Dataset.users`` or ``Dataset.items``, and rows with the
-same value text share one ``float``. The records then hold one string per id
-rather than one per row; :func:`split_users` reuses the records, so its
-subsets share them too.
+same value text share one ``float``. The rows then hold one string per id
+rather than one per row; :func:`split_users` reuses the rows, so its
+subsets share them and their strings too.
 
 Every record is checked once, on one path: the walks ``_check_transactions``
 and ``_check_ratings`` state each record invariant and its message.
@@ -45,11 +54,12 @@ from __future__ import annotations
 import random
 from codecs import BOM_UTF8
 from collections import Counter
+from collections.abc import Sequence
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import chain, islice
 from numbers import Real
-from operator import attrgetter
+from operator import itemgetter
 from pathlib import Path
 from typing import NamedTuple
 
@@ -57,10 +67,6 @@ from .errors import ConfigError, IntegrityError, ParseError, RangeError
 
 TRANSACTION_HEADER = "tid,user,seq,items"
 RATING_HEADER = "user,item,value"
-
-# A record from a tuple of its field values, without the keyword-argument
-# constructor's Python-level call: the loaders build one per row.
-_new_record = tuple.__new__
 
 
 def _nowhere(k: int) -> str:  # where a record made in code came from
@@ -128,13 +134,52 @@ class RatingRecord(NamedTuple):
     value: float
 
 
+class Records(Sequence):
+    """A read-only sequence of records over a tuple of plain rows, each record made when read.
+
+    Length, indexing and slicing cost what they cost on the rows, and a
+    slice is a view of the sliced rows; no record is kept. Records compares
+    equal to a tuple of the same records or rows, as a tuple of records did.
+    """
+
+    __slots__ = ("rows", "_record")
+
+    def __init__(self, rows: tuple, record) -> None:
+        self.rows = rows
+        self._record = record  # the record's _make
+
+    def __len__(self) -> int:
+        return len(self.rows)
+
+    def __getitem__(self, index):
+        if isinstance(index, slice):
+            return Records(self.rows[index], self._record)
+        return self._record(self.rows[index])
+
+    def __iter__(self):
+        return map(self._record, self.rows)
+
+    def __eq__(self, other) -> bool:
+        if isinstance(other, Records):
+            other = other.rows
+        return self.rows == other if isinstance(other, tuple) else NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self.rows)
+
+    def __repr__(self) -> str:
+        return f"Records({tuple(self)!r})"
+
+
 @dataclass(frozen=True)
 class Dataset:
-    """Frozen container of users, items, transactions and ratings.
+    """Frozen container of users, items, transaction rows and rating rows.
 
+    The rows are plain tuples, ``(tid, user, seq, items)`` and ``(user, item,
+    value)``; :attr:`transactions` and :attr:`ratings` read them as records.
     Records built in code go through :meth:`build`, which validates invariants
     and canonicalizes ordering so that equal datasets compare equal. The
-    loaders check their records by the same walks; they, the merge in
+    loaders check their rows by the same walks; they, the merge in
     :func:`load_dataset` and :func:`split_users` construct through the private
     :meth:`_trusted`. Assigning a field raises ``FrozenInstanceError``; build
     a new dataset instead. Derived lookup tables are cached on first access.
@@ -142,8 +187,8 @@ class Dataset:
 
     users: tuple[str, ...] = ()
     items: tuple[str, ...] = ()
-    transactions: tuple[Transaction, ...] = ()
-    ratings: tuple[RatingRecord, ...] = ()
+    transaction_rows: tuple[tuple[str, str, int, tuple[str, ...]], ...] = ()
+    rating_rows: tuple[tuple[str, str, float], ...] = ()
 
     @classmethod
     def build(cls, users=None, items=None, transactions=(), ratings=()) -> "Dataset":
@@ -153,10 +198,12 @@ class Dataset:
         A faulty record raises what a loader raises for it, without the line;
         an unknown reference raises IntegrityError, and so does a field of the
         wrong type (RangeError for a value): ids are str, a seq an int, items a
-        tuple, a value an int or a float, and a bool none of these.
+        tuple, a value an int or a float, and a bool none of these. The
+        records may be Transaction and RatingRecord or plain tuples; the
+        dataset keeps plain tuples.
         """
-        transactions = tuple(transactions)
-        ratings = tuple(ratings)
+        transactions = tuple(map(tuple, transactions))
+        ratings = tuple(map(tuple, ratings))
         tx_users, tx_items = _check_transactions(transactions, _nowhere)
         rt_users, rt_items = _check_ratings(ratings, _nowhere)
         return cls._trusted(
@@ -171,34 +218,46 @@ class Dataset:
         """Construct without checks from records that are already valid.
 
         The caller guarantees what :meth:`build` would check: unique sorted
-        ids that are all valid, records that reference only those ids, no
-        duplicate keys, values in range, and records in canonical order.
+        ids that are all valid, rows that reference only those ids, no
+        duplicate keys, values in range, and rows as exact tuples in canonical
+        order.
         """
         return cls(tuple(users), tuple(items), tuple(transactions), tuple(ratings))
+
+    @property
+    def transactions(self) -> Records:
+        """The transactions as :class:`Transaction` records, in (user, seq) order."""
+        return Records(self.transaction_rows, Transaction._make)
+
+    @property
+    def ratings(self) -> Records:
+        """The ratings as :class:`RatingRecord` records, in (user, item) order."""
+        return Records(self.rating_rows, RatingRecord._make)
 
     # Derived lookup tables, cached in the instance's __dict__, which freezing leaves writable.
 
     @cached_property
     def ratings_by_user(self) -> dict[str, dict[str, float]]:
         table: dict[str, dict[str, float]] = {u: {} for u in self.users}
-        for r in self.ratings:
-            table[r.user][r.item] = r.value
+        for user, item, value in self.rating_rows:
+            table[user][item] = value
         return table
 
     @cached_property
-    def transactions_by_user(self) -> dict[str, list[Transaction]]:
-        table: dict[str, list[Transaction]] = {u: [] for u in self.users}
-        for t in self.transactions:
-            table[t.user].append(t)
+    def transactions_by_user(self) -> dict[str, list[tuple]]:
+        """Per-user lists of transaction rows ``(tid, user, seq, items)``, seq-sorted."""
+        table: dict[str, list[tuple]] = {u: [] for u in self.users}
+        for row in self.transaction_rows:
+            table[row[1]].append(row)
         return table  # already seq-sorted by canonical ordering
 
     @cached_property
     def purchase_counts_by_user(self) -> dict[str, dict[str, int]]:
         """Per-user purchase occurrence counts n(user, item) across transactions."""
         table: dict[str, dict[str, int]] = {u: {} for u in self.users}
-        for t in self.transactions:
-            counts = table[t.user]
-            for i in t.items:
+        for _, user, _, items in self.transaction_rows:
+            counts = table[user]
+            for i in items:
                 counts[i] = counts.get(i, 0) + 1
         return table
 
@@ -212,8 +271,8 @@ class Dataset:
         return user in self.ratings_by_user
 
 
-def _sorted_transactions(transactions):
-    return sorted(transactions, key=attrgetter("user", "seq"))
+def _sorted_transactions(rows):
+    return sorted(rows, key=itemgetter(1, 2))  # by (user, seq)
 
 
 def _check_transactions(transactions, at):
@@ -276,6 +335,8 @@ def _declared_ids(kind: str, declared, met) -> list[str]:
     """The sorted ``declared`` ids, which must cover the ids ``met``; those when None."""
     if declared is None:
         return sorted(met)
+    if isinstance(declared, str):  # iterating it would declare its characters
+        raise IntegrityError(f"{kind}s must be a collection of ids, got the string {declared!r}")
     declared = {_check_id(kind, value) for value in declared}
     if unknown := met - declared:
         raise IntegrityError(f"unknown {kind} {min(unknown)!r}")
@@ -349,7 +410,7 @@ def _load_transactions(path, ids: dict[str, str]) -> Dataset:
             items = tuple(map(canonical, item_texts, item_texts))
             if "" in items:
                 raise ParseError(f"{at(len(transactions))}empty item id")
-            transactions.append(_new_record(Transaction, (tid, canonical(user, user), seq, items)))
+            transactions.append((tid, canonical(user, user), seq, items))
     except ParseError:
         _check_transactions(transactions, at)  # a record fault on an earlier line comes first
         raise
@@ -388,7 +449,7 @@ def _load_ratings(path, ids: dict[str, str]) -> Dataset:
                 except ValueError:
                     raise ParseError(f"{at(len(ratings))}bad value {value_text!r}") from None
                 values[value_text] = value
-            ratings.append(_new_record(RatingRecord, (canonical(user, user), canonical(item, item), value)))
+            ratings.append((canonical(user, user), canonical(item, item), value))
     except ParseError:
         _check_ratings(ratings, at)  # as in _load_transactions
         raise
@@ -410,22 +471,22 @@ def load_dataset(transactions_path=None, ratings_path=None) -> Dataset:
     return Dataset._trusted(
         sorted(set(tx.users).union(rt.users)),
         sorted(set(tx.items).union(rt.items)),
-        tx.transactions,
-        rt.ratings,
+        tx.transaction_rows,
+        rt.rating_rows,
     )
 
 
 def to_transaction_csv(dataset: Dataset) -> str:
     lines = [TRANSACTION_HEADER]
-    for t in dataset.transactions:
-        lines.append(f"{t.tid},{t.user},{t.seq},{';'.join(t.items)}")
+    for tid, user, seq, items in dataset.transaction_rows:
+        lines.append(f"{tid},{user},{seq},{';'.join(items)}")
     return "\n".join(lines) + "\n"
 
 
 def to_rating_csv(dataset: Dataset) -> str:
     lines = [RATING_HEADER]
-    for r in dataset.ratings:
-        lines.append(f"{r.user},{r.item},{r.value}")
+    for user, item, value in dataset.rating_rows:
+        lines.append(f"{user},{item},{value}")
     return "\n".join(lines) + "\n"
 
 
@@ -567,10 +628,16 @@ def split_users(dataset: Dataset, train_fraction: float, seed: int) -> tuple[Dat
     users' transactions and ratings (the item catalog is shared). The test
     share is floored, so tiny datasets keep every user in train. Neither side
     is validated again: a subset of a valid dataset is valid, and filtering
-    its sorted tuples keeps them sorted.
+    its sorted rows keeps them sorted. Both sides share the dataset's rows.
+    A ``train_fraction`` that is not a real number in (0, 1), or a ``seed``
+    that is not an int, raises RangeError.
     """
+    if not _is_real(train_fraction):
+        raise RangeError(f"train_fraction {train_fraction!r} is not a real number")
     if not 0.0 < train_fraction < 1.0:
         raise RangeError(f"train_fraction {train_fraction} outside (0, 1)")
+    if not _is_int(seed):
+        raise RangeError(f"seed {seed!r} is not an int")
 
     user_ids = list(dataset.users)
     rng = random.Random(seed)
@@ -584,8 +651,8 @@ def split_users(dataset: Dataset, train_fraction: float, seed: int) -> tuple[Dat
         return Dataset._trusted(
             (u for u in dataset.users if u in users),
             dataset.items,
-            (t for t in dataset.transactions if t.user in users),
-            (r for r in dataset.ratings if r.user in users),
+            (row for row in dataset.transaction_rows if row[1] in users),  # row[1] is the user
+            (row for row in dataset.rating_rows if row[0] in users),
         )
 
     return restrict(train_users), restrict(test_users)

@@ -168,7 +168,7 @@ class IndexSnapshot:
         with _BUILD_LOCK:
             if key not in self.rules:
                 by_item: RulesByItem = {}
-                for rule in generate_rules(fp_growth(train.transactions, minsup_pct), minconf_pct):
+                for rule in generate_rules(fp_growth(train.transaction_rows, minsup_pct), minconf_pct):
                     for item in rule.antecedent:
                         by_item.setdefault(item, []).append(rule)
                 self.rules[key] = by_item
@@ -295,7 +295,12 @@ def _check_profile(profile: Profile) -> None:
 
 
 def cold_start(train: Dataset, top_n: int) -> list[Recommendation]:
-    """The top_n most-purchased items, for a user with no profile; builds no index."""
+    """The top_n most-purchased items, for a user with no profile; builds no index.
+
+    A ``top_n`` that is not an int >= 1 raises RangeError.
+    """
+    if not _is_int(top_n) or top_n < 1:
+        raise RangeError(f"top_n must be an int >= 1, got {top_n!r}")
     return [
         Recommendation(item=item, score=score, source="popularity", explain="cold-start")
         for item, score in new_user_scores(train)[:top_n]

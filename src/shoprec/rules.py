@@ -17,7 +17,7 @@ import itertools
 import math
 from collections import Counter, defaultdict
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Iterable
 
 from .corpus import Transaction
 from .errors import RangeError
@@ -76,8 +76,12 @@ def _extend(prefix: tuple[str, ...], tails: list[tuple[str, int, int]], min_coun
             _extend(itemset, deeper, min_count, out)
 
 
-def fp_growth(transactions: Sequence[Transaction], minsup_pct: float) -> list[FrequentItemset]:
+def fp_growth(transactions: Iterable[Transaction], minsup_pct: float) -> list[FrequentItemset]:
     """All itemsets with support >= minsup_pct, canonically ordered.
+
+    The transactions may be Transaction records or their plain ``(tid, user,
+    seq, items)`` rows, such as ``Dataset.transaction_rows``; only the items
+    are read, once per transaction.
 
     Output is sorted by itemset size then lexicographically, so identical
     inputs always produce identical lists. The miner is tid-set intersection,
@@ -87,14 +91,15 @@ def fp_growth(transactions: Sequence[Transaction], minsup_pct: float) -> list[Fr
     """
     if not 0.0 < minsup_pct <= 100.0:
         raise RangeError(f"minsup_pct {minsup_pct} outside (0, 100]")
-    n = len(transactions)
+    baskets = [items for _, _, _, items in transactions]
+    n = len(baskets)
     if n == 0:
         return []
     min_count = _min_count(n, minsup_pct)
 
     tids: dict[str, list[int]] = defaultdict(list)
-    for index, t in enumerate(transactions):
-        for item in t.items:
+    for index, items in enumerate(baskets):
+        for item in items:
             tids[item].append(index)
     frequent = sorted(item for item, indexes in tids.items() if len(indexes) >= min_count)
     bits = {item: _bitset(tids[item]) for item in frequent}
@@ -104,7 +109,7 @@ def fp_growth(transactions: Sequence[Transaction], minsup_pct: float) -> list[Fr
         found.append(((item,), len(tids[item])))
         # a pair's count, over the transactions of its first item only: a sparse
         # catalogue never pays for the pairs that never occur
-        together = Counter(itertools.chain.from_iterable(transactions[i].items for i in tids[item]))
+        together = Counter(itertools.chain.from_iterable(baskets[i] for i in tids[item]))
         tails = sorted(
             (other, bits[item] & bits[other], count)
             for other, count in together.items()

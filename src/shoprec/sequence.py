@@ -53,8 +53,8 @@ def build_precedence_index(dataset: Dataset) -> PrecedenceIndex:
     for user in dataset.users:
         first: dict[str, int] = {}
         last: dict[str, int] = {}
-        for pos, txn in enumerate(dataset.transactions_by_user[user]):  # seq-sorted
-            for item in txn.items:
+        for pos, (_, _, _, items) in enumerate(dataset.transactions_by_user[user]):  # seq-sorted rows
+            for item in items:
                 first.setdefault(item, pos)
                 last[item] = pos
         # first was filled in position order, so its keys are sorted by first position
@@ -90,11 +90,11 @@ def precedence_counts(dataset: Dataset) -> dict[tuple[str, str], int]:
     """
     counts: dict[tuple[str, str], int] = {}
     for user in dataset.users:
-        txns = dataset.transactions_by_user[user]  # seq-sorted
-        for i, earlier_txn in enumerate(txns):
-            for later_txn in txns[i + 1 :]:
-                for a in earlier_txn.items:
-                    for b in later_txn.items:
+        baskets = [items for _, _, _, items in dataset.transactions_by_user[user]]  # seq-sorted
+        for i, earlier in enumerate(baskets):
+            for later in baskets[i + 1 :]:
+                for a in earlier:
+                    for b in later:
                         counts[(a, b)] = counts.get((a, b), 0) + 1
     return counts
 

@@ -332,6 +332,12 @@ class TestRecords:
     def test_an_int_value_is_kept(self):
         assert Dataset.build(ratings=[RatingRecord("U1", "P1", 7)]).ratings_by_user == {"U1": {"P1": 7}}
 
+    @pytest.mark.parametrize("kind", ["users", "items"])
+    def test_ids_declared_as_a_string(self, kind):
+        # iterating "U1U" declared the users '1' and 'U'
+        with pytest.raises(IntegrityError, match=f"^{kind} must be a collection of ids, got the string 'U1U'$"):
+            Dataset.build(ratings=[RatingRecord("U", "U", 5.0)], **{kind: "U1U"})
+
 
 class TestFrozenDataset:
     def test_fields_cannot_be_assigned(self, worked_example):

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from shoprec.corpus import (
     Dataset,
     RatingRecord,
+    Records,
     SyntheticConfig,
     Transaction,
     generate_synthetic,
@@ -231,8 +232,8 @@ class TestOneCheckingPath:
             Dataset.build(**records)
         with tempfile.TemporaryDirectory() as tmp:
             tp, rp = Path(tmp) / "t.csv", Path(tmp) / "r.csv"
-            save_transactions(Dataset(transactions=records["transactions"]), tp)
-            save_ratings(Dataset(ratings=records["ratings"]), rp)
+            save_transactions(Dataset(transaction_rows=records["transactions"]), tp)
+            save_ratings(Dataset(rating_rows=records["ratings"]), rp)
             with pytest.raises(ShoprecError) as loaded:
                 load_dataset(tp, rp)
         path = tp if kind == "transactions" else rp
@@ -332,6 +333,34 @@ class TestRecords:
         tid, user, seq, items = Transaction("T1", "U1", 1, ("a",))
         assert (tid, user, seq, items) == ("T1", "U1", 1, ("a",))
         assert RatingRecord("U1", "P1", 5.0) == ("U1", "P1", 5.0)
+
+    def test_dataset_keeps_rows_and_reads_them_as_records(self, tmp_path):
+        made = generate_synthetic(SyntheticConfig(users_per_class=3, rng_seed=4))
+        tp, rp = tmp_path / "t.csv", tmp_path / "r.csv"
+        save_transactions(made, tp)
+        save_ratings(made, rp)
+        ds = load_dataset(tp, rp)
+        for view, rows, record in (
+            (ds.transactions, ds.transaction_rows, Transaction),
+            (ds.ratings, ds.rating_rows, RatingRecord),
+        ):
+            assert type(rows) is tuple and all(type(row) is tuple for row in rows)
+            assert isinstance(view, Records) and len(view) == len(rows) > 3
+            assert all(type(r) is record for r in view)
+            assert list(view) == list(rows)  # iteration order
+            assert view[1] == rows[1] and view[-1] == rows[-1]
+            assert isinstance(view[1:4], Records) and view[1:4].rows == rows[1:4] and view[::2] == rows[::2]
+            assert view == tuple(view) and view == rows and hash(view) == hash(rows)
+            assert view != list(rows)  # a view equals tuples, as the tuple it replaces did
+        first = ds.transactions[0]
+        assert (first.tid, first.user, first.seq, first.items) == ds.transaction_rows[0]
+        rating = ds.ratings[0]
+        assert (rating.user, rating.item, rating.value) == ds.rating_rows[0]
+        assert type(ds.transactions[0].items) is tuple
+        built = Dataset.build(transactions=ds.transactions, ratings=ds.ratings)
+        assert built == ds and all(type(row) is tuple for row in built.transaction_rows + built.rating_rows)
+        assert ds == Dataset.build(transactions=ds.transaction_rows, ratings=ds.rating_rows)
+        assert (ds.transaction_rows, ds.rating_rows) == (made.transaction_rows, made.rating_rows)
 
 
 def test_round_trip(tmp_path):
@@ -467,7 +496,7 @@ class TestSynthetic:
         assert len(ds.users) == 100
         assert len(ds.items) == 60
         for user in ds.users:
-            seqs = [t.seq for t in ds.transactions_by_user[user]]
+            seqs = [seq for _, _, seq, _ in ds.transactions_by_user[user]]  # the lists hold rows
             assert seqs == sorted(seqs)
             assert len(set(seqs)) == len(seqs)
         assert all(0.0 <= r.value <= 10.0 for r in ds.ratings)
@@ -546,6 +575,21 @@ class TestSplitUsers:
         for frac in (0.0, 1.0, -0.5, 1.5):
             with pytest.raises(RangeError):
                 split_users(ds, frac, seed=1)
+
+    @pytest.mark.parametrize(
+        "frac, seed, message",
+        [
+            ("0.5", 0, "train_fraction '0.5' is not a real number"),
+            (None, 0, "train_fraction None is not a real number"),
+            (True, 0, "train_fraction True is not a real number"),
+            (0.5, "0", "seed '0' is not an int"),
+            (0.5, 1.0, "seed 1.0 is not an int"),
+            (0.5, None, "seed None is not an int"),
+        ],
+    )
+    def test_parameter_of_the_wrong_type(self, frac, seed, message):
+        with pytest.raises(RangeError, match=f"^{re.escape(message)}$"):
+            split_users(random_ten_users(), frac, seed)
 
     @settings(max_examples=200, deadline=None)
     @given(ds=small_datasets(), frac=st.floats(0.01, 0.99), seed=st.integers(0, 2**32))

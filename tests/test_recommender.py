@@ -498,6 +498,13 @@ class TestColdStart:
         ds = Dataset.build(ratings=[rate("U1", "P1", 5)])
         assert cold_start(ds, 5) == []
 
+    @pytest.mark.parametrize("top_n", [0, -1, 1.0, "2", True, None])
+    def test_top_n_that_is_not_an_int_of_at_least_one(self, top_n):
+        # -1 sliced the ranking to all but its last item
+        ds = Dataset.build(transactions=[tx("U1", 1, "IA"), tx("U2", 1, "IB")])
+        with pytest.raises(RangeError, match=f"^top_n must be an int >= 1, got {re.escape(repr(top_n))}$"):
+            cold_start(ds, top_n)
+
 
 class TestConfigValidation:
     @pytest.mark.parametrize("use_rules", [True, False])
