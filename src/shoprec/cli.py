@@ -93,7 +93,7 @@ def _cmd_recommend(args) -> int:
 
 def _cmd_recommend_new(args) -> int:
     ds = load_dataset(args.transactions, args.ratings)
-    _print_recommendations(cold_start(ds, RecommenderConfig(top_n=args.top_n).top_n), args.json)
+    _print_recommendations(cold_start(ds, args.top_n), args.json)
     return 0
 
 

@@ -39,14 +39,14 @@ rather than one per row; :func:`split_users` reuses the rows, so its
 subsets share them and their strings too.
 
 Every record is checked once, on one path: the walks ``_check_transactions``
-and ``_check_ratings`` state each record invariant and its message.
-``Dataset.build`` runs them on records made in code; the loaders parse text
-into records (header, UTF-8, field count, seq and value syntax, empty item
-ids), run them, and prefix their errors with the file and line. A file with
-several faults reports the first faulty line; within one row, a syntax fault
-comes first. The loaders, the merge in ``load_dataset`` and ``split_users``
-then use the private trusted constructor: a subset of a valid dataset is
-valid, and filtering a sorted tuple keeps it sorted.
+and ``_check_ratings`` state each record invariant and its message. The
+``Dataset`` constructor runs them on records made in code; the loaders parse
+text into records (header, UTF-8, field count, seq and value syntax, empty
+item ids), run them, and prefix their errors with the file and line. A file
+with several faults reports the first faulty line; within one row, a syntax
+fault comes first. The loaders, the merge in ``load_dataset`` and
+``split_users`` then skip the walks through ``Dataset._trusted``: a subset
+of a valid dataset is valid, and filtering a sorted tuple keeps it sorted.
 """
 
 from __future__ import annotations
@@ -54,7 +54,7 @@ from __future__ import annotations
 import random
 from codecs import BOM_UTF8
 from collections import Counter
-from collections.abc import Sequence
+from collections.abc import Iterable, Sequence
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import chain, islice
@@ -171,42 +171,36 @@ class Records(Sequence):
         return f"Records({tuple(self)!r})"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class Dataset:
     """Frozen container of users, items, transaction rows and rating rows.
 
-    The rows are plain tuples, ``(tid, user, seq, items)`` and ``(user, item,
-    value)``; :attr:`transactions` and :attr:`ratings` read them as records.
-    Records built in code go through :meth:`build`, which validates invariants
-    and canonicalizes ordering so that equal datasets compare equal. The
-    loaders check their rows by the same walks; they, the merge in
-    :func:`load_dataset` and :func:`split_users` construct through the private
-    :meth:`_trusted`. Assigning a field raises ``FrozenInstanceError``; build
-    a new dataset instead. Derived lookup tables are cached on first access.
+    :attr:`transactions` and :attr:`ratings` read the rows as records. The
+    constructor is the one checked way in, as a config's is; assigning a
+    field raises ``FrozenInstanceError``. Derived lookup tables are cached on
+    first access.
     """
 
-    users: tuple[str, ...] = ()
-    items: tuple[str, ...] = ()
-    transaction_rows: tuple[tuple[str, str, int, tuple[str, ...]], ...] = ()
-    rating_rows: tuple[tuple[str, str, float], ...] = ()
+    users: tuple[str, ...]
+    items: tuple[str, ...]
+    transaction_rows: tuple[tuple[str, str, int, tuple[str, ...]], ...]
+    rating_rows: tuple[tuple[str, str, float], ...]
 
-    @classmethod
-    def build(cls, users=None, items=None, transactions=(), ratings=()) -> "Dataset":
-        """Validate and canonicalize into a Dataset.
+    def __init__(self, users=None, items=None, transactions=(), ratings=()) -> None:
+        """Validate and canonicalize records into a Dataset.
 
-        When ``users``/``items`` are None they are inferred from the records.
-        A faulty record raises what a loader raises for it, without the line;
-        an unknown reference raises IntegrityError, and so does a field of the
-        wrong type (RangeError for a value): ids are str, a seq an int, items a
-        tuple, a value an int or a float, and a bool none of these. The
-        records may be Transaction and RatingRecord or plain tuples; the
-        dataset keeps plain tuples.
+        Users and items are inferred from the records when None. Records may
+        be Transaction and RatingRecord or plain tuples. A faulty record
+        raises what a loader raises for it, without the line; an unknown
+        reference, a record without its fields or a field of the wrong type
+        raises IntegrityError (RangeError for a value): ids are str, a seq an
+        int, items a tuple, a value an int or a float, a bool none of these.
         """
-        transactions = tuple(map(tuple, transactions))
-        ratings = tuple(map(tuple, ratings))
+        transactions = _rows("transaction", transactions, Transaction._fields)
+        ratings = _rows("rating", ratings, RatingRecord._fields)
         tx_users, tx_items = _check_transactions(transactions, _nowhere)
         rt_users, rt_items = _check_ratings(ratings, _nowhere)
-        return cls._trusted(
+        self._fill(
             _declared_ids("user", users, tx_users | rt_users),
             _declared_ids("item", items, tx_items | rt_items),
             _sorted_transactions(transactions),
@@ -215,14 +209,15 @@ class Dataset:
 
     @classmethod
     def _trusted(cls, users, items, transactions, ratings) -> "Dataset":
-        """Construct without checks from records that are already valid.
+        """Construct past the walks, from exact-tuple rows in canonical order that would pass them."""
+        dataset = object.__new__(cls)
+        dataset._fill(users, items, transactions, ratings)
+        return dataset
 
-        The caller guarantees what :meth:`build` would check: unique sorted
-        ids that are all valid, rows that reference only those ids, no
-        duplicate keys, values in range, and rows as exact tuples in canonical
-        order.
-        """
-        return cls(tuple(users), tuple(items), tuple(transactions), tuple(ratings))
+    def _fill(self, users, items, transactions, ratings) -> None:  # past the frozen __setattr__
+        vars(self).update(
+            users=tuple(users), items=tuple(items), transaction_rows=tuple(transactions), rating_rows=tuple(ratings)
+        )
 
     @property
     def transactions(self) -> Records:
@@ -273,6 +268,20 @@ class Dataset:
 
 def _sorted_transactions(rows):
     return sorted(rows, key=itemgetter(1, 2))  # by (user, seq)
+
+
+def _rows(kind: str, records, fields: tuple[str, ...]) -> tuple:
+    """The records as plain tuples; IntegrityError names the first that does not hold the ``fields``."""
+    records = tuple(records)
+    try:
+        rows = tuple(map(tuple, records))
+    except TypeError:  # a record that is not iterable
+        rows = ()
+    if len(rows) == len(records) and set(map(len, rows)) <= {len(fields)}:
+        return rows
+    for record in records:  # the passes above met a record of another shape: name the first
+        if not isinstance(record, Iterable) or len(tuple(record)) != len(fields):
+            raise IntegrityError(f"{kind} {record!r} is not a ({', '.join(fields)}) record")
 
 
 def _check_transactions(transactions, at):
@@ -454,7 +463,7 @@ def _load_ratings(path, ids: dict[str, str]) -> Dataset:
         _check_ratings(ratings, at)  # as in _load_transactions
         raise
     users, items = _check_ratings(ratings, at)
-    ratings.sort()  # as in Dataset.build
+    ratings.sort()  # as in the Dataset constructor
     return Dataset._trusted(sorted(users), sorted(items), (), ratings)
 
 
@@ -599,9 +608,7 @@ def generate_synthetic(config: SyntheticConfig) -> Dataset:
                 if candidate not in basket:
                     basket.append(candidate)
             tid_counter += 1
-            transactions.append(
-                Transaction(tid=f"T{tid_counter:05d}", user=user, seq=seq, items=tuple(basket))
-            )
+            transactions.append((f"T{tid_counter:05d}", user, seq, tuple(basket)))
             for i in basket:
                 taste_of(i)
                 purchased[i] = purchased.get(i, 0) + 1
@@ -616,9 +623,9 @@ def generate_synthetic(config: SyntheticConfig) -> Dataset:
             if candidate not in rated:
                 rated.append(candidate)
         for item in rated:
-            ratings.append(RatingRecord(user=user, item=item, value=round(taste_of(item), 2)))
+            ratings.append((user, item, round(taste_of(item), 2)))
 
-    return Dataset.build(users=users, items=items, transactions=transactions, ratings=ratings)
+    return Dataset(users=users, items=items, transactions=transactions, ratings=ratings)
 
 
 def split_users(dataset: Dataset, train_fraction: float, seed: int) -> tuple[Dataset, Dataset]:
@@ -627,10 +634,9 @@ def split_users(dataset: Dataset, train_fraction: float, seed: int) -> tuple[Dat
     The splits are disjoint, cover all users, and each carries only its own
     users' transactions and ratings (the item catalog is shared). The test
     share is floored, so tiny datasets keep every user in train. Neither side
-    is validated again: a subset of a valid dataset is valid, and filtering
-    its sorted rows keeps them sorted. Both sides share the dataset's rows.
-    A ``train_fraction`` that is not a real number in (0, 1), or a ``seed``
-    that is not an int, raises RangeError.
+    is checked again, and both share the dataset's rows. A ``train_fraction``
+    that is not a real number in (0, 1), or a ``seed`` that is not an int,
+    raises RangeError.
     """
     if not _is_real(train_fraction):
         raise RangeError(f"train_fraction {train_fraction!r} is not a real number")

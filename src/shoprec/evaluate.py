@@ -110,12 +110,6 @@ class EvalReport:
     train_user_count: int = 0
     test_user_count: int = 0
 
-    def row(self, mode: str, rules_enabled: bool) -> EvalRow:
-        for r in self.rows:
-            if r.mode == mode and r.rules_enabled == rules_enabled:
-                return r
-        raise KeyError((mode, rules_enabled))
-
 
 def _holdout_profile(dataset: Dataset, user: str, relevance_threshold: float):
     """Split a test user into (residual query profile, hidden relevant set)."""

@@ -46,7 +46,7 @@ def table1():
         Transaction(tid=tid, user=u, seq=1, items=items)
         for (tid, items), u in zip(TABLE1_ROWS, users)
     ]
-    return Dataset.build(transactions=txns)
+    return Dataset(transactions=txns)
 
 
 @pytest.fixture
@@ -70,7 +70,7 @@ def worked_example():
         ("U3", ["P1", "P2", "P3"]),
     ]:
         txns.extend(tx(user, seq, item) for seq, item in enumerate(sequence, start=1))
-    return Dataset.build(transactions=txns, ratings=ratings)
+    return Dataset(transactions=txns, ratings=ratings)
 
 
 @pytest.fixture
@@ -78,7 +78,7 @@ def physics():
     """One training user bought the four-volume series strictly in order."""
     txns = [tx("A", i, f"Ph{i}") for i in (1, 2, 3, 4)]
     ratings = [rate("A", f"Ph{i}", 9.0) for i in (1, 2, 3, 4)]
-    return Dataset.build(transactions=txns, ratings=ratings)
+    return Dataset(transactions=txns, ratings=ratings)
 
 
 def random_dataset(rng: random.Random, n_users=5, n_items=6, max_txns=4, max_basket=3, with_ratings=True):
@@ -94,7 +94,7 @@ def random_dataset(rng: random.Random, n_users=5, n_items=6, max_txns=4, max_bas
         if with_ratings:
             for item in rng.sample(items, rng.randint(0, n_items)):
                 ratings.append(rate(user, item, round(rng.uniform(0, 10), 1)))
-    return Dataset.build(users=users, items=items, transactions=txns, ratings=ratings)
+    return Dataset(users=users, items=items, transactions=txns, ratings=ratings)
 
 
 # Few distinct values, 0 included, so that zero coordinates and tied
@@ -114,7 +114,7 @@ def small_datasets(draw):
             ratings.append(rate(user, item, draw(RATING_VALUES)))
         baskets = draw(st.lists(st.lists(st.sampled_from(items), min_size=1, max_size=3, unique=True), max_size=4))
         txns.extend(tx(user, seq, *basket) for seq, basket in enumerate(baskets, start=1))
-    return Dataset.build(users=users, items=items, transactions=txns, ratings=ratings)
+    return Dataset(users=users, items=items, transactions=txns, ratings=ratings)
 
 
 @st.composite
@@ -129,4 +129,4 @@ def rule_datasets(draw):
             ratings.append(rate(user, item, draw(st.sampled_from([2.5, 5.0, 7.5, 10.0]))))
         baskets = draw(st.lists(st.lists(st.sampled_from(items), min_size=1, max_size=3, unique=True), min_size=1, max_size=4))
         txns.extend(tx(user, seq, *basket) for seq, basket in enumerate(baskets, start=1))
-    return Dataset.build(users=users, items=items, transactions=txns, ratings=ratings)
+    return Dataset(users=users, items=items, transactions=txns, ratings=ratings)

@@ -18,6 +18,7 @@ from shoprec.similarity import profile_weights, top_k_neighbors
 from conftest import random_dataset, rate, tx
 from oracles import cosine_restricted
 from test_cli import run_cli
+from test_eval import report_row
 from test_rules import brute_force_frequent_itemsets
 
 PINNED_SYNTHETIC = SyntheticConfig(
@@ -81,7 +82,7 @@ def test_criterion_01_worked_cosine_example(worked_example):
 def test_criterion_02_frequency_weighted_component():
     # rating 0.5 on the unit scale is 5 canonical; n=5 of 10 purchases
     txns = [tx("U1", s, "P1") for s in range(1, 6)] + [tx("U1", s, "P2") for s in range(6, 11)]
-    ds = Dataset.build(transactions=txns, ratings=[rate("U1", "P1", 5.0)])
+    ds = Dataset(transactions=txns, ratings=[rate("U1", "P1", 5.0)])
     weight = profile_weights(ds.ratings_by_user["U1"], ds.purchase_counts_by_user["U1"], "method1")["P1"]
     assert weight == approx(2.5, abs=1e-12)
     assert weight / 10 == approx(0.25, abs=1e-13)  # the unit-scale reading
@@ -158,10 +159,10 @@ def test_criterion_06_cold_start_ranking():
 
 def test_criterion_07_mode_comparison_direction(pinned_run):
     report, elapsed = pinned_run
-    simple = report.row("simple", False).precision_pct
-    implicit = report.row("implicit", False).precision_pct
-    method1 = report.row("method1", False).precision_pct
-    method2 = report.row("method2", False).precision_pct
+    simple = report_row(report, "simple", False).precision_pct
+    implicit = report_row(report, "implicit", False).precision_pct
+    method1 = report_row(report, "method1", False).precision_pct
+    method2 = report_row(report, "method2", False).precision_pct
     assert simple > implicit
     assert method1 >= simple - 2.0
     assert method2 >= simple - 2.0
@@ -177,8 +178,8 @@ def test_criterion_08_rule_expansion_improves_recall(pinned_run):
     report, _ = pinned_run
     strictly_better = 0
     for mode in ALL_MODES:
-        off = report.row(mode, False).recall_pct
-        on = report.row(mode, True).recall_pct
+        off = report_row(report, mode, False).recall_pct
+        on = report_row(report, mode, True).recall_pct
         assert on >= off
         if on > off:
             strictly_better += 1

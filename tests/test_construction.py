@@ -2,9 +2,10 @@
 
 Each config checks its fields in ``__post_init__`` and is frozen, so a config
 that exists is valid and stays so; ``dataclasses.replace`` checks the copy.
-``Dataset.build`` checks each record field's type in the walks the loaders
-share. A bad value fails at construction with ConfigError, IntegrityError or
-RangeError, never later with a TypeError.
+The ``Dataset`` constructor checks each record's shape, and its field types
+in the walks the loaders share. A bad value fails at construction with
+ConfigError, IntegrityError or RangeError, never with a bare TypeError or
+ValueError, and never later.
 """
 
 import dataclasses
@@ -259,8 +260,23 @@ NOT_AN_ID = st.one_of(
     st.sampled_from(",;\n\r").map(lambda char: f"X{char}"),
 )
 
-# (records, field) -> what the field may not hold, and the error it raises
+FRESH = {"transactions": Transaction("NEWT", "NEW", 1, ("I0",)), "ratings": RatingRecord("NEW", "I0", 5.0)}
+
+
+def wrong_shapes(record):
+    """Values that are not a record of ``record``'s kind: too few or too many fields, or not iterable."""
+    fields = tuple(record)
+    return st.one_of(
+        st.integers(0, 2 * len(fields)).filter(lambda n: n != len(fields)).map(lambda n: (fields * 2)[:n]),
+        st.one_of(st.none(), st.integers(), st.floats(), st.booleans(), st.complex_numbers(), st.builds(object)),
+    )
+
+
+# (records, field) -> what the field may not hold, and the error it raises; the
+# field "record" stands for the whole record
 BAD_RECORD_FIELDS = {
+    ("transactions", "record"): (wrong_shapes(FRESH["transactions"]), IntegrityError),
+    ("ratings", "record"): (wrong_shapes(FRESH["ratings"]), IntegrityError),
     ("transactions", "tid"): (NOT_AN_ID, IntegrityError),
     ("transactions", "user"): (NOT_AN_ID, IntegrityError),
     ("transactions", "seq"): (NOT_AN_INT, IntegrityError),
@@ -290,24 +306,23 @@ BAD_RECORD_FIELDS = {
     ),
 }
 
-FRESH = {"transactions": Transaction("NEWT", "NEW", 1, ("I0",)), "ratings": RatingRecord("NEW", "I0", 5.0)}
-
 
 class TestRecords:
     @settings(max_examples=600, deadline=None)
     @given(ds=small_datasets(), field=st.sampled_from(sorted(BAD_RECORD_FIELDS)), data=st.data())
     def test_a_bad_field_fails_at_build(self, ds, field, data):
-        """A fresh record with one bad field, anywhere among valid ones, fails the build."""
+        """A fresh record of the wrong shape or with one bad field, anywhere among valid ones, fails."""
         kind, name = field
         values, error = BAD_RECORD_FIELDS[field]
         records = {"transactions": list(ds.transactions), "ratings": list(ds.ratings)}
-        bad = FRESH[kind]._replace(**{name: data.draw(values, label="value")})
+        value = data.draw(values, label="value")
+        bad = value if name == "record" else FRESH[kind]._replace(**{name: value})
         records[kind].insert(data.draw(st.integers(0, len(records[kind])), label="at"), bad)
         with pytest.raises(error):
-            Dataset.build(**records)
+            Dataset(**records)
 
     def test_fresh_records_build(self):
-        assert Dataset.build(**{kind: [record] for kind, record in FRESH.items()}).users == ("NEW",)
+        assert Dataset(**{kind: [record] for kind, record in FRESH.items()}).users == ("NEW",)
 
     @pytest.mark.parametrize(
         "records, error, message",
@@ -323,20 +338,37 @@ class TestRecords:
             ({"ratings": [RatingRecord("U1", "P1", "7")]}, RangeError, "rating U1,P1: value '7' is not an int or a float"),
             ({"ratings": [RatingRecord(1, "P1", 7.0)]}, IntegrityError, "invalid user id 1"),
             ({"ratings": [RatingRecord("U1", ["P1"], 7.0)]}, IntegrityError, re.escape("invalid item id ['P1']")),
+            (
+                {"ratings": [("U1", "P1", 5.0, "x")]},
+                IntegrityError,
+                re.escape("rating ('U1', 'P1', 5.0, 'x') is not a (user, item, value) record"),
+            ),
+            (
+                {"transactions": [("T1", "U1", 1)]},
+                IntegrityError,
+                re.escape("transaction ('T1', 'U1', 1) is not a (tid, user, seq, items) record"),
+            ),
+            ({"ratings": [5]}, IntegrityError, re.escape("rating 5 is not a (user, item, value) record")),
         ],
     )
     def test_probe(self, records, error, message):
         with pytest.raises(error, match=f"^{message}"):
-            Dataset.build(**records)
+            Dataset(**records)
 
     def test_an_int_value_is_kept(self):
-        assert Dataset.build(ratings=[RatingRecord("U1", "P1", 7)]).ratings_by_user == {"U1": {"P1": 7}}
+        assert Dataset(ratings=[RatingRecord("U1", "P1", 7)]).ratings_by_user == {"U1": {"P1": 7}}
+
+    @pytest.mark.parametrize("declared", [{}, {"users": ("U1",), "items": ("P1",)}])
+    def test_the_constructor_checks_what_it_is_given(self, declared):
+        # the plain constructor once took these unchecked, and the engines met a rating of 99
+        with pytest.raises(RangeError, match=r"^rating U1,P1: value 99.0 outside \[0, 10\]$"):
+            Dataset(transactions=[("T1", "U1", 1, ("P1",))], ratings=[("U1", "P1", 99.0)], **declared)
 
     @pytest.mark.parametrize("kind", ["users", "items"])
     def test_ids_declared_as_a_string(self, kind):
         # iterating "U1U" declared the users '1' and 'U'
         with pytest.raises(IntegrityError, match=f"^{kind} must be a collection of ids, got the string 'U1U'$"):
-            Dataset.build(ratings=[RatingRecord("U", "U", 5.0)], **{kind: "U1U"})
+            Dataset(ratings=[RatingRecord("U", "U", 5.0)], **{kind: "U1U"})
 
 
 class TestFrozenDataset:
@@ -345,7 +377,19 @@ class TestFrozenDataset:
             with pytest.raises(dataclasses.FrozenInstanceError):
                 setattr(worked_example, field.name, ())
 
+    def test_four_fields_equality_hash_and_repr(self):
+        a = Dataset(transactions=[tx("U1", 2, "P2"), tx("U1", 1, "P1")], ratings=[("U1", "P1", 8.0)])
+        b = Dataset(transactions=[tuple(tx("U1", 1, "P1")), tx("U1", 2, "P2")], ratings=[rate("U1", "P1", 8)])
+        names = [field.name for field in dataclasses.fields(Dataset)]
+        assert names == ["users", "items", "transaction_rows", "rating_rows"]
+        assert a == b and hash(a) == hash(b) and a != Dataset()
+        assert repr(a) == (
+            "Dataset(users=('U1',), items=('P1', 'P2'), "
+            "transaction_rows=(('U1-1', 'U1', 1, ('P1',)), ('U1-2', 'U1', 2, ('P2',))), "
+            "rating_rows=(('U1', 'P1', 8.0),))"
+        )
+
     def test_cached_tables_and_snapshot_still_memoise(self):
-        ds = Dataset.build(transactions=[tx("U1", 1, "P1")], ratings=[rate("U1", "P1", 8)])
+        ds = Dataset(transactions=[tx("U1", 1, "P1")], ratings=[rate("U1", "P1", 8)])
         assert ds.ratings_by_user is ds.ratings_by_user
         assert IndexSnapshot.of(ds) is IndexSnapshot.of(ds)

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from shoprec import corpus
 from shoprec.corpus import (
     Dataset,
     RatingRecord,
@@ -173,7 +174,7 @@ class TestLoadRatings:
     @settings(max_examples=200, deadline=None)
     @given(value=st.floats(0.0, 10.0))
     def test_every_value_written_loads_back(self, value):
-        ds = Dataset.build(ratings=[rate("U1", "P1", value)])
+        ds = Dataset(ratings=[rate("U1", "P1", value)])
         with tempfile.TemporaryDirectory() as tmp:
             path = Path(tmp) / "r.csv"
             save_ratings(ds, path)
@@ -207,7 +208,7 @@ FAULTS = {
 
 
 class TestOneCheckingPath:
-    """A loaded file and Dataset.build of the same records go through the same checks."""
+    """A loaded file and the Dataset constructor, given the same records, go through the same checks."""
 
     @settings(max_examples=300, deadline=None)
     @given(ds=small_datasets(), fault=st.sampled_from(sorted(FAULTS)), data=st.data())
@@ -229,11 +230,11 @@ class TestOneCheckingPath:
                 records[name] = data.draw(st.permutations(records[name]))
 
         with pytest.raises(ShoprecError) as built:
-            Dataset.build(**records)
+            Dataset(**records)
         with tempfile.TemporaryDirectory() as tmp:
             tp, rp = Path(tmp) / "t.csv", Path(tmp) / "r.csv"
-            save_transactions(Dataset(transaction_rows=records["transactions"]), tp)
-            save_ratings(Dataset(rating_rows=records["ratings"]), rp)
+            save_transactions(Dataset._trusted((), (), records["transactions"], ()), tp)  # unchecked on purpose
+            save_ratings(Dataset._trusted((), (), (), records["ratings"]), rp)
             with pytest.raises(ShoprecError) as loaded:
                 load_dataset(tp, rp)
         path = tp if kind == "transactions" else rp
@@ -357,9 +358,9 @@ class TestRecords:
         rating = ds.ratings[0]
         assert (rating.user, rating.item, rating.value) == ds.rating_rows[0]
         assert type(ds.transactions[0].items) is tuple
-        built = Dataset.build(transactions=ds.transactions, ratings=ds.ratings)
+        built = Dataset(transactions=ds.transactions, ratings=ds.ratings)
         assert built == ds and all(type(row) is tuple for row in built.transaction_rows + built.rating_rows)
-        assert ds == Dataset.build(transactions=ds.transaction_rows, ratings=ds.rating_rows)
+        assert ds == Dataset(transactions=ds.transaction_rows, ratings=ds.rating_rows)
         assert (ds.transaction_rows, ds.rating_rows) == (made.transaction_rows, made.rating_rows)
 
 
@@ -402,7 +403,7 @@ def test_load_shares_one_object_per_id_and_value_text(ds, frac, seed):
         save_ratings(ds, rp)
         loaded = load_dataset(tp, rp)
     # the files carry the users and items that some record names
-    assert loaded == Dataset.build(transactions=ds.transactions, ratings=ds.ratings)
+    assert loaded == Dataset(transactions=ds.transactions, ratings=ds.ratings)
     for side in (loaded, *split_users(loaded, frac, seed)):
         assert_loaded_objects_shared(side)
 
@@ -425,7 +426,7 @@ def test_crlf_files_load_like_lf(tmp_path):
 @settings(max_examples=200, deadline=None)
 @given(ds=small_datasets(), data=st.data())
 def test_load_matches_build_of_the_records_written(ds, data):
-    """The loaders' own checks and sort give what Dataset.build gives, in any row order."""
+    """The loaders' own checks and sort give what the Dataset constructor gives, in any row order."""
     paths = []
     with tempfile.TemporaryDirectory() as tmp:
         for name, text in (("t.csv", to_transaction_csv(ds)), ("r.csv", to_rating_csv(ds))):
@@ -434,40 +435,49 @@ def test_load_matches_build_of_the_records_written(ds, data):
             path.write_text("\n".join([header, *data.draw(st.permutations(rows))]) + "\n")
             paths.append(path)
         loaded = load_dataset(*paths)
-    assert loaded == Dataset.build(transactions=ds.transactions, ratings=ds.ratings)
+    assert loaded == Dataset(transactions=ds.transactions, ratings=ds.ratings)
 
 
 def test_load_and_split_validate_each_record_once(tmp_path, monkeypatch):
+    """Each loader walks its file's records once; the merge and the split walk none."""
     ds = generate_synthetic(SyntheticConfig(users_per_class=6, rng_seed=9))
     tp, rp = tmp_path / "t.csv", tmp_path / "r.csv"
     tp.write_text(to_transaction_csv(ds))
     rp.write_text(to_rating_csv(ds))
-    build = Dataset.build.__func__
-    calls = []
+    walked = []
 
-    def counted(cls, *args, **kwargs):
-        calls.append(cls)
-        return build(cls, *args, **kwargs)
+    def counted(walk):
+        def count(records, at):
+            walked.append((walk.__name__, len(records)))
+            return walk(records, at)
 
-    monkeypatch.setattr(Dataset, "build", classmethod(counted))
-    split_users(load_dataset(tp, rp), 0.8, seed=1)
-    assert len(calls) <= 1
+        return count
+
+    for name in ("_check_transactions", "_check_ratings"):
+        monkeypatch.setattr(corpus, name, counted(getattr(corpus, name)))
+    loaded = load_dataset(tp, rp)
+    train, test = split_users(loaded, 0.8, seed=1)
+    assert train.users and test.users
+    assert walked == [("_check_transactions", len(ds.transactions)), ("_check_ratings", len(ds.ratings))]
+    # the constructor walks what it is given, so the counters see every walk
+    assert Dataset(transactions=loaded.transactions, ratings=loaded.ratings) == loaded
+    assert walked[2:] == walked[:2]
 
 
 class TestDatasetBuild:
     def test_unknown_references_rejected(self):
         with pytest.raises(IntegrityError):
-            Dataset.build(users=["U1"], items=["P1"], transactions=[tx("U2", 1, "P1")])
+            Dataset(users=["U1"], items=["P1"], transactions=[tx("U2", 1, "P1")])
         with pytest.raises(IntegrityError):
-            Dataset.build(users=["U1"], items=["P1"], ratings=[rate("U1", "P9", 5)])
+            Dataset(users=["U1"], items=["P1"], ratings=[rate("U1", "P9", 5)])
 
     def test_rating_range_checked(self):
         with pytest.raises(RangeError):
-            Dataset.build(ratings=[rate("U1", "P1", 10.5)])
+            Dataset(ratings=[rate("U1", "P1", 10.5)])
 
     def test_empty_transaction_rejected(self):
         with pytest.raises(IntegrityError):
-            Dataset.build(transactions=[tx("U1", 1)])
+            Dataset(transactions=[tx("U1", 1)])
 
     @pytest.mark.parametrize("char", [",", ";", "\n", "\r"])
     @pytest.mark.parametrize(
@@ -483,11 +493,11 @@ class TestDatasetBuild:
     def test_id_with_a_forbidden_character_rejected(self, char, kind, records):
         bad = f"X{char}1"
         with pytest.raises(IntegrityError, match=f"^invalid {kind} id {re.escape(repr(bad))}$"):
-            Dataset.build(**records(bad))
+            Dataset(**records(bad))
 
     def test_repeated_tid_rejected(self):
         with pytest.raises(IntegrityError, match="duplicate transaction id T1"):
-            Dataset.build(transactions=[tx("U1", 1, "P1", tid="T1"), tx("U2", 1, "P2", tid="T1")])
+            Dataset(transactions=[tx("U1", 1, "P1", tid="T1"), tx("U2", 1, "P2", tid="T1")])
 
 
 class TestSynthetic:
@@ -549,7 +559,7 @@ class TestSplitUsers:
         assert len(test.users) == 2
 
     def test_single_user_goes_to_train(self):
-        ds = Dataset.build(ratings=[rate("U1", "P1", 5)])
+        ds = Dataset(ratings=[rate("U1", "P1", 5)])
         train, test = split_users(ds, 0.8, seed=1)
         assert train.users == ("U1",)
         assert test.users == ()
@@ -562,7 +572,7 @@ class TestSplitUsers:
         rng = random.Random(0)
         for _ in range(20):
             n = rng.randint(1, 15)
-            ds = Dataset.build(ratings=[rate(f"U{i}", "P1", 5) for i in range(n)])
+            ds = Dataset(ratings=[rate(f"U{i}", "P1", 5) for i in range(n)])
             frac = rng.choice([0.5, 0.7, 0.8, 0.9])
             train, test = split_users(ds, frac, seed=rng.randint(0, 99))
             assert set(train.users) | set(test.users) == set(ds.users)
@@ -596,7 +606,7 @@ class TestSplitUsers:
     def test_sides_match_build_of_the_same_records(self, ds, frac, seed):
         for side in split_users(ds, frac, seed):
             users = set(side.users)
-            assert side == Dataset.build(
+            assert side == Dataset(
                 users=users,
                 items=ds.items,
                 transactions=[t for t in ds.transactions if t.user in users],
@@ -605,7 +615,7 @@ class TestSplitUsers:
 
 
 def random_ten_users():
-    return Dataset.build(
+    return Dataset(
         transactions=[tx(f"U{i}", 1, "P1") for i in range(10)],
         ratings=[rate(f"U{i}", "P1", 5) for i in range(10)],
     )

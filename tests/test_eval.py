@@ -142,7 +142,7 @@ class TestRunExperiment:
         ]
 
     def test_empty_test_split(self):
-        ds = Dataset.build(
+        ds = Dataset(
             transactions=[tx("U1", 1, "P1"), tx("U2", 1, "P1"), tx("U3", 1, "P1")],
             ratings=[rate("U1", "P1", 8), rate("U2", "P1", 8), rate("U3", "P1", 8)],
         )
@@ -150,8 +150,8 @@ class TestRunExperiment:
             run_experiment(ds, ExperimentConfig(train_fraction=0.8))
 
     def test_planted_structure_direction(self, pinned_report):
-        simple = pinned_report.row("simple", False).precision_pct
-        implicit = pinned_report.row("implicit", False).precision_pct
+        simple = report_row(pinned_report, "simple", False).precision_pct
+        implicit = report_row(pinned_report, "implicit", False).precision_pct
         assert simple > implicit
 
     @pytest.mark.parametrize(
@@ -185,9 +185,15 @@ class TestRunExperiment:
 
     def test_rules_never_hurt_recall(self, pinned_report):
         for mode in ("simple", "method1", "method2", "implicit"):
-            off = pinned_report.row(mode, False).recall_pct
-            on = pinned_report.row(mode, True).recall_pct
+            off = report_row(pinned_report, mode, False).recall_pct
+            on = report_row(pinned_report, mode, True).recall_pct
             assert on >= off
+
+
+def report_row(report, mode: str, rules_enabled: bool):
+    """The report's row for one mode with rule expansion off or on."""
+    (row,) = [r for r in report.rows if r.mode == mode and r.rules_enabled == rules_enabled]
+    return row
 
 
 def left_to_right_sum(values) -> float:

@@ -23,7 +23,7 @@ def nine_user_dataset():
     for i in range(1, 10):
         txns.append(tx(f"U{i}", 3, "IC"))
     users = [f"U{i}" for i in range(1, 10)]
-    return Dataset.build(users=users, items=["IA", "IB", "IC", "IZ"], transactions=txns)
+    return Dataset(users=users, items=["IA", "IB", "IC", "IZ"], transactions=txns)
 
 
 def implicit_weights(ds, iif, user):
@@ -71,7 +71,7 @@ class TestImplicitWeights:
         txns = [tx("U1", s, "IA") for s in (1, 2, 3)]
         txns += [tx(f"U{i}", 1, "IA") for i in range(2, 6)]
         users = [f"U{i}" for i in range(1, 10)]
-        ds = Dataset.build(users=users, items=["IA"], transactions=txns)
+        ds = Dataset(users=users, items=["IA"], transactions=txns)
         table = build_iif(ds)
         assert implicit_weights(ds, table, "U1")["IA"] == approx(3 * math.log(2))
 
@@ -79,7 +79,7 @@ class TestImplicitWeights:
         ds = nine_user_dataset()
         # U9 purchased only IC
         assert set(implicit_weights(ds, build_iif(ds), "U9")) == {"IC"}
-        ds2 = Dataset.build(users=["U1", "U2"], items=["IA"], transactions=[tx("U1", 1, "IA")])
+        ds2 = Dataset(users=["U1", "U2"], items=["IA"], transactions=[tx("U1", 1, "IA")])
         assert implicit_weights(ds2, build_iif(ds2), "U2") == {}
 
     def test_unknown_user(self):
@@ -155,11 +155,11 @@ class TestNewUserScores:
 
     def test_tie_break_is_item_id(self):
         txns = [tx("U1", 1, "IB"), tx("U1", 2, "IA"), tx("U2", 1, "IB"), tx("U2", 2, "IA")]
-        ds = Dataset.build(transactions=txns)
+        ds = Dataset(transactions=txns)
         assert [i for i, _ in new_user_scores(ds)] == ["IA", "IB"]
 
     def test_no_purchases_empty(self):
-        ds = Dataset.build(ratings=[rate("U1", "P1", 5)])
+        ds = Dataset(ratings=[rate("U1", "P1", 5)])
         assert new_user_scores(ds) == []
 
     def test_equals_popularity_oracle(self):

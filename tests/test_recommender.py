@@ -70,13 +70,13 @@ def rule_expansion_dataset():
     ]
     txns += [tx("W", 1, "P9"), tx("W", 2, "P2"), tx("W", 3, "P1"), tx("W", 4, "P4")]
     ratings = [rate("N", "P9", 5.0), rate("N", "P2", 9.0)]
-    return Dataset.build(transactions=txns, ratings=ratings)
+    return Dataset(transactions=txns, ratings=ratings)
 
 
 def equal_scores_query():
     """Every rule from parent P scores 8, so Y's rule is the first in mined order."""
     ratings = [rate("A", "Z", 5.0), rate("B", "Z", 5.0), rate("B", "P", 8.0)]
-    ds = Dataset.build(transactions=[tx("C", 1, "P", "X", "Y")], ratings=ratings)
+    ds = Dataset(transactions=[tx("C", 1, "P", "X", "Y")], ratings=ratings)
     return ds, profile_of(ds, "A"), "A"
 
 
@@ -87,7 +87,7 @@ def cross_parent_tie():
     ratings = [rate("A", "Z", 5.0), rate("B", "Z", 5.0), rate("B", "P1", 5.0)]
     ratings += [rate("C", "Z", 5.0), rate("C", "P2", 10.0)]
     txns = [tx("D", 1, "P1", "X"), tx("D", 2, "P2", "X"), tx("D", 3, "P2")]
-    return Dataset.build(transactions=txns, ratings=ratings), Profile(ratings={"Z": 5.0})
+    return Dataset(transactions=txns, ratings=ratings), Profile(ratings={"Z": 5.0})
 
 
 class TestRuleExpansion:
@@ -182,29 +182,29 @@ class TestThresholdExclusion:
             rate("N", "P2", 6.9),  # just under the threshold
             rate("Q", "P1", 5.0),
         ]
-        ds = Dataset.build(ratings=ratings)
+        ds = Dataset(ratings=ratings)
         recs = Recommender(ds, RecommenderConfig(top_n=5)).recommend_user("Q")
         assert recs == []
 
     def test_item_at_threshold_is_offered(self):
-        ds = Dataset.build(ratings=[rate("N", "P1", 5.0), rate("N", "P2", 7.0), rate("Q", "P1", 5.0)])
+        ds = Dataset(ratings=[rate("N", "P1", 5.0), rate("N", "P2", 7.0), rate("Q", "P1", 5.0)])
         recs = Recommender(ds, RecommenderConfig(top_n=5)).recommend_user("Q")
         assert [r.item for r in recs] == ["P2"]
 
 
 class TestContracts:
     def test_no_profile_error(self):
-        ds = Dataset.build(ratings=[rate("N", "P1", 8.0)])
+        ds = Dataset(ratings=[rate("N", "P1", 8.0)])
         with pytest.raises(NoProfileError):
             Recommender(ds, RecommenderConfig()).recommend_profile(Profile())
 
     def test_unknown_user(self):
-        ds = Dataset.build(ratings=[rate("N", "P1", 8.0)])
+        ds = Dataset(ratings=[rate("N", "P1", 8.0)])
         with pytest.raises(NotFoundError):
             Recommender(ds, RecommenderConfig()).recommend_user("nobody")
 
     def test_alone_in_dataset_gives_empty_result(self):
-        ds = Dataset.build(ratings=[rate("N", "P1", 8.0)])
+        ds = Dataset(ratings=[rate("N", "P1", 8.0)])
         assert Recommender(ds, RecommenderConfig()).recommend_user("N") == []
 
     def test_output_respects_top_n(self, worked_example):
@@ -255,7 +255,7 @@ def tier_order_dataset():
     """
     ratings = [rate("A", "I2", 5.0), rate("B", "I1", 8.0), rate("B", "I2", 5.0)]
     ratings += [rate("C", "I2", 5.0), rate("C", "I4", 7.0)]
-    return Dataset.build(transactions=[tx("C", 1, "I0", "I1")], ratings=ratings)
+    return Dataset(transactions=[tx("C", 1, "I0", "I1")], ratings=ratings)
 
 
 class TestPipelineInvariants:
@@ -472,14 +472,14 @@ class TestColdStart:
         txns = [tx(f"U{i}", 1, "IA") for i in range(1, 6)]
         txns += [tx(f"U{i}", 2, "IB") for i in range(1, 3)]
         users = [f"U{i}" for i in range(1, 10)]
-        ds = Dataset.build(users=users, items=["IA", "IB"], transactions=txns)
+        ds = Dataset(users=users, items=["IA", "IB"], transactions=txns)
         recs = cold_start(ds, 5)
         assert [r.item for r in recs] == ["IA", "IB"]
         assert all(r.source == "popularity" and r.explain == "cold-start" for r in recs)
 
     def test_top_n_one(self):
         txns = [tx(f"U{i}", 1, "IA") for i in range(1, 6)] + [tx("U9", 1, "IB")]
-        ds = Dataset.build(transactions=txns)
+        ds = Dataset(transactions=txns)
         recs = cold_start(ds, 1)
         assert [r.item for r in recs] == ["IA"]
 
@@ -495,13 +495,13 @@ class TestColdStart:
             assert got == sorted(buyers, key=lambda i: (-len(buyers[i]), i))
 
     def test_no_purchases(self):
-        ds = Dataset.build(ratings=[rate("U1", "P1", 5)])
+        ds = Dataset(ratings=[rate("U1", "P1", 5)])
         assert cold_start(ds, 5) == []
 
     @pytest.mark.parametrize("top_n", [0, -1, 1.0, "2", True, None])
     def test_top_n_that_is_not_an_int_of_at_least_one(self, top_n):
         # -1 sliced the ranking to all but its last item
-        ds = Dataset.build(transactions=[tx("U1", 1, "IA"), tx("U2", 1, "IB")])
+        ds = Dataset(transactions=[tx("U1", 1, "IA"), tx("U2", 1, "IB")])
         with pytest.raises(RangeError, match=f"^top_n must be an int >= 1, got {re.escape(repr(top_n))}$"):
             cold_start(ds, top_n)
 
@@ -596,7 +596,7 @@ class TestSharedSnapshot:
 
     def test_equal_datasets_do_not_share(self, monkeypatch):
         def build():
-            return Dataset.build(ratings=[rate("N", "P1", 8.0), rate("Q", "P1", 5.0)])
+            return Dataset(ratings=[rate("N", "P1", 8.0), rate("Q", "P1", 5.0)])
 
         calls = count_builds(monkeypatch)
         a, b = Recommender(build()), Recommender(build())

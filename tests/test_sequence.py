@@ -12,7 +12,7 @@ from conftest import random_dataset, small_datasets, tx
 
 class TestPrecedenceCounts:
     def test_four_purchase_chain(self):
-        ds = Dataset.build(transactions=[tx("U1", s, f"P{s}") for s in (1, 2, 3, 4)])
+        ds = Dataset(transactions=[tx("U1", s, f"P{s}") for s in (1, 2, 3, 4)])
         counts = precedence_counts(ds)
         expected = {
             ("P1", "P2"): 1, ("P1", "P3"): 1, ("P1", "P4"): 1,
@@ -21,14 +21,14 @@ class TestPrecedenceCounts:
         assert counts == expected
 
     def test_items_in_one_transaction_are_simultaneous(self):
-        ds = Dataset.build(transactions=[tx("U1", 1, "P1", "P2")])
+        ds = Dataset(transactions=[tx("U1", 1, "P1", "P2")])
         assert precedence_counts(ds) == {}
 
     def test_empty_dataset(self):
         assert precedence_counts(Dataset()) == {}
 
     def test_pairs_aggregate_across_users(self):
-        ds = Dataset.build(
+        ds = Dataset(
             transactions=[tx("U1", 1, "A"), tx("U1", 2, "B"), tx("U2", 1, "B"), tx("U2", 2, "A")]
         )
         counts = precedence_counts(ds)
@@ -85,7 +85,7 @@ class TestBuildIndex:
                 assert bought_after(index, candidate, history) == expected
 
     def test_repurchase_precedes_itself(self):
-        ds = Dataset.build(transactions=[tx("U1", 1, "P1"), tx("U1", 2, "P2"), tx("U1", 3, "P1")])
+        ds = Dataset(transactions=[tx("U1", 1, "P1"), tx("U1", 2, "P2"), tx("U1", 3, "P1")])
         assert build_precedence_index(ds).before == {"P1": {"P1", "P2"}, "P2": {"P1"}}
 
 

@@ -105,7 +105,7 @@ class TestProfileWeights:
         txns = [tx("U1", s, "P1") for s in range(1, 6)]
         txns += [tx("U1", s, "P2") for s in range(6, 11)]
         ratings = [rate("U1", "P1", 5.0), rate("U1", "P2", 8.0), rate("U1", "P3", 9.0)]
-        return Dataset.build(transactions=txns, ratings=ratings)
+        return Dataset(transactions=txns, ratings=ratings)
 
     def test_simple_mode_is_identity(self):
         ds = self.dataset()
@@ -124,7 +124,7 @@ class TestProfileWeights:
 
         txns = [tx("U1", s, "P1") for s in range(1, 6)]  # n(P1) = 5
         txns += [tx("U1", s, "P2") for s in range(6, 14)]  # n(P2) = 8 = max
-        ds = Dataset.build(transactions=txns, ratings=[rate("U1", "P1", 5.0)])
+        ds = Dataset(transactions=txns, ratings=[rate("U1", "P1", 5.0)])
         assert dataset_weights(ds, "U1", "method2")["P1"] == approx(5 * 5 / 8)
 
     def test_rated_but_never_purchased_has_zero_weight(self):
@@ -136,7 +136,7 @@ class TestProfileWeights:
         from conftest import rate
         from shoprec.corpus import Dataset
 
-        ds = Dataset.build(ratings=[rate("U1", "P1", 5.0)])
+        ds = Dataset(ratings=[rate("U1", "P1", 5.0)])
         assert not any(dataset_weights(ds, "U1", "method1").values())
 
     def test_unknown_user(self):
@@ -173,7 +173,7 @@ class TestNeighborSearch:
         from shoprec.corpus import Dataset
 
         ratings = [rate(u, "P1", 5.0) for u in ("U1", "UB", "UA")]
-        ds = Dataset.build(ratings=ratings)
+        ds = Dataset(ratings=ratings)
         found = neighbors(ds, "U1", k=2, mode="simple")
         assert [u for u, _ in found] == ["UA", "UB"]
 
@@ -181,7 +181,7 @@ class TestNeighborSearch:
         from conftest import rate
         from shoprec.corpus import Dataset
 
-        ds = Dataset.build(
+        ds = Dataset(
             users=["U1", "U2"], items=["P1"], ratings=[rate("U2", "P1", 5.0)]
         )
         with pytest.raises(NoProfileError):
