@@ -14,8 +14,6 @@ from .corpus import (
     Transaction,
     generate_synthetic,
     load_dataset,
-    load_ratings,
-    load_transactions,
     save_ratings,
     save_transactions,
     split_users,
@@ -62,8 +60,6 @@ __all__ = [
     "generate_rules",
     "generate_synthetic",
     "load_dataset",
-    "load_ratings",
-    "load_transactions",
     "new_user_scores",
     "precision_at_n",
     "recall_at_n",

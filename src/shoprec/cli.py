@@ -22,7 +22,6 @@ from .corpus import (
     SyntheticConfig,
     generate_synthetic,
     load_dataset,
-    load_transactions,
     save_ratings,
     save_transactions,
 )
@@ -98,7 +97,7 @@ def _cmd_recommend_new(args) -> int:
 
 
 def _cmd_mine_rules(args) -> int:
-    ds = load_transactions(args.transactions)
+    ds = load_dataset(args.transactions)
     for rule in generate_rules(fp_growth(ds.transaction_rows, args.minsup), args.minconf):
         if args.antecedent is not None and args.antecedent not in rule.antecedent:
             continue
@@ -117,7 +116,7 @@ def _cmd_mine_rules(args) -> int:
 
 
 def _cmd_dump_index(args) -> int:
-    ds = load_transactions(args.transactions)
+    ds = load_dataset(args.transactions)
     for line in dump_lines(precedence_counts(ds)):
         print(line)
     return 0

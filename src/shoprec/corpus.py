@@ -40,13 +40,14 @@ subsets share them and their strings too.
 
 Every record is checked once, on one path: the walks ``_check_transactions``
 and ``_check_ratings`` state each record invariant and its message. The
-``Dataset`` constructor runs them on records made in code; the loaders parse
-text into records (header, UTF-8, field count, seq and value syntax, empty
-item ids), run them, and prefix their errors with the file and line. A file
-with several faults reports the first faulty line; within one row, a syntax
-fault comes first. The loaders, the merge in ``load_dataset`` and
-``split_users`` then skip the walks through ``Dataset._trusted``: a subset
-of a valid dataset is valid, and filtering a sorted tuple keeps it sorted.
+``Dataset`` constructor runs them on records made in code; :func:`load_dataset`
+parses each file's text into records (header, UTF-8, field count, seq and
+value syntax, empty item ids), runs them, and prefixes their errors with the
+file and line. A file with several faults reports the first faulty line;
+within one row, a syntax fault comes first. Only :func:`load_dataset` and
+:func:`split_users` then skip the walks, through ``Dataset._trusted``: the
+loaded rows have passed them, a subset of a valid dataset is valid, and
+filtering a sorted tuple keeps it sorted.
 """
 
 from __future__ import annotations
@@ -191,10 +192,11 @@ class Dataset:
 
         Users and items are inferred from the records when None. Records may
         be Transaction and RatingRecord or plain tuples. A faulty record
-        raises what a loader raises for it, without the line; an unknown
-        reference, a record without its fields or a field of the wrong type
-        raises IntegrityError (RangeError for a value): ids are str, a seq an
-        int, items a tuple, a value an int or a float, a bool none of these.
+        raises what :func:`load_dataset` raises for it, without the line; an
+        argument that is not a collection, an unknown reference, a record
+        without its fields or a field of the wrong type raises IntegrityError
+        (RangeError for a value): ids are str, a seq an int, items a tuple, a
+        value an int or a float, a bool none of these.
         """
         transactions = _rows("transaction", transactions, Transaction._fields)
         ratings = _rows("rating", ratings, RatingRecord._fields)
@@ -239,14 +241,6 @@ class Dataset:
         return table
 
     @cached_property
-    def transactions_by_user(self) -> dict[str, list[tuple]]:
-        """Per-user lists of transaction rows ``(tid, user, seq, items)``, seq-sorted."""
-        table: dict[str, list[tuple]] = {u: [] for u in self.users}
-        for row in self.transaction_rows:
-            table[row[1]].append(row)
-        return table  # already seq-sorted by canonical ordering
-
-    @cached_property
     def purchase_counts_by_user(self) -> dict[str, dict[str, int]]:
         """Per-user purchase occurrence counts n(user, item) across transactions."""
         table: dict[str, dict[str, int]] = {u: {} for u in self.users}
@@ -271,7 +265,10 @@ def _sorted_transactions(rows):
 
 
 def _rows(kind: str, records, fields: tuple[str, ...]) -> tuple:
-    """The records as plain tuples; IntegrityError names the first that does not hold the ``fields``."""
+    """The records as plain tuples; IntegrityError names the argument if it is not a
+    collection, or else the first record that does not hold the ``fields``."""
+    if not isinstance(records, Iterable):
+        raise IntegrityError(f"{kind}s must be a collection of records, got {records!r}")
     records = tuple(records)
     try:
         rows = tuple(map(tuple, records))
@@ -346,6 +343,8 @@ def _declared_ids(kind: str, declared, met) -> list[str]:
         return sorted(met)
     if isinstance(declared, str):  # iterating it would declare its characters
         raise IntegrityError(f"{kind}s must be a collection of ids, got the string {declared!r}")
+    if not isinstance(declared, Iterable):
+        raise IntegrityError(f"{kind}s must be a collection of ids, got {declared!r}")
     declared = {_check_id(kind, value) for value in declared}
     if unknown := met - declared:
         raise IntegrityError(f"unknown {kind} {min(unknown)!r}")
@@ -364,9 +363,10 @@ def _read_rows(path, expected_header: str):
     Lines end at a line feed only, and one carriage return before it is
     dropped, so every error counts lines as the UTF-8 check does. A leading
     UTF-8 byte-order mark is skipped; bytes that are not UTF-8 raise
-    ParseError naming the line they sit on. An empty file has no rows.
+    ParseError naming the line they sit on. An empty file has no rows, and
+    neither has a path of None, which is not read.
     """
-    data = Path(path).read_bytes().removeprefix(BOM_UTF8)
+    data = b"" if path is None else Path(path).read_bytes().removeprefix(BOM_UTF8)
     try:
         text = data.decode("utf-8")
     except UnicodeDecodeError as exc:
@@ -384,19 +384,15 @@ def _read_rows(path, expected_header: str):
     return list(filter(None, lines[1:])), at
 
 
-def load_transactions(path) -> Dataset:
-    """Load a transaction CSV into a Dataset fragment (users/items inferred).
+def _parse_transactions(path, ids: dict[str, str]):
+    """The rows of a transaction CSV in (user, seq) order, and the user and item ids they name.
 
-    Parsing is atomic: a malformed row raises ParseError, and an invalid id, a
-    duplicate item within a row, a duplicate (user, seq) or a repeated tid
-    raises IntegrityError, each naming the first faulty line.
+    Each user and item id is taken from ``ids``, which maps an id to the one
+    object that stands for it and gains the ids not yet there. Parsing is
+    atomic: a malformed row raises ParseError, and an invalid id, a duplicate
+    item within a row, a duplicate (user, seq) or a repeated tid raises
+    IntegrityError, each naming the first faulty line.
     """
-    return _load_transactions(path, {})
-
-
-def _load_transactions(path, ids: dict[str, str]) -> Dataset:
-    """:func:`load_transactions`, taking each user and item id from ``ids``, which
-    maps an id to the one object that stands for it and gains the ids not yet there."""
     rows, at = _read_rows(path, TRANSACTION_HEADER)
     canonical = ids.setdefault
     transactions = []
@@ -424,21 +420,15 @@ def _load_transactions(path, ids: dict[str, str]) -> Dataset:
         _check_transactions(transactions, at)  # a record fault on an earlier line comes first
         raise
     users, items = _check_transactions(transactions, at)
-    return Dataset._trusted(sorted(users), sorted(items), _sorted_transactions(transactions), ())
+    return _sorted_transactions(transactions), users, items
 
 
-def load_ratings(path) -> Dataset:
-    """Load a rating CSV into a Dataset fragment (users/items inferred).
+def _parse_ratings(path, ids: dict[str, str]):
+    """:func:`_parse_transactions` for a rating CSV, its rows in (user, item) order.
 
-    Parsing is atomic, as in :func:`load_transactions`: a malformed row, an
-    invalid id, a value outside [0, 10] or a duplicate (user, item) raises an
-    error naming the first faulty line.
+    A malformed row, an invalid id, a value outside [0, 10] or a duplicate
+    (user, item) raises an error naming the first faulty line.
     """
-    return _load_ratings(path, {})
-
-
-def _load_ratings(path, ids: dict[str, str]) -> Dataset:
-    """:func:`load_ratings`, taking each id from ``ids`` as :func:`_load_transactions` does."""
     rows, at = _read_rows(path, RATING_HEADER)
     canonical = ids.setdefault
     ratings = []
@@ -460,29 +450,24 @@ def _load_ratings(path, ids: dict[str, str]) -> Dataset:
                 values[value_text] = value
             ratings.append((canonical(user, user), canonical(item, item), value))
     except ParseError:
-        _check_ratings(ratings, at)  # as in _load_transactions
+        _check_ratings(ratings, at)  # as in _parse_transactions
         raise
     users, items = _check_ratings(ratings, at)
     ratings.sort()  # as in the Dataset constructor
-    return Dataset._trusted(sorted(users), sorted(items), (), ratings)
+    return ratings, users, items
 
 
 def load_dataset(transactions_path=None, ratings_path=None) -> Dataset:
-    """Load and merge both CSV files; either may be omitted.
+    """Load a transaction CSV, a rating CSV or both into one Dataset; a path of None is not read.
 
-    Users and items are inferred from the records, so the two files cannot
-    disagree: the merge takes the union of their ids and each file's records
-    as loaded.
+    Any other path is read, so an empty one raises OSError. Users and items
+    are inferred from the records, so the two files cannot disagree: the
+    dataset takes the union of their ids.
     """
     ids: dict[str, str] = {}  # one object per id, shared by both files' records
-    tx = _load_transactions(transactions_path, ids) if transactions_path else Dataset()
-    rt = _load_ratings(ratings_path, ids) if ratings_path else Dataset()
-    return Dataset._trusted(
-        sorted(set(tx.users).union(rt.users)),
-        sorted(set(tx.items).union(rt.items)),
-        tx.transaction_rows,
-        rt.rating_rows,
-    )
+    transactions, tx_users, tx_items = _parse_transactions(transactions_path, ids)
+    ratings, rt_users, rt_items = _parse_ratings(ratings_path, ids)
+    return Dataset._trusted(sorted({*tx_users, *rt_users}), sorted({*tx_items, *rt_items}), transactions, ratings)
 
 
 def to_transaction_csv(dataset: Dataset) -> str:

@@ -26,6 +26,8 @@ from __future__ import annotations
 from bisect import bisect_left
 from collections.abc import Set
 from dataclasses import dataclass, field
+from itertools import groupby
+from operator import itemgetter
 
 from .corpus import Dataset
 
@@ -50,10 +52,10 @@ class PrecedenceIndex:
 def build_precedence_index(dataset: Dataset) -> PrecedenceIndex:
     """Find, per item c, every item h with first_pos_u(h) < last_pos_u(c) for some user u."""
     before: dict[str, set[str]] = {}
-    for user in dataset.users:
+    for _, rows in groupby(dataset.transaction_rows, itemgetter(1)):  # one user's rows, seq-sorted
         first: dict[str, int] = {}
         last: dict[str, int] = {}
-        for pos, (_, _, _, items) in enumerate(dataset.transactions_by_user[user]):  # seq-sorted rows
+        for pos, (_, _, _, items) in enumerate(rows):
             for item in items:
                 first.setdefault(item, pos)
                 last[item] = pos
@@ -89,8 +91,8 @@ def precedence_counts(dataset: Dataset) -> dict[tuple[str, str], int]:
     with every event in each strictly later transaction.
     """
     counts: dict[tuple[str, str], int] = {}
-    for user in dataset.users:
-        baskets = [items for _, _, _, items in dataset.transactions_by_user[user]]  # seq-sorted
+    for _, rows in groupby(dataset.transaction_rows, itemgetter(1)):  # as in build_precedence_index
+        baskets = [items for _, _, _, items in rows]
         for i, earlier in enumerate(baskets):
             for later in baskets[i + 1 :]:
                 for a in earlier:

@@ -57,20 +57,10 @@ def profile_weights(
     """
     if mode == "simple":
         return dict(ratings)
-    if mode == "method1":
-        total = sum(purchase_counts.values())
-        return {
-            item: r * purchase_counts[item] / total
-            for item, r in ratings.items()
-            if purchase_counts.get(item)
-        }
-    if mode == "method2":
-        peak = max(purchase_counts.values(), default=0)
-        return {
-            item: r * purchase_counts[item] / peak
-            for item, r in ratings.items()
-            if purchase_counts.get(item)
-        }
+    if mode in ("method1", "method2"):
+        counts = purchase_counts.values()
+        d = sum(counts) if mode == "method1" else max(counts, default=0)
+        return {item: r * n / d for item, r in ratings.items() if (n := purchase_counts.get(item))}
     if mode == "implicit":
         if iif is None:
             raise ValueError("implicit mode needs an inverse-frequency table")

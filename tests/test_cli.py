@@ -127,6 +127,13 @@ class TestExitCodes:
         assert cli.main(["ingest-check", "--ratings", str(bad)]) == 2
         assert capsys.readouterr().err.splitlines() == [f"shoprec: error: {bad}: line 3: not valid UTF-8"]
 
+    @pytest.mark.parametrize("flag", ["--transactions", "--ratings"])
+    def test_empty_path_is_data_error(self, capsys, flag):
+        # an empty path once read as no file, and ingest-check printed ok: users=0
+        assert cli.main(["ingest-check", flag, ""]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err.startswith("shoprec: error: ")
+
     def test_byte_order_mark_is_skipped(self, data_dir, capsys):
         for name in ("table1.csv", "worked_r.csv"):
             path = data_dir / name

@@ -349,6 +349,9 @@ class TestRecords:
                 re.escape("transaction ('T1', 'U1', 1) is not a (tid, user, seq, items) record"),
             ),
             ({"ratings": [5]}, IntegrityError, re.escape("rating 5 is not a (user, item, value) record")),
+            ({"transactions": 5}, IntegrityError, "transactions must be a collection of records, got 5$"),
+            ({"ratings": None}, IntegrityError, "ratings must be a collection of records, got None$"),
+            ({"users": 5, "ratings": [("U1", "P1", 5.0)]}, IntegrityError, "users must be a collection of ids, got 5$"),
         ],
     )
     def test_probe(self, records, error, message):

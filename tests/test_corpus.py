@@ -16,8 +16,6 @@ from shoprec.corpus import (
     Transaction,
     generate_synthetic,
     load_dataset,
-    load_ratings,
-    load_transactions,
     save_ratings,
     save_transactions,
     split_users,
@@ -33,7 +31,7 @@ class TestLoadTransactions:
     def test_table1_shape(self, tmp_path):
         path = tmp_path / "t.csv"
         path.write_text(TABLE1_CSV)
-        ds = load_transactions(path)
+        ds = load_dataset(path)
         assert len(ds.transactions) == 5
         assert set(ds.items) == {"P1", "P2", "P4", "P5"}
         by_tid = {t.tid: t for t in ds.transactions}
@@ -42,33 +40,33 @@ class TestLoadTransactions:
     def test_empty_file(self, tmp_path):
         path = tmp_path / "t.csv"
         path.write_text("")
-        assert load_transactions(path).transactions == ()
+        assert load_dataset(path).transactions == ()
         path.write_text("tid,user,seq,items\n")
-        assert load_transactions(path).transactions == ()
+        assert load_dataset(path).transactions == ()
 
     def test_duplicate_seq_rejected(self, tmp_path):
         path = tmp_path / "t.csv"
         path.write_text("tid,user,seq,items\nT1,U1,1,P1\nT2,U1,1,P2\n")
         with pytest.raises(IntegrityError):
-            load_transactions(path)
+            load_dataset(path)
 
     def test_malformed_row_names_line(self, tmp_path):
         path = tmp_path / "t.csv"
         path.write_text("tid,user,seq,items\nT1,U1,1,P1\nT2,U1,not-a-number,P2\n")
         with pytest.raises(ParseError, match="line 3"):
-            load_transactions(path)
+            load_dataset(path)
 
     def test_duplicate_item_in_row(self, tmp_path):
         path = tmp_path / "t.csv"
         path.write_text("tid,user,seq,items\nT1,U1,1,P1;P1\n")
         with pytest.raises(IntegrityError):
-            load_transactions(path)
+            load_dataset(path)
 
     def test_wrong_header(self, tmp_path):
         path = tmp_path / "t.csv"
         path.write_text("a,b,c\n")
         with pytest.raises(ParseError, match="line 1"):
-            load_transactions(path)
+            load_dataset(path)
 
     @pytest.mark.parametrize(
         "row, kind",
@@ -78,27 +76,27 @@ class TestLoadTransactions:
         path = tmp_path / "t.csv"
         path.write_text(f"tid,user,seq,items\nT1,U1,1,P1\n{row}\n")
         with pytest.raises(IntegrityError, match=f"{re.escape(str(path))}: line 3: invalid {kind} id"):
-            load_transactions(path)
+            load_dataset(path)
 
     def test_first_faulty_line_is_reported(self, tmp_path):
         path = tmp_path / "t.csv"
         path.write_text("tid,user,seq,items\nT1,,1,P1\nT2,U1,x,P2\n")
         with pytest.raises(IntegrityError, match="line 2: invalid user id ''"):
-            load_transactions(path)
+            load_dataset(path)
 
     @pytest.mark.parametrize("items_text", ["", "P1;", ";P1", "P1;;P2", ";"])
     def test_empty_item_id_names_line(self, tmp_path, items_text):
         path = tmp_path / "t.csv"
         path.write_text(f"tid,user,seq,items\nT1,U1,1,P1\nT2,U1,2,{items_text}\n")
         with pytest.raises(ParseError, match="line 3: empty item id"):
-            load_transactions(path)
+            load_dataset(path)
 
     @pytest.mark.parametrize("row", ["T1,U2,1,P2", "T1,U1,2,P2"], ids=["other-user", "same-user"])
     def test_repeated_tid_names_line(self, tmp_path, row):
         path = tmp_path / "t.csv"
         path.write_text(f"tid,user,seq,items\nT1,U1,1,P1\nT2,U1,3,P1\n{row}\n")
         with pytest.raises(IntegrityError, match="line 4: duplicate transaction id T1$"):
-            load_transactions(path)
+            load_dataset(path)
 
     @pytest.mark.parametrize(
         "seq_text, seq", [("1", 1), ("-3", -3), ("0", 0), ("-0", 0), ("007", 7), ("9" * 20, int("9" * 20))]
@@ -106,7 +104,7 @@ class TestLoadTransactions:
     def test_seq_is_an_optional_minus_and_ascii_digits(self, tmp_path, seq_text, seq):
         path = tmp_path / "t.csv"
         path.write_text(f"tid,user,seq,items\nT1,U1,{seq_text},P1\n")
-        assert load_transactions(path).transactions[0].seq == seq
+        assert load_dataset(path).transactions[0].seq == seq
 
     @pytest.mark.parametrize(
         "seq_text",
@@ -119,33 +117,33 @@ class TestLoadTransactions:
         path = tmp_path / "t.csv"
         path.write_text(f"tid,user,seq,items\nT1,U1,1,P1\nT2,U1,{seq_text},P2\n", encoding="utf-8")
         with pytest.raises(ParseError, match=f"line 3: bad seq {re.escape(repr(seq_text))}"):
-            load_transactions(path)
+            load_dataset(path)
 
 
 class TestLoadRatings:
     def test_basic_row(self, tmp_path):
         path = tmp_path / "r.csv"
         path.write_text("user,item,value\nU1,P1,5\n")
-        ds = load_ratings(path)
+        ds = load_dataset(ratings_path=path)
         assert ds.ratings[0].value == 5.0
 
     def test_out_of_range(self, tmp_path):
         path = tmp_path / "r.csv"
         path.write_text("user,item,value\nU1,P1,11\n")
         with pytest.raises(RangeError):
-            load_ratings(path)
+            load_dataset(ratings_path=path)
 
     def test_duplicate_pair(self, tmp_path):
         path = tmp_path / "r.csv"
         path.write_text("user,item,value\nU1,P1,5\nU1,P1,6\n")
         with pytest.raises(IntegrityError):
-            load_ratings(path)
+            load_dataset(ratings_path=path)
 
     def test_bad_value(self, tmp_path):
         path = tmp_path / "r.csv"
         path.write_text("user,item,value\nU1,P1,abc\n")
         with pytest.raises(ParseError, match="line 2"):
-            load_ratings(path)
+            load_dataset(ratings_path=path)
 
     @pytest.mark.parametrize(
         "value_text, value",
@@ -154,7 +152,7 @@ class TestLoadRatings:
     def test_value_is_ascii_with_no_underscore_or_surrounding_space(self, tmp_path, value_text, value):
         path = tmp_path / "r.csv"
         path.write_text(f"user,item,value\nU1,P1,{value_text}\nU2,P1,{value_text}\n")
-        loaded = [r.value for r in load_ratings(path).ratings]
+        loaded = [r.value for r in load_dataset(ratings_path=path).ratings]
         assert [repr(v) for v in loaded] == [repr(value)] * 2  # -0.0 keeps its sign
         assert loaded[0] is loaded[1]  # one float per distinct text
 
@@ -169,7 +167,7 @@ class TestLoadRatings:
         path = tmp_path / "r.csv"
         path.write_text(f"user,item,value\nU1,P1,5\nU2,P2,{value_text}\n", encoding="utf-8")
         with pytest.raises(ParseError, match=f"line 3: bad value {re.escape(repr(value_text))}"):
-            load_ratings(path)
+            load_dataset(ratings_path=path)
 
     @settings(max_examples=200, deadline=None)
     @given(value=st.floats(0.0, 10.0))
@@ -178,7 +176,7 @@ class TestLoadRatings:
         with tempfile.TemporaryDirectory() as tmp:
             path = Path(tmp) / "r.csv"
             save_ratings(ds, path)
-            assert repr(load_ratings(path).ratings[0].value) == repr(value)
+            assert repr(load_dataset(ratings_path=path).ratings[0].value) == repr(value)
 
     @pytest.mark.parametrize(
         "row, kind", [("U;1,P1,5", "user"), (",P1,5", "user"), ("U1,P;1,5", "item"), ("U1,,5", "item")]
@@ -187,7 +185,7 @@ class TestLoadRatings:
         path = tmp_path / "r.csv"
         path.write_text(f"user,item,value\nU1,P1,5\n{row}\n")
         with pytest.raises(IntegrityError, match=f"{re.escape(str(path))}: line 3: invalid {kind} id"):
-            load_ratings(path)
+            load_dataset(ratings_path=path)
 
 
 # One fault that a CSV file can hold, made from a drawn record of the list it
@@ -242,17 +240,17 @@ class TestOneCheckingPath:
         assert str(loaded.value) == f"{path}: line {line}: {built.value}"
 
     @pytest.mark.parametrize(
-        "loader, text, message",
+        "file, text, message",
         [
-            (load_transactions, "tid,user,seq,items\nT;1,U1,x,P1\n", "line 2: bad seq 'x'"),
-            (load_ratings, "user,item,value\nU;1,P1,x\n", "line 2: bad value 'x'"),
+            ("transactions_path", "tid,user,seq,items\nT;1,U1,x,P1\n", "line 2: bad seq 'x'"),
+            ("ratings_path", "user,item,value\nU;1,P1,x\n", "line 2: bad value 'x'"),
         ],
     )
-    def test_within_a_row_a_syntax_fault_comes_first(self, tmp_path, loader, text, message):
+    def test_within_a_row_a_syntax_fault_comes_first(self, tmp_path, file, text, message):
         path = tmp_path / "f.csv"
         path.write_text(text)
         with pytest.raises(ParseError, match=f"{re.escape(message)}$"):
-            loader(path)
+            load_dataset(**{file: path})
 
 
 class TestLineBreaks:
@@ -262,46 +260,46 @@ class TestLineBreaks:
     def test_separator_is_part_of_its_row(self, tmp_path, char):
         path = tmp_path / "r.csv"
         path.write_bytes(f"user,item,value\nU1,P1{char},5\n".encode("utf-8"))
-        assert load_ratings(path).ratings == (RatingRecord("U1", f"P1{char}", 5.0),)
+        assert load_dataset(ratings_path=path).ratings == (RatingRecord("U1", f"P1{char}", 5.0),)
         path.write_bytes(f"user,item,value\nU1,P1{char},5\nU2,P2,x".encode("utf-8"))
         with pytest.raises(ParseError, match="line 3: bad value 'x'"):
-            load_ratings(path)
+            load_dataset(ratings_path=path)
 
     def test_form_feed_ending_a_row_keeps_later_line_numbers(self, tmp_path):
         # a rating value may not end in a form feed, so the row ends in an item id
         path = tmp_path / "t.csv"
         path.write_bytes(b"tid,user,seq,items\nT1,U1,1,P1\f\nT2,U1,x,P2")
         with pytest.raises(ParseError, match="line 3: bad seq 'x'"):
-            load_transactions(path)
+            load_dataset(path)
 
     def test_lone_carriage_return_is_not_a_line_break(self, tmp_path):
         path = tmp_path / "r.csv"
         path.write_bytes(b"user,item,value\nU1,P1,5\rU2,P2,6\n")
         with pytest.raises(ParseError, match="line 2: expected 3 fields, got 5"):
-            load_ratings(path)
+            load_dataset(ratings_path=path)
 
     def test_carriage_return_ending_the_file_is_dropped(self, tmp_path):
         path = tmp_path / "t.csv"
         path.write_bytes(b"tid,user,seq,items\r\nT1,U1,1,P1\r")
-        assert load_transactions(path).transactions == (Transaction("T1", "U1", 1, ("P1",)),)
+        assert load_dataset(path).transactions == (Transaction("T1", "U1", 1, ("P1",)),)
         path.write_bytes(b"tid,user,seq,items\r")
-        assert load_transactions(path).transactions == ()
+        assert load_dataset(path).transactions == ()
 
     @pytest.mark.parametrize(
-        "loader, header, row, kind",
+        "file, header, row, kind",
         [
-            (load_ratings, "user,item,value", "U\r1,P1,5", "user"),
-            (load_ratings, "user,item,value", "U1,P\r1,5", "item"),
-            (load_transactions, "tid,user,seq,items", "T\r1,U1,1,P1", "transaction"),
-            (load_transactions, "tid,user,seq,items", "T1,U\r1,1,P1", "user"),
-            (load_transactions, "tid,user,seq,items", "T1,U1,1,P1;P\r2", "item"),
+            ("ratings_path", "user,item,value", "U\r1,P1,5", "user"),
+            ("ratings_path", "user,item,value", "U1,P\r1,5", "item"),
+            ("transactions_path", "tid,user,seq,items", "T\r1,U1,1,P1", "transaction"),
+            ("transactions_path", "tid,user,seq,items", "T1,U\r1,1,P1", "user"),
+            ("transactions_path", "tid,user,seq,items", "T1,U1,1,P1;P\r2", "item"),
         ],
     )
-    def test_carriage_return_in_an_id_names_line(self, tmp_path, loader, header, row, kind):
+    def test_carriage_return_in_an_id_names_line(self, tmp_path, file, header, row, kind):
         path = tmp_path / "f.csv"
         path.write_bytes(f"{header}\r\n{row}\r\n".encode("utf-8"))
         with pytest.raises(IntegrityError, match=f"line 2: invalid {kind} id"):
-            loader(path)
+            load_dataset(**{file: path})
 
 
 class TestRecords:
@@ -439,7 +437,7 @@ def test_load_matches_build_of_the_records_written(ds, data):
 
 
 def test_load_and_split_validate_each_record_once(tmp_path, monkeypatch):
-    """Each loader walks its file's records once; the merge and the split walk none."""
+    """load_dataset walks each file's records once, and the split walks none."""
     ds = generate_synthetic(SyntheticConfig(users_per_class=6, rng_seed=9))
     tp, rp = tmp_path / "t.csv", tmp_path / "r.csv"
     tp.write_text(to_transaction_csv(ds))
@@ -506,7 +504,7 @@ class TestSynthetic:
         assert len(ds.users) == 100
         assert len(ds.items) == 60
         for user in ds.users:
-            seqs = [seq for _, _, seq, _ in ds.transactions_by_user[user]]  # the lists hold rows
+            seqs = [t.seq for t in ds.transactions if t.user == user]
             assert seqs == sorted(seqs)
             assert len(set(seqs)) == len(seqs)
         assert all(0.0 <= r.value <= 10.0 for r in ds.ratings)

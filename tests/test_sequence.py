@@ -36,6 +36,16 @@ class TestPrecedenceCounts:
         assert counts.get(("A", "B"), 0) == 1
         assert counts.get(("B", "A"), 0) == 1
 
+    def test_records_given_with_users_interleaved(self):
+        # the constructor sorts the rows by (user, seq); each user's history then runs on its own
+        ds = Dataset(
+            transactions=[tx("U2", 2, "A"), tx("U1", 2, "B"), tx("U2", 1, "C"), tx("U1", 1, "A"), tx("U2", 3, "B")],
+            ratings=[("U0", "A", 5.0)],  # a user with no transactions
+        )
+        # U1 bought A, then B; U2 bought C, then A, then B
+        assert precedence_counts(ds) == {("A", "B"): 2, ("C", "A"): 1, ("C", "B"): 1}
+        assert build_precedence_index(ds).before == {"A": {"C"}, "B": {"A", "C"}}
+
     def test_matches_brute_force_oracle(self):
         rng = random.Random(9)
         for _ in range(40):
