@@ -55,7 +55,7 @@ from __future__ import annotations
 import random
 from codecs import BOM_UTF8
 from collections import Counter
-from collections.abc import Iterable, Sequence
+from collections.abc import Iterable, Mapping, Sequence
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import chain, islice
@@ -193,10 +193,11 @@ class Dataset:
         Users and items are inferred from the records when None. Records may
         be Transaction and RatingRecord or plain tuples. A faulty record
         raises what :func:`load_dataset` raises for it, without the line; an
-        argument that is not a collection, an unknown reference, a record
-        without its fields or a field of the wrong type raises IntegrityError
-        (RangeError for a value): ids are str, a seq an int, items a tuple, a
-        value an int or a float, a bool none of these.
+        argument that is not a collection (a string, bytes or a mapping is
+        not one), an unknown reference, a record without its fields or a field
+        of the wrong type raises IntegrityError (RangeError for a value): ids
+        are str, a seq an int, items a tuple, a value an int or a float, a bool
+        none of these.
         """
         transactions = _rows("transaction", transactions, Transaction._fields)
         ratings = _rows("rating", ratings, RatingRecord._fields)
@@ -256,9 +257,6 @@ class Dataset:
         # each user's count map holds each item it bought once, so its keys count buyers
         return Counter(chain.from_iterable(self.purchase_counts_by_user.values()))
 
-    def has_user(self, user: str) -> bool:
-        return user in self.ratings_by_user
-
 
 def _sorted_transactions(rows):
     return sorted(rows, key=itemgetter(1, 2))  # by (user, seq)
@@ -266,8 +264,9 @@ def _sorted_transactions(rows):
 
 def _rows(kind: str, records, fields: tuple[str, ...]) -> tuple:
     """The records as plain tuples; IntegrityError names the argument if it is not a
-    collection, or else the first record that does not hold the ``fields``."""
-    if not isinstance(records, Iterable):
+    collection of records (a string, bytes or a mapping is not), or else the first
+    record that does not hold the ``fields``."""
+    if isinstance(records, (str, bytes, Mapping)) or not isinstance(records, Iterable):
         raise IntegrityError(f"{kind}s must be a collection of records, got {records!r}")
     records = tuple(records)
     try:
@@ -366,7 +365,10 @@ def _read_rows(path, expected_header: str):
     ParseError naming the line they sit on. An empty file has no rows, and
     neither has a path of None, which is not read.
     """
-    data = b"" if path is None else Path(path).read_bytes().removeprefix(BOM_UTF8)
+    data = b""
+    if path is not None:
+        with open(path, "rb") as file:  # not Path(path), which reads "" as "."
+            data = file.read().removeprefix(BOM_UTF8)
     try:
         text = data.decode("utf-8")
     except UnicodeDecodeError as exc:

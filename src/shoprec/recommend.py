@@ -33,9 +33,9 @@ switched on.
 Brand-new users (no ratings, no purchases) get the popularity ranking from
 the implicit model instead, through ``cold_start``, which reads no index.
 
-Every index derived from a training dataset lives in one IndexSnapshot that
-all engines over that dataset share, so building several engines (one per
-mode, say) builds each index once.
+Every index derived from a training dataset is built by the first engine
+over that dataset object whose config needs it and kept on the dataset, so
+building several engines (one per mode, say) builds each index once.
 """
 
 from __future__ import annotations
@@ -95,7 +95,7 @@ class Recommendation:
 
 
 def profile_of(dataset: Dataset, user: str) -> Profile:
-    if not dataset.has_user(user):
+    if user not in dataset.ratings_by_user:
         raise NotFoundError(f"unknown user {user!r}")
     return Profile(
         ratings=dict(dataset.ratings_by_user[user]),
@@ -106,98 +106,73 @@ def profile_of(dataset: Dataset, user: str) -> Profile:
 # Rules listed under each item of their antecedents, each list in mined order.
 RulesByItem = dict[str, list[AssociationRule]]
 
-# Serialises snapshot creation and part builds, so that engines constructed
-# concurrently still build each part once.
+# Serialises index builds, so that engines constructed concurrently still
+# build each index once. No build asks for another index while it holds it.
 _BUILD_LOCK = threading.Lock()
-# Key of the snapshot in its dataset's __dict__, beside the dataset's cached tables.
-_SNAPSHOT_KEY = "_index_snapshot"
 
 
-class IndexSnapshot:
-    """Every index engines derive from one training dataset, shared by all of them.
+def _index(train: Dataset, key, build):
+    """The dataset's index under ``key``: ``build()`` on first use, the stored value
+    after that. The indexes live in one dict in the dataset's __dict__, beside its
+    cached tables, and none of them refers back to the dataset."""
+    with _BUILD_LOCK:
+        indexes = train.__dict__.setdefault("_indexes", {})
+        if key not in indexes:
+            indexes[key] = build()
+        return indexes[key]
 
-    The precedence index, the iif table and the ranked ratings (each user's
-    ratings, best first, ties by ascending item id) are built with the
-    snapshot; the posting lists of a mode and the rules of a (minsup,
-    minconf) pair, listed by antecedent item, are built by the first engine
-    whose config needs them. A part never changes once built, so queries
-    only read. The snapshot holds no reference to its dataset, which holds
-    the snapshot.
-    """
 
-    def __init__(self, train: Dataset):
-        self.precedence = build_precedence_index(train)
-        self.iif = build_iif(train) if train.users else {}
-        # user -> {item: rating} in (-rating, item) order; of strings and floats
-        # only, the inner dicts are not tracked by the garbage collector
-        self.ranked: dict[str, dict[str, float]] = {}
-        for user, ratings in train.ratings_by_user.items():
-            ranked = sorted(ratings.items())  # by item: ids are unique
-            ranked.sort(key=itemgetter(1), reverse=True)  # stable, so ties stay by item
-            self.ranked[user] = dict(ranked)
-        self.postings: dict[str, Postings] = {}
-        self.rules: dict[tuple[float, float], RulesByItem] = {}
+def _ranked_ratings(train: Dataset) -> dict[str, dict[str, float]]:
+    # user -> {item: rating} in (-rating, item) order; of strings and floats
+    # only, the inner dicts are not tracked by the garbage collector
+    ranked: dict[str, dict[str, float]] = {}
+    for user, ratings in train.ratings_by_user.items():
+        by_item = sorted(ratings.items())  # by item: ids are unique
+        by_item.sort(key=itemgetter(1), reverse=True)  # stable, so ties stay by item
+        ranked[user] = dict(by_item)
+    return ranked
 
-    @classmethod
-    def of(cls, train: Dataset) -> "IndexSnapshot":
-        """The dataset's snapshot, built on first use and memoised on the dataset."""
-        with _BUILD_LOCK:
-            snapshot = train.__dict__.get(_SNAPSHOT_KEY)
-            if snapshot is None:
-                snapshot = train.__dict__[_SNAPSHOT_KEY] = cls(train)
-        return snapshot
 
-    def mode_postings(self, train: Dataset, mode: str) -> Postings:
-        """Posting lists of the training users' vectors in one mode."""
-        with _BUILD_LOCK:
-            if mode not in self.postings:
-                self.postings[mode] = build_postings(
-                    {
-                        u: profile_weights(
-                            train.ratings_by_user[u], train.purchase_counts_by_user[u], mode, self.iif
-                        )
-                        for u in train.users
-                    }
-                )
-            return self.postings[mode]
+def _postings(train: Dataset, mode: str, iif: dict[str, float]) -> Postings:
+    return build_postings(
+        {
+            u: profile_weights(train.ratings_by_user[u], train.purchase_counts_by_user[u], mode, iif)
+            for u in train.users
+        }
+    )
 
-    def mined_rules(self, train: Dataset, minsup_pct: float, minconf_pct: float) -> RulesByItem:
-        """Rules mined from the training transactions at these thresholds, listed
-        under each item of their antecedents, in mined order."""
-        key = (minsup_pct, minconf_pct)
-        with _BUILD_LOCK:
-            if key not in self.rules:
-                by_item: RulesByItem = {}
-                for rule in generate_rules(fp_growth(train.transaction_rows, minsup_pct), minconf_pct):
-                    for item in rule.antecedent:
-                        by_item.setdefault(item, []).append(rule)
-                self.rules[key] = by_item
-            return self.rules[key]
+
+def _rules_by_item(train: Dataset, minsup_pct: float, minconf_pct: float) -> RulesByItem:
+    by_item: RulesByItem = {}
+    for rule in generate_rules(fp_growth(train.transaction_rows, minsup_pct), minconf_pct):
+        for item in rule.antecedent:
+            by_item.setdefault(item, []).append(rule)
+    return by_item
 
 
 class Recommender:
     """Recommendation engine over a frozen training dataset and a frozen config.
 
-    Construction takes from the dataset's shared IndexSnapshot what the config
-    needs: the precedence index, the iif table, the ranked ratings, the posting
-    lists of its mode and, with use_rules, the mined rules. A query only reads
-    them, so one engine serves concurrent queries, and its neighbour search
-    costs the postings of the query's items rather than a pass over every
-    training user.
+    Construction takes from the dataset what the config needs, building each
+    index the first time an engine over that dataset object asks for it: the
+    precedence index, the iif table, the ranked ratings (each user's ratings,
+    best first, ties by ascending item id), the posting lists of its mode and,
+    with use_rules, the rules mined at its (minsup, minconf), listed by
+    antecedent item. A query only reads them, so one engine serves concurrent
+    queries, and its neighbour search costs the postings of the query's items
+    rather than a pass over every training user.
     """
 
     def __init__(self, train: Dataset, config: RecommenderConfig | None = None):
         self.train = train
-        self.config = config or RecommenderConfig()
-        self.snapshot = IndexSnapshot.of(train)
-        self.precedence = self.snapshot.precedence
-        self.iif = self.snapshot.iif
-        self.ranked = self.snapshot.ranked
-        self.postings = self.snapshot.mode_postings(train, self.config.mode)
-        self._rules_by_item = (
-            self.snapshot.mined_rules(train, self.config.minsup_pct, self.config.minconf_pct)
-            if self.config.use_rules
-            else {}
+        self.config = cfg = config or RecommenderConfig()
+        self.precedence = _index(train, "precedence", lambda: build_precedence_index(train))
+        self.iif = _index(train, "iif", lambda: build_iif(train) if train.users else {})
+        self.ranked = _index(train, "ranked", lambda: _ranked_ratings(train))
+        self.postings = _index(train, ("postings", cfg.mode), lambda: _postings(train, cfg.mode, self.iif))
+        thresholds = (cfg.minsup_pct, cfg.minconf_pct)
+        self.rules_by_item = (
+            _index(train, ("rules", *thresholds), lambda: _rules_by_item(train, *thresholds)) if cfg.use_rules else {}
         )
 
     def recommend_user(self, user: str) -> list[Recommendation]:
@@ -242,14 +217,14 @@ class Recommender:
             for item, (score, user) in ranked_candidates[: cfg.top_n]
         ]
         slots = cfg.top_n - len(result)
-        if not (slots and cfg.use_rules and self._rules_by_item):
+        if not (slots and cfg.use_rules and self.rules_by_item):
             return result
 
         # Phase B: parents in rank order and rules in mined order, so a later
         # rule with an equal score never replaces an earlier one
         best: dict[str, tuple[float, AssociationRule]] = {}
         for parent_item, (parent_score, _) in ranked_candidates:
-            for rule in self._rules_by_item.get(parent_item, ()):
+            for rule in self.rules_by_item.get(parent_item, ()):
                 score = rule.confidence_pct / 100.0 * parent_score
                 for item in rule.consequent:
                     kept = best.get(item)

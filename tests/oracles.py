@@ -71,9 +71,7 @@ def recommend_reference(engine, profile, exclude_user=None):
             break
     ranked_candidates = sorted(neighbor_scores.items(), key=lambda e: (-e[1][0], e[0]))
 
-    rules_by_item = (
-        engine.snapshot.mined_rules(engine.train, cfg.minsup_pct, cfg.minconf_pct) if cfg.use_rules else {}
-    )
+    rules_by_item = engine.rules_by_item if cfg.use_rules else {}
     rule_scores = {}
     for parent_item, (parent_score, _) in ranked_candidates:
         for rule in rules_by_item.get(parent_item, ()):

@@ -11,7 +11,7 @@ from pytest import approx
 from shoprec.corpus import Dataset, SyntheticConfig, generate_synthetic
 from shoprec.evaluate import ExperimentConfig, precision_at_n, recall_at_n, run_experiment
 from shoprec.implicit_vsm import new_user_scores
-from shoprec.recommend import IndexSnapshot, Profile, Recommender, RecommenderConfig
+from shoprec.recommend import Profile, Recommender, RecommenderConfig
 from shoprec.rules import fp_growth, generate_rules
 from shoprec.similarity import profile_weights, top_k_neighbors
 
@@ -70,7 +70,7 @@ def test_criterion_01_worked_cosine_example(worked_example):
     assert first == approx(0.7296, abs=0.005)
     assert second == approx(0.9951, abs=0.005)
     ds = worked_example
-    postings = IndexSnapshot.of(ds).mode_postings(ds, "simple")
+    postings = Recommender(ds, RecommenderConfig(mode="simple", use_rules=False)).postings
     query = profile_weights(ds.ratings_by_user["U3"], ds.purchase_counts_by_user["U3"], "simple")
     neighbors = top_k_neighbors(query, postings, 1, exclude="U3")
     assert neighbors[0][0] == "U2"

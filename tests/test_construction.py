@@ -20,7 +20,7 @@ from shoprec import cli
 from shoprec.corpus import Dataset, RatingRecord, SyntheticConfig, Transaction, generate_synthetic
 from shoprec.errors import ConfigError, IntegrityError, NoProfileError, RangeError
 from shoprec.evaluate import ExperimentConfig, run_experiment
-from shoprec.recommend import IndexSnapshot, Recommender, RecommenderConfig
+from shoprec.recommend import Recommender, RecommenderConfig
 from shoprec.similarity import MODES
 
 from conftest import rate, small_datasets, tx
@@ -352,6 +352,13 @@ class TestRecords:
             ({"transactions": 5}, IntegrityError, "transactions must be a collection of records, got 5$"),
             ({"ratings": None}, IntegrityError, "ratings must be a collection of records, got None$"),
             ({"users": 5, "ratings": [("U1", "P1", 5.0)]}, IntegrityError, "users must be a collection of ids, got 5$"),
+            ({"transactions": ""}, IntegrityError, "transactions must be a collection of records, got ''$"),
+            ({"ratings": b""}, IntegrityError, "ratings must be a collection of records, got b''$"),
+            (
+                {"transactions": {("T1", "U1", 1, ("P1",)): 0}},
+                IntegrityError,
+                re.escape("transactions must be a collection of records, got {('T1', 'U1', 1, ('P1',)): 0}") + "$",
+            ),
         ],
     )
     def test_probe(self, records, error, message):
@@ -395,4 +402,5 @@ class TestFrozenDataset:
     def test_cached_tables_and_snapshot_still_memoise(self):
         ds = Dataset(transactions=[tx("U1", 1, "P1")], ratings=[rate("U1", "P1", 8)])
         assert ds.ratings_by_user is ds.ratings_by_user
-        assert IndexSnapshot.of(ds) is IndexSnapshot.of(ds)
+        a, b = Recommender(ds), Recommender(ds)
+        assert a.precedence is b.precedence and a.postings is b.postings and a.rules_by_item is b.rules_by_item

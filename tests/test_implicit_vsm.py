@@ -7,7 +7,7 @@ from pytest import approx
 from shoprec.corpus import Dataset
 from shoprec.errors import EmptyDatasetError, NotFoundError
 from shoprec.implicit_vsm import build_iif, new_user_scores
-from shoprec.recommend import IndexSnapshot, profile_of
+from shoprec.recommend import Recommender, RecommenderConfig, profile_of
 from shoprec.similarity import profile_weights
 
 from conftest import random_dataset, rate, tx
@@ -127,7 +127,7 @@ def test_neighbor_search_uses_same_kernel_in_implicit_mode():
         if not ds.users:
             continue
         table = build_iif(ds)
-        postings = IndexSnapshot.of(ds).mode_postings(ds, "implicit")
+        postings = Recommender(ds, RecommenderConfig(mode="implicit", use_rules=False)).postings
         for target in ds.users:
             tv = implicit_weights(ds, table, target)
             if not any(tv.values()):

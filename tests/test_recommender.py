@@ -6,6 +6,7 @@ import random
 import re
 import sys
 import threading
+import weakref
 from collections import Counter
 from decimal import Decimal
 from fractions import Fraction
@@ -20,7 +21,7 @@ from shoprec import cli
 from shoprec.corpus import Dataset, SyntheticConfig, Transaction, generate_synthetic, split_users
 from shoprec.errors import ConfigError, IntegrityError, NoProfileError, NotFoundError, RangeError
 from shoprec.evaluate import ExperimentConfig, run_experiment
-from shoprec.recommend import IndexSnapshot, Profile, Recommender, RecommenderConfig, cold_start, profile_of
+from shoprec.recommend import Profile, Recommender, RecommenderConfig, cold_start, profile_of
 from shoprec.rules import fp_growth, generate_rules
 from shoprec.sequence import bought_after, build_precedence_index
 from shoprec.similarity import MODES, profile_weights, top_k_neighbors
@@ -117,7 +118,7 @@ class TestRuleExpansion:
         ds = rule_expansion_dataset()
         engine_on = Recommender(ds, self.config(minsup=100.0, minconf=100.0))
         engine_off = Recommender(ds, self.config(use_rules=False, minsup=100.0, minconf=100.0))
-        assert engine_on.config.use_rules and not engine_on.snapshot.mined_rules(ds, 100.0, 100.0)
+        assert engine_on.config.use_rules and not engine_on.rules_by_item
         queries = [(self.query(), None)] + [(profile_of(ds, user), user) for user in ds.users]
         for profile, user in queries:
             try:
@@ -148,7 +149,7 @@ class TestRuleExpansion:
         mined = [f"{';'.join(r.antecedent)} => {';'.join(r.consequent)}" for r in rules]
         assert mined[:5] == ["P => X", "P => X;Y", "P => Y", "P;X => Y", "P;Y => X"]
         # the engine lists P's rules in the same mined order
-        assert engine.snapshot.mined_rules(ds, 10.0, 30.0)["P"] == [r for r in rules if "P" in r.antecedent]
+        assert engine.rules_by_item["P"] == [r for r in rules if "P" in r.antecedent]
         recs = engine.recommend_user(user)
         assert [(r.item, r.score, r.source) for r in recs] == [
             ("P", 8.0, "neighbor"), ("X", 8.0, "rule"), ("Y", 8.0, "rule"),
@@ -379,7 +380,7 @@ class TestPhaseAPick:
     @settings(max_examples=50, deadline=None)
     @given(ds=small_datasets())
     def test_ranked_ratings_are_untracked_dicts_best_first(self, ds):
-        ranked = IndexSnapshot.of(ds).ranked
+        ranked = Recommender(ds, RecommenderConfig(use_rules=False)).ranked
         assert list(ranked) == list(ds.users)
         for user, ratings in ranked.items():
             assert ratings == ds.ratings_by_user[user]
@@ -561,7 +562,8 @@ class TestSharedSnapshot:
         calls = count_builds(monkeypatch)
         engines = [Recommender(worked_example, RecommenderConfig(mode=mode)) for mode in MODES]
         assert calls == {"build_precedence_index": 1, "build_iif": 1, "fp_growth": 1}
-        assert all(e.snapshot is engines[0].snapshot for e in engines)
+        for name in ("precedence", "iif", "ranked", "rules_by_item"):
+            assert all(getattr(e, name) is getattr(engines[0], name) for e in engines)
 
     def test_rules_mined_only_when_enabled(self, worked_example, monkeypatch):
         calls = count_builds(monkeypatch)
@@ -601,16 +603,61 @@ class TestSharedSnapshot:
         calls = count_builds(monkeypatch)
         a, b = Recommender(build()), Recommender(build())
         assert a.train == b.train
-        assert a.snapshot is not b.snapshot
+        assert a.precedence is not b.precedence and a.postings is not b.postings
         assert calls["build_precedence_index"] == 2
+
+    def test_concurrent_engines_build_each_index_once(self, monkeypatch):
+        ds = generate_synthetic(SyntheticConfig(rng_seed=5))
+        calls = count_builds(monkeypatch)
+        modes = [mode for mode in MODES for _ in range(2)]
+        barrier = threading.Barrier(len(modes))
+        engines: list = [None] * len(modes)
+        errors: list[Exception] = []
+
+        def construct(t):
+            try:
+                barrier.wait(timeout=60)
+                engines[t] = Recommender(ds, RecommenderConfig(mode=modes[t], minsup_pct=1.0, minconf_pct=10.0))
+            except Exception as exc:  # reported by the main thread
+                errors.append(exc)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)  # so that the builds interleave
+        try:
+            threads = [threading.Thread(target=construct, args=(t,)) for t in range(len(modes))]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert errors == []
+        assert calls == {"build_precedence_index": 1, "build_iif": 1, "fp_growth": 1}
+        for t in range(0, len(modes), 2):
+            assert engines[t].config.mode == engines[t + 1].config.mode
+            assert engines[t].postings is engines[t + 1].postings
+
+    def test_indexes_do_not_keep_their_dataset_alive(self):
+        ds = generate_synthetic(SyntheticConfig(users_per_class=8, rng_seed=5))
+        for mode in MODES:
+            Recommender(ds, RecommenderConfig(mode=mode, minsup_pct=1.0, minconf_pct=10.0))
+        assert len(vars(ds)["_indexes"]) == 3 + len(MODES) + 1
+        dataset = weakref.ref(ds)
+        gc.disable()  # so that only reference counting can free it
+        try:
+            del ds
+            assert dataset() is None
+        finally:
+            gc.enable()
 
 
 def engine_state(engine):
-    """Everything an engine or its snapshot holds, copied, plus the dataset's cached names."""
-    own = {name: value for name, value in vars(engine).items() if name not in ("train", "snapshot")}
+    """Everything an engine or its dataset's indexes hold, copied, plus the dataset's cached names."""
+    own = {name: value for name, value in vars(engine).items() if name != "train"}
     return (
         copy.deepcopy(own),
-        copy.deepcopy(vars(engine.snapshot)),
+        copy.deepcopy(vars(engine.train)["_indexes"]),
         sorted(vars(engine.train)),
         [id(value) for value in vars(engine).values()],
     )

@@ -14,7 +14,7 @@ from pytest import approx
 import shoprec
 from shoprec.errors import NoProfileError, NotFoundError, RangeError
 from shoprec.implicit_vsm import build_iif
-from shoprec.recommend import IndexSnapshot, Recommender, RecommenderConfig, profile_of
+from shoprec.recommend import Recommender, RecommenderConfig, profile_of
 from shoprec.similarity import MODES, build_postings, profile_weights, top_k_neighbors
 
 from conftest import random_dataset, small_datasets
@@ -31,10 +31,10 @@ def dataset_weights(ds, user, mode):
 
 
 def neighbors(ds, target, k, mode):
-    """The engine's neighbour search for a dataset user, over the dataset's snapshot."""
-    snapshot = IndexSnapshot.of(ds)
-    weights = profile_weights(ds.ratings_by_user[target], ds.purchase_counts_by_user[target], mode, snapshot.iif)
-    return top_k_neighbors(weights, snapshot.mode_postings(ds, mode), k, exclude=target)
+    """The engine's neighbour search for a dataset user, over the dataset's indexes."""
+    engine = Recommender(ds, RecommenderConfig(mode=mode, use_rules=False))
+    weights = profile_weights(ds.ratings_by_user[target], ds.purchase_counts_by_user[target], mode, engine.iif)
+    return top_k_neighbors(weights, engine.postings, k, exclude=target)
 
 
 _ITEMS = ("P1", "P2", "P3", "P4")
@@ -275,9 +275,8 @@ class TestTopKNeighbors:
     @given(ds=small_datasets())
     def test_posting_lists_are_untracked_dicts(self, ds):
         """A posting list holds no object the garbage collector must walk."""
-        snapshot = IndexSnapshot.of(ds)
         for mode in MODES:
-            for posting in snapshot.mode_postings(ds, mode).values():
+            for posting in Recommender(ds, RecommenderConfig(mode=mode, use_rules=False)).postings.values():
                 assert type(posting) is dict
                 assert not gc.is_tracked(posting)
 
