@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import signal
 import sys
 from pathlib import Path
@@ -134,9 +135,8 @@ def _cmd_gen_data(args) -> int:
         rng_seed=args.seed,
     )
     ds = generate_synthetic(config)
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    tx_path, rt_path = out / "transactions.csv", out / "ratings.csv"
+    os.makedirs(args.out, exist_ok=True)  # not Path(args.out).mkdir, which reads "" as "."
+    tx_path, rt_path = Path(args.out, "transactions.csv"), Path(args.out, "ratings.csv")
     save_transactions(ds, tx_path)
     save_ratings(ds, rt_path)
     print(f"wrote {tx_path} ({len(ds.transactions)} transactions)")

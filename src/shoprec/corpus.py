@@ -61,7 +61,6 @@ from functools import cached_property
 from itertools import chain, islice
 from numbers import Real
 from operator import itemgetter
-from pathlib import Path
 from typing import NamedTuple
 
 from .errors import ConfigError, IntegrityError, ParseError, RangeError
@@ -78,21 +77,6 @@ def _check_id(kind: str, value, at=_nowhere, k: int = 0) -> str:
     if not isinstance(value, str) or not value or "," in value or ";" in value or "\n" in value or "\r" in value:
         raise IntegrityError(f"{at(k)}invalid {kind} id {value!r}")
     return value
-
-
-def _check_ids(kind: str, values) -> None:
-    """IntegrityError for the first of the values that is not a valid id string.
-
-    A few C-level passes check all of them; only a failed pass walks the
-    values one by one, to name the offender.
-    """
-    try:
-        joined = "".join(values)
-    except TypeError:  # a value that is not a string
-        joined = None
-    if joined is None or "" in values or "," in joined or ";" in joined or "\n" in joined or "\r" in joined:
-        for value in values:
-            _check_id(kind, value)
 
 
 def _is_int(value) -> bool:  # a count, a seq or a seed
@@ -487,11 +471,13 @@ def to_rating_csv(dataset: Dataset) -> str:
 
 
 def save_transactions(dataset: Dataset, path) -> None:
-    Path(path).write_text(to_transaction_csv(dataset), encoding="utf-8", newline="")
+    with open(path, "w", encoding="utf-8", newline="") as file:  # not Path(path), which reads "" as "."
+        file.write(to_transaction_csv(dataset))
 
 
 def save_ratings(dataset: Dataset, path) -> None:
-    Path(path).write_text(to_rating_csv(dataset), encoding="utf-8", newline="")
+    with open(path, "w", encoding="utf-8", newline="") as file:
+        file.write(to_rating_csv(dataset))
 
 
 # ---------------------------------------------------------------------------

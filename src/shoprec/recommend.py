@@ -19,6 +19,8 @@ Candidate generation runs in two phases over a training dataset:
   three depend on the item alone, so this keeps the list that filtering each
   rule would give. Only returned items get an explain string.
 
+A query profile is a frozen ``Profile``, whose ids, ratings and counts are
+checked once, when it is made, so a query checks only that it was given one.
 An item is seen when it is in the profile's ratings or purchase counts, and
 the filter's purchase history is the purchase map's keys: a query builds no
 set of the profile.
@@ -41,28 +43,65 @@ building several engines (one per mode, say) builds each index once.
 from __future__ import annotations
 
 import threading
-from dataclasses import dataclass, field
+from collections.abc import Mapping
+from dataclasses import dataclass
+from itertools import chain
 from numbers import Real
 from operator import itemgetter
+from types import MappingProxyType
 
-from .corpus import Dataset, _check_fields, _check_ids, _is_int, _is_rating, _is_real
-from .errors import NoProfileError, NotFoundError, RangeError
+from .corpus import Dataset, _check_fields, _check_id, _is_int, _is_rating, _is_real
+from .errors import IntegrityError, NoProfileError, NotFoundError, RangeError
 from .implicit_vsm import build_iif, new_user_scores
 from .rules import AssociationRule, fp_growth, generate_rules
 from .sequence import bought_after, build_precedence_index
 from .similarity import MODES, Postings, build_postings, profile_weights, top_k_neighbors
 
 
-@dataclass
+_EMPTY: Mapping = MappingProxyType({})  # the default map, read-only and so shared
+
+
+@dataclass(frozen=True, init=False)
 class Profile:
     """A query profile: explicit ratings plus purchase occurrence counts.
 
     Stands in for users that are not part of the training data (new visitors,
     held-out evaluation users). Items present in either map count as seen.
+
+    Checked once, when made: a map that is not a Mapping or an item id that
+    is not a valid id string raises IntegrityError; a rating that is not a
+    real number in [0, 10] (NaN is not) or a purchase count that is not an
+    int (a bool is not) of at least 1 raises RangeError. Each map is copied
+    and kept as a read-only view, so no one can change a profile once made;
+    ``dataclasses.replace`` checks the copy again.
     """
 
-    ratings: dict[str, float] = field(default_factory=dict)
-    purchase_counts: dict[str, int] = field(default_factory=dict)
+    ratings: Mapping[str, float]
+    purchase_counts: Mapping[str, int]
+
+    def __init__(self, ratings: Mapping[str, float] = _EMPTY, purchase_counts: Mapping[str, int] = _EMPTY) -> None:
+        ratings = _copied_map("ratings", ratings, "ratings")
+        counts = _copied_map("purchase_counts", purchase_counts, "purchase counts")
+        for item in chain(ratings, counts):
+            _check_id("item", item)
+        for item, rating in ratings.items():
+            if not isinstance(rating, Real):
+                raise RangeError(f"item {item}: rating {rating!r} is not a real number")
+            if not 0.0 <= rating <= 10.0:  # also false for NaN
+                raise RangeError(f"item {item}: rating {rating} outside [0, 10]")
+        for item, count in counts.items():
+            if not (_is_int(count) and count >= 1):
+                raise RangeError(f"item {item}: purchase count {count!r} is not an integer >= 1")
+        vars(self).update(ratings=MappingProxyType(ratings), purchase_counts=MappingProxyType(counts))
+
+    def __reduce__(self):  # a read-only view does not pickle: copy and pickle rebuild from dicts
+        return Profile, (dict(self.ratings), dict(self.purchase_counts))
+
+
+def _copied_map(name: str, mapping, values: str) -> dict:
+    if not isinstance(mapping, Mapping):
+        raise IntegrityError(f"{name} must be a mapping of item ids to {values}, got {mapping!r}")
+    return dict(mapping)
 
 
 @dataclass(frozen=True)
@@ -97,10 +136,7 @@ class Recommendation:
 def profile_of(dataset: Dataset, user: str) -> Profile:
     if user not in dataset.ratings_by_user:
         raise NotFoundError(f"unknown user {user!r}")
-    return Profile(
-        ratings=dict(dataset.ratings_by_user[user]),
-        purchase_counts=dict(dataset.purchase_counts_by_user[user]),
-    )
+    return Profile(dataset.ratings_by_user[user], dataset.purchase_counts_by_user[user])
 
 
 # Rules listed under each item of their antecedents, each list in mined order.
@@ -180,13 +216,9 @@ class Recommender:
         return self.recommend_profile(profile_of(self.train, user), exclude_user=user)
 
     def recommend_profile(self, profile: Profile, exclude_user: str | None = None) -> list[Recommendation]:
-        """Recommend for a query profile.
-
-        IntegrityError for an item id that is not a valid id string; RangeError
-        for a rating that is not a real number in [0, 10] or a purchase count
-        that is not an int (a bool is not) of at least 1.
-        """
-        _check_profile(profile)
+        """Recommend for a query profile, which was checked when made; TypeError for anything else."""
+        if not isinstance(profile, Profile):
+            raise TypeError(f"profile must be a Profile, got {type(profile).__name__}")
         cfg = self.config
         ratings, counts = profile.ratings, profile.purchase_counts
         weights = profile_weights(ratings, counts, cfg.mode, self.iif)
@@ -242,31 +274,6 @@ class Recommender:
             explain = f"{';'.join(rule.antecedent)} => {';'.join(rule.consequent)}"
             result.append(Recommendation(item=item, score=score, source="rule", explain=explain))
         return result
-
-
-_INTS = frozenset((int,))  # a bool or any other subclass of int takes the walk
-
-
-def _check_profile(profile: Profile) -> None:
-    """Check the item ids and the counts in bulk, walking a map entry by entry
-    only to name its offender; check the ratings in one loop."""
-    _check_ids("item", profile.ratings)
-    _check_ids("item", profile.purchase_counts)
-    try:
-        # one chained comparison per rating costs less than a min and a max pass
-        for item, rating in profile.ratings.items():
-            if not 0.0 <= rating <= 10.0:  # also false for NaN
-                raise RangeError(f"item {item}: rating {rating} outside [0, 10]")
-        sum(profile.ratings.values(), 0.0)  # a Decimal compares with a float but does not add to one
-    except TypeError:
-        for item, rating in profile.ratings.items():
-            if not isinstance(rating, Real):
-                raise RangeError(f"item {item}: rating {rating!r} is not a real number") from None
-    counts = profile.purchase_counts.values()
-    if counts and not (_INTS.issuperset(map(type, counts)) and min(counts) >= 1):
-        for item, count in profile.purchase_counts.items():
-            if not _is_int(count) or count < 1:
-                raise RangeError(f"item {item}: purchase count {count!r} is not an integer >= 1")
 
 
 def cold_start(train: Dataset, top_n: int) -> list[Recommendation]:

@@ -136,6 +136,15 @@ class TestExitCodes:
         assert captured.out == ""
         assert captured.err == "shoprec: error: [Errno 2] No such file or directory: ''\n"
 
+    def test_empty_out_is_data_error(self, tmp_path, monkeypatch, capsys):
+        # gen-data --out "" once wrote both files into the working directory
+        monkeypatch.chdir(tmp_path)
+        assert cli.main(["gen-data", "--out", "", "--seed", "1"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "shoprec: error: [Errno 2] No such file or directory: ''\n"
+        assert list(tmp_path.iterdir()) == []
+
     def test_byte_order_mark_is_skipped(self, data_dir, capsys):
         for name in ("table1.csv", "worked_r.csv"):
             path = data_dir / name

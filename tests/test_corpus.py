@@ -462,6 +462,16 @@ def test_load_and_split_validate_each_record_once(tmp_path, monkeypatch):
     assert walked[2:] == walked[:2]
 
 
+@pytest.mark.parametrize("save", [save_transactions, save_ratings])
+def test_empty_save_path_is_no_file(tmp_path, monkeypatch, save):
+    # Path("") is the current directory, so the error once named '.'
+    monkeypatch.chdir(tmp_path)
+    ds = generate_synthetic(SyntheticConfig(users_per_class=1, rng_seed=1))
+    with pytest.raises(FileNotFoundError, match=r"^\[Errno 2\] No such file or directory: ''$"):
+        save(ds, "")
+    assert list(tmp_path.iterdir()) == []
+
+
 class TestDatasetBuild:
     def test_unknown_references_rejected(self):
         with pytest.raises(IntegrityError):

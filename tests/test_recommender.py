@@ -1,7 +1,9 @@
 import copy
+import dataclasses
 import gc
 import importlib
 import math
+import pickle
 import random
 import re
 import sys
@@ -11,6 +13,7 @@ from collections import Counter
 from decimal import Decimal
 from fractions import Fraction
 from functools import partial
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import Phase, example, find, given, settings
@@ -393,24 +396,95 @@ def seed_2024_engine(mode):
     return Recommender(ds, RecommenderConfig(mode=mode, minsup_pct=1.0, minconf_pct=10.0))
 
 
+# id -> (mode, ratings, counts); each used to answer, or to fail partway with ZeroDivisionError
+BAD_RANGES = {
+    "negative-count": ("method1", {"I001": 8.0, "I002": 8.0}, {"I001": 1, "I002": -1}),
+    "rating-50": ("simple", {"I001": 50.0}, {}),
+    "rating-nan": ("simple", {"I001": math.nan, "I002": 5.0}, {}),
+    "rating-negative": ("simple", {"I001": -0.5}, {}),
+    "count-half": ("method1", {"I001": 8.0}, {"I001": 0.5}),
+    "count-zero": ("simple", {"I001": 8.0}, {"I001": 1, "I002": 0}),
+    "count-bool": ("method1", {"I001": 8.0}, {"I001": True}),
+}
+# id -> (ratings, counts, the bad id's repr); each of the first three used to
+# answer as if the id were an unknown item
+BAD_IDS = {
+    "comma": ({"I0,01": 8.0, "I002": 8.0}, {}, "'I0,01'"),
+    "int-key": ({1: 8.0, "I002": 8.0}, {}, "1"),
+    "empty": ({"": 8.0, "I002": 8.0}, {}, "''"),
+    "count-key-semicolon": ({"I001": 8.0}, {"I001": 1, "I0;02": 2}, "'I0;02'"),
+    "line-feed": ({"I001": 8.0, "I002\n": 8.0}, {}, "'I002\\n'"),
+    "bytes-key": ({"I001": 8.0}, {b"I001": 1}, "b'I001'"),
+}
+# id -> a rating that is not a real number; "8" used to raise a bare TypeError from the range check
+NOT_REAL = {"str": "8", "none": None, "complex": 8 + 0j, "decimal": Decimal("8")}
+
+
 class TestProfileChecks:
-    """A query profile is checked before any work: item ids valid id strings, ratings
+    """A query profile is checked when it is made: item ids valid id strings, ratings
     real numbers within [0, 10], purchase counts ints (not bools) of at least 1."""
 
     @pytest.mark.parametrize(
-        "mode, ratings, counts",
-        [
-            # each used to answer, or to fail partway with ZeroDivisionError
-            ("method1", {"I001": 8.0, "I002": 8.0}, {"I001": 1, "I002": -1}),
-            ("simple", {"I001": 50.0}, {}),
-            ("simple", {"I001": math.nan, "I002": 5.0}, {}),
-            ("simple", {"I001": -0.5}, {}),
-            ("method1", {"I001": 8.0}, {"I001": 0.5}),
-            ("simple", {"I001": 8.0}, {"I001": 1, "I002": 0}),
-            ("method1", {"I001": 8.0}, {"I001": True}),
-        ],
-        ids=["negative-count", "rating-50", "rating-nan", "rating-negative", "count-half", "count-zero", "count-bool"],
+        "error, ratings, counts",
+        [pytest.param(RangeError, r, c, id=f"range-{k}") for k, (_, r, c) in BAD_RANGES.items()]
+        + [pytest.param(IntegrityError, r, c, id=f"id-{k}") for k, (r, c, _) in BAD_IDS.items()]
+        + [pytest.param(RangeError, {"I002": 8.0, "I001": v}, {}, id=f"real-{k}") for k, v in NOT_REAL.items()],
     )
+    def test_bad_profile_fails_when_made(self, error, ratings, counts):
+        with pytest.raises(error):
+            Profile(ratings=ratings, purchase_counts=counts)
+
+    @pytest.mark.parametrize(
+        "name, value, values",
+        [
+            # 5 escaped from the query as a bare TypeError; a list of pairs was read as ids
+            ("ratings", 5, "ratings"),
+            ("ratings", [("I001", 8.0)], "ratings"),
+            ("purchase_counts", None, "purchase counts"),
+            ("purchase_counts", ["I001"], "purchase counts"),
+        ],
+        ids=["ratings-int", "ratings-pairs", "counts-none", "counts-list"],
+    )
+    def test_map_that_is_not_a_mapping_is_integrity_error(self, name, value, values):
+        message = f"{name} must be a mapping of item ids to {values}, got {value!r}"
+        with pytest.raises(IntegrityError, match=f"^{re.escape(message)}$"):
+            Profile(**{name: value})
+
+    def test_maps_are_read_only_copies(self):
+        ratings, counts = {"I001": 8.0}, {"I001": 2}
+        profile = Profile(ratings, counts)
+        ratings["I001"], ratings["I002"] = 50.0, 1.0
+        counts.clear()
+        assert profile == Profile({"I001": 8.0}, {"I001": 2})
+        with pytest.raises(TypeError):
+            profile.ratings["x"] = 1.0
+        with pytest.raises(TypeError):
+            profile.purchase_counts["x"] = 1
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            profile.ratings = {}
+
+    def test_replace_checks_the_copy(self):
+        profile = Profile({"I001": 8.0}, {"I001": 2})
+        with pytest.raises(RangeError, match="rating 50.0 outside"):
+            dataclasses.replace(profile, ratings={"I001": 50.0})
+        assert dataclasses.replace(profile, ratings={"I002": 5.0}) == Profile({"I002": 5.0}, {"I001": 2})
+
+    def test_copy_and_pickle_make_an_equal_profile(self):
+        profile = Profile({"I001": 8.0}, {"I001": 2})
+        for made in (copy.copy(profile), copy.deepcopy(profile), pickle.loads(pickle.dumps(profile))):
+            assert made == profile
+            with pytest.raises(TypeError):
+                made.ratings["x"] = 1.0
+
+    def test_query_takes_only_a_profile(self):
+        # an unchecked stand-in once met the query's own checks; it must never answer
+        engine = seed_2024_engine("simple")
+        for ratings in ({"I001": 99.0}, {"I001": 8.0}):
+            stand_in = SimpleNamespace(ratings=ratings, purchase_counts={})
+            with pytest.raises(TypeError, match="^profile must be a Profile, got SimpleNamespace$"):
+                engine.recommend_profile(stand_in)
+
+    @pytest.mark.parametrize("mode, ratings, counts", BAD_RANGES.values(), ids=list(BAD_RANGES))
     def test_bad_profile_is_range_error(self, mode, ratings, counts):
         with pytest.raises(RangeError):
             seed_2024_engine(mode).recommend_profile(Profile(ratings=ratings, purchase_counts=counts))
@@ -420,30 +494,13 @@ class TestProfileChecks:
         profile = Profile(ratings={"I001": 0.0, "I002": 10.0}, purchase_counts={"I001": 1, "I002": 3})
         assert engine.recommend_profile(profile)
 
-    @pytest.mark.parametrize(
-        "ratings, counts, bad",
-        [
-            # each of the first three used to answer as if the id were an unknown item
-            ({"I0,01": 8.0, "I002": 8.0}, {}, "'I0,01'"),
-            ({1: 8.0, "I002": 8.0}, {}, "1"),
-            ({"": 8.0, "I002": 8.0}, {}, "''"),
-            ({"I001": 8.0}, {"I001": 1, "I0;02": 2}, "'I0;02'"),
-            ({"I001": 8.0, "I002\n": 8.0}, {}, "'I002\\n'"),
-            ({"I001": 8.0}, {b"I001": 1}, "b'I001'"),
-        ],
-        ids=["comma", "int-key", "empty", "count-key-semicolon", "line-feed", "bytes-key"],
-    )
+    @pytest.mark.parametrize("ratings, counts, bad", BAD_IDS.values(), ids=list(BAD_IDS))
     def test_bad_item_id_is_integrity_error(self, ratings, counts, bad):
         engine = seed_2024_engine("method1")
         with pytest.raises(IntegrityError, match=f"^invalid item id {re.escape(bad)}$"):
             engine.recommend_profile(Profile(ratings=ratings, purchase_counts=counts))
 
-    @pytest.mark.parametrize(
-        "rating",
-        # "8" used to raise a bare TypeError from the range check
-        ["8", None, 8 + 0j, Decimal("8")],
-        ids=["str", "none", "complex", "decimal"],
-    )
+    @pytest.mark.parametrize("rating", NOT_REAL.values(), ids=list(NOT_REAL))
     def test_rating_that_is_not_a_real_number_is_range_error(self, rating):
         engine = seed_2024_engine("simple")
         with pytest.raises(RangeError, match="is not a real number"):
