@@ -79,7 +79,7 @@ def _cmd_ingest_check(args) -> int:
     ds = load_dataset(args.transactions, args.ratings)
     print(
         f"ok: users={len(ds.users)} items={len(ds.items)} "
-        f"transactions={len(ds.transactions)} ratings={len(ds.ratings)}"
+        f"transactions={len(ds.transaction_rows)} ratings={len(ds.rating_rows)}"
     )
     return 0
 
@@ -139,8 +139,8 @@ def _cmd_gen_data(args) -> int:
     tx_path, rt_path = Path(args.out, "transactions.csv"), Path(args.out, "ratings.csv")
     save_transactions(ds, tx_path)
     save_ratings(ds, rt_path)
-    print(f"wrote {tx_path} ({len(ds.transactions)} transactions)")
-    print(f"wrote {rt_path} ({len(ds.ratings)} ratings)")
+    print(f"wrote {tx_path} ({len(ds.transaction_rows)} transactions)")
+    print(f"wrote {rt_path} ({len(ds.rating_rows)} ratings)")
     return 0
 
 
@@ -177,12 +177,14 @@ def _add_data_args(p, ratings_required: bool = True, transactions_required: bool
 
 
 def _add_recommender_args(p):
-    p.add_argument("--mode", choices=MODES, default="simple")
-    p.add_argument("--k", type=int, default=5, help="neighbor count")
-    p.add_argument("--top-n", type=int, default=5)
-    p.add_argument("--minsup", type=float, default=40.0, help="min support %% for rules")
-    p.add_argument("--minconf", type=float, default=60.0, help="min confidence %% for rules")
-    p.add_argument("--threshold", type=float, default=7.0, help="rating exclusion threshold")
+    p.add_argument("--mode", choices=MODES, default=RecommenderConfig.mode)
+    p.add_argument("--k", type=int, default=RecommenderConfig.k_neighbors, help="neighbor count")
+    p.add_argument("--top-n", type=int, default=RecommenderConfig.top_n)
+    p.add_argument("--minsup", type=float, default=RecommenderConfig.minsup_pct, help="min support %% for rules")
+    p.add_argument("--minconf", type=float, default=RecommenderConfig.minconf_pct, help="min confidence %% for rules")
+    p.add_argument(
+        "--threshold", type=float, default=RecommenderConfig.exclusion_threshold, help="rating exclusion threshold"
+    )
     p.add_argument("--no-rules", action="store_true", help="disable rule expansion")
 
 
@@ -203,14 +205,14 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("recommend-new", help="cold-start recommendations by popularity")
     _add_data_args(p, ratings_required=False)
-    p.add_argument("--top-n", type=int, default=5)
+    p.add_argument("--top-n", type=int, default=RecommenderConfig.top_n)
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=_cmd_recommend_new)
 
     p = sub.add_parser("mine-rules", help="mine association rules from transactions")
     p.add_argument("--transactions", required=True)
-    p.add_argument("--minsup", type=float, default=40.0)
-    p.add_argument("--minconf", type=float, default=60.0)
+    p.add_argument("--minsup", type=float, default=RecommenderConfig.minsup_pct)
+    p.add_argument("--minconf", type=float, default=RecommenderConfig.minconf_pct)
     p.add_argument("--antecedent", default=None, help="only rules with this item in the antecedent")
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=_cmd_mine_rules)
@@ -221,28 +223,27 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("gen-data", help="generate a synthetic planted-class dataset")
     p.add_argument("--out", required=True, help="output directory")
-    p.add_argument("--classes", type=int, default=4)
-    p.add_argument("--items", type=int, default=60)
-    p.add_argument("--users-per-class", type=int, default=25)
-    p.add_argument("--ratings-per-user", type=int, nargs=2, default=[10, 18], metavar=("LO", "HI"))
-    p.add_argument(
-        "--transactions-per-user", type=int, nargs=2, default=[5, 10], metavar=("LO", "HI")
-    )
-    p.add_argument("--affinity", type=float, default=0.9)
-    p.add_argument("--spread", type=float, default=3.0)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--classes", type=int, default=SyntheticConfig.num_classes)
+    p.add_argument("--items", type=int, default=SyntheticConfig.num_items)
+    p.add_argument("--users-per-class", type=int, default=SyntheticConfig.users_per_class)
+    span = dict(type=int, nargs=2, metavar=("LO", "HI"))
+    p.add_argument("--ratings-per-user", default=SyntheticConfig.ratings_per_user, **span)
+    p.add_argument("--transactions-per-user", default=SyntheticConfig.transactions_per_user, **span)
+    p.add_argument("--affinity", type=float, default=SyntheticConfig.class_affinity)
+    p.add_argument("--spread", type=float, default=SyntheticConfig.noise_rating_spread)
+    p.add_argument("--seed", type=int, default=SyntheticConfig.rng_seed)
     p.set_defaults(func=_cmd_gen_data)
 
     p = sub.add_parser("evaluate", help="run the precision/recall comparison")
     _add_data_args(p)
-    p.add_argument("--split", type=float, default=0.8, help="train fraction")
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--n", type=int, default=5, help="top-N cutoff")
-    p.add_argument("--modes", default=",".join(MODES), help="comma-separated mode list")
-    p.add_argument("--k", type=int, default=5)
-    p.add_argument("--minsup", type=float, default=40.0)
-    p.add_argument("--minconf", type=float, default=60.0)
-    p.add_argument("--threshold", type=float, default=7.0)
+    p.add_argument("--split", type=float, default=ExperimentConfig.train_fraction, help="train fraction")
+    p.add_argument("--seed", type=int, default=ExperimentConfig.seed)
+    p.add_argument("--n", type=int, default=ExperimentConfig.top_n, help="top-N cutoff")
+    p.add_argument("--modes", default=",".join(ExperimentConfig.modes), help="comma-separated mode list")
+    p.add_argument("--k", type=int, default=ExperimentConfig.k_neighbors)
+    p.add_argument("--minsup", type=float, default=ExperimentConfig.minsup_pct)
+    p.add_argument("--minconf", type=float, default=ExperimentConfig.minconf_pct)
+    p.add_argument("--threshold", type=float, default=ExperimentConfig.exclusion_threshold)
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=_cmd_evaluate)
 

@@ -23,13 +23,15 @@ value is ASCII text that ``float()`` reads, with no ``_`` and no leading or
 trailing whitespace, which covers every form :func:`to_rating_csv` writes.
 
 A dataset stores its transactions and ratings as plain tuples, rows
-``(tid, user, seq, items)`` and ``(user, item, value)``, and hands out a
-:class:`Transaction` or :class:`RatingRecord` only when one is read through
-``Dataset.transactions`` or ``Dataset.ratings``. The cyclic garbage collector
-stops tracking an exact tuple of strings and numbers at its first
+``(tid, user, seq, items)`` and ``(user, item, value)``, in
+``Dataset.transaction_rows`` and ``Dataset.rating_rows``. The cyclic garbage
+collector stops tracking an exact tuple of strings and numbers at its first
 collection, but tracks a tuple subclass such as a named tuple for good, so
 stored rows add nothing to the full collections that run during a load and
 the engine builds. Every path in this package reads the rows.
+``Dataset.transactions`` and ``Dataset.ratings`` build a new tuple of
+:class:`Transaction` or :class:`RatingRecord` records from them on each
+read, for callers that read fields by name.
 
 One load keeps one object per id: within a :func:`load_dataset` call every
 mention of a user or item id, in both files, is the same ``str`` as the
@@ -55,7 +57,7 @@ from __future__ import annotations
 import random
 from codecs import BOM_UTF8
 from collections import Counter
-from collections.abc import Iterable, Mapping, Sequence
+from collections.abc import Iterable, Mapping
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import chain, islice
@@ -119,51 +121,14 @@ class RatingRecord(NamedTuple):
     value: float
 
 
-class Records(Sequence):
-    """A read-only sequence of records over a tuple of plain rows, each record made when read.
-
-    Length, indexing and slicing cost what they cost on the rows, and a
-    slice is a view of the sliced rows; no record is kept. Records compares
-    equal to a tuple of the same records or rows, as a tuple of records did.
-    """
-
-    __slots__ = ("rows", "_record")
-
-    def __init__(self, rows: tuple, record) -> None:
-        self.rows = rows
-        self._record = record  # the record's _make
-
-    def __len__(self) -> int:
-        return len(self.rows)
-
-    def __getitem__(self, index):
-        if isinstance(index, slice):
-            return Records(self.rows[index], self._record)
-        return self._record(self.rows[index])
-
-    def __iter__(self):
-        return map(self._record, self.rows)
-
-    def __eq__(self, other) -> bool:
-        if isinstance(other, Records):
-            other = other.rows
-        return self.rows == other if isinstance(other, tuple) else NotImplemented
-
-    def __hash__(self) -> int:
-        return hash(self.rows)
-
-    def __repr__(self) -> str:
-        return f"Records({tuple(self)!r})"
-
-
 @dataclass(frozen=True, init=False)
 class Dataset:
     """Frozen container of users, items, transaction rows and rating rows.
 
-    :attr:`transactions` and :attr:`ratings` read the rows as records. The
-    constructor is the one checked way in, as a config's is; assigning a
-    field raises ``FrozenInstanceError``. Derived lookup tables are cached on
-    first access.
+    :attr:`transactions` and :attr:`ratings` copy the rows into records on
+    each read. The constructor is the one checked way in, as a config's is;
+    assigning a field raises ``FrozenInstanceError``. Derived lookup tables
+    are cached on first access.
     """
 
     users: tuple[str, ...]
@@ -174,8 +139,8 @@ class Dataset:
     def __init__(self, users=None, items=None, transactions=(), ratings=()) -> None:
         """Validate and canonicalize records into a Dataset.
 
-        Users and items are inferred from the records when None. Records may
-        be Transaction and RatingRecord or plain tuples. A faulty record
+        Users and items are inferred from the records when None. A record may
+        be a Transaction or RatingRecord or a plain tuple. A faulty record
         raises what :func:`load_dataset` raises for it, without the line; an
         argument that is not a collection (a string, bytes or a mapping is
         not one), an unknown reference, a record without its fields or a field
@@ -207,14 +172,16 @@ class Dataset:
         )
 
     @property
-    def transactions(self) -> Records:
-        """The transactions as :class:`Transaction` records, in (user, seq) order."""
-        return Records(self.transaction_rows, Transaction._make)
+    def transactions(self) -> tuple[Transaction, ...]:
+        """The transactions as :class:`Transaction` records, in (user, seq) order; each read builds
+        a new tuple in O(rows), so counts and library code read :attr:`transaction_rows`."""
+        return tuple(map(Transaction._make, self.transaction_rows))
 
     @property
-    def ratings(self) -> Records:
-        """The ratings as :class:`RatingRecord` records, in (user, item) order."""
-        return Records(self.rating_rows, RatingRecord._make)
+    def ratings(self) -> tuple[RatingRecord, ...]:
+        """The ratings as :class:`RatingRecord` records, in (user, item) order; each read builds
+        a new tuple in O(rows), so counts and library code read :attr:`rating_rows`."""
+        return tuple(map(RatingRecord._make, self.rating_rows))
 
     # Derived lookup tables, cached in the instance's __dict__, which freezing leaves writable.
 
@@ -544,12 +511,12 @@ def generate_synthetic(config: SyntheticConfig) -> Dataset:
     num_users = config.num_classes * config.users_per_class
     users = [f"U{u + 1:03d}" for u in range(num_users)]
     item_class = {item: b for b, block in enumerate(blocks) for item in block}
+    off_class = [[i for i in items if item_class[i] != cls] for cls in range(config.num_classes)]
 
     def draw_item(cls: int) -> str:
         if config.num_classes == 1 or rng.random() < config.class_affinity:
             return rng.choice(blocks[cls])
-        others = [i for i in items if item_class[i] != cls]
-        return rng.choice(others)
+        return rng.choice(off_class[cls])
 
     transactions = []
     ratings = []

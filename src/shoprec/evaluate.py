@@ -62,13 +62,13 @@ class ExperimentConfig:
     """The protocol's parameters, each engine's among them; checked and frozen as RecommenderConfig."""
 
     train_fraction: float = 0.8
-    top_n: int = 5
+    top_n: int = RecommenderConfig.top_n
     seed: int = 0
     modes: tuple[str, ...] = MODES
-    k_neighbors: int = 5
-    minsup_pct: float = 40.0
-    minconf_pct: float = 60.0
-    exclusion_threshold: float = 7.0
+    k_neighbors: int = RecommenderConfig.k_neighbors
+    minsup_pct: float = RecommenderConfig.minsup_pct
+    minconf_pct: float = RecommenderConfig.minconf_pct
+    exclusion_threshold: float = RecommenderConfig.exclusion_threshold
     relevance_threshold: float = 7.0
 
     def __post_init__(self) -> None:

@@ -71,7 +71,7 @@ class Profile:
     Checked once, when made: a map that is not a Mapping or an item id that
     is not a valid id string raises IntegrityError; a rating that is not a
     real number in [0, 10] (NaN is not) or a purchase count that is not an
-    int (a bool is not) of at least 1 raises RangeError. Each map is copied
+    int (a bool is not) in [1, 2**53] raises RangeError. Each map is copied
     and kept as a read-only view, so no one can change a profile once made;
     ``dataclasses.replace`` checks the copy again.
     """
@@ -92,6 +92,8 @@ class Profile:
         for item, count in counts.items():
             if not (_is_int(count) and count >= 1):
                 raise RangeError(f"item {item}: purchase count {count!r} is not an integer >= 1")
+            if count > 2**53:  # far above a file's counts; a larger one can overflow the query's floats
+                raise RangeError(f"item {item}: purchase count above 2**53")  # a long enough int has no str
         vars(self).update(ratings=MappingProxyType(ratings), purchase_counts=MappingProxyType(counts))
 
     def __reduce__(self):  # a read-only view does not pickle: copy and pickle rebuild from dicts

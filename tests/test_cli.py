@@ -1,5 +1,6 @@
 import codecs
 import contextlib
+import dataclasses
 import hashlib
 import io
 import json
@@ -14,9 +15,10 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from shoprec import cli
-from shoprec.corpus import load_dataset, to_rating_csv, to_transaction_csv
+from shoprec.corpus import SyntheticConfig, load_dataset, to_rating_csv, to_transaction_csv
 from shoprec.errors import ShoprecError
-from shoprec.recommend import Recommender
+from shoprec.evaluate import ExperimentConfig
+from shoprec.recommend import Recommender, RecommenderConfig
 from shoprec.similarity import MODES
 
 from conftest import SRC, TABLE1_CSV
@@ -356,6 +358,63 @@ class TestGenDataAndEvaluate:
             "--modes", "bogus",
         )
         assert ev.returncode == 2
+
+
+# command -> its required flags, the config that owns its defaults, and each
+# config-backed flag's dest -> the fields it sets
+ENGINE_FLAGS = {"k": "k_neighbors", "minsup": "minsup_pct", "minconf": "minconf_pct"}
+CONFIG_BACKED_FLAGS = {
+    "recommend": (
+        ["--transactions", "t.csv", "--ratings", "r.csv", "--user", "U1"],
+        RecommenderConfig,
+        {"mode": "mode", "top_n": "top_n", "threshold": "exclusion_threshold", **ENGINE_FLAGS},
+    ),
+    "recommend-new": (["--transactions", "t.csv"], RecommenderConfig, {"top_n": "top_n"}),
+    "mine-rules": (["--transactions", "t.csv"], RecommenderConfig, {"minsup": "minsup_pct", "minconf": "minconf_pct"}),
+    "gen-data": (
+        ["--out", "out"],
+        SyntheticConfig,
+        {
+            "classes": "num_classes",
+            "items": "num_items",
+            "users_per_class": "users_per_class",
+            "ratings_per_user": "ratings_per_user",
+            "transactions_per_user": "transactions_per_user",
+            "affinity": "class_affinity",
+            "spread": "noise_rating_spread",
+            "seed": "rng_seed",
+        },
+    ),
+    "evaluate": (
+        ["--transactions", "t.csv", "--ratings", "r.csv"],
+        ExperimentConfig,
+        {
+            "split": "train_fraction",
+            "seed": "seed",
+            "n": "top_n",
+            "modes": "modes",
+            "threshold": "exclusion_threshold relevance_threshold",
+            **ENGINE_FLAGS,
+        },
+    ),
+}
+
+
+@pytest.mark.parametrize("command", CONFIG_BACKED_FLAGS)
+def test_flag_defaults_are_the_config_defaults(command):
+    required, config, fields_of = CONFIG_BACKED_FLAGS[command]
+    args = vars(cli.build_parser().parse_args([command, *required]))
+    given = {flag.lstrip("-").replace("-", "_") for flag in required[::2]}
+    # every flag with a default, switches and optional paths aside, is listed
+    defaulted = {d for d, v in args.items() if d not in given and v is not None and v is not False}
+    assert defaulted - {"command", "func"} == set(fields_of)
+    defaults = {f.name: f.default for f in dataclasses.fields(config)}
+    for dest, fields in fields_of.items():
+        value = args[dest]
+        # the commands pass --modes split at commas and each LO HI pair as a tuple
+        value = tuple(value.split(",")) if dest == "modes" else tuple(value) if dest.endswith("_user") else value
+        for name in fields.split():
+            assert value == defaults[name] and type(value) is type(defaults[name]), (dest, name)
 
 
 class TestDeterminism:

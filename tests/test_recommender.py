@@ -405,6 +405,9 @@ BAD_RANGES = {
     "count-half": ("method1", {"I001": 8.0}, {"I001": 0.5}),
     "count-zero": ("simple", {"I001": 8.0}, {"I001": 1, "I002": 0}),
     "count-bool": ("method1", {"I001": 8.0}, {"I001": True}),
+    # above 2**53: the first answered [] in implicit mode, the second raised a bare OverflowError mid-query
+    "count-1e160": ("implicit", {"I001": 8.0}, {"I001": 10**160}),
+    "count-1e400": ("method1", {"I001": 8.0}, {"I001": 10**400}),
 }
 # id -> (ratings, counts, the bad id's repr); each of the first three used to
 # answer as if the id were an unknown item
@@ -493,6 +496,14 @@ class TestProfileChecks:
         engine = seed_2024_engine("method1")
         profile = Profile(ratings={"I001": 0.0, "I002": 10.0}, purchase_counts={"I001": 1, "I002": 3})
         assert engine.recommend_profile(profile)
+
+    @pytest.mark.parametrize("mode", MODES)
+    def test_largest_count_answers_as_a_count_of_one(self, mode):
+        engine = seed_2024_engine(mode)
+        one, most = (engine.recommend_profile(Profile({"I001": 8.0}, {"I001": n})) for n in (1, 2**53))
+        assert [r.item for r in most] == [r.item for r in one] != []
+        with pytest.raises(RangeError, match="^item I001: purchase count above 2\\*\\*53$"):
+            Profile({"I001": 8.0}, {"I001": 2**53 + 1})
 
     @pytest.mark.parametrize("ratings, counts, bad", BAD_IDS.values(), ids=list(BAD_IDS))
     def test_bad_item_id_is_integrity_error(self, ratings, counts, bad):
