@@ -57,7 +57,7 @@ from __future__ import annotations
 import random
 from codecs import BOM_UTF8
 from collections import Counter
-from collections.abc import Iterable, Mapping
+from collections.abc import Callable, Iterable, Mapping
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import chain, islice
@@ -65,7 +65,7 @@ from numbers import Real
 from operator import itemgetter
 from typing import NamedTuple
 
-from .errors import ConfigError, IntegrityError, ParseError, RangeError
+from .errors import ConfigError, IntegrityError, ParseError, RangeError, ShoprecError
 
 TRANSACTION_HEADER = "tid,user,seq,items"
 RATING_HEADER = "user,item,value"
@@ -77,7 +77,7 @@ def _nowhere(k: int) -> str:  # where a record made in code came from
 
 def _check_id(kind: str, value, at=_nowhere, k: int = 0) -> str:
     if not isinstance(value, str) or not value or "," in value or ";" in value or "\n" in value or "\r" in value:
-        raise IntegrityError(f"{at(k)}invalid {kind} id {value!r}")
+        raise IntegrityError(f"{at(k)}invalid {kind} id {_shown(value)}")
     return value
 
 
@@ -89,15 +89,42 @@ def _is_real(value) -> bool:  # a threshold or a percentage
     return isinstance(value, Real) and not isinstance(value, bool)
 
 
-def _is_rating(value) -> bool:  # a threshold on the rating scale
-    return _is_real(value) and 0.0 <= value <= 10.0
+def _shown(value) -> str:
+    """``repr(value)``; an int too long for ``str()`` (by default over 4,300 digits) is named by its size."""
+    try:
+        return repr(value)
+    except ValueError:  # the int, or an int inside the value, has more digits than str() converts
+        if not isinstance(value, int):
+            return f"a {type(value).__name__} too long to show"
+        return f"{'a negative' if value < 0 else 'an'} int of {value.bit_length()} bits"
 
 
-def _check_fields(config, names: str, ok, rule: str) -> None:
-    """ConfigError for the first field in ``names`` whose value fails ``ok``, which ``rule`` states."""
+# The value rules, each a predicate that a valid value passes and the words that state it. Every config,
+# record, profile and public function checks its values against them through _require, so each rule has
+# one predicate and one wording. A bool is never a number here.
+_Rule = NamedTuple("_Rule", [("ok", Callable[[object], bool]), ("words", str)])
+_COUNT = _Rule(lambda v: _is_int(v) and v >= 1, "an int >= 1")  # top_n, k and n
+_PERCENTAGE = _Rule(lambda v: _is_real(v) and 0.0 < v <= 100.0, "a real in (0, 100]")  # minsup, minconf
+_TRAIN_FRACTION = _Rule(lambda v: _is_real(v) and 0.0 < v < 1.0, "a real in (0, 1)")
+_SEED = _Rule(_is_int, "an int")
+_THRESHOLD = _Rule(lambda v: _is_real(v) and 0.0 <= v <= 10.0, "a real in [0, 10]")  # NaN is not
+# a stored rating is written as str(value), so it is an int or a float: a Fraction would be written 17/2
+_RATING = _Rule(lambda v: (isinstance(v, float) or _is_int(v)) and 0.0 <= v <= 10.0, "an int or a float in [0, 10]")
+# far above a file's counts; a larger one can overflow a query's floats
+_PURCHASE_COUNT = _Rule(lambda v: _is_int(v) and 1 <= v <= 2**53, "an int from 1 to 2**53")
+_IDS = _Rule(lambda v: isinstance(v, Iterable) and not isinstance(v, str), "a collection of ids")  # users, items
+
+
+def _require(name: str, value, rule: _Rule, error: type[ShoprecError] = RangeError) -> None:
+    """Raise ``error("{name} must be {rule's words}, got {value}")`` if ``value`` breaks ``rule``."""
+    if not rule.ok(value):
+        raise error(f"{name} must be {rule.words}, got {_shown(value)}")
+
+
+def _check_fields(config, names: str, rule: _Rule) -> None:
+    """ConfigError for the first field in ``names`` whose value breaks ``rule``."""
     for name in names.split():
-        if not ok(value := getattr(config, name)):
-            raise ConfigError(f"{name} must be {rule}, got {value!r}")
+        _require(name, getattr(config, name), rule, ConfigError)
 
 
 class Transaction(NamedTuple):
@@ -213,22 +240,18 @@ def _sorted_transactions(rows):
     return sorted(rows, key=itemgetter(1, 2))  # by (user, seq)
 
 
-def _rows(kind: str, records, fields: tuple[str, ...]) -> tuple:
+def _rows(kind: str, records, fields: tuple[str, ...]) -> list[tuple]:
     """The records as plain tuples; IntegrityError names the argument if it is not a
     collection of records (a string, bytes or a mapping is not), or else the first
     record that does not hold the ``fields``."""
     if isinstance(records, (str, bytes, Mapping)) or not isinstance(records, Iterable):
-        raise IntegrityError(f"{kind}s must be a collection of records, got {records!r}")
-    records = tuple(records)
-    try:
-        rows = tuple(map(tuple, records))
-    except TypeError:  # a record that is not iterable
-        rows = ()
-    if len(rows) == len(records) and set(map(len, rows)) <= {len(fields)}:
-        return rows
-    for record in records:  # the passes above met a record of another shape: name the first
-        if not isinstance(record, Iterable) or len(tuple(record)) != len(fields):
-            raise IntegrityError(f"{kind} {record!r} is not a ({', '.join(fields)}) record")
+        raise IntegrityError(f"{kind}s must be a collection of records, got {_shown(records)}")
+    rows = []
+    for record in records:
+        if not isinstance(record, Iterable) or len(row := tuple(record)) != len(fields):
+            raise IntegrityError(f"{kind} {_shown(record)} is not a ({', '.join(fields)}) record")
+        rows.append(row)
+    return rows
 
 
 def _check_transactions(transactions, at):
@@ -248,9 +271,9 @@ def _check_transactions(transactions, at):
         if user.__class__ is not str or (seqs := seqs_by_user.get(user)) is None:
             seqs = seqs_by_user.setdefault(_check_id("user", user, at, k), set())
         if seq.__class__ is not int and not _is_int(seq):
-            raise IntegrityError(f"{at(k)}transaction {tid}: seq {seq!r} is not an int")
+            raise IntegrityError(f"{at(k)}transaction {tid}: seq {_shown(seq)} is not an int")
         if basket.__class__ is not tuple or not basket:
-            raise IntegrityError(f"{at(k)}transaction {tid}: items {basket!r} are not a non-empty tuple")
+            raise IntegrityError(f"{at(k)}transaction {tid}: items {_shown(basket)} are not a non-empty tuple")
         try:
             known = items.issuperset(basket)
         except TypeError:  # an unhashable item, which _check_id names
@@ -260,7 +283,7 @@ def _check_transactions(transactions, at):
         if len(basket) > 1 and len(set(basket)) != len(basket):
             raise IntegrityError(f"{at(k)}transaction {tid}: duplicate item in one transaction")
         if seq in seqs:
-            raise IntegrityError(f"{at(k)}duplicate seq {seq} for user {user}")
+            raise IntegrityError(f"{at(k)}duplicate seq {_shown(seq)} for user {user}")
         seqs.add(seq)
         if tid in tids:
             raise IntegrityError(f"{at(k)}duplicate transaction id {tid}")
@@ -269,7 +292,7 @@ def _check_transactions(transactions, at):
 
 
 def _check_ratings(ratings, at):
-    """:func:`_check_transactions` for ratings: a value is in [0, 10], NaN not."""
+    """:func:`_check_transactions` for ratings: a value is an int or a float in [0, 10], NaN not."""
     rated_by_user: dict[str, set[str]] = {}  # as in _check_transactions
     items: set[str] = set()
     for k, (user, item, value) in enumerate(ratings):
@@ -277,10 +300,8 @@ def _check_ratings(ratings, at):
             rated = rated_by_user.setdefault(_check_id("user", user, at, k), set())
         if item.__class__ is not str or item not in items:
             items.add(_check_id("item", item, at, k))
-        if not (isinstance(value, float) or _is_int(value)):
-            raise RangeError(f"{at(k)}rating {user},{item}: value {value!r} is not an int or a float")
-        if not 0.0 <= value <= 10.0:
-            raise RangeError(f"{at(k)}rating {user},{item}: value {value} outside [0, 10]")
+        if not _RATING.ok(value):  # the name is built, and its line counted, only for a bad value
+            _require(f"{at(k)}rating {user},{item}: value", value, _RATING)
         if item in rated:
             raise IntegrityError(f"{at(k)}duplicate rating for ({user}, {item})")
         rated.add(item)
@@ -291,10 +312,7 @@ def _declared_ids(kind: str, declared, met) -> list[str]:
     """The sorted ``declared`` ids, which must cover the ids ``met``; those when None."""
     if declared is None:
         return sorted(met)
-    if isinstance(declared, str):  # iterating it would declare its characters
-        raise IntegrityError(f"{kind}s must be a collection of ids, got the string {declared!r}")
-    if not isinstance(declared, Iterable):
-        raise IntegrityError(f"{kind}s must be a collection of ids, got {declared!r}")
+    _require(f"{kind}s", declared, _IDS, IntegrityError)  # not a string, whose characters it would declare
     declared = {_check_id(kind, value) for value in declared}
     if unknown := met - declared:
         raise IntegrityError(f"unknown {kind} {min(unknown)!r}")
@@ -475,15 +493,16 @@ class SyntheticConfig:
     rng_seed: int = 0
 
     def __post_init__(self) -> None:
-        _check_fields(self, "num_classes num_items", lambda v: _is_int(v) and v >= 1, "an int >= 1")
-        _check_fields(self, "num_items", lambda v: v % self.num_classes == 0, "a multiple of num_classes")
-        _check_fields(self, "users_per_class", lambda v: _is_int(v) and v >= 0, "an int >= 0")
+        _check_fields(self, "num_classes num_items", _COUNT)
+        _check_fields(self, "num_items", _Rule(lambda v: v % self.num_classes == 0, "a multiple of num_classes"))
+        _check_fields(self, "users_per_class", _Rule(lambda v: _is_int(v) and v >= 0, "an int >= 0"))
         spans = "ratings_per_user transactions_per_user"
-        _check_fields(self, spans, lambda v: isinstance(v, tuple) and len(v) == 2, "a (lo, hi) tuple")
-        _check_fields(self, spans, lambda v: all(map(_is_int, v)) and 0 <= v[0] <= v[1], "ints with 0 <= lo <= hi")
-        _check_fields(self, "class_affinity", lambda v: _is_real(v) and 0.0 < v <= 1.0, "a real in (0, 1]")
-        _check_fields(self, "noise_rating_spread", lambda v: _is_real(v) and v >= 0.0, "a real >= 0")
-        _check_fields(self, "rng_seed", _is_int, "an int")
+        _check_fields(self, spans, _Rule(lambda v: isinstance(v, tuple) and len(v) == 2, "a (lo, hi) tuple"))
+        ordered = _Rule(lambda v: all(map(_is_int, v)) and 0 <= v[0] <= v[1], "ints with 0 <= lo <= hi")
+        _check_fields(self, spans, ordered)
+        _check_fields(self, "class_affinity", _Rule(lambda v: _is_real(v) and 0.0 < v <= 1.0, "a real in (0, 1]"))
+        _check_fields(self, "noise_rating_spread", _Rule(lambda v: _is_real(v) and v >= 0.0, "a real >= 0"))
+        _check_fields(self, "rng_seed", _SEED)
 
 
 _IN_CLASS_BASE = 8.5
@@ -578,12 +597,8 @@ def split_users(dataset: Dataset, train_fraction: float, seed: int) -> tuple[Dat
     that is not a real number in (0, 1), or a ``seed`` that is not an int,
     raises RangeError.
     """
-    if not _is_real(train_fraction):
-        raise RangeError(f"train_fraction {train_fraction!r} is not a real number")
-    if not 0.0 < train_fraction < 1.0:
-        raise RangeError(f"train_fraction {train_fraction} outside (0, 1)")
-    if not _is_int(seed):
-        raise RangeError(f"seed {seed!r} is not an int")
+    _require("train_fraction", train_fraction, _TRAIN_FRACTION)
+    _require("seed", seed, _SEED)
 
     user_ids = list(dataset.users)
     rng = random.Random(seed)

@@ -23,8 +23,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Iterable, Sequence
 
-from .corpus import Dataset, _check_fields, _is_int, _is_rating, _is_real, split_users
-from .errors import ExperimentError, MetricUndefinedError, NoProfileError, RangeError
+from .corpus import _COUNT, _SEED, _THRESHOLD, _TRAIN_FRACTION, Dataset, _check_fields, _require, _Rule, split_users
+from .errors import ExperimentError, MetricUndefinedError, NoProfileError
 from .recommend import Profile, Recommendation, Recommender, RecommenderConfig
 from .similarity import MODES
 
@@ -35,8 +35,7 @@ def precision_at_n(recommended: Sequence[str], relevant: Iterable[str], n: int) 
     The denominator is min(n, len(recommended)) so short lists are not
     penalized for slots they never filled; an empty list scores 0.
     """
-    if n < 1:
-        raise RangeError(f"n must be >= 1, got {n}")
+    _require("n", n, _COUNT)
     if not recommended:
         return 0.0
     top = recommended[:n]
@@ -47,8 +46,7 @@ def precision_at_n(recommended: Sequence[str], relevant: Iterable[str], n: int) 
 
 def recall_at_n(recommended: Sequence[str], relevant: Iterable[str], n: int) -> float:
     """Percentage of the relevant items found in the top-n recommendations."""
-    if n < 1:
-        raise RangeError(f"n must be >= 1, got {n}")
+    _require("n", n, _COUNT)
     relevant = set(relevant)
     if not relevant:
         raise MetricUndefinedError("recall is undefined for an empty relevant set")
@@ -72,13 +70,13 @@ class ExperimentConfig:
     relevance_threshold: float = 7.0
 
     def __post_init__(self) -> None:
-        _check_fields(self, "train_fraction", lambda v: _is_real(v) and 0.0 < v < 1.0, "a real in (0, 1)")
-        _check_fields(self, "seed", _is_int, "an int")
-        _check_fields(self, "relevance_threshold", _is_rating, "a real in [0, 10]")
-        _check_fields(self, "modes", lambda v: isinstance(v, tuple) and len(v) > 0, "a non-empty tuple")
+        _check_fields(self, "train_fraction", _TRAIN_FRACTION)
+        _check_fields(self, "seed", _SEED)
+        _check_fields(self, "relevance_threshold", _THRESHOLD)
+        _check_fields(self, "modes", _Rule(lambda v: isinstance(v, tuple) and len(v) > 0, "a non-empty tuple"))
         for mode in self.modes:  # each mode is known, and the engine's fields are valid
             self.engine_config(mode)
-        _check_fields(self, "modes", lambda v: len(set(v)) == len(v), "free of repeats")
+        _check_fields(self, "modes", _Rule(lambda v: len(set(v)) == len(v), "free of repeats"))
 
     def engine_config(self, mode: str) -> RecommenderConfig:
         """The rules-on engine config that answers both report rows of a mode."""

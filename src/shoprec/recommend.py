@@ -46,12 +46,12 @@ import threading
 from collections.abc import Mapping
 from dataclasses import dataclass
 from itertools import chain
-from numbers import Real
 from operator import itemgetter
 from types import MappingProxyType
 
-from .corpus import Dataset, _check_fields, _check_id, _is_int, _is_rating, _is_real
-from .errors import IntegrityError, NoProfileError, NotFoundError, RangeError
+from .corpus import _COUNT, _PERCENTAGE, _PURCHASE_COUNT, _RATING, _THRESHOLD, Dataset, _check_fields, _check_id
+from .corpus import _require, _Rule, _shown
+from .errors import IntegrityError, NoProfileError, NotFoundError
 from .implicit_vsm import build_iif, new_user_scores
 from .rules import AssociationRule, fp_growth, generate_rules
 from .sequence import bought_after, build_precedence_index
@@ -59,6 +59,8 @@ from .similarity import MODES, Postings, build_postings, profile_weights, top_k_
 
 
 _EMPTY: Mapping = MappingProxyType({})  # the default map, read-only and so shared
+_RATINGS_MAP = _Rule(lambda m: isinstance(m, Mapping), "a mapping of item ids to ratings")
+_COUNTS_MAP = _Rule(lambda m: isinstance(m, Mapping), "a mapping of item ids to purchase counts")
 
 
 @dataclass(frozen=True, init=False)
@@ -69,41 +71,31 @@ class Profile:
     held-out evaluation users). Items present in either map count as seen.
 
     Checked once, when made: a map that is not a Mapping or an item id that
-    is not a valid id string raises IntegrityError; a rating that is not a
-    real number in [0, 10] (NaN is not) or a purchase count that is not an
-    int (a bool is not) in [1, 2**53] raises RangeError. Each map is copied
-    and kept as a read-only view, so no one can change a profile once made;
-    ``dataclasses.replace`` checks the copy again.
+    is not a valid id string raises IntegrityError; a rating that is not an
+    int or a float in [0, 10] (NaN is not), or a purchase count that is not
+    an int in [1, 2**53], raises RangeError. A rating obeys the rule of a
+    ``Dataset``'s stored values, so a bool, a Fraction or a numpy int is not
+    one. Each map is copied and kept as a read-only view, so no one can
+    change a profile once made; ``dataclasses.replace`` checks the copy again.
     """
 
     ratings: Mapping[str, float]
     purchase_counts: Mapping[str, int]
 
     def __init__(self, ratings: Mapping[str, float] = _EMPTY, purchase_counts: Mapping[str, int] = _EMPTY) -> None:
-        ratings = _copied_map("ratings", ratings, "ratings")
-        counts = _copied_map("purchase_counts", purchase_counts, "purchase counts")
+        _require("ratings", ratings, _RATINGS_MAP, IntegrityError)
+        _require("purchase_counts", purchase_counts, _COUNTS_MAP, IntegrityError)
+        ratings, counts = dict(ratings), dict(purchase_counts)
         for item in chain(ratings, counts):
             _check_id("item", item)
         for item, rating in ratings.items():
-            if not isinstance(rating, Real):
-                raise RangeError(f"item {item}: rating {rating!r} is not a real number")
-            if not 0.0 <= rating <= 10.0:  # also false for NaN
-                raise RangeError(f"item {item}: rating {rating} outside [0, 10]")
+            _require(f"item {item}: rating", rating, _RATING)
         for item, count in counts.items():
-            if not (_is_int(count) and count >= 1):
-                raise RangeError(f"item {item}: purchase count {count!r} is not an integer >= 1")
-            if count > 2**53:  # far above a file's counts; a larger one can overflow the query's floats
-                raise RangeError(f"item {item}: purchase count above 2**53")  # a long enough int has no str
+            _require(f"item {item}: purchase count", count, _PURCHASE_COUNT)
         vars(self).update(ratings=MappingProxyType(ratings), purchase_counts=MappingProxyType(counts))
 
     def __reduce__(self):  # a read-only view does not pickle: copy and pickle rebuild from dicts
         return Profile, (dict(self.ratings), dict(self.purchase_counts))
-
-
-def _copied_map(name: str, mapping, values: str) -> dict:
-    if not isinstance(mapping, Mapping):
-        raise IntegrityError(f"{name} must be a mapping of item ids to {values}, got {mapping!r}")
-    return dict(mapping)
 
 
 @dataclass(frozen=True)
@@ -119,12 +111,11 @@ class RecommenderConfig:
     use_rules: bool = True
 
     def __post_init__(self) -> None:
-        _check_fields(self, "mode", lambda v: v in MODES, f"one of {MODES}")
-        _check_fields(self, "k_neighbors top_n", lambda v: _is_int(v) and v >= 1, "an int >= 1")
-        pcts = "minsup_pct minconf_pct"
-        _check_fields(self, pcts, lambda v: _is_real(v) and 0.0 < v <= 100.0, "a real in (0, 100]")
-        _check_fields(self, "exclusion_threshold", _is_rating, "a real in [0, 10]")
-        _check_fields(self, "use_rules", lambda v: isinstance(v, bool), "a bool")
+        _check_fields(self, "mode", _Rule(lambda v: v in MODES, f"one of {MODES}"))
+        _check_fields(self, "k_neighbors top_n", _COUNT)
+        _check_fields(self, "minsup_pct minconf_pct", _PERCENTAGE)
+        _check_fields(self, "exclusion_threshold", _THRESHOLD)
+        _check_fields(self, "use_rules", _Rule(lambda v: isinstance(v, bool), "a bool"))
 
 
 @dataclass
@@ -136,8 +127,8 @@ class Recommendation:
 
 
 def profile_of(dataset: Dataset, user: str) -> Profile:
-    if user not in dataset.ratings_by_user:
-        raise NotFoundError(f"unknown user {user!r}")
+    if not isinstance(user, str) or user not in dataset.ratings_by_user:  # a list or Decimal("sNaN") has no hash
+        raise NotFoundError(f"unknown user {_shown(user)}")
     return Profile(dataset.ratings_by_user[user], dataset.purchase_counts_by_user[user])
 
 
@@ -283,8 +274,7 @@ def cold_start(train: Dataset, top_n: int) -> list[Recommendation]:
 
     A ``top_n`` that is not an int >= 1 raises RangeError.
     """
-    if not _is_int(top_n) or top_n < 1:
-        raise RangeError(f"top_n must be an int >= 1, got {top_n!r}")
+    _require("top_n", top_n, _COUNT)
     return [
         Recommendation(item=item, score=score, source="popularity", explain="cold-start")
         for item, score in new_user_scores(train)[:top_n]

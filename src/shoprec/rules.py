@@ -19,8 +19,7 @@ from collections import Counter, defaultdict
 from dataclasses import dataclass
 from typing import Iterable
 
-from .corpus import Transaction
-from .errors import RangeError
+from .corpus import _PERCENTAGE, Transaction, _require
 
 
 @dataclass(frozen=True)
@@ -89,8 +88,7 @@ def fp_growth(transactions: Iterable[Transaction], minsup_pct: float) -> list[Fr
     stays because the benchmark's tracer and build counters look the
     function up by it, and renaming it is a change to the benchmark.
     """
-    if not 0.0 < minsup_pct <= 100.0:
-        raise RangeError(f"minsup_pct {minsup_pct} outside (0, 100]")
+    _require("minsup_pct", minsup_pct, _PERCENTAGE)
     baskets = [items for _, _, _, items in transactions]
     n = len(baskets)
     if n == 0:
@@ -130,8 +128,7 @@ def generate_rules(frequents: Iterable[FrequentItemset], minconf_pct: float) -> 
     Confidence comes from the frequent-itemset counts themselves (every
     antecedent of a frequent itemset is frequent, so its count is known).
     """
-    if not 0.0 < minconf_pct <= 100.0:
-        raise RangeError(f"minconf_pct {minconf_pct} outside (0, 100]")
+    _require("minconf_pct", minconf_pct, _PERCENTAGE)
     by_items = {f.items: f for f in frequents}
     rules = []
     for f in by_items.values():

@@ -35,7 +35,7 @@ from __future__ import annotations
 import math
 from typing import Mapping
 
-from .errors import RangeError
+from .corpus import _COUNT, _require
 
 MODES = ("simple", "method1", "method2", "implicit")
 
@@ -94,8 +94,7 @@ def top_k_neighbors(
     Weights must be finite and non-negative, as ``profile_weights`` makes
     them, and no sum of squares may overflow but the target's, which gives [].
     """
-    if k < 1:
-        raise RangeError(f"k must be >= 1, got {k}")
+    _require("k", k, _COUNT)
     sums: dict[str, list[float]] = {}  # user -> [dot, restricted norm]
     norm_t = 0.0
     for item, w in weights.items():

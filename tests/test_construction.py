@@ -334,8 +334,16 @@ class TestRecords:
             ({"transactions": [tx(1, 1, "P1", tid="T1")]}, IntegrityError, "invalid user id 1"),
             ({"transactions": [tx(["U1"], 1, "P1", tid="T1")]}, IntegrityError, re.escape("invalid user id ['U1']")),
             ({"transactions": [tx("U1", 1, ["P1"], tid="T1")]}, IntegrityError, re.escape("invalid item id ['P1']")),
-            ({"ratings": [RatingRecord("U1", "P1", True)]}, RangeError, "rating U1,P1: value True is not an int or a float"),
-            ({"ratings": [RatingRecord("U1", "P1", "7")]}, RangeError, "rating U1,P1: value '7' is not an int or a float"),
+            (
+                {"ratings": [RatingRecord("U1", "P1", True)]},
+                RangeError,
+                re.escape("rating U1,P1: value must be an int or a float in [0, 10], got True"),
+            ),
+            (
+                {"ratings": [RatingRecord("U1", "P1", "7")]},
+                RangeError,
+                re.escape("rating U1,P1: value must be an int or a float in [0, 10], got '7'"),
+            ),
             ({"ratings": [RatingRecord(1, "P1", 7.0)]}, IntegrityError, "invalid user id 1"),
             ({"ratings": [RatingRecord("U1", ["P1"], 7.0)]}, IntegrityError, re.escape("invalid item id ['P1']")),
             (
@@ -371,13 +379,13 @@ class TestRecords:
     @pytest.mark.parametrize("declared", [{}, {"users": ("U1",), "items": ("P1",)}])
     def test_the_constructor_checks_what_it_is_given(self, declared):
         # the plain constructor once took these unchecked, and the engines met a rating of 99
-        with pytest.raises(RangeError, match=r"^rating U1,P1: value 99.0 outside \[0, 10\]$"):
+        with pytest.raises(RangeError, match=r"^rating U1,P1: value must be an int or a float in \[0, 10\], got 99.0$"):
             Dataset(transactions=[("T1", "U1", 1, ("P1",))], ratings=[("U1", "P1", 99.0)], **declared)
 
     @pytest.mark.parametrize("kind", ["users", "items"])
     def test_ids_declared_as_a_string(self, kind):
         # iterating "U1U" declared the users '1' and 'U'
-        with pytest.raises(IntegrityError, match=f"^{kind} must be a collection of ids, got the string 'U1U'$"):
+        with pytest.raises(IntegrityError, match=f"^{kind} must be a collection of ids, got 'U1U'$"):
             Dataset(ratings=[RatingRecord("U", "U", 5.0)], **{kind: "U1U"})
 
 

@@ -619,12 +619,12 @@ class TestSplitUsers:
     @pytest.mark.parametrize(
         "frac, seed, message",
         [
-            ("0.5", 0, "train_fraction '0.5' is not a real number"),
-            (None, 0, "train_fraction None is not a real number"),
-            (True, 0, "train_fraction True is not a real number"),
-            (0.5, "0", "seed '0' is not an int"),
-            (0.5, 1.0, "seed 1.0 is not an int"),
-            (0.5, None, "seed None is not an int"),
+            ("0.5", 0, "train_fraction must be a real in (0, 1), got '0.5'"),
+            (None, 0, "train_fraction must be a real in (0, 1), got None"),
+            (True, 0, "train_fraction must be a real in (0, 1), got True"),
+            (0.5, "0", "seed must be an int, got '0'"),
+            (0.5, 1.0, "seed must be an int, got 1.0"),
+            (0.5, None, "seed must be an int, got None"),
         ],
     )
     def test_parameter_of_the_wrong_type(self, frac, seed, message):

@@ -1,0 +1,164 @@
+"""Each value rule stated once: every entry point checks its values against one rule table.
+
+A count, a percentage, a train fraction, a seed, a rating threshold, a stored
+rating and a profile purchase count each have one predicate and one wording
+in ``shoprec.corpus``. Every config, record, profile and public function that
+takes such a value checks it there, so a value that breaks the rule raises
+the entry point's documented error class with the message ``"{name} must be
+{rule}, got {value}"``, and never a bare TypeError, ValueError or
+OverflowError. An int too long for ``str()`` is named by its size.
+"""
+
+import math
+import re
+from fractions import Fraction
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from shoprec.corpus import Dataset, SyntheticConfig, split_users
+from shoprec.errors import ConfigError, IntegrityError, NotFoundError, RangeError, ShoprecError
+from shoprec.evaluate import ExperimentConfig, precision_at_n, recall_at_n
+from shoprec.recommend import Profile, Recommender, RecommenderConfig, cold_start
+from shoprec.rules import fp_growth, generate_rules
+from shoprec.similarity import top_k_neighbors
+
+HUGE = 10**5000  # more digits than str() converts by default
+
+DS = Dataset(
+    transactions=[("T1", "U1", 1, ("P1", "P2")), ("T2", "U2", 1, ("P1",))],
+    ratings=[("U1", "P1", 8.0), ("U2", "P2", 5.0)],
+)
+ENGINE = Recommender(DS, RecommenderConfig(use_rules=False))
+
+
+def config_field(config, name):
+    return lambda value: config(**{name: value})
+
+
+# entry point -> (a call that passes it the value, the error class it documents)
+ENTRY_POINTS = {
+    **{
+        f"{config.__name__}.{name}": (config_field(config, name), ConfigError)
+        for config, names in (
+            (RecommenderConfig, "k_neighbors top_n minsup_pct minconf_pct exclusion_threshold"),
+            (
+                ExperimentConfig,
+                "train_fraction top_n seed k_neighbors minsup_pct minconf_pct exclusion_threshold relevance_threshold",
+            ),
+            (SyntheticConfig, "num_classes num_items rng_seed"),
+        )
+        for name in names.split()
+    },
+    "split_users.train_fraction": (lambda v: split_users(DS, v, 0), RangeError),
+    "split_users.seed": (lambda v: split_users(DS, 0.5, v), RangeError),
+    "cold_start.top_n": (lambda v: cold_start(DS, v), RangeError),
+    "top_k_neighbors.k": (lambda v: top_k_neighbors({"P1": 1.0}, {"P1": {"U1": 1.0, "U2": 0.5}}, v), RangeError),
+    "precision_at_n.n": (lambda v: precision_at_n(["P1", "P2"], ["P1"], v), RangeError),
+    "recall_at_n.n": (lambda v: recall_at_n(["P1", "P2"], ["P1"], v), RangeError),
+    "fp_growth.minsup_pct": (lambda v: fp_growth(DS.transaction_rows, v), RangeError),
+    "generate_rules.minconf_pct": (lambda v: generate_rules(fp_growth(DS.transaction_rows, 50.0), v), RangeError),
+    "Profile.rating": (lambda v: Profile({"P1": v}), RangeError),
+    "Profile.purchase_count": (lambda v: Profile({}, {"P1": v}), RangeError),
+    "Profile.ratings": (lambda v: Profile(v), IntegrityError),
+    "Dataset.rating": (lambda v: Dataset(ratings=[("U1", "P1", v)]), RangeError),
+    "Dataset.seq": (
+        lambda v: Dataset(transactions=[("T1", "U1", v, ("P1",)), ("T2", "U1", v, ("P2",))]),
+        IntegrityError,
+    ),
+    "Dataset.user": (lambda v: Dataset(ratings=[(v, "P1", 5.0)]), IntegrityError),
+    "Dataset.transactions": (lambda v: Dataset(transactions=v), IntegrityError),
+    "Recommender.recommend_user": (lambda v: ENGINE.recommend_user(v), NotFoundError),
+}
+
+VALUES = {"true": True, "2.5": 2.5, "str": "5", "half": Fraction(1, 2), "nan": math.nan, "huge": HUGE, "-huge": -HUGE}
+
+# entry point -> the VALUES it once took, or failed on partway with a bare
+# TypeError, or failed on with a bare ValueError while building its message
+DIVERGED = {
+    **{f"RecommenderConfig.{name}": ["-huge"] for name in ("k_neighbors", "top_n")},
+    **{f"RecommenderConfig.{name}": ["huge", "-huge"] for name in ("minsup_pct", "minconf_pct", "exclusion_threshold")},
+    **{f"ExperimentConfig.{name}": ["-huge"] for name in ("top_n", "k_neighbors")},
+    **{
+        f"ExperimentConfig.{name}": ["huge", "-huge"]
+        for name in ("train_fraction", "minsup_pct", "minconf_pct", "exclusion_threshold", "relevance_threshold")
+    },
+    **{f"SyntheticConfig.{name}": ["-huge"] for name in ("num_classes", "num_items")},
+    "split_users.train_fraction": ["huge", "-huge"],
+    "cold_start.top_n": ["-huge"],
+    "top_k_neighbors.k": ["true", "2.5", "str", "nan", "-huge"],
+    "precision_at_n.n": ["true", "2.5", "str", "nan", "-huge"],
+    "recall_at_n.n": ["true", "2.5", "str", "nan", "-huge"],
+    "fp_growth.minsup_pct": ["true", "str", "huge", "-huge"],
+    "generate_rules.minconf_pct": ["true", "str", "huge", "-huge"],
+    "Profile.rating": ["true", "half", "huge", "-huge"],
+    "Profile.purchase_count": ["-huge"],
+    "Profile.ratings": ["huge", "-huge"],
+    "Dataset.rating": ["huge", "-huge"],
+    "Dataset.seq": ["huge", "-huge"],
+    "Dataset.user": ["huge", "-huge"],
+    "Dataset.transactions": ["huge", "-huge"],
+    "Recommender.recommend_user": ["huge", "-huge"],
+}
+
+
+@pytest.mark.parametrize(
+    "entry, value",
+    [pytest.param(entry, VALUES[label], id=f"{entry}-{label}") for entry in DIVERGED for label in DIVERGED[entry]],
+)
+def test_a_value_that_breaks_the_rule_raises_the_documented_class(entry, value):
+    call, error = ENTRY_POINTS[entry]
+    with pytest.raises(error):
+        call(value)
+
+
+RATING = "an int or a float in [0, 10]"
+HUGE_SIZE = "int of 16610 bits"  # HUGE's bit_length()
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda: RecommenderConfig(k_neighbors=-HUGE), f"k_neighbors must be an int >= 1, got a negative {HUGE_SIZE}"),
+        (lambda: cold_start(DS, -HUGE), f"top_n must be an int >= 1, got a negative {HUGE_SIZE}"),
+        (lambda: top_k_neighbors({}, {}, 2.5), "k must be an int >= 1, got 2.5"),
+        (lambda: fp_growth([], True), "minsup_pct must be a real in (0, 100], got True"),
+        (lambda: Profile({"I1": HUGE}), f"item I1: rating must be {RATING}, got an {HUGE_SIZE}"),
+        (
+            lambda: Profile({"I1": Fraction(HUGE, 3)}),
+            f"item I1: rating must be {RATING}, got a Fraction too long to show",
+        ),
+        (lambda: Profile({"I1": Fraction(17, 2)}), f"item I1: rating must be {RATING}, got Fraction(17, 2)"),
+        (
+            lambda: Dataset(transactions=[("T1", "U1", HUGE, ("P1",)), ("T2", "U1", HUGE, ("P2",))]),
+            f"duplicate seq an {HUGE_SIZE} for user U1",
+        ),
+    ],
+    ids=["config", "cold-start", "k", "minsup", "rating-huge", "rating-huge-fraction", "rating-fraction", "seq"],
+)
+def test_one_message_form_names_every_value(call, message):
+    with pytest.raises(ShoprecError, match=f"^{re.escape(message)}$"):
+        call()
+
+
+VALUES_OF_EVERY_KIND = st.one_of(
+    st.integers(),
+    st.sampled_from([HUGE, -HUGE, 2**53, 2**53 + 1, Fraction(HUGE, 3)]),
+    st.floats(),  # nan and both infinities among them
+    st.booleans(),
+    st.fractions(),
+    st.decimals(),  # NaN, sNaN and infinities among them
+    st.text(max_size=4),
+    st.none(),
+)
+
+
+@settings(max_examples=400, deadline=None)
+@given(entry=st.sampled_from(sorted(ENTRY_POINTS)), value=VALUES_OF_EVERY_KIND)
+def test_every_value_succeeds_or_raises_a_package_error(entry, value):
+    call, error = ENTRY_POINTS[entry]
+    try:
+        call(value)
+    except ShoprecError as exc:  # a TypeError, ValueError or OverflowError fails the test
+        assert isinstance(exc, error), f"{entry} raised {type(exc).__name__}: {exc}"
