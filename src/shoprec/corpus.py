@@ -54,6 +54,7 @@ filtering a sorted tuple keeps it sorted.
 
 from __future__ import annotations
 
+import os
 import random
 from codecs import BOM_UTF8
 from collections import Counter
@@ -336,7 +337,9 @@ def _read_rows(path, expected_header: str):
     """
     data = b""
     if path is not None:
-        with open(path, "rb") as file:  # not Path(path), which reads "" as "."
+        # not Path(path), which reads "" as ".", and not open(path), which takes an
+        # int (a bool too) as a file descriptor and closes it: os.fspath raises TypeError
+        with open(os.fspath(path), "rb") as file:
             data = file.read().removeprefix(BOM_UTF8)
     try:
         text = data.decode("utf-8")
@@ -431,9 +434,11 @@ def _parse_ratings(path, ids: dict[str, str]):
 def load_dataset(transactions_path=None, ratings_path=None) -> Dataset:
     """Load a transaction CSV, a rating CSV or both into one Dataset; a path of None is not read.
 
-    Any other path is read, so an empty one raises OSError. Users and items
-    are inferred from the records, so the two files cannot disagree: the
-    dataset takes the union of their ids.
+    Any other path is read, so an empty one raises OSError. A path is a str
+    or an ``os.PathLike``: an int or a bool raises TypeError rather than being
+    read as a file descriptor and closed. Users and items are inferred from
+    the records, so the two files cannot disagree: the dataset takes the
+    union of their ids.
     """
     ids: dict[str, str] = {}  # one object per id, shared by both files' records
     transactions, tx_users, tx_items = _parse_transactions(transactions_path, ids)
@@ -456,12 +461,15 @@ def to_rating_csv(dataset: Dataset) -> str:
 
 
 def save_transactions(dataset: Dataset, path) -> None:
-    with open(path, "w", encoding="utf-8", newline="") as file:  # not Path(path), which reads "" as "."
+    """Write the dataset's transaction CSV to ``path``, a str or an ``os.PathLike`` as in :func:`load_dataset`."""
+    # not Path(path), which reads "" as ".", nor open(path) of an int: as in _read_rows
+    with open(os.fspath(path), "w", encoding="utf-8", newline="") as file:
         file.write(to_transaction_csv(dataset))
 
 
 def save_ratings(dataset: Dataset, path) -> None:
-    with open(path, "w", encoding="utf-8", newline="") as file:
+    """:func:`save_transactions` for the rating CSV."""
+    with open(os.fspath(path), "w", encoding="utf-8", newline="") as file:
         file.write(to_rating_csv(dataset))
 
 

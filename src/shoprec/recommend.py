@@ -55,7 +55,7 @@ from .errors import IntegrityError, NoProfileError, NotFoundError
 from .implicit_vsm import build_iif, new_user_scores
 from .rules import AssociationRule, fp_growth, generate_rules
 from .sequence import bought_after, build_precedence_index
-from .similarity import MODES, Postings, build_postings, profile_weights, top_k_neighbors
+from .similarity import _MODE, Postings, build_postings, profile_weights, top_k_neighbors
 
 
 _EMPTY: Mapping = MappingProxyType({})  # the default map, read-only and so shared
@@ -111,7 +111,7 @@ class RecommenderConfig:
     use_rules: bool = True
 
     def __post_init__(self) -> None:
-        _check_fields(self, "mode", _Rule(lambda v: v in MODES, f"one of {MODES}"))
+        _check_fields(self, "mode", _MODE)
         _check_fields(self, "k_neighbors top_n", _COUNT)
         _check_fields(self, "minsup_pct minconf_pct", _PERCENTAGE)
         _check_fields(self, "exclusion_threshold", _THRESHOLD)
@@ -156,9 +156,10 @@ def _ranked_ratings(train: Dataset) -> dict[str, dict[str, float]]:
     # only, the inner dicts are not tracked by the garbage collector
     ranked: dict[str, dict[str, float]] = {}
     for user, ratings in train.ratings_by_user.items():
-        by_item = sorted(ratings.items())  # by item: ids are unique
-        by_item.sort(key=itemgetter(1), reverse=True)  # stable, so ties stay by item
-        ranked[user] = dict(by_item)
+        # ratings_by_user is filled from rating_rows, which every Dataset keeps in
+        # (user, item) order, so each user's items already ascend; one stable sort
+        # by rating then keeps ties by item
+        ranked[user] = dict(sorted(ratings.items(), key=itemgetter(1), reverse=True))
     return ranked
 
 
@@ -209,7 +210,11 @@ class Recommender:
         return self.recommend_profile(profile_of(self.train, user), exclude_user=user)
 
     def recommend_profile(self, profile: Profile, exclude_user: str | None = None) -> list[Recommendation]:
-        """Recommend for a query profile, which was checked when made; TypeError for anything else."""
+        """Recommend for a query profile, which was checked when made; TypeError for anything else.
+
+        ``exclude_user``, when not None, must be a valid user id (IntegrityError
+        otherwise), which the neighbour search leaves out.
+        """
         if not isinstance(profile, Profile):
             raise TypeError(f"profile must be a Profile, got {type(profile).__name__}")
         cfg = self.config

@@ -90,9 +90,7 @@ def fp_growth(transactions: Iterable[Transaction], minsup_pct: float) -> list[Fr
     """
     _require("minsup_pct", minsup_pct, _PERCENTAGE)
     baskets = [items for _, _, _, items in transactions]
-    n = len(baskets)
-    if n == 0:
-        return []
+    n = len(baskets)  # with none, min_count is 1 and no item is found, so n is never divided by
     min_count = _min_count(n, minsup_pct)
 
     tids: dict[str, list[int]] = defaultdict(list)
@@ -132,9 +130,7 @@ def generate_rules(frequents: Iterable[FrequentItemset], minconf_pct: float) -> 
     by_items = {f.items: f for f in frequents}
     rules = []
     for f in by_items.values():
-        if len(f.items) < 2:
-            continue
-        for r in range(1, len(f.items)):
+        for r in range(1, len(f.items)):  # none for a single item
             for antecedent in itertools.combinations(f.items, r):
                 parent = by_items.get(antecedent)
                 if parent is None:

@@ -33,11 +33,15 @@ Each quantity has one path: ``profile_weights`` builds a weight map, and
 from __future__ import annotations
 
 import math
-from typing import Mapping
+from collections.abc import Mapping
 
-from .corpus import _COUNT, _require
+from .corpus import _COUNT, _check_id, _require, _Rule
 
 MODES = ("simple", "method1", "method2", "implicit")
+# the mode rule, which RecommenderConfig and profile_weights both check; a list or
+# an sNaN Decimal never reaches a hash here, since ``in`` on a tuple compares by ==
+_MODE = _Rule(lambda v: v in MODES, f"one of {MODES}")
+_IIF = _Rule(lambda m: isinstance(m, Mapping), "a mapping of item ids to inverse frequencies in implicit mode")
 
 # item -> {user: weight}, users in the order their vectors were given; unlike a
 # list of (user, weight) tuples, such a dict is not tracked by the garbage collector
@@ -53,7 +57,8 @@ def profile_weights(
     """Construct the sparse weight map for one profile in the given mode.
 
     ``iif`` is required in implicit mode; items absent from it (never bought
-    by anyone in the reference dataset) get no coordinate.
+    by anyone in the reference dataset) get no coordinate. An unknown mode,
+    or implicit mode without an iif mapping, raises RangeError.
     """
     if mode == "simple":
         return dict(ratings)
@@ -62,10 +67,9 @@ def profile_weights(
         d = sum(counts) if mode == "method1" else max(counts, default=0)
         return {item: r * n / d for item, r in ratings.items() if (n := purchase_counts.get(item))}
     if mode == "implicit":
-        if iif is None:
-            raise ValueError("implicit mode needs an inverse-frequency table")
+        _require("iif", iif, _IIF)
         return {item: n * iif[item] for item, n in purchase_counts.items() if item in iif}
-    raise ValueError(f"unknown mode {mode!r}; expected one of {MODES}")
+    _require("mode", mode, _MODE)  # a valid mode has returned above, so this raises
 
 
 def build_postings(vectors: Mapping[str, Mapping[str, float]]) -> Postings:
@@ -86,15 +90,19 @@ def top_k_neighbors(
     """The k users most cosine-similar to a profile, similarity above 0 only.
 
     Ranked by descending similarity, ties by ascending user id; ``exclude``
-    never appears. Each score equals the pairwise restricted cosine bit for
-    bit: per candidate, the products are summed in the target's coordinate
-    order, and the coordinates the candidate lacks, which are skipped here,
-    would only ever add 0.0. Only the candidates at or above the k-th best
-    similarity, ties included, are sorted, so the answer is a full sort's.
-    Weights must be finite and non-negative, as ``profile_weights`` makes
-    them, and no sum of squares may overflow but the target's, which gives [].
+    never appears, and one that is not None must be a valid user id
+    (IntegrityError otherwise). Each score equals the pairwise restricted
+    cosine bit for bit: per candidate, the products are summed in the
+    target's coordinate order, and the coordinates the candidate lacks,
+    which are skipped here, would only ever add 0.0. Only the candidates at
+    or above the k-th best similarity, ties included, are sorted, so the
+    answer is a full sort's. Weights must be finite and non-negative, as
+    ``profile_weights`` makes them, and no sum of squares may overflow but
+    the target's, which gives [].
     """
     _require("k", k, _COUNT)
+    if exclude is not None:
+        _check_id("user", exclude)
     sums: dict[str, list[float]] = {}  # user -> [dot, restricted norm]
     norm_t = 0.0
     for item, w in weights.items():

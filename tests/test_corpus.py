@@ -1,4 +1,5 @@
 import hashlib
+import os
 import random
 import re
 import tempfile
@@ -476,6 +477,42 @@ def test_empty_save_path_is_no_file(tmp_path, monkeypatch, save):
     with pytest.raises(FileNotFoundError, match=r"^\[Errno 2\] No such file or directory: ''$"):
         save(ds, "")
     assert list(tmp_path.iterdir()) == []
+
+
+def _is_open(fd: int) -> bool:
+    try:
+        os.fstat(fd)
+    except OSError:
+        return False
+    return True
+
+
+@pytest.mark.parametrize(
+    "reads, call",
+    [
+        (True, lambda fd: load_dataset(fd)),
+        (True, lambda fd: load_dataset(None, fd)),
+        (False, lambda fd: save_transactions(Dataset(transactions=[tx("U1", 1, "P1")]), fd)),
+        (False, lambda fd: save_ratings(Dataset(ratings=[rate("U1", "P1", 5.0)]), fd)),
+    ],
+    ids=["load-transactions", "load-ratings", "save-transactions", "save-ratings"],
+)
+def test_an_int_is_no_path(reads, call):
+    # open() takes an int as a file descriptor, which these calls then closed
+    # after reading or writing it; the descriptor here is a pipe of the test's
+    # own, never the runner's
+    read_fd, write_fd = os.pipe()
+    try:
+        if reads:
+            os.close(write_fd)  # so that a read of the pipe ends at once
+        fd = read_fd if reads else write_fd
+        with pytest.raises(TypeError, match="not int$"):
+            call(fd)
+        assert _is_open(fd)
+    finally:
+        for fd in (read_fd, write_fd):
+            if _is_open(fd):
+                os.close(fd)
 
 
 class TestDatasetBuild:

@@ -387,6 +387,7 @@ class TestPhaseAPick:
         assert list(ranked) == list(ds.users)
         for user, ratings in ranked.items():
             assert ratings == ds.ratings_by_user[user]
+            assert list(ds.ratings_by_user[user]) == sorted(ratings)  # item order, which the ranking's sort keeps
             assert list(ratings) == sorted(ratings, key=lambda item: (-ratings[item], item))
             assert not gc.is_tracked(ratings)
 

@@ -2,11 +2,14 @@
 
 A count, a percentage, a train fraction, a seed, a rating threshold, a stored
 rating and a profile purchase count each have one predicate and one wording
-in ``shoprec.corpus``. Every config, record, profile and public function that
-takes such a value checks it there, so a value that breaks the rule raises
+in ``shoprec.corpus``, and a similarity mode has one in ``shoprec.similarity``.
+Every config, record, profile and public function that takes such a value
+checks it there, so a value that breaks the rule raises
 the entry point's documented error class with the message ``"{name} must be
 {rule}, got {value}"``, and never a bare TypeError, ValueError or
-OverflowError. An int too long for ``str()`` is named by its size.
+OverflowError. An int too long for ``str()`` is named by its size. A user id
+given to be left out of the neighbours obeys the id rule, whose message is
+``invalid user id {value}``.
 """
 
 import math
@@ -22,7 +25,7 @@ from shoprec.errors import ConfigError, IntegrityError, NotFoundError, RangeErro
 from shoprec.evaluate import ExperimentConfig, precision_at_n, recall_at_n
 from shoprec.recommend import Profile, Recommender, RecommenderConfig, cold_start
 from shoprec.rules import fp_growth, generate_rules
-from shoprec.similarity import top_k_neighbors
+from shoprec.similarity import profile_weights, top_k_neighbors
 
 HUGE = 10**5000  # more digits than str() converts by default
 
@@ -31,6 +34,8 @@ DS = Dataset(
     ratings=[("U1", "P1", 8.0), ("U2", "P2", 5.0)],
 )
 ENGINE = Recommender(DS, RecommenderConfig(use_rules=False))
+QUERY = Profile({"P1": 8.0}, {"P1": 1})
+POSTINGS = {"P1": {"U1": 1.0, "U2": 0.5}}
 
 
 def config_field(config, name):
@@ -42,7 +47,7 @@ ENTRY_POINTS = {
     **{
         f"{config.__name__}.{name}": (config_field(config, name), ConfigError)
         for config, names in (
-            (RecommenderConfig, "k_neighbors top_n minsup_pct minconf_pct exclusion_threshold"),
+            (RecommenderConfig, "mode k_neighbors top_n minsup_pct minconf_pct exclusion_threshold"),
             (
                 ExperimentConfig,
                 "train_fraction top_n seed k_neighbors minsup_pct minconf_pct exclusion_threshold relevance_threshold",
@@ -54,7 +59,10 @@ ENTRY_POINTS = {
     "split_users.train_fraction": (lambda v: split_users(DS, v, 0), RangeError),
     "split_users.seed": (lambda v: split_users(DS, 0.5, v), RangeError),
     "cold_start.top_n": (lambda v: cold_start(DS, v), RangeError),
-    "top_k_neighbors.k": (lambda v: top_k_neighbors({"P1": 1.0}, {"P1": {"U1": 1.0, "U2": 0.5}}, v), RangeError),
+    "top_k_neighbors.k": (lambda v: top_k_neighbors({"P1": 1.0}, POSTINGS, v), RangeError),
+    "top_k_neighbors.exclude": (lambda v: top_k_neighbors({"P1": 1.0}, POSTINGS, 2, exclude=v), IntegrityError),
+    "profile_weights.mode": (lambda v: profile_weights({"P1": 8.0}, {"P1": 1}, v), RangeError),
+    "profile_weights.iif": (lambda v: profile_weights({"P1": 8.0}, {"P1": 1}, "implicit", v), RangeError),
     "precision_at_n.n": (lambda v: precision_at_n(["P1", "P2"], ["P1"], v), RangeError),
     "recall_at_n.n": (lambda v: recall_at_n(["P1", "P2"], ["P1"], v), RangeError),
     "fp_growth.minsup_pct": (lambda v: fp_growth(DS.transaction_rows, v), RangeError),
@@ -70,12 +78,23 @@ ENTRY_POINTS = {
     "Dataset.user": (lambda v: Dataset(ratings=[(v, "P1", 5.0)]), IntegrityError),
     "Dataset.transactions": (lambda v: Dataset(transactions=v), IntegrityError),
     "Recommender.recommend_user": (lambda v: ENGINE.recommend_user(v), NotFoundError),
+    "Recommender.recommend_profile.exclude_user": (lambda v: ENGINE.recommend_profile(QUERY, v), IntegrityError),
 }
 
-VALUES = {"true": True, "2.5": 2.5, "str": "5", "half": Fraction(1, 2), "nan": math.nan, "huge": HUGE, "-huge": -HUGE}
+VALUES = {
+    "true": True,
+    "2.5": 2.5,
+    "str": "5",
+    "half": Fraction(1, 2),
+    "nan": math.nan,
+    "huge": HUGE,
+    "-huge": -HUGE,
+    "list": ["U1"],  # unhashable
+}
 
 # entry point -> the VALUES it once took, or failed on partway with a bare
 # TypeError, or failed on with a bare ValueError while building its message
+# (or, in profile_weights, for any mode it did not know)
 DIVERGED = {
     **{f"RecommenderConfig.{name}": ["-huge"] for name in ("k_neighbors", "top_n")},
     **{f"RecommenderConfig.{name}": ["huge", "-huge"] for name in ("minsup_pct", "minconf_pct", "exclusion_threshold")},
@@ -100,6 +119,12 @@ DIVERGED = {
     "Dataset.user": ["huge", "-huge"],
     "Dataset.transactions": ["huge", "-huge"],
     "Recommender.recommend_user": ["huge", "-huge"],
+    "profile_weights.mode": ["true", "2.5", "str", "half", "nan", "huge", "-huge", "list"],
+    "profile_weights.iif": ["true", "2.5", "str", "half", "nan", "huge", "-huge", "list"],
+    **{
+        entry: ["true", "2.5", "half", "nan", "huge", "-huge", "list"]
+        for entry in ("top_k_neighbors.exclude", "Recommender.recommend_profile.exclude_user")
+    },
 }
 
 
@@ -124,6 +149,15 @@ HUGE_SIZE = "int of 16610 bits"  # HUGE's bit_length()
         (lambda: cold_start(DS, -HUGE), f"top_n must be an int >= 1, got a negative {HUGE_SIZE}"),
         (lambda: top_k_neighbors({}, {}, 2.5), "k must be an int >= 1, got 2.5"),
         (lambda: fp_growth([], True), "minsup_pct must be a real in (0, 100], got True"),
+        (
+            lambda: profile_weights({}, {}, "bogus"),
+            "mode must be one of ('simple', 'method1', 'method2', 'implicit'), got 'bogus'",
+        ),
+        (
+            lambda: profile_weights({}, {"P1": 1}, "implicit"),
+            "iif must be a mapping of item ids to inverse frequencies in implicit mode, got None",
+        ),
+        (lambda: top_k_neighbors({}, {}, 1, exclude=["U1"]), "invalid user id ['U1']"),
         (lambda: Profile({"I1": HUGE}), f"item I1: rating must be {RATING}, got an {HUGE_SIZE}"),
         (
             lambda: Profile({"I1": Fraction(HUGE, 3)}),
@@ -135,7 +169,19 @@ HUGE_SIZE = "int of 16610 bits"  # HUGE's bit_length()
             f"duplicate seq an {HUGE_SIZE} for user U1",
         ),
     ],
-    ids=["config", "cold-start", "k", "minsup", "rating-huge", "rating-huge-fraction", "rating-fraction", "seq"],
+    ids=[
+        "config",
+        "cold-start",
+        "k",
+        "minsup",
+        "mode",
+        "iif",
+        "exclude",
+        "rating-huge",
+        "rating-huge-fraction",
+        "rating-fraction",
+        "seq",
+    ],
 )
 def test_one_message_form_names_every_value(call, message):
     with pytest.raises(ShoprecError, match=f"^{re.escape(message)}$"):
@@ -151,6 +197,7 @@ VALUES_OF_EVERY_KIND = st.one_of(
     st.decimals(),  # NaN, sNaN and infinities among them
     st.text(max_size=4),
     st.none(),
+    st.lists(st.text(max_size=2), max_size=2),  # unhashable
 )
 
 
