@@ -17,6 +17,7 @@ import json
 import os
 import signal
 import sys
+from dataclasses import asdict
 from pathlib import Path
 
 from .corpus import (
@@ -62,15 +63,7 @@ def _recommender_config(args) -> RecommenderConfig:
 def _print_recommendations(recs, as_json: bool) -> None:
     for rank, rec in enumerate(recs, start=1):
         if as_json:
-            _emit_json(
-                {
-                    "rank": rank,
-                    "item": rec.item,
-                    "score": round(rec.score, 4),
-                    "source": rec.source,
-                    "explain": rec.explain,
-                }
-            )
+            _emit_json({"rank": rank, **asdict(rec), "score": round(rec.score, 4)})
         else:
             print(f"{rank}. {rec.item} {rec.score:.4f} {rec.source} {rec.explain}")
 

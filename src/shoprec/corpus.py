@@ -42,11 +42,13 @@ subsets share them and their strings too.
 
 Every record is checked once, on one path: the walks ``_check_transactions``
 and ``_check_ratings`` state each record invariant and its message. The
-``Dataset`` constructor runs them on records made in code; :func:`load_dataset`
-parses each file's text into records (header, UTF-8, field count, seq and
-value syntax, empty item ids), runs them, and prefixes their errors with the
-file and line. A file with several faults reports the first faulty line;
-within one row, a syntax fault comes first. Only :func:`load_dataset` and
+``Dataset`` constructor runs them on records made in code. ``_parse`` is the
+one home of the file protocol, for both files: it reads the text (UTF-8, line
+ends, the header and the field count it gives), makes each row with the file
+kind's row function (seq and value syntax, empty item ids, one object per
+id), runs the kind's walk, and prefixes every error with the file and line.
+A file with several faults reports the first faulty line; within one row, a
+syntax fault comes first. Only :func:`load_dataset` and
 :func:`split_users` then skip the walks, through ``Dataset._trusted``: the
 loaded rows have passed them, a subset of a valid dataset is valid, and
 filtering a sorted tuple keeps it sorted.
@@ -82,6 +84,10 @@ def _check_id(kind: str, value, at=_nowhere, k: int = 0) -> str:
     return value
 
 
+def _is_collection(value) -> bool:  # of records or of ids: a string, bytes or a mapping is not one
+    return isinstance(value, Iterable) and not isinstance(value, (str, bytes, Mapping))
+
+
 def _is_int(value) -> bool:  # a count, a seq or a seed
     return isinstance(value, int) and not isinstance(value, bool)
 
@@ -113,7 +119,8 @@ _THRESHOLD = _Rule(lambda v: _is_real(v) and 0.0 <= v <= 10.0, "a real in [0, 10
 _RATING = _Rule(lambda v: (isinstance(v, float) or _is_int(v)) and 0.0 <= v <= 10.0, "an int or a float in [0, 10]")
 # far above a file's counts; a larger one can overflow a query's floats
 _PURCHASE_COUNT = _Rule(lambda v: _is_int(v) and 1 <= v <= 2**53, "an int from 1 to 2**53")
-_IDS = _Rule(lambda v: isinstance(v, Iterable) and not isinstance(v, str), "a collection of ids")  # users, items
+_IDS = _Rule(_is_collection, "a collection of ids")  # users, items
+_RECORDS = _Rule(_is_collection, "a collection of records")  # transactions, ratings
 
 
 def _require(name: str, value, rule: _Rule, error: type[ShoprecError] = RangeError) -> None:
@@ -245,8 +252,7 @@ def _rows(kind: str, records, fields: tuple[str, ...]) -> list[tuple]:
     """The records as plain tuples; IntegrityError names the argument if it is not a
     collection of records (a string, bytes or a mapping is not), or else the first
     record that does not hold the ``fields``."""
-    if isinstance(records, (str, bytes, Mapping)) or not isinstance(records, Iterable):
-        raise IntegrityError(f"{kind}s must be a collection of records, got {_shown(records)}")
+    _require(f"{kind}s", records, _RECORDS, IntegrityError)
     rows = []
     for record in records:
         if not isinstance(record, Iterable) or len(row := tuple(record)) != len(fields):
@@ -266,9 +272,7 @@ def _check_transactions(transactions, at):
     seqs_by_user: dict[str, set[int]] = {}
     items: set[str] = set()
     for k, (tid, user, seq, basket) in enumerate(transactions):
-        # a class test first, so that no lookup meets an id that is not a string
-        if tid.__class__ is not str or not tid or "," in tid or ";" in tid or "\n" in tid or "\r" in tid:
-            _check_id("transaction", tid, at, k)
+        _check_id("transaction", tid, at, k)  # before the lookup below, which an unhashable tid would fail
         if user.__class__ is not str or (seqs := seqs_by_user.get(user)) is None:
             seqs = seqs_by_user.setdefault(_check_id("user", user, at, k), set())
         if seq.__class__ is not int and not _is_int(seq):
@@ -325,15 +329,22 @@ def _declared_ids(kind: str, declared, met) -> list[str]:
 # ---------------------------------------------------------------------------
 
 
-def _read_rows(path, expected_header: str):
-    """The non-blank rows of a CSV file after its header, which is checked, and
-    ``at(k)``, the ``"{path}: line {n}: "`` prefix naming the k-th row's line.
+def _parse(path, header: str, row_of, check, ids: dict[str, str]):
+    """The rows of a CSV file, and the user and item ids they name, in file order.
+
+    ``row_of(fields, canonical, memo)`` makes one row from the fields of a
+    line, raising ParseError (without the line) for a malformed field; it
+    takes each id from ``canonical``, which maps an id to the one object that
+    stands for it in ``ids`` and adds the ids not yet there, and keeps what it
+    parsed of each field text in ``memo``. ``check(rows, at)`` is the file
+    kind's record walk. Each error names the file and the first faulty line.
 
     Lines end at a line feed only, and one carriage return before it is
     dropped, so every error counts lines as the UTF-8 check does. A leading
     UTF-8 byte-order mark is skipped; bytes that are not UTF-8 raise
-    ParseError naming the line they sit on. An empty file has no rows, and
-    neither has a path of None, which is not read.
+    ParseError naming the line they sit on. The header is checked and gives
+    the field count. An empty file has no rows, and neither has a path of
+    None, which is not read.
     """
     data = b""
     if path is not None:
@@ -346,89 +357,58 @@ def _read_rows(path, expected_header: str):
     except UnicodeDecodeError as exc:
         lineno = data.count(b"\n", 0, exc.start) + 1
         raise ParseError(f"{path}: line {lineno}: not valid UTF-8") from None
-    lines = text.replace("\r\n", "\n").split("\n") if text else [expected_header]
+    lines = text.replace("\r\n", "\n").split("\n") if text else [header]
     lines[-1] = lines[-1].removesuffix("\r")
-    if lines[0] != expected_header:
-        raise ParseError(f"{path}: line 1: expected header {expected_header!r}")
+    if lines[0] != header:
+        raise ParseError(f"{path}: line 1: expected header {header!r}")
 
-    def at(k: int) -> str:  # counts lines only when an error is raised
-        rows = (n for n, line in enumerate(lines, 1) if line)
-        return f"{path}: line {next(islice(rows, k + 1, None))}: "
+    def at(k: int) -> str:  # the k-th row's "{path}: line {n}: "; counts lines only to raise
+        numbers = (n for n, line in enumerate(lines, 1) if line)
+        return f"{path}: line {next(islice(numbers, k + 1, None))}: "
 
-    return list(filter(None, lines[1:])), at
-
-
-def _parse_transactions(path, ids: dict[str, str]):
-    """The rows of a transaction CSV in (user, seq) order, and the user and item ids they name.
-
-    Each user and item id is taken from ``ids``, which maps an id to the one
-    object that stands for it and gains the ids not yet there. Parsing is
-    atomic: a malformed row raises ParseError, and an invalid id, a duplicate
-    item within a row, a duplicate (user, seq) or a repeated tid raises
-    IntegrityError, each naming the first faulty line.
-    """
-    rows, at = _read_rows(path, TRANSACTION_HEADER)
-    canonical = ids.setdefault
-    transactions = []
-    seq_of_text: dict[str, int] = {}  # each distinct seq text is checked and parsed once
+    width, canonical, memo, rows = header.count(",") + 1, ids.setdefault, {}, []
     try:
-        for row in rows:
-            fields = row.split(",")
-            if len(fields) != 4:
-                raise ParseError(f"{at(len(transactions))}expected 4 fields, got {len(fields)}")
-            tid, user, seq_text, items_text = fields
-            if (seq := seq_of_text.get(seq_text)) is None:
-                try:
-                    if not (seq_text.isascii() and seq_text.removeprefix("-").isdigit()):
-                        raise ValueError
-                    seq = int(seq_text)  # ValueError too for more digits than int() converts
-                except ValueError:
-                    raise ParseError(f"{at(len(transactions))}bad seq {seq_text!r}") from None
-                seq_of_text[seq_text] = seq
-            item_texts = items_text.split(";")
-            items = tuple(map(canonical, item_texts, item_texts))
-            if "" in items:
-                raise ParseError(f"{at(len(transactions))}empty item id")
-            transactions.append((tid, canonical(user, user), seq, items))
-    except ParseError:
-        _check_transactions(transactions, at)  # a record fault on an earlier line comes first
-        raise
-    users, items = _check_transactions(transactions, at)
-    return _sorted_transactions(transactions), users, items
+        for line in filter(None, lines[1:]):
+            fields = line.split(",")
+            if len(fields) != width:
+                raise ParseError(f"expected {width} fields, got {len(fields)}")
+            rows.append(row_of(fields, canonical, memo))
+    except ParseError as exc:
+        check(rows, at)  # a record fault on an earlier line comes first
+        raise ParseError(f"{at(len(rows))}{exc}") from None
+    users, items = check(rows, at)
+    return rows, users, items
 
 
-def _parse_ratings(path, ids: dict[str, str]):
-    """:func:`_parse_transactions` for a rating CSV, its rows in (user, item) order.
+def _transaction_row(fields, canonical, seqs: dict[str, int]):
+    """A transaction row for :func:`_parse`; a malformed seq or an empty item id raises ParseError."""
+    tid, user, seq_text, items_text = fields
+    if (seq := seqs.get(seq_text)) is None:  # each distinct seq text is checked and parsed once
+        try:
+            if not (seq_text.isascii() and seq_text.removeprefix("-").isdigit()):
+                raise ValueError
+            seq = seqs[seq_text] = int(seq_text)  # ValueError too for more digits than int() converts
+        except ValueError:
+            raise ParseError(f"bad seq {seq_text!r}") from None
+    item_texts = items_text.split(";")
+    items = tuple(map(canonical, item_texts, item_texts))
+    if "" in items:
+        raise ParseError("empty item id")
+    return tid, canonical(user, user), seq, items
 
-    A malformed row, an invalid id, a value outside [0, 10] or a duplicate
-    (user, item) raises an error naming the first faulty line.
-    """
-    rows, at = _read_rows(path, RATING_HEADER)
-    canonical = ids.setdefault
-    ratings = []
-    values: dict[str, float] = {}  # one float per distinct value text, whose form is checked once
-    try:
-        for row in rows:
-            fields = row.split(",")
-            if len(fields) != 3:
-                raise ParseError(f"{at(len(ratings))}expected 3 fields, got {len(fields)}")
-            user, item, value_text = fields
-            if (value := values.get(value_text)) is None:
-                try:
-                    # float() also takes "1_0", surrounding whitespace and non-ASCII digits
-                    if not value_text.isascii() or "_" in value_text or value_text != value_text.strip():
-                        raise ValueError
-                    value = float(value_text)
-                except ValueError:
-                    raise ParseError(f"{at(len(ratings))}bad value {value_text!r}") from None
-                values[value_text] = value
-            ratings.append((canonical(user, user), canonical(item, item), value))
-    except ParseError:
-        _check_ratings(ratings, at)  # as in _parse_transactions
-        raise
-    users, items = _check_ratings(ratings, at)
-    ratings.sort()  # as in the Dataset constructor
-    return ratings, users, items
+
+def _rating_row(fields, canonical, values: dict[str, float]):
+    """A rating row for :func:`_parse`; a malformed value raises ParseError."""
+    user, item, value_text = fields
+    if (value := values.get(value_text)) is None:  # one float per distinct value text, checked once
+        try:
+            # float() also takes "1_0", surrounding whitespace and non-ASCII digits
+            if not value_text.isascii() or "_" in value_text or value_text != value_text.strip():
+                raise ValueError
+            value = values[value_text] = float(value_text)
+        except ValueError:
+            raise ParseError(f"bad value {value_text!r}") from None
+    return canonical(user, user), canonical(item, item), value
 
 
 def load_dataset(transactions_path=None, ratings_path=None) -> Dataset:
@@ -438,39 +418,51 @@ def load_dataset(transactions_path=None, ratings_path=None) -> Dataset:
     or an ``os.PathLike``: an int or a bool raises TypeError rather than being
     read as a file descriptor and closed. Users and items are inferred from
     the records, so the two files cannot disagree: the dataset takes the
-    union of their ids.
+    union of their ids. A malformed row raises ParseError, and an invalid
+    id, a duplicate item within a row, a duplicate (user, seq), a repeated
+    tid, a value outside [0, 10] or a duplicate (user, item) raises
+    IntegrityError, each naming the file and its first faulty line.
     """
     ids: dict[str, str] = {}  # one object per id, shared by both files' records
-    transactions, tx_users, tx_items = _parse_transactions(transactions_path, ids)
-    ratings, rt_users, rt_items = _parse_ratings(ratings_path, ids)
-    return Dataset._trusted(sorted({*tx_users, *rt_users}), sorted({*tx_items, *rt_items}), transactions, ratings)
+    transactions, tx_users, tx_items = _parse(
+        transactions_path, TRANSACTION_HEADER, _transaction_row, _check_transactions, ids
+    )
+    ratings, rt_users, rt_items = _parse(ratings_path, RATING_HEADER, _rating_row, _check_ratings, ids)
+    return Dataset._trusted(
+        sorted({*tx_users, *rt_users}),
+        sorted({*tx_items, *rt_items}),
+        _sorted_transactions(transactions),  # as the Dataset constructor orders its records
+        sorted(ratings),
+    )
+
+
+def _csv(header: str, lines: Iterable[str]) -> str:
+    return "\n".join([header, *lines]) + "\n"
 
 
 def to_transaction_csv(dataset: Dataset) -> str:
-    lines = [TRANSACTION_HEADER]
-    for tid, user, seq, items in dataset.transaction_rows:
-        lines.append(f"{tid},{user},{seq},{';'.join(items)}")
-    return "\n".join(lines) + "\n"
+    rows = dataset.transaction_rows
+    return _csv(TRANSACTION_HEADER, (f"{tid},{user},{seq},{';'.join(items)}" for tid, user, seq, items in rows))
 
 
 def to_rating_csv(dataset: Dataset) -> str:
-    lines = [RATING_HEADER]
-    for user, item, value in dataset.rating_rows:
-        lines.append(f"{user},{item},{value}")
-    return "\n".join(lines) + "\n"
+    return _csv(RATING_HEADER, (f"{user},{item},{value}" for user, item, value in dataset.rating_rows))
+
+
+def _write(path, text: str) -> None:
+    # not Path(path), which reads "" as ".", nor open(path) of an int: as in _parse
+    with open(os.fspath(path), "w", encoding="utf-8", newline="") as file:
+        file.write(text)
 
 
 def save_transactions(dataset: Dataset, path) -> None:
     """Write the dataset's transaction CSV to ``path``, a str or an ``os.PathLike`` as in :func:`load_dataset`."""
-    # not Path(path), which reads "" as ".", nor open(path) of an int: as in _read_rows
-    with open(os.fspath(path), "w", encoding="utf-8", newline="") as file:
-        file.write(to_transaction_csv(dataset))
+    _write(path, to_transaction_csv(dataset))
 
 
 def save_ratings(dataset: Dataset, path) -> None:
     """:func:`save_transactions` for the rating CSV."""
-    with open(os.fspath(path), "w", encoding="utf-8", newline="") as file:
-        file.write(to_rating_csv(dataset))
+    _write(path, to_rating_csv(dataset))
 
 
 # ---------------------------------------------------------------------------

@@ -20,7 +20,7 @@ profile in the active mode are skipped and counted, in both rows alike.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from typing import Iterable, Sequence
 
 from .corpus import _COUNT, _SEED, _THRESHOLD, _TRAIN_FRACTION, Dataset, _check_fields, _require, _Rule, split_users
@@ -202,15 +202,8 @@ def format_report(report: EvalReport) -> str:
 
 
 def report_rows_as_dicts(report: EvalReport) -> list[dict]:
+    """Each row's fields, its percentages rounded to 4 decimals."""
     return [
-        {
-            "mode": r.mode,
-            "rules_enabled": r.rules_enabled,
-            "precision_pct": round(r.precision_pct, 4),
-            "recall_pct": round(r.recall_pct, 4),
-            "top_n": r.top_n,
-            "users_evaluated": r.users_evaluated,
-            "users_skipped": r.users_skipped,
-        }
+        {**asdict(r), "precision_pct": round(r.precision_pct, 4), "recall_pct": round(r.recall_pct, 4)}
         for r in report.rows
     ]

@@ -53,7 +53,7 @@ from .corpus import _COUNT, _PERCENTAGE, _PURCHASE_COUNT, _RATING, _THRESHOLD, D
 from .corpus import _require, _Rule, _shown
 from .errors import IntegrityError, NoProfileError, NotFoundError
 from .implicit_vsm import build_iif, new_user_scores
-from .rules import AssociationRule, fp_growth, generate_rules
+from .rules import AssociationRule, _sides, fp_growth, generate_rules
 from .sequence import bought_after, build_precedence_index
 from .similarity import _MODE, Postings, build_postings, profile_weights, top_k_neighbors
 
@@ -269,8 +269,7 @@ class Recommender:
         ]
         survivors.sort(key=lambda e: (-e[1][0], e[0]))
         for item, (score, rule) in survivors[:slots]:
-            explain = f"{';'.join(rule.antecedent)} => {';'.join(rule.consequent)}"
-            result.append(Recommendation(item=item, score=score, source="rule", explain=explain))
+            result.append(Recommendation(item=item, score=score, source="rule", explain=_sides(rule)))
         return result
 
 

@@ -157,9 +157,10 @@ def format_pct(value: float) -> str:
     return f"{value:.4f}".rstrip("0").rstrip(".")
 
 
+def _sides(rule: AssociationRule) -> str:
+    """``A;B => C``: the rule's two sides, as the CLI prints them and Phase B explains a pick."""
+    return f"{';'.join(rule.antecedent)} => {';'.join(rule.consequent)}"
+
+
 def format_rule(rule: AssociationRule) -> str:
-    return (
-        f"{';'.join(rule.antecedent)} => {';'.join(rule.consequent)}, "
-        f"support={format_pct(rule.support_pct)}%, "
-        f"confidence={format_pct(rule.confidence_pct)}%"
-    )
+    return f"{_sides(rule)}, support={format_pct(rule.support_pct)}%, confidence={format_pct(rule.confidence_pct)}%"

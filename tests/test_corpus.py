@@ -39,13 +39,6 @@ class TestLoadTransactions:
         by_tid = {t.tid: t for t in ds.transactions}
         assert by_tid["200"].items == ("P1", "P2", "P4")  # row order preserved
 
-    def test_empty_file(self, tmp_path):
-        path = tmp_path / "t.csv"
-        path.write_text("")
-        assert load_dataset(path).transactions == ()
-        path.write_text("tid,user,seq,items\n")
-        assert load_dataset(path).transactions == ()
-
     def test_duplicate_seq_rejected(self, tmp_path):
         path = tmp_path / "t.csv"
         path.write_text("tid,user,seq,items\nT1,U1,1,P1\nT2,U1,1,P2\n")
@@ -64,12 +57,6 @@ class TestLoadTransactions:
         with pytest.raises(IntegrityError):
             load_dataset(path)
 
-    def test_wrong_header(self, tmp_path):
-        path = tmp_path / "t.csv"
-        path.write_text("a,b,c\n")
-        with pytest.raises(ParseError, match="line 1"):
-            load_dataset(path)
-
     @pytest.mark.parametrize(
         "row, kind",
         [("T;2,U1,2,P2", "transaction"), (",U1,2,P2", "transaction"), ("T2,U;1,2,P2", "user"), ("T2,,2,P2", "user")],
@@ -78,12 +65,6 @@ class TestLoadTransactions:
         path = tmp_path / "t.csv"
         path.write_text(f"tid,user,seq,items\nT1,U1,1,P1\n{row}\n")
         with pytest.raises(IntegrityError, match=f"{re.escape(str(path))}: line 3: invalid {kind} id"):
-            load_dataset(path)
-
-    def test_first_faulty_line_is_reported(self, tmp_path):
-        path = tmp_path / "t.csv"
-        path.write_text("tid,user,seq,items\nT1,,1,P1\nT2,U1,x,P2\n")
-        with pytest.raises(IntegrityError, match="line 2: invalid user id ''"):
             load_dataset(path)
 
     @pytest.mark.parametrize("items_text", ["", "P1;", ";P1", "P1;;P2", ";"])
@@ -188,6 +169,58 @@ class TestLoadRatings:
         path.write_text(f"user,item,value\nU1,P1,5\n{row}\n")
         with pytest.raises(IntegrityError, match=f"{re.escape(str(path))}: line 3: invalid {kind} id"):
             load_dataset(ratings_path=path)
+
+
+def _either_file(transactions_case, ratings_case):
+    """Parameters of one check, run on each file kind: its load_dataset keyword and its header first."""
+    return pytest.mark.parametrize(
+        "file, header, case",
+        [
+            pytest.param("transactions_path", "tid,user,seq,items", transactions_case, id="transactions"),
+            pytest.param("ratings_path", "user,item,value", ratings_case, id="ratings"),
+        ],
+    )
+
+
+class TestEitherFile:
+    """Both files are read by one row loop: the header, the field count and the first faulty line."""
+
+    @_either_file(None, None)
+    def test_empty_file(self, tmp_path, file, header, case):
+        path = tmp_path / "f.csv"
+        for text in ("", f"{header}\n"):
+            path.write_text(text)
+            loaded = load_dataset(**{file: path})
+            assert loaded.transactions == () and loaded.ratings == ()
+
+    @_either_file("a,b,c\n", "a,b\n")
+    def test_wrong_header(self, tmp_path, file, header, case):
+        path = tmp_path / "f.csv"
+        path.write_text(case)
+        with pytest.raises(ParseError, match=f"^{re.escape(f'{path}: line 1: expected header {header!r}')}$"):
+            load_dataset(**{file: path})
+
+    @_either_file(
+        ("T1,U1,1,P1\nT2,U1,2\n", "line 3: expected 4 fields, got 3"),
+        ("U1,P1,5\nU2,P1\n", "line 3: expected 3 fields, got 2"),
+    )
+    def test_field_count_names_line(self, tmp_path, file, header, case):
+        rows, message = case
+        path = tmp_path / "f.csv"
+        path.write_text(f"{header}\n{rows}")
+        with pytest.raises(ParseError, match=f"{re.escape(message)}$"):
+            load_dataset(**{file: path})
+
+    @_either_file(
+        ("T1,,1,P1\nT2,U1,x,P2\n", "line 2: invalid user id ''"),
+        ("U1,,5\nU2,P1,x\n", "line 2: invalid item id ''"),
+    )
+    def test_first_faulty_line_is_reported(self, tmp_path, file, header, case):
+        rows, message = case
+        path = tmp_path / "f.csv"
+        path.write_text(f"{header}\n{rows}")
+        with pytest.raises(IntegrityError, match=f"{re.escape(message)}$"):
+            load_dataset(**{file: path})
 
 
 # One fault that a CSV file can hold, made from a drawn record of the list it

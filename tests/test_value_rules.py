@@ -9,7 +9,9 @@ the entry point's documented error class with the message ``"{name} must be
 {rule}, got {value}"``, and never a bare TypeError, ValueError or
 OverflowError. An int too long for ``str()`` is named by its size. A user id
 given to be left out of the neighbours obeys the id rule, whose message is
-``invalid user id {value}``.
+``invalid user id {value}``. The ``users`` and ``items`` given to a
+``Dataset`` obey the collection rule of its records: bytes or a mapping is
+not a collection of ids.
 """
 
 import math
@@ -77,6 +79,8 @@ ENTRY_POINTS = {
     ),
     "Dataset.user": (lambda v: Dataset(ratings=[(v, "P1", 5.0)]), IntegrityError),
     "Dataset.transactions": (lambda v: Dataset(transactions=v), IntegrityError),
+    "Dataset.users": (lambda v: Dataset(users=v, ratings=[("U1", "P1", 5.0)]), IntegrityError),
+    "Dataset.items": (lambda v: Dataset(items=v, ratings=[("U1", "P1", 5.0)]), IntegrityError),
     "Recommender.recommend_user": (lambda v: ENGINE.recommend_user(v), NotFoundError),
     "Recommender.recommend_profile.exclude_user": (lambda v: ENGINE.recommend_profile(QUERY, v), IntegrityError),
 }
@@ -90,6 +94,7 @@ VALUES = {
     "huge": HUGE,
     "-huge": -HUGE,
     "list": ["U1"],  # unhashable
+    "mapping": {"U1": 3, "P1": 3},
 }
 
 # entry point -> the VALUES it once took, or failed on partway with a bare
@@ -118,6 +123,7 @@ DIVERGED = {
     "Dataset.seq": ["huge", "-huge"],
     "Dataset.user": ["huge", "-huge"],
     "Dataset.transactions": ["huge", "-huge"],
+    **{entry: ["mapping"] for entry in ("Dataset.users", "Dataset.items")},  # its keys were taken as the ids
     "Recommender.recommend_user": ["huge", "-huge"],
     "profile_weights.mode": ["true", "2.5", "str", "half", "nan", "huge", "-huge", "list"],
     "profile_weights.iif": ["true", "2.5", "str", "half", "nan", "huge", "-huge", "list"],
@@ -168,6 +174,9 @@ HUGE_SIZE = "int of 16610 bits"  # HUGE's bit_length()
             lambda: Dataset(transactions=[("T1", "U1", HUGE, ("P1",)), ("T2", "U1", HUGE, ("P2",))]),
             f"duplicate seq an {HUGE_SIZE} for user U1",
         ),
+        # each byte was once checked as an id: "invalid user id 85"
+        (lambda: Dataset(users=b"U1", ratings=[("U1", "P1", 5.0)]), "users must be a collection of ids, got b'U1'"),
+        (lambda: Dataset(items=b"P1", ratings=[("U1", "P1", 5.0)]), "items must be a collection of ids, got b'P1'"),
     ],
     ids=[
         "config",
@@ -181,6 +190,8 @@ HUGE_SIZE = "int of 16610 bits"  # HUGE's bit_length()
         "rating-huge-fraction",
         "rating-fraction",
         "seq",
+        "users-bytes",
+        "items-bytes",
     ],
 )
 def test_one_message_form_names_every_value(call, message):
