@@ -56,7 +56,6 @@ def _recommender_config(args) -> RecommenderConfig:
         minsup_pct=args.minsup,
         minconf_pct=args.minconf,
         exclusion_threshold=args.threshold,
-        use_rules=not args.no_rules,
     )
 
 
@@ -80,6 +79,8 @@ def _cmd_ingest_check(args) -> int:
 def _cmd_recommend(args) -> int:
     ds = load_dataset(args.transactions, args.ratings)
     recs = Recommender(ds, _recommender_config(args)).recommend_user(args.user)
+    if args.no_rules:  # the list without rule expansion is the answer's neighbour part
+        recs = [rec for rec in recs if rec.source == "neighbor"]
     _print_recommendations(recs, args.json)
     return 0
 

@@ -8,11 +8,11 @@ the hidden relevant set. Each similarity mode is reported twice, with rule
 expansion off and on, and metrics are macro-averaged over the test users
 that could be evaluated.
 
-Both rows of a mode come from one rules-on engine and one query per test
-user. The rules-off row scores the neighbour entries of that answer: the
-engine ranks every neighbour candidate ahead of every rule candidate and
-truncates last, so those entries are exactly the rules-off list, and rules
-cannot lower recall by construction.
+Both rows of a mode come from one engine and one query per test user. The
+rules-off row scores the neighbour entries of that answer, which are the
+list without rule expansion: the engine ranks every neighbour candidate
+ahead of every rule candidate and truncates last, so rules cannot lower
+recall by construction.
 
 Test users with no relevant items (recall undefined) or an empty residual
 profile in the active mode are skipped and counted, in both rows alike.
@@ -79,7 +79,7 @@ class ExperimentConfig:
         _check_fields(self, "modes", _Rule(lambda v: len(set(v)) == len(v), "free of repeats"))
 
     def engine_config(self, mode: str) -> RecommenderConfig:
-        """The rules-on engine config that answers both report rows of a mode."""
+        """The engine config that answers both report rows of a mode."""
         return RecommenderConfig(
             mode=mode,
             k_neighbors=self.k_neighbors,
@@ -87,7 +87,6 @@ class ExperimentConfig:
             minsup_pct=self.minsup_pct,
             minconf_pct=self.minconf_pct,
             exclusion_threshold=self.exclusion_threshold,
-            use_rules=True,
         )
 
 
@@ -151,8 +150,8 @@ def _row(
 def run_experiment(dataset: Dataset, config: ExperimentConfig | None = None) -> EvalReport:
     """Run the full mode x rules comparison on one dataset.
 
-    One rules-on engine per mode answers each held-out profile once; the
-    rules-off row is scored from the neighbour entries of the same answer.
+    One engine per mode answers each held-out profile once; the rules-off
+    row is scored from the neighbour entries of the same answer.
     Deterministic for a fixed dataset and config: the split, every index and
     every recommendation are seed-driven and tie-broken by id.
     """

@@ -19,19 +19,16 @@ from __future__ import annotations
 import math
 
 from .corpus import Dataset
-from .errors import EmptyDatasetError
 
 
 def build_iif(dataset: Dataset) -> dict[str, float]:
     """Compute iif(i) = ln((1 + U) / U_i) for every purchased item.
 
-    Items nobody purchased are absent (their frequency is undefined).
+    Items nobody purchased are absent (their frequency is undefined), so a
+    dataset without users gives an empty table.
     """
     total = len(dataset.users)
-    if total == 0:
-        raise EmptyDatasetError("cannot build an inverse-frequency table without users")
-    counts = dataset.purchaser_counts
-    return {item: math.log((1 + total) / u_i) for item, u_i in counts.items()}
+    return {item: math.log((1 + total) / u_i) for item, u_i in dataset.purchaser_counts.items()}
 
 
 def new_user_scores(dataset: Dataset) -> list[tuple[str, float]]:

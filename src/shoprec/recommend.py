@@ -28,15 +28,15 @@ set of the profile.
 Neighbor candidates are ranked by similarity * neighbor rating, rule
 candidates by (confidence / 100) * parent score, and the final list keeps
 all neighbor candidates ahead of all rule candidates. That two-tier order
-guarantees that enabling rule expansion never pushes a neighbor
-recommendation out of the top-N, so recall can only improve when rules are
-switched on.
+guarantees that rule expansion never pushes a neighbor recommendation out of
+the top-N: the answer's neighbor entries are the list without rules, so
+recall can only improve with them.
 
 Brand-new users (no ratings, no purchases) get the popularity ranking from
 the implicit model instead, through ``cold_start``, which reads no index.
 
 Every index derived from a training dataset is built by the first engine
-over that dataset object whose config needs it and kept on the dataset, so
+over that dataset object that needs it, and kept on the dataset, so
 building several engines (one per mode, say) builds each index once.
 """
 
@@ -108,14 +108,12 @@ class RecommenderConfig:
     minsup_pct: float = 40.0
     minconf_pct: float = 60.0
     exclusion_threshold: float = 7.0
-    use_rules: bool = True
 
     def __post_init__(self) -> None:
         _check_fields(self, "mode", _MODE)
         _check_fields(self, "k_neighbors top_n", _COUNT)
         _check_fields(self, "minsup_pct minconf_pct", _PERCENTAGE)
         _check_fields(self, "exclusion_threshold", _THRESHOLD)
-        _check_fields(self, "use_rules", _Rule(lambda v: isinstance(v, bool), "a bool"))
 
 
 @dataclass
@@ -186,24 +184,22 @@ class Recommender:
     Construction takes from the dataset what the config needs, building each
     index the first time an engine over that dataset object asks for it: the
     precedence index, the iif table, the ranked ratings (each user's ratings,
-    best first, ties by ascending item id), the posting lists of its mode and,
-    with use_rules, the rules mined at its (minsup, minconf), listed by
-    antecedent item. A query only reads them, so one engine serves concurrent
-    queries, and its neighbour search costs the postings of the query's items
-    rather than a pass over every training user.
+    best first, ties by ascending item id), the posting lists of its mode and
+    the rules mined at its (minsup, minconf), listed by antecedent item. A
+    query only reads them, so one engine serves concurrent queries, and its
+    neighbour search costs the postings of the query's items rather than a
+    pass over every training user.
     """
 
     def __init__(self, train: Dataset, config: RecommenderConfig | None = None):
         self.train = train
         self.config = cfg = config or RecommenderConfig()
         self.precedence = _index(train, "precedence", lambda: build_precedence_index(train))
-        self.iif = _index(train, "iif", lambda: build_iif(train) if train.users else {})
+        self.iif = _index(train, "iif", lambda: build_iif(train))
         self.ranked = _index(train, "ranked", lambda: _ranked_ratings(train))
         self.postings = _index(train, ("postings", cfg.mode), lambda: _postings(train, cfg.mode, self.iif))
         thresholds = (cfg.minsup_pct, cfg.minconf_pct)
-        self.rules_by_item = (
-            _index(train, ("rules", *thresholds), lambda: _rules_by_item(train, *thresholds)) if cfg.use_rules else {}
-        )
+        self.rules_by_item = _index(train, ("rules", *thresholds), lambda: _rules_by_item(train, *thresholds))
 
     def recommend_user(self, user: str) -> list[Recommendation]:
         """Recommend for a user already present in the training data."""
@@ -247,7 +243,7 @@ class Recommender:
             for item, (score, user) in ranked_candidates[: cfg.top_n]
         ]
         slots = cfg.top_n - len(result)
-        if not (slots and cfg.use_rules and self.rules_by_item):
+        if not (slots and self.rules_by_item):
             return result
 
         # Phase B: parents in rank order and rules in mined order, so a later

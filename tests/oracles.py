@@ -46,10 +46,11 @@ def itemset_support(transactions: Sequence[Transaction], itemset: Iterable[str])
     return count, 100.0 * count / len(transactions)
 
 
-def recommend_reference(engine, profile, exclude_user=None):
+def recommend_reference(engine, profile, exclude_user=None, rules=True):
     """The engine's answer by its plain definition: per-query seen and history
     sets, the filters run for every rule entry, every candidate built, and the
-    list truncated last. Reads the engine's config and shared indexes only."""
+    list truncated last. Reads the engine's config and shared indexes only;
+    with ``rules`` false it expands no rule, which gives the list without rules."""
     cfg = engine.config
     weights = profile_weights(profile.ratings, profile.purchase_counts, cfg.mode, engine.iif)
     if not any(w != 0.0 for w in weights.values()):
@@ -71,7 +72,7 @@ def recommend_reference(engine, profile, exclude_user=None):
             break
     ranked_candidates = sorted(neighbor_scores.items(), key=lambda e: (-e[1][0], e[0]))
 
-    rules_by_item = engine.rules_by_item if cfg.use_rules else {}
+    rules_by_item = engine.rules_by_item if rules else {}
     rule_scores = {}
     for parent_item, (parent_score, _) in ranked_candidates:
         for rule in rules_by_item.get(parent_item, ()):

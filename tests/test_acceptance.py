@@ -70,7 +70,7 @@ def test_criterion_01_worked_cosine_example(worked_example):
     assert first == approx(0.7296, abs=0.005)
     assert second == approx(0.9951, abs=0.005)
     ds = worked_example
-    postings = Recommender(ds, RecommenderConfig(mode="simple", use_rules=False)).postings
+    postings = Recommender(ds, RecommenderConfig(mode="simple")).postings
     query = profile_weights(ds.ratings_by_user["U3"], ds.purchase_counts_by_user["U3"], "simple")
     neighbors = top_k_neighbors(query, postings, 1, exclude="U3")
     assert neighbors[0][0] == "U2"

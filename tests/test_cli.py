@@ -18,7 +18,7 @@ from shoprec import cli
 from shoprec.corpus import SyntheticConfig, load_dataset, to_rating_csv, to_transaction_csv
 from shoprec.errors import ShoprecError
 from shoprec.evaluate import ExperimentConfig
-from shoprec.recommend import Recommender, RecommenderConfig
+from shoprec.recommend import RecommenderConfig
 from shoprec.similarity import MODES
 
 from conftest import SRC, TABLE1_CSV
@@ -323,13 +323,14 @@ class TestGenDataAndEvaluate:
         ]) == 0
         assert capsys.readouterr().out.splitlines() == REFERENCE_EVALUATE_JSON
 
-    def test_reference_recommend_json_is_pinned(self, tmp_path, capsys):
+    def test_reference_recommend_json_is_pinned(self, tmp_path, capsys, monkeypatch):
         """recommend --json --minsup 1 --minconf 10 for every user of gen-data --seed 2024,
-        in every mode with rules on and off, rendered as the CLI renders it; one engine
-        per config stands in for 800 cli.main calls."""
+        in every mode with rules on and off, through the command's own code; the files
+        are loaded once, so the 800 runs share one dataset and its indexes."""
         assert cli.main(["gen-data", "--seed", "2024", "--out", str(tmp_path)]) == 0
         capsys.readouterr()
         ds = load_dataset(tmp_path / "transactions.csv", tmp_path / "ratings.csv")
+        monkeypatch.setattr(cli, "load_dataset", lambda *paths: ds)
         parser = cli.build_parser()
         for mode in MODES:
             for rules_flag in ([], ["--no-rules"]):
@@ -337,11 +338,11 @@ class TestGenDataAndEvaluate:
                     "recommend", "--transactions", "t", "--ratings", "r", "--user", "-",
                     "--json", "--mode", mode, "--minsup", "1", "--minconf", "10", *rules_flag,
                 ])
-                engine = Recommender(ds, cli._recommender_config(args))
                 for user in ds.users:
                     print(mode, *rules_flag, user)
+                    args.user = user
                     try:
-                        cli._print_recommendations(engine.recommend_user(user), True)
+                        cli._cmd_recommend(args)
                     except ShoprecError as exc:
                         print(f"shoprec: error: {exc}")
         out = capsys.readouterr().out

@@ -86,7 +86,6 @@ BAD_FIELDS = {
     RecommenderConfig: {
         "mode": NOT_A_MODE,
         **ENGINE_FIELDS,
-        "use_rules": st.one_of(JUNK, st.integers(), st.floats()),
     },
     ExperimentConfig: {
         "train_fraction": not_a_real_within(0, 1, lo_open=True, hi_open=True),
@@ -168,7 +167,7 @@ class TestConfigProbes:
 
     @pytest.mark.parametrize(
         "fields",
-        [{"exclusion_threshold": "7"}, {"minsup_pct": "40"}, {"use_rules": "no"}, {"use_rules": 0}],
+        [{"exclusion_threshold": "7"}, {"minsup_pct": "40"}],
     )
     def test_an_ill_typed_engine_field_is_a_config_error(self, fields):
         with pytest.raises(ConfigError, match=f"^{next(iter(fields))} must be"):
@@ -219,7 +218,6 @@ class TestValidConfigsWork:
             minsup_pct=reals_within(0, 100, lo_open=True),
             minconf_pct=reals_within(0, 100, lo_open=True),
             exclusion_threshold=reals_within(0, 10),
-            use_rules=st.booleans(),
         )
     )
     def test_engine(self, config):

@@ -22,6 +22,7 @@ from shoprec.evaluate import (
 from shoprec.recommend import Recommender, RecommenderConfig
 
 from conftest import rate, small_datasets, tx
+from oracles import recommend_reference
 
 
 class TestPrecision:
@@ -202,24 +203,23 @@ def left_to_right_sum(values) -> float:
 
 
 def reference_rows(dataset: Dataset, config: ExperimentConfig) -> list[EvalRow]:
-    """The report rows computed with one engine per (mode, rules off/on), each
-    held-out profile answered by both engines of its mode."""
+    """The report rows computed with one reference answer per (mode, rules off/on)
+    and held-out profile, over one engine's indexes per mode."""
     train, test = split_users(dataset, config.train_fraction, config.seed)
     rows = []
     for mode in config.modes:
-        for use_rules in (False, True):
-            engine = Recommender(
-                train,
-                RecommenderConfig(
-                    mode=mode,
-                    k_neighbors=config.k_neighbors,
-                    top_n=config.top_n,
-                    minsup_pct=config.minsup_pct,
-                    minconf_pct=config.minconf_pct,
-                    exclusion_threshold=config.exclusion_threshold,
-                    use_rules=use_rules,
-                ),
-            )
+        engine = Recommender(
+            train,
+            RecommenderConfig(
+                mode=mode,
+                k_neighbors=config.k_neighbors,
+                top_n=config.top_n,
+                minsup_pct=config.minsup_pct,
+                minconf_pct=config.minconf_pct,
+                exclusion_threshold=config.exclusion_threshold,
+            ),
+        )
+        for rules in (False, True):
             precisions, recalls, skipped = [], [], 0
             for user in test.users:
                 profile, relevant = _holdout_profile(test, user, config.relevance_threshold)
@@ -227,7 +227,7 @@ def reference_rows(dataset: Dataset, config: ExperimentConfig) -> list[EvalRow]:
                     skipped += 1
                     continue
                 try:
-                    items = [r.item for r in engine.recommend_profile(profile)]
+                    items = [r.item for r in recommend_reference(engine, profile, rules=rules)]
                 except NoProfileError:
                     skipped += 1
                     continue
@@ -237,7 +237,7 @@ def reference_rows(dataset: Dataset, config: ExperimentConfig) -> list[EvalRow]:
             rows.append(
                 EvalRow(
                     mode=mode,
-                    rules_enabled=use_rules,
+                    rules_enabled=rules,
                     precision_pct=left_to_right_sum(precisions) / evaluated if evaluated else 0.0,
                     recall_pct=left_to_right_sum(recalls) / evaluated if evaluated else 0.0,
                     top_n=config.top_n,
@@ -281,8 +281,8 @@ ORACLE_CASE = dict(
 
 
 class TestOneQueryPerUser:
-    """Both rows of a mode come from one rules-on answer per held-out user; they
-    must equal the rows of separate rules-off and rules-on engines."""
+    """Both rows of a mode come from one engine answer per held-out user; they
+    must equal the rows of the reference answers without and with rules."""
 
     @settings(max_examples=150, deadline=None)
     @given(ds=small_datasets(), **ORACLE_CASE)

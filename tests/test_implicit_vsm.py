@@ -5,7 +5,7 @@ import pytest
 from pytest import approx
 
 from shoprec.corpus import Dataset
-from shoprec.errors import EmptyDatasetError, NotFoundError
+from shoprec.errors import NotFoundError
 from shoprec.implicit_vsm import build_iif, new_user_scores
 from shoprec.recommend import Recommender, RecommenderConfig, profile_of
 from shoprec.similarity import profile_weights
@@ -48,8 +48,7 @@ class TestBuildIif:
         assert "IZ" not in table
 
     def test_empty_dataset(self):
-        with pytest.raises(EmptyDatasetError):
-            build_iif(Dataset())
+        assert build_iif(Dataset()) == {}
 
     def test_positivity_and_monotonicity(self):
         rng = random.Random(6)
@@ -127,7 +126,7 @@ def test_neighbor_search_uses_same_kernel_in_implicit_mode():
         if not ds.users:
             continue
         table = build_iif(ds)
-        postings = Recommender(ds, RecommenderConfig(mode="implicit", use_rules=False)).postings
+        postings = Recommender(ds, RecommenderConfig(mode="implicit")).postings
         for target in ds.users:
             tv = implicit_weights(ds, table, target)
             if not any(tv.values()):

@@ -95,10 +95,8 @@ def cross_parent_tie():
 
 
 class TestRuleExpansion:
-    def config(self, use_rules=True, minsup=10.0, minconf=30.0):
-        return RecommenderConfig(
-            top_n=5, minsup_pct=minsup, minconf_pct=minconf, use_rules=use_rules
-        )
+    def config(self, minsup=10.0, minconf=30.0):
+        return RecommenderConfig(top_n=5, minsup_pct=minsup, minconf_pct=minconf)
 
     def query(self):
         return Profile(ratings={"P9": 5.0}, purchase_counts={"P9": 1})
@@ -113,23 +111,24 @@ class TestRuleExpansion:
         assert "P2" in by_item["P1"].explain
 
     def test_rules_off_keeps_only_neighbor_pick(self):
-        engine = Recommender(rule_expansion_dataset(), self.config(use_rules=False))
-        assert [r.item for r in engine.recommend_profile(self.query())] == ["P2"]
+        engine = Recommender(rule_expansion_dataset(), self.config())
+        off = recommend_reference(engine, self.query(), rules=False)
+        assert [r for r in engine.recommend_profile(self.query()) if r.source == "neighbor"] == off
+        assert [r.item for r in off] == ["P2"]
 
     def test_no_mined_rule_answers_as_rules_off(self):
-        """Rules on, with thresholds that no rule meets: Phase B is skipped, and every answer is unchanged."""
+        """Thresholds that no rule meets: Phase B is skipped, and every answer is the list without rules."""
         ds = rule_expansion_dataset()
-        engine_on = Recommender(ds, self.config(minsup=100.0, minconf=100.0))
-        engine_off = Recommender(ds, self.config(use_rules=False, minsup=100.0, minconf=100.0))
-        assert engine_on.config.use_rules and not engine_on.rules_by_item
+        engine = Recommender(ds, self.config(minsup=100.0, minconf=100.0))
+        assert not engine.rules_by_item
         queries = [(self.query(), None)] + [(profile_of(ds, user), user) for user in ds.users]
         for profile, user in queries:
             try:
-                expected = recommend_reference(engine_on, profile, user)
+                expected = recommend_reference(engine, profile, user, rules=False)
             except NoProfileError:
                 continue
-            assert engine_on.recommend_profile(profile, exclude_user=user) == expected
-            assert engine_off.recommend_profile(profile, exclude_user=user) == expected
+            assert engine.recommend_profile(profile, exclude_user=user) == expected
+            assert recommend_reference(engine, profile, user) == expected
 
     def test_rule_candidates_rank_below_neighbors(self):
         engine = Recommender(rule_expansion_dataset(), self.config())
@@ -223,9 +222,7 @@ class TestContracts:
 
 def check_pipeline_invariants(ds, mode) -> int:
     """Assert the engine invariants for every user of ds; return how many lists rules grew."""
-    config = dict(mode=mode, top_n=4, minsup_pct=10.0, minconf_pct=20.0)
-    engine_off = Recommender(ds, RecommenderConfig(use_rules=False, **config))
-    engine_on = Recommender(ds, RecommenderConfig(use_rules=True, **config))
+    engine = Recommender(ds, RecommenderConfig(mode=mode, top_n=4, minsup_pct=10.0, minconf_pct=20.0))
     index = build_precedence_index(ds)
     grown = 0
     for user in ds.users:
@@ -234,17 +231,17 @@ def check_pipeline_invariants(ds, mode) -> int:
             purchase_counts=dict(ds.purchase_counts_by_user[user]),
         )
         try:
-            off = engine_off.recommend_profile(profile, exclude_user=user)
-            on = engine_on.recommend_profile(profile, exclude_user=user)
+            on = engine.recommend_profile(profile, exclude_user=user)
+            off = recommend_reference(engine, profile, user, rules=False)
         except NoProfileError:
             continue
         seen = profile.ratings.keys() | profile.purchase_counts.keys()
         for rec in on:
             assert rec.item not in seen
             assert bought_after(index, rec.item, profile.purchase_counts.keys())
-        # enabling rules only appends: the rules-off list is a prefix
-        assert [r.item for r in on[: len(off)]] == [r.item for r in off]
-        # two tiers: every neighbour item precedes every rule item
+        # rules only append: the list without them is the neighbour part ...
+        assert [r for r in on if r.source == "neighbor"] == off
+        # ... and two tiers make it a prefix: every neighbour item precedes every rule item
         sources = [r.source for r in on]
         assert sources == sorted(sources, key=lambda source: source == "rule")
         if len(on) > len(off):
@@ -312,12 +309,22 @@ def queries(draw):
 
 
 def answers(query, mode, top_n, threshold):
-    """The engine's and the reference's answers to one query, as comparable rows."""
+    """The engine's and the reference's answers to one query, as comparable rows:
+    with rules, then without them, where the engine's list is its answer's neighbour part."""
     ds, profile, exclude = query
     config = RecommenderConfig(mode=mode, top_n=top_n, minsup_pct=1.0, minconf_pct=10.0, exclusion_threshold=threshold)
     engine = Recommender(ds, config)
+
+    def neighbor_part(profile, exclude):
+        return [r for r in engine.recommend_profile(profile, exclude) if r.source == "neighbor"]
+
     rows = []
-    for answer in (engine.recommend_profile, partial(recommend_reference, engine)):
+    for answer in (
+        engine.recommend_profile,
+        partial(recommend_reference, engine),
+        neighbor_part,
+        partial(recommend_reference, engine, rules=False),
+    ):
         try:
             rows.append([(r.item, r.score.hex(), r.source, r.explain) for r in answer(profile, exclude)])
         except NoProfileError:
@@ -327,7 +334,8 @@ def answers(query, mode, top_n, threshold):
 
 class TestReferenceEquivalence:
     """Scoring rules before filtering, filtering once per item and building only the
-    returned entries gives, bit for bit, the list of the plain reference path."""
+    returned entries gives, bit for bit, the list of the plain reference path; the
+    answer's neighbour part is, bit for bit, the reference's list without rules."""
 
     @settings(max_examples=400, deadline=None)
     @given(
@@ -340,8 +348,9 @@ class TestReferenceEquivalence:
     @example(query=equal_scores_query(), mode="simple", top_n=2, threshold=7.0)
     @example(query=(*cross_parent_tie(), "A"), mode="simple", top_n=3, threshold=5.0)
     def test_matches_the_reference(self, query, mode, top_n, threshold):
-        engine_rows, reference_rows = answers(query, mode, top_n, threshold)
+        engine_rows, reference_rows, engine_off, reference_off = answers(query, mode, top_n, threshold)
         assert engine_rows == reference_rows
+        assert engine_off == reference_off
 
     def test_rule_items_are_reached(self):
         """The strategy reaches answers with rule items, so Phase B is compared too."""
@@ -361,19 +370,20 @@ class TestPhaseAPick:
         threshold=st.sampled_from([0.0, 2.5, 4.0, 5.0, 7.0, 10.0]),
     )
     def test_each_neighbor_offers_its_best_eligible_item(self, ds, mode, k, threshold):
-        config = RecommenderConfig(mode=mode, k_neighbors=k, top_n=100, exclusion_threshold=threshold, use_rules=False)
+        config = RecommenderConfig(mode=mode, k_neighbors=k, top_n=100, exclusion_threshold=threshold)
         engine = Recommender(ds, config)
         index = build_precedence_index(ds)
         for user in ds.users:
             profile = profile_of(ds, user)
             try:
-                recs = engine.recommend_user(user)
+                recs = [r for r in engine.recommend_user(user) if r.source == "neighbor"]
             except NoProfileError:
                 continue
+            assert recs == recommend_reference(engine, profile, user, rules=False)
             weights = profile_weights(profile.ratings, profile.purchase_counts, mode, engine.iif)
             neighbors = [n for n, _ in top_k_neighbors(weights, engine.postings, k, exclude=user)]
             for rec in recs:
-                assert rec.source == "neighbor" and rec.explain in neighbors
+                assert rec.explain in neighbors
                 assert rec.item == neighbor_pick(ds, rec.explain, threshold, profile, index)
                 assert ds.ratings_by_user[rec.explain][rec.item] >= threshold
             # every neighbour with an eligible item offers it
@@ -383,7 +393,7 @@ class TestPhaseAPick:
     @settings(max_examples=50, deadline=None)
     @given(ds=small_datasets())
     def test_ranked_ratings_are_untracked_dicts_best_first(self, ds):
-        ranked = Recommender(ds, RecommenderConfig(use_rules=False)).ranked
+        ranked = Recommender(ds, RecommenderConfig()).ranked
         assert list(ranked) == list(ds.users)
         for user, ratings in ranked.items():
             assert ratings == ds.ratings_by_user[user]
@@ -588,7 +598,6 @@ class TestColdStart:
 
 
 class TestConfigValidation:
-    @pytest.mark.parametrize("use_rules", [True, False])
     @pytest.mark.parametrize(
         "thresholds",
         [
@@ -601,9 +610,9 @@ class TestConfigValidation:
             {"minconf_pct": 101.0},
         ],
     )
-    def test_rule_thresholds_rejected_at_construction(self, worked_example, thresholds, use_rules):
+    def test_rule_thresholds_rejected_at_construction(self, worked_example, thresholds):
         with pytest.raises(ConfigError):
-            Recommender(worked_example, RecommenderConfig(use_rules=use_rules, **thresholds))
+            Recommender(worked_example, RecommenderConfig(**thresholds))
 
     def test_threshold_bounds_inclusive_at_100(self, worked_example):
         Recommender(worked_example, RecommenderConfig(minsup_pct=100.0, minconf_pct=100.0))
@@ -645,11 +654,6 @@ class TestSharedSnapshot:
         for name in ("precedence", "iif", "ranked", "rules_by_item"):
             assert all(getattr(e, name) is getattr(engines[0], name) for e in engines)
 
-    def test_rules_mined_only_when_enabled(self, worked_example, monkeypatch):
-        calls = count_builds(monkeypatch)
-        Recommender(worked_example, RecommenderConfig(use_rules=False))
-        assert calls["fp_growth"] == 0
-
     def test_run_experiment_builds_once(self, monkeypatch):
         ds = generate_synthetic(SyntheticConfig(users_per_class=8, rng_seed=5))
         calls = count_builds(monkeypatch)
@@ -657,7 +661,7 @@ class TestSharedSnapshot:
         assert calls == {"build_precedence_index": 1, "build_iif": 1, "fp_growth": 1}
 
     def test_run_experiment_queries_once_per_mode_and_user(self, monkeypatch):
-        """One rules-on engine per mode; each held-out user is searched at most once per mode."""
+        """One engine per mode; each held-out user is searched at most once per mode."""
         ds = generate_synthetic(SyntheticConfig(users_per_class=8, rng_seed=5))
         engines = count_calls(monkeypatch, "shoprec.evaluate", ("Recommender",))
         searches = count_calls(monkeypatch, "shoprec.recommend", ("top_k_neighbors",))

@@ -32,7 +32,7 @@ def dataset_weights(ds, user, mode):
 
 def neighbors(ds, target, k, mode):
     """The engine's neighbour search for a dataset user, over the dataset's indexes."""
-    engine = Recommender(ds, RecommenderConfig(mode=mode, use_rules=False))
+    engine = Recommender(ds, RecommenderConfig(mode=mode))
     weights = profile_weights(ds.ratings_by_user[target], ds.purchase_counts_by_user[target], mode, engine.iif)
     return top_k_neighbors(weights, engine.postings, k, exclude=target)
 
@@ -276,7 +276,7 @@ class TestTopKNeighbors:
     def test_posting_lists_are_untracked_dicts(self, ds):
         """A posting list holds no object the garbage collector must walk."""
         for mode in MODES:
-            for posting in Recommender(ds, RecommenderConfig(mode=mode, use_rules=False)).postings.values():
+            for posting in Recommender(ds, RecommenderConfig(mode=mode)).postings.values():
                 assert type(posting) is dict
                 assert not gc.is_tracked(posting)
 

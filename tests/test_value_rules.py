@@ -35,7 +35,7 @@ DS = Dataset(
     transactions=[("T1", "U1", 1, ("P1", "P2")), ("T2", "U2", 1, ("P1",))],
     ratings=[("U1", "P1", 8.0), ("U2", "P2", 5.0)],
 )
-ENGINE = Recommender(DS, RecommenderConfig(use_rules=False))
+ENGINE = Recommender(DS, RecommenderConfig())
 QUERY = Profile({"P1": 8.0}, {"P1": 1})
 POSTINGS = {"P1": {"U1": 1.0, "U2": 0.5}}
 
