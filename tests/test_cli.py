@@ -87,6 +87,15 @@ def data_dir(tmp_path):
     return tmp_path
 
 
+@pytest.fixture(scope="module")
+def reference_data(tmp_path_factory):
+    """The files of gen-data --seed 2024."""
+    out = tmp_path_factory.mktemp("reference")
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert cli.main(["gen-data", "--seed", "2024", "--out", str(out)]) == 0
+    return out
+
+
 class TestExitCodes:
     def test_no_arguments_is_usage_error(self):
         result = run_cli()
@@ -233,6 +242,23 @@ class TestRecommend:
             "--user", "nobody",
         )
         assert result.returncode == 2
+
+    @pytest.mark.parametrize("mode", MODES)
+    def test_no_rules_prints_the_neighbor_part(self, reference_data, capsys, mode):
+        """recommend --no-rules prints exactly the neighbour lines of the answer with rules;
+        U013 of gen-data --seed 2024 gets a rule item in every mode, so the check is not vacuous."""
+        argv = [
+            "recommend", "--transactions", str(reference_data / "transactions.csv"),
+            "--ratings", str(reference_data / "ratings.csv"), "--user", "U013",
+            "--mode", mode, "--minsup", "1", "--minconf", "10", "--json",
+        ]
+        outputs = []
+        for rules_flag in ([], ["--no-rules"]):
+            assert cli.main([*argv, *rules_flag]) == 0
+            outputs.append(capsys.readouterr().out.splitlines())
+        on, off = outputs
+        assert any(json.loads(line)["source"] == "rule" for line in on)
+        assert off == [line for line in on if json.loads(line)["source"] == "neighbor"]
 
 
 class TestRecommendNew:

@@ -21,7 +21,15 @@ from hypothesis import strategies as st
 from pytest import approx
 
 from shoprec import cli
-from shoprec.corpus import Dataset, SyntheticConfig, Transaction, generate_synthetic, split_users
+from shoprec.corpus import (
+    Dataset,
+    SyntheticConfig,
+    Transaction,
+    generate_synthetic,
+    save_ratings,
+    save_transactions,
+    split_users,
+)
 from shoprec.errors import ConfigError, IntegrityError, NoProfileError, NotFoundError, RangeError
 from shoprec.evaluate import ExperimentConfig, run_experiment
 from shoprec.recommend import Profile, Recommender, RecommenderConfig, cold_start, profile_of
@@ -597,22 +605,35 @@ class TestColdStart:
             cold_start(ds, top_n)
 
 
+BAD_RULE_THRESHOLDS = [
+    {"minsup_pct": 500.0, "minconf_pct": -3.0},
+    {"minsup_pct": 0.0},
+    {"minsup_pct": 100.5},
+    {"minsup_pct": float("nan")},
+    {"minconf_pct": 0.0},
+    {"minconf_pct": -3.0},
+    {"minconf_pct": 101.0},
+]
+
+
 class TestConfigValidation:
-    @pytest.mark.parametrize(
-        "thresholds",
-        [
-            {"minsup_pct": 500.0, "minconf_pct": -3.0},
-            {"minsup_pct": 0.0},
-            {"minsup_pct": 100.5},
-            {"minsup_pct": float("nan")},
-            {"minconf_pct": 0.0},
-            {"minconf_pct": -3.0},
-            {"minconf_pct": 101.0},
-        ],
-    )
+    @pytest.mark.parametrize("thresholds", BAD_RULE_THRESHOLDS)
     def test_rule_thresholds_rejected_at_construction(self, worked_example, thresholds):
         with pytest.raises(ConfigError):
             Recommender(worked_example, RecommenderConfig(**thresholds))
+
+    @pytest.mark.parametrize("thresholds", BAD_RULE_THRESHOLDS)
+    def test_rule_thresholds_rejected_without_rules(self, worked_example, thresholds, tmp_path, capsys):
+        """The list without rules, recommend --no-rules, checks the thresholds as every engine does."""
+        save_transactions(worked_example, tmp_path / "t.csv")
+        save_ratings(worked_example, tmp_path / "r.csv")
+        flags = {"minsup_pct": "--minsup", "minconf_pct": "--minconf"}
+        argv = ["recommend", "--transactions", str(tmp_path / "t.csv"), "--ratings", str(tmp_path / "r.csv")]
+        argv += ["--user", "U3", "--no-rules", *(f"{flags[name]}={value}" for name, value in thresholds.items())]
+        assert cli.main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"shoprec: error: {next(iter(thresholds))} must be")
 
     def test_threshold_bounds_inclusive_at_100(self, worked_example):
         Recommender(worked_example, RecommenderConfig(minsup_pct=100.0, minconf_pct=100.0))
