@@ -17,8 +17,9 @@ first-position order, of the items whose first position precedes c's last
 pairs each user contributes, instead of the square of each user's events.
 
 Both (a, b) and (b, a) may be present: different users shop in different
-orders. How often each pair occurs is only shown by ``dump-index``;
-``precedence_counts`` computes it there, on its own quadratic path.
+orders. How often a pair occurs is not kept: the filter never reads it, and
+counting every pair would cost the square of each user's events.
+``dump_lines`` renders the index itself, which is what ``dump-index`` prints.
 """
 
 from __future__ import annotations
@@ -84,23 +85,15 @@ def bought_after(index: PrecedenceIndex, candidate: str, history: Set[str]) -> b
     return not history or not index.before.get(candidate, _NONE).isdisjoint(history)
 
 
-def precedence_counts(dataset: Dataset) -> dict[tuple[str, str], int]:
-    """Count every cross-transaction ordered item pair per user.
+def dump_lines(index: PrecedenceIndex) -> list[str]:
+    """Render the index as ``earlier,later`` lines, sorted by the (earlier, later) pair.
 
-    For each user, every purchase event in a transaction with lower seq pairs
-    with every event in each strictly later transaction.
+    The pairs are grouped by earlier item, so each sort compares ids, not
+    tuples. The joined lines are never sorted: an id may hold a character
+    below ",", which would put "A!,B" ahead of "A,B".
     """
-    counts: dict[tuple[str, str], int] = {}
-    for _, rows in groupby(dataset.transaction_rows, itemgetter(1)):  # as in build_precedence_index
-        baskets = [items for _, _, _, items in rows]
-        for i, earlier in enumerate(baskets):
-            for later in baskets[i + 1 :]:
-                for a in earlier:
-                    for b in later:
-                        counts[(a, b)] = counts.get((a, b), 0) + 1
-    return counts
-
-
-def dump_lines(counts: dict[tuple[str, str], int]) -> list[str]:
-    """Render pair counts as ``earlier,later,count`` lines, lexicographically sorted."""
-    return [f"{a},{b},{n}" for (a, b), n in sorted(counts.items())]
+    after: dict[str, list[str]] = {}
+    for later, earlier in index.before.items():
+        for item in earlier:
+            after.setdefault(item, []).append(later)
+    return [f"{item},{later}" for item in sorted(after) for later in sorted(after[item])]

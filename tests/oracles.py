@@ -5,9 +5,11 @@ way; none is part of the package.
 """
 
 import math
+from itertools import groupby
+from operator import itemgetter
 from typing import Iterable, Mapping, Sequence
 
-from shoprec.corpus import Transaction
+from shoprec.corpus import Dataset, Transaction
 from shoprec.errors import EmptyDatasetError, NoProfileError, RangeError
 from shoprec.recommend import Recommendation
 from shoprec.sequence import bought_after
@@ -44,6 +46,24 @@ def itemset_support(transactions: Sequence[Transaction], itemset: Iterable[str])
         raise EmptyDatasetError("support percentage undefined over zero transactions")
     count = sum(1 for t in transactions if wanted.issubset(t.items))
     return count, 100.0 * count / len(transactions)
+
+
+def precedence_counts(dataset: Dataset) -> dict[tuple[str, str], int]:
+    """Count every cross-transaction ordered item pair per user.
+
+    For each user, every purchase event in a transaction with lower seq pairs
+    with every event in each strictly later transaction; the keys are the
+    pairs of ``build_precedence_index``, found the quadratic way.
+    """
+    counts: dict[tuple[str, str], int] = {}
+    for _, rows in groupby(dataset.transaction_rows, itemgetter(1)):  # one user's rows, seq-sorted
+        baskets = [items for _, _, _, items in rows]
+        for i, earlier in enumerate(baskets):
+            for later in baskets[i + 1 :]:
+                for a in earlier:
+                    for b in later:
+                        counts[(a, b)] = counts.get((a, b), 0) + 1
+    return counts
 
 
 def recommend_reference(engine, profile, exclude_user=None, rules=True):

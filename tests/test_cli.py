@@ -177,6 +177,17 @@ class TestMineRules:
         assert result.returncode == 0
         assert result.stdout == "P2 => P1, support=40%, confidence=100%\n"
 
+    def test_json_line_is_the_rule_record(self, data_dir):
+        """Every field of the rule, the two percentages rounded to 4 places."""
+        args = ["mine-rules", "--transactions", str(data_dir / "table1.csv"), "--minsup", "40", "--minconf", "60"]
+        lines = run_cli(*args, "--json").stdout.splitlines()
+        assert lines == [
+            '{"antecedent": ["P2"], "antecedent_count": 2, "confidence_pct": 100.0, '
+            '"consequent": ["P1"], "support_pct": 40.0, "union_count": 2}',
+            '{"antecedent": ["P4"], "antecedent_count": 3, "confidence_pct": 66.6667, '
+            '"consequent": ["P1"], "support_pct": 40.0, "union_count": 2}',
+        ]
+
     def test_json_matches_text(self, data_dir):
         args = ["mine-rules", "--transactions", str(data_dir / "table1.csv"), "--minsup", "40", "--minconf", "60"]
         text = run_cli(*args).stdout.splitlines()
@@ -280,9 +291,14 @@ class TestRecommendNew:
 class TestDumpIndex:
     def test_golden_lines(self, data_dir):
         result = run_cli("dump-index", "--transactions", str(data_dir / "worked_t.csv"))
-        lines = result.stdout.splitlines()
-        assert "P3,P5,1" in lines
-        assert lines == sorted(lines)
+        assert result.returncode == 0
+        # every pair (earlier, later) of the index the filter reads, and no count
+        assert result.stdout.splitlines() == [
+            "P1,P2", "P1,P3", "P1,P4", "P1,P5",
+            "P2,P3", "P2,P4", "P2,P5",
+            "P3,P4", "P3,P5",
+            "P4,P5",
+        ]
 
 
 class TestGenDataAndEvaluate:
@@ -442,6 +458,25 @@ def test_flag_defaults_are_the_config_defaults(command):
         value = tuple(value.split(",")) if dest == "modes" else tuple(value) if dest.endswith("_user") else value
         for name in fields.split():
             assert value == defaults[name] and type(value) is type(defaults[name]), (dest, name)
+
+
+@pytest.mark.parametrize(
+    "config, name, value",
+    [
+        (RecommenderConfig, "k_neighbors", 5),
+        (RecommenderConfig, "top_n", 5),
+        (RecommenderConfig, "minsup_pct", 40.0),
+        (RecommenderConfig, "minconf_pct", 60.0),
+        (RecommenderConfig, "exclusion_threshold", 7.0),
+        (ExperimentConfig, "seed", 0),
+        (ExperimentConfig, "train_fraction", 0.8),
+        (ExperimentConfig, "relevance_threshold", 7.0),
+    ],
+)
+def test_readme_key_defaults(config, name, value):
+    """The defaults README's "Key defaults" documents."""
+    default = getattr(config(), name)
+    assert default == value and type(default) is type(value)
 
 
 class TestDeterminism:

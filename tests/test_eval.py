@@ -67,6 +67,18 @@ class TestRecall:
             recall_at_n(["A"], set(), 1)
 
 
+def test_rating_at_the_relevance_threshold_is_hidden_as_relevant():
+    """The protocol hides the items rated at or above the threshold, from ratings and purchases both."""
+    ds = Dataset(
+        transactions=[tx("U1", 1, "A", "B"), tx("U1", 2, "C")],
+        ratings=[rate("U1", "A", 7.0), rate("U1", "B", 6.9), rate("U1", "C", 10.0)],
+    )
+    profile, relevant = _holdout_profile(ds, "U1", 7.0)
+    assert relevant == {"A", "C"}
+    assert dict(profile.ratings) == {"B": 6.9}
+    assert dict(profile.purchase_counts) == {"B": 1}
+
+
 def test_metrics_against_exhaustive_oracle():
     """Every (recommended, relevant, n) combination over a five-item universe."""
     universe = ["A", "B", "C", "D", "E"]

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 from pytest import approx
 
 from shoprec.errors import EmptyDatasetError, RangeError
-from shoprec.rules import format_rule, fp_growth, generate_rules
+from shoprec.rules import FrequentItemset, format_rule, fp_growth, generate_rules
 
 from conftest import tx
 from oracles import itemset_support
@@ -147,6 +147,22 @@ class TestGenerateRules:
         pairs = {(r.antecedent, r.consequent): r for r in rules}
         weaker = pairs[(("P4",), ("P1",))]
         assert weaker.confidence_pct == approx(100 * 2 / 3)
+
+    @pytest.mark.parametrize(
+        "antecedent_count, union_count, minconf_pct, kept",
+        [
+            (3, 2, 67.0, False),  # 66.67% is just below the floor
+            (3, 2, 66.6, True),  # and just above this one
+            (5, 3, 60.0, True),  # exactly at the floor
+        ],
+    )
+    def test_confidence_floor_boundary(self, antecedent_count, union_count, minconf_pct, kept):
+        frequents = [
+            FrequentItemset(("A",), antecedent_count, 100.0),
+            FrequentItemset(("A", "B"), union_count, 50.0),
+        ]
+        rules = generate_rules(frequents, minconf_pct)
+        assert [(r.antecedent, r.consequent) for r in rules] == ([(("A",), ("B",))] if kept else [])
 
     def test_invalid_minconf(self, table1_txns):
         with pytest.raises(RangeError):

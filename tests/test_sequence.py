@@ -5,9 +5,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from shoprec.corpus import Dataset
-from shoprec.sequence import bought_after, build_precedence_index, dump_lines, precedence_counts
+from shoprec.sequence import bought_after, build_precedence_index, dump_lines
 
 from conftest import random_dataset, small_datasets, tx
+from oracles import precedence_counts
 
 
 class TestPrecedenceCounts:
@@ -133,13 +134,26 @@ class TestBoughtAfter:
 
 
 def test_dump_lines_sorted(physics):
-    lines = dump_lines(precedence_counts(physics))
+    lines = dump_lines(build_precedence_index(physics))
     assert lines == [
-        "Ph1,Ph2,1",
-        "Ph1,Ph3,1",
-        "Ph1,Ph4,1",
-        "Ph2,Ph3,1",
-        "Ph2,Ph4,1",
-        "Ph3,Ph4,1",
+        "Ph1,Ph2",
+        "Ph1,Ph3",
+        "Ph1,Ph4",
+        "Ph2,Ph3",
+        "Ph2,Ph4",
+        "Ph3,Ph4",
     ]
     assert lines == sorted(lines)
+
+
+def test_dump_lines_sorted_by_pair_not_by_line():
+    # "A" < "A!" as ids, but "A!,B" < "A,B" as lines, since "!" sorts below ","
+    ds = Dataset(transactions=[tx("U1", 1, "A", "A!"), tx("U1", 2, "B")])
+    assert dump_lines(build_precedence_index(ds)) == ["A,B", "A!,B"]
+
+
+@settings(max_examples=200, deadline=None)
+@given(ds=small_datasets())
+def test_dump_lines_are_the_counted_pairs_in_order(ds):
+    """One line per counted pair, without its count, in the order of the sorted pairs."""
+    assert dump_lines(build_precedence_index(ds)) == [f"{a},{b}" for a, b in sorted(precedence_counts(ds))]
