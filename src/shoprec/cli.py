@@ -6,6 +6,10 @@ do not parse (an unknown command or flag, a missing value, a non-number, a
 --mode outside its choices); 2 data or config error, for an unreadable or
 invalid input file and for a flag that parses but has a bad value (--k 0,
 --minsup 0, --modes bogus).
+A flag that sets a config field has that field's name as its dest and takes
+its default from the config, so each command builds its config from the parsed
+flags by field name: --k sets k_neighbors, evaluate --n sets top_n, and
+evaluate --threshold sets both thresholds.
 Every command is deterministic given the same files, flags and seeds; --json
 switches list outputs to one JSON object per line.
 """
@@ -22,6 +26,7 @@ from pathlib import Path
 
 from .corpus import (
     SyntheticConfig,
+    _config,
     generate_synthetic,
     load_dataset,
     save_ratings,
@@ -48,17 +53,6 @@ def _emit_json(obj) -> None:
     print(json.dumps(obj, sort_keys=True))
 
 
-def _recommender_config(args) -> RecommenderConfig:
-    return RecommenderConfig(
-        mode=args.mode,
-        k_neighbors=args.k,
-        top_n=args.top_n,
-        minsup_pct=args.minsup,
-        minconf_pct=args.minconf,
-        exclusion_threshold=args.threshold,
-    )
-
-
 def _print_recommendations(recs, as_json: bool) -> None:
     for rank, rec in enumerate(recs, start=1):
         if as_json:
@@ -78,7 +72,7 @@ def _cmd_ingest_check(args) -> int:
 
 def _cmd_recommend(args) -> int:
     ds = load_dataset(args.transactions, args.ratings)
-    recs = Recommender(ds, _recommender_config(args)).recommend_user(args.user)
+    recs = Recommender(ds, _config(RecommenderConfig, args)).recommend_user(args.user)
     if args.no_rules:  # the list without rule expansion is the answer's neighbour part
         recs = [rec for rec in recs if rec.source == "neighbor"]
     _print_recommendations(recs, args.json)
@@ -93,7 +87,7 @@ def _cmd_recommend_new(args) -> int:
 
 def _cmd_mine_rules(args) -> int:
     ds = load_dataset(args.transactions)
-    for rule in generate_rules(fp_growth(ds.transaction_rows, args.minsup), args.minconf):
+    for rule in generate_rules(fp_growth(ds.transaction_rows, args.minsup_pct), args.minconf_pct):
         if args.antecedent is not None and args.antecedent not in rule.antecedent:
             continue
         if args.json:
@@ -117,17 +111,8 @@ def _cmd_dump_index(args) -> int:
 
 
 def _cmd_gen_data(args) -> int:
-    config = SyntheticConfig(
-        num_classes=args.classes,
-        num_items=args.items,
-        users_per_class=args.users_per_class,
-        ratings_per_user=tuple(args.ratings_per_user),
-        transactions_per_user=tuple(args.transactions_per_user),
-        class_affinity=args.affinity,
-        noise_rating_spread=args.spread,
-        rng_seed=args.seed,
-    )
-    ds = generate_synthetic(config)
+    spans = dict(ratings_per_user=tuple(args.ratings_per_user), transactions_per_user=tuple(args.transactions_per_user))
+    ds = generate_synthetic(_config(SyntheticConfig, args, **spans))
     os.makedirs(args.out, exist_ok=True)  # not Path(args.out).mkdir, which reads "" as "."
     tx_path, rt_path = Path(args.out, "transactions.csv"), Path(args.out, "ratings.csv")
     save_transactions(ds, tx_path)
@@ -139,17 +124,9 @@ def _cmd_gen_data(args) -> int:
 
 def _cmd_evaluate(args) -> int:
     ds = load_dataset(args.transactions, args.ratings)
-    config = ExperimentConfig(
-        train_fraction=args.split,
-        top_n=args.n,
-        seed=args.seed,
-        modes=tuple(args.modes.split(",")),
-        k_neighbors=args.k,
-        minsup_pct=args.minsup,
-        minconf_pct=args.minconf,
-        exclusion_threshold=args.threshold,
-        relevance_threshold=args.threshold,
-    )
+    modes = tuple(args.modes.split(","))
+    # --threshold sets both thresholds
+    config = _config(ExperimentConfig, args, modes=modes, relevance_threshold=args.exclusion_threshold)
     report = run_experiment(ds, config)
     if args.json:
         for row in report_rows_as_dicts(report):
@@ -169,15 +146,20 @@ def _add_data_args(p, ratings_required: bool = True, transactions_required: bool
     )
 
 
+def _field(p, flag: str, cls, name: str, **kwargs) -> None:
+    """Add ``flag``, which sets field ``name`` of config ``cls`` and takes that field's default and its type."""
+    default = getattr(cls, name)
+    metavar = flag.lstrip("-").replace("-", "_").upper()  # the one argparse derives from the flag
+    p.add_argument(flag, dest=name, default=default, type=type(default), metavar=metavar, **kwargs)
+
+
 def _add_recommender_args(p):
     p.add_argument("--mode", choices=MODES, default=RecommenderConfig.mode)
-    p.add_argument("--k", type=int, default=RecommenderConfig.k_neighbors, help="neighbor count")
-    p.add_argument("--top-n", type=int, default=RecommenderConfig.top_n)
-    p.add_argument("--minsup", type=float, default=RecommenderConfig.minsup_pct, help="min support %% for rules")
-    p.add_argument("--minconf", type=float, default=RecommenderConfig.minconf_pct, help="min confidence %% for rules")
-    p.add_argument(
-        "--threshold", type=float, default=RecommenderConfig.exclusion_threshold, help="rating exclusion threshold"
-    )
+    _field(p, "--k", RecommenderConfig, "k_neighbors", help="neighbor count")
+    _field(p, "--top-n", RecommenderConfig, "top_n")
+    _field(p, "--minsup", RecommenderConfig, "minsup_pct", help="min support %% for rules")
+    _field(p, "--minconf", RecommenderConfig, "minconf_pct", help="min confidence %% for rules")
+    _field(p, "--threshold", RecommenderConfig, "exclusion_threshold", help="rating exclusion threshold")
     p.add_argument("--no-rules", action="store_true", help="disable rule expansion")
 
 
@@ -198,14 +180,14 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("recommend-new", help="cold-start recommendations by popularity")
     _add_data_args(p, ratings_required=False)
-    p.add_argument("--top-n", type=int, default=RecommenderConfig.top_n)
+    _field(p, "--top-n", RecommenderConfig, "top_n")
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=_cmd_recommend_new)
 
     p = sub.add_parser("mine-rules", help="mine association rules from transactions")
     p.add_argument("--transactions", required=True)
-    p.add_argument("--minsup", type=float, default=RecommenderConfig.minsup_pct)
-    p.add_argument("--minconf", type=float, default=RecommenderConfig.minconf_pct)
+    _field(p, "--minsup", RecommenderConfig, "minsup_pct")
+    _field(p, "--minconf", RecommenderConfig, "minconf_pct")
     p.add_argument("--antecedent", default=None, help="only rules with this item in the antecedent")
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=_cmd_mine_rules)
@@ -216,27 +198,27 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("gen-data", help="generate a synthetic planted-class dataset")
     p.add_argument("--out", required=True, help="output directory")
-    p.add_argument("--classes", type=int, default=SyntheticConfig.num_classes)
-    p.add_argument("--items", type=int, default=SyntheticConfig.num_items)
-    p.add_argument("--users-per-class", type=int, default=SyntheticConfig.users_per_class)
+    _field(p, "--classes", SyntheticConfig, "num_classes")
+    _field(p, "--items", SyntheticConfig, "num_items")
+    _field(p, "--users-per-class", SyntheticConfig, "users_per_class")
     span = dict(type=int, nargs=2, metavar=("LO", "HI"))
     p.add_argument("--ratings-per-user", default=SyntheticConfig.ratings_per_user, **span)
     p.add_argument("--transactions-per-user", default=SyntheticConfig.transactions_per_user, **span)
-    p.add_argument("--affinity", type=float, default=SyntheticConfig.class_affinity)
-    p.add_argument("--spread", type=float, default=SyntheticConfig.noise_rating_spread)
-    p.add_argument("--seed", type=int, default=SyntheticConfig.rng_seed)
+    _field(p, "--affinity", SyntheticConfig, "class_affinity")
+    _field(p, "--spread", SyntheticConfig, "noise_rating_spread")
+    _field(p, "--seed", SyntheticConfig, "rng_seed")
     p.set_defaults(func=_cmd_gen_data)
 
     p = sub.add_parser("evaluate", help="run the precision/recall comparison")
     _add_data_args(p)
-    p.add_argument("--split", type=float, default=ExperimentConfig.train_fraction, help="train fraction")
-    p.add_argument("--seed", type=int, default=ExperimentConfig.seed)
-    p.add_argument("--n", type=int, default=ExperimentConfig.top_n, help="top-N cutoff")
+    _field(p, "--split", ExperimentConfig, "train_fraction", help="train fraction")
+    _field(p, "--seed", ExperimentConfig, "seed")
+    _field(p, "--n", ExperimentConfig, "top_n", help="top-N cutoff")
     p.add_argument("--modes", default=",".join(ExperimentConfig.modes), help="comma-separated mode list")
-    p.add_argument("--k", type=int, default=ExperimentConfig.k_neighbors)
-    p.add_argument("--minsup", type=float, default=ExperimentConfig.minsup_pct)
-    p.add_argument("--minconf", type=float, default=ExperimentConfig.minconf_pct)
-    p.add_argument("--threshold", type=float, default=ExperimentConfig.exclusion_threshold)
+    _field(p, "--k", ExperimentConfig, "k_neighbors")
+    _field(p, "--minsup", ExperimentConfig, "minsup_pct")
+    _field(p, "--minconf", ExperimentConfig, "minconf_pct")
+    _field(p, "--threshold", ExperimentConfig, "exclusion_threshold")
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=_cmd_evaluate)
 
@@ -244,11 +226,13 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    if hasattr(signal, "SIGPIPE"):
-        # die quietly when a downstream pager/head closes the pipe
-        signal.signal(signal.SIGPIPE, signal.SIG_DFL)
+    """Run the command in ``argv``, or as the program when it is None; return the exit code."""
     if argv is None:
         argv = sys.argv[1:]
+        if hasattr(signal, "SIGPIPE"):
+            # die quietly when a downstream pager/head closes the pipe; an in-process caller keeps
+            # its own disposition, and may be on a thread, where setting a handler raises
+            signal.signal(signal.SIGPIPE, signal.SIG_DFL)
     parser = build_parser()
     if not argv:
         parser.print_help(sys.stderr)

@@ -61,7 +61,7 @@ import random
 from codecs import BOM_UTF8
 from collections import Counter
 from collections.abc import Callable, Iterable, Mapping
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from functools import cached_property
 from itertools import chain, islice
 from numbers import Real
@@ -133,6 +133,11 @@ def _check_fields(config, names: str, rule: _Rule) -> None:
     """ConfigError for the first field in ``names`` whose value breaks ``rule``."""
     for name in names.split():
         _require(name, getattr(config, name), rule, ConfigError)
+
+
+def _config(cls, source, **given):
+    """A ``cls`` config whose fields are ``given``, the rest taken from ``source``'s attributes of the same names."""
+    return cls(**{f.name: getattr(source, f.name) for f in fields(cls) if f.name not in given}, **given)
 
 
 class Transaction(NamedTuple):

@@ -23,7 +23,8 @@ from __future__ import annotations
 from dataclasses import asdict, dataclass, field
 from typing import Iterable, Sequence
 
-from .corpus import _COUNT, _SEED, _THRESHOLD, _TRAIN_FRACTION, Dataset, _check_fields, _require, _Rule, split_users
+from .corpus import _COUNT, _SEED, _THRESHOLD, _TRAIN_FRACTION, _check_fields, _config, _require, _Rule
+from .corpus import Dataset, split_users
 from .errors import ExperimentError, MetricUndefinedError, NoProfileError
 from .recommend import Profile, Recommendation, Recommender, RecommenderConfig
 from .similarity import MODES
@@ -80,14 +81,7 @@ class ExperimentConfig:
 
     def engine_config(self, mode: str) -> RecommenderConfig:
         """The engine config that answers both report rows of a mode."""
-        return RecommenderConfig(
-            mode=mode,
-            k_neighbors=self.k_neighbors,
-            top_n=self.top_n,
-            minsup_pct=self.minsup_pct,
-            minconf_pct=self.minconf_pct,
-            exclusion_threshold=self.exclusion_threshold,
-        )
+        return _config(RecommenderConfig, self, mode=mode)
 
 
 @dataclass

@@ -5,9 +5,11 @@ import hashlib
 import io
 import json
 import os
+import signal
 import subprocess
 import sys
 import tempfile
+import threading
 from pathlib import Path
 
 import pytest
@@ -15,10 +17,11 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from shoprec import cli
-from shoprec.corpus import SyntheticConfig, load_dataset, to_rating_csv, to_transaction_csv
+from shoprec.corpus import Dataset, SyntheticConfig, load_dataset, to_rating_csv, to_transaction_csv
 from shoprec.errors import ShoprecError
 from shoprec.evaluate import ExperimentConfig
 from shoprec.recommend import RecommenderConfig
+from shoprec.sequence import build_precedence_index, dump_lines
 from shoprec.similarity import MODES
 
 from conftest import SRC, TABLE1_CSV
@@ -301,6 +304,41 @@ class TestDumpIndex:
         ]
 
 
+@pytest.mark.skipif(not hasattr(signal, "SIGPIPE"), reason="no SIGPIPE on this platform")
+class TestSigpipe:
+    """Only the program sets the SIGPIPE handler: an in-process call keeps its caller's, from any thread."""
+
+    def test_main_runs_in_a_thread(self, capsys):
+        # setting a handler from a thread raises ValueError
+        codes = []
+        before = signal.getsignal(signal.SIGPIPE)
+        thread = threading.Thread(target=lambda: codes.append(cli.main(["recommend-new", "--help"])))
+        thread.start()
+        thread.join()
+        assert codes == [0]
+        assert capsys.readouterr().out.startswith("usage: shoprec recommend-new")
+        assert signal.getsignal(signal.SIGPIPE) == before
+
+    def test_closed_pipe_ends_the_program_quietly(self, tmp_path):
+        gen = ["--items", "240", "--users-per-class", "50", "--transactions-per-user", "20", "30", "--seed", "1"]
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert cli.main(["gen-data", "--out", str(tmp_path), *gen]) == 0
+        transactions = tmp_path / "transactions.csv"
+        # more than a pipe holds, so the program is still writing when its reader goes
+        assert sum(len(line) + 1 for line in dump_lines(build_precedence_index(load_dataset(transactions)))) > 2**18
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "shoprec", "dump-index", "--transactions", str(transactions)],
+            stdout=subprocess.PIPE,
+            stderr=subprocess.PIPE,
+            env=dict(os.environ, PYTHONPATH=str(SRC)),
+        )
+        with proc:
+            assert proc.stdout.readline()
+            proc.stdout.close()
+            assert proc.wait() == -signal.SIGPIPE
+            assert proc.stderr.read() == b""
+
+
 class TestGenDataAndEvaluate:
     def test_pipeline(self, tmp_path):
         gen = run_cli(
@@ -403,41 +441,35 @@ class TestGenDataAndEvaluate:
         assert ev.returncode == 2
 
 
+def _own_fields(names: str) -> dict:
+    return {name: name for name in names.split()}
+
+
 # command -> its required flags, the config that owns its defaults, and each
-# config-backed flag's dest -> the fields it sets
-ENGINE_FLAGS = {"k": "k_neighbors", "minsup": "minsup_pct", "minconf": "minconf_pct"}
+# config-backed flag's dest -> the fields it sets; a dest is the name of its field
+ENGINE_FLAGS = "k_neighbors minsup_pct minconf_pct"
 CONFIG_BACKED_FLAGS = {
     "recommend": (
         ["--transactions", "t.csv", "--ratings", "r.csv", "--user", "U1"],
         RecommenderConfig,
-        {"mode": "mode", "top_n": "top_n", "threshold": "exclusion_threshold", **ENGINE_FLAGS},
+        _own_fields(f"mode top_n exclusion_threshold {ENGINE_FLAGS}"),
     ),
-    "recommend-new": (["--transactions", "t.csv"], RecommenderConfig, {"top_n": "top_n"}),
-    "mine-rules": (["--transactions", "t.csv"], RecommenderConfig, {"minsup": "minsup_pct", "minconf": "minconf_pct"}),
+    "recommend-new": (["--transactions", "t.csv"], RecommenderConfig, _own_fields("top_n")),
+    "mine-rules": (["--transactions", "t.csv"], RecommenderConfig, _own_fields("minsup_pct minconf_pct")),
     "gen-data": (
         ["--out", "out"],
         SyntheticConfig,
-        {
-            "classes": "num_classes",
-            "items": "num_items",
-            "users_per_class": "users_per_class",
-            "ratings_per_user": "ratings_per_user",
-            "transactions_per_user": "transactions_per_user",
-            "affinity": "class_affinity",
-            "spread": "noise_rating_spread",
-            "seed": "rng_seed",
-        },
+        _own_fields(
+            "num_classes num_items users_per_class ratings_per_user transactions_per_user"
+            " class_affinity noise_rating_spread rng_seed"
+        ),
     ),
     "evaluate": (
         ["--transactions", "t.csv", "--ratings", "r.csv"],
         ExperimentConfig,
         {
-            "split": "train_fraction",
-            "seed": "seed",
-            "n": "top_n",
-            "modes": "modes",
-            "threshold": "exclusion_threshold relevance_threshold",
-            **ENGINE_FLAGS,
+            **_own_fields(f"train_fraction seed top_n modes {ENGINE_FLAGS}"),
+            "exclusion_threshold": "exclusion_threshold relevance_threshold",
         },
     ),
 }
@@ -458,6 +490,95 @@ def test_flag_defaults_are_the_config_defaults(command):
         value = tuple(value.split(",")) if dest == "modes" else tuple(value) if dest.endswith("_user") else value
         for name in fields.split():
             assert value == defaults[name] and type(value) is type(defaults[name]), (dest, name)
+
+
+class _Built(Exception):
+    """The arguments of a call that a command makes, raised by a stand-in so that the command goes no further."""
+
+
+def _build(*args):
+    raise _Built(*args)
+
+
+def _typed(config) -> dict:
+    return {name: (value, type(value)) for name, value in dataclasses.asdict(config).items()}
+
+
+class TestEachFlagSetsItsField:
+    """Every config-backed flag, given a value that no other flag of its command shares, reaches its own field."""
+
+    @pytest.fixture(autouse=True)
+    def no_files(self, monkeypatch):
+        monkeypatch.setattr(cli, "load_dataset", lambda *paths: Dataset())
+
+    def built_by(self, monkeypatch, name, *argv):
+        """The arguments that ``cli.<name>`` receives when the command ``argv`` runs."""
+        monkeypatch.setattr(cli, name, _build)
+        with pytest.raises(_Built) as built:
+            cli.main(list(argv))
+        return built.value.args
+
+    def test_recommend(self, monkeypatch):
+        _, config = self.built_by(
+            monkeypatch, "Recommender",
+            "recommend", "--transactions", "t.csv", "--ratings", "r.csv", "--user", "U1", "--mode", "method2",
+            "--k", "3", "--top-n", "4", "--minsup", "12.5", "--minconf", "33", "--threshold", "6.5",
+        )
+        expected = RecommenderConfig(
+            mode="method2", k_neighbors=3, top_n=4, minsup_pct=12.5, minconf_pct=33.0, exclusion_threshold=6.5
+        )
+        assert _typed(config) == _typed(expected)
+
+    def test_recommend_new(self, monkeypatch):
+        _, top_n = self.built_by(monkeypatch, "cold_start", "recommend-new", "--transactions", "t.csv", "--top-n", "4")
+        assert (top_n, type(top_n)) == (4, int)
+
+    def test_mine_rules(self, monkeypatch):
+        monkeypatch.setattr(cli, "fp_growth", lambda rows, minsup: ("itemsets at", minsup, type(minsup)))
+        itemsets, minconf = self.built_by(
+            monkeypatch, "generate_rules",
+            "mine-rules", "--transactions", "t.csv", "--minsup", "12.5", "--minconf", "33",
+        )
+        assert (itemsets, minconf, type(minconf)) == (("itemsets at", 12.5, float), 33.0, float)
+
+    def test_gen_data(self, monkeypatch):
+        (config,) = self.built_by(
+            monkeypatch, "generate_synthetic",
+            "gen-data", "--out", "out", "--classes", "3", "--items", "30", "--users-per-class", "12",
+            "--ratings-per-user", "6", "10", "--transactions-per-user", "4", "8",
+            "--affinity", "0.8", "--spread", "2.5", "--seed", "7",
+        )
+        expected = SyntheticConfig(
+            num_classes=3,
+            num_items=30,
+            users_per_class=12,
+            ratings_per_user=(6, 10),
+            transactions_per_user=(4, 8),
+            class_affinity=0.8,
+            noise_rating_spread=2.5,
+            rng_seed=7,
+        )
+        assert _typed(config) == _typed(expected)
+
+    def test_evaluate(self, monkeypatch):
+        _, config = self.built_by(
+            monkeypatch, "run_experiment",
+            "evaluate", "--transactions", "t.csv", "--ratings", "r.csv", "--split", "0.75", "--seed", "11",
+            "--n", "4", "--k", "3", "--minsup", "2", "--minconf", "20", "--threshold", "6.5",
+            "--modes", "implicit,simple",
+        )
+        expected = ExperimentConfig(
+            train_fraction=0.75,
+            top_n=4,
+            seed=11,
+            modes=("implicit", "simple"),
+            k_neighbors=3,
+            minsup_pct=2.0,
+            minconf_pct=20.0,
+            exclusion_threshold=6.5,  # --threshold sets both thresholds
+            relevance_threshold=6.5,
+        )
+        assert _typed(config) == _typed(expected)
 
 
 @pytest.mark.parametrize(
