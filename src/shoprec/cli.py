@@ -3,15 +3,20 @@
 Subcommands: ingest-check, recommend, recommend-new, mine-rules, dump-index,
 gen-data, evaluate. Exit codes: 0 success; 1 usage error, when the arguments
 do not parse (an unknown command or flag, a missing value, a non-number, a
---mode outside its choices); 2 data or config error, for an unreadable or
-invalid input file and for a flag that parses but has a bad value (--k 0,
---minsup 0, --modes bogus).
+--mode outside its choices), where argparse prints the usage and an error
+line and would exit 2; 2 data or config error, for an unreadable or invalid
+input file and for a flag that parses but has a bad value (--k 0, --minsup 0,
+--modes bogus).
 A flag that sets a config field has that field's name as its dest and takes
 its default from the config, so each command builds its config from the parsed
 flags by field name: --k sets k_neighbors, evaluate --n sets top_n, and
 evaluate --threshold sets both thresholds.
-Every command is deterministic given the same files, flags and seeds; --json
-switches list outputs to one JSON object per line.
+Each command builds its output lines and writes them to stdout in one write;
+an error is one "shoprec: error:" line on stderr. --json switches list
+outputs to one JSON object per line, the record's fields (a Recommendation,
+with its rank, an AssociationRule or an EvalRow), keys sorted and each float
+rounded to 4 places. Every command is deterministic given the same files,
+flags and seeds.
 """
 
 from __future__ import annotations
@@ -33,40 +38,38 @@ from .corpus import (
     save_transactions,
 )
 from .errors import ShoprecError
-from .evaluate import ExperimentConfig, format_report, report_rows_as_dicts, run_experiment
+from .evaluate import ExperimentConfig, format_report, run_experiment
 from .recommend import Recommender, RecommenderConfig, cold_start
 from .rules import format_rule, fp_growth, generate_rules
 from .sequence import build_precedence_index, dump_lines
 from .similarity import MODES
 
 
-class _Parser(argparse.ArgumentParser):
-    """argparse with usage failures mapped to exit code 1 instead of 2."""
-
-    def error(self, message):
-        self.print_usage(sys.stderr)
-        print(f"{self.prog}: error: {message}", file=sys.stderr)
-        raise SystemExit(1)
+def _json(record, **extra) -> str:
+    """A --json line: the record's fields, each float rounded to 4 places, and ``extra``; keys sorted."""
+    fields = {name: round(v, 4) if isinstance(v, float) else v for name, v in asdict(record).items()}
+    return json.dumps({**fields, **extra}, sort_keys=True)
 
 
-def _emit_json(obj) -> None:
-    print(json.dumps(obj, sort_keys=True))
+def _write(lines) -> None:
+    """Write the lines to stdout, each with its newline, in one write: a print per line
+    took most of the run of dump-index on an index of 150k pairs."""
+    sys.stdout.write("".join(f"{line}\n" for line in lines))
 
 
-def _print_recommendations(recs, as_json: bool) -> None:
-    for rank, rec in enumerate(recs, start=1):
-        if as_json:
-            _emit_json({"rank": rank, **asdict(rec), "score": round(rec.score, 4)})
-        else:
-            print(f"{rank}. {rec.item} {rec.score:.4f} {rec.source} {rec.explain}")
+def _recommendation_lines(recs, as_json: bool) -> list[str]:
+    return [
+        _json(rec, rank=rank) if as_json else f"{rank}. {rec.item} {rec.score:.4f} {rec.source} {rec.explain}"
+        for rank, rec in enumerate(recs, start=1)
+    ]
 
 
 def _cmd_ingest_check(args) -> int:
     ds = load_dataset(args.transactions, args.ratings)
-    print(
+    _write([
         f"ok: users={len(ds.users)} items={len(ds.items)} "
         f"transactions={len(ds.transaction_rows)} ratings={len(ds.rating_rows)}"
-    )
+    ])
     return 0
 
 
@@ -75,38 +78,28 @@ def _cmd_recommend(args) -> int:
     recs = Recommender(ds, _config(RecommenderConfig, args)).recommend_user(args.user)
     if args.no_rules:  # the list without rule expansion is the answer's neighbour part
         recs = [rec for rec in recs if rec.source == "neighbor"]
-    _print_recommendations(recs, args.json)
+    _write(_recommendation_lines(recs, args.json))
     return 0
 
 
 def _cmd_recommend_new(args) -> int:
     ds = load_dataset(args.transactions, args.ratings)
-    _print_recommendations(cold_start(ds, args.top_n), args.json)
+    _write(_recommendation_lines(cold_start(ds, args.top_n), args.json))
     return 0
 
 
 def _cmd_mine_rules(args) -> int:
     ds = load_dataset(args.transactions)
-    for rule in generate_rules(fp_growth(ds.transaction_rows, args.minsup_pct), args.minconf_pct):
-        if args.antecedent is not None and args.antecedent not in rule.antecedent:
-            continue
-        if args.json:
-            _emit_json(
-                {
-                    **asdict(rule),
-                    "support_pct": round(rule.support_pct, 4),
-                    "confidence_pct": round(rule.confidence_pct, 4),
-                }
-            )
-        else:
-            print(format_rule(rule))
+    rules = generate_rules(fp_growth(ds.transaction_rows, args.minsup_pct), args.minconf_pct)
+    if args.antecedent is not None:
+        rules = [rule for rule in rules if args.antecedent in rule.antecedent]
+    _write(_json(rule) if args.json else format_rule(rule) for rule in rules)
     return 0
 
 
 def _cmd_dump_index(args) -> int:
     ds = load_dataset(args.transactions)
-    # one write: a print per line took most of the run on an index of 150k pairs
-    sys.stdout.write("".join(f"{line}\n" for line in dump_lines(build_precedence_index(ds))))
+    _write(dump_lines(build_precedence_index(ds)))
     return 0
 
 
@@ -117,8 +110,10 @@ def _cmd_gen_data(args) -> int:
     tx_path, rt_path = Path(args.out, "transactions.csv"), Path(args.out, "ratings.csv")
     save_transactions(ds, tx_path)
     save_ratings(ds, rt_path)
-    print(f"wrote {tx_path} ({len(ds.transaction_rows)} transactions)")
-    print(f"wrote {rt_path} ({len(ds.rating_rows)} ratings)")
+    _write([
+        f"wrote {tx_path} ({len(ds.transaction_rows)} transactions)",
+        f"wrote {rt_path} ({len(ds.rating_rows)} ratings)",
+    ])
     return 0
 
 
@@ -128,11 +123,7 @@ def _cmd_evaluate(args) -> int:
     # --threshold sets both thresholds
     config = _config(ExperimentConfig, args, modes=modes, relevance_threshold=args.exclusion_threshold)
     report = run_experiment(ds, config)
-    if args.json:
-        for row in report_rows_as_dicts(report):
-            _emit_json(row)
-    else:
-        print(format_report(report))
+    _write([_json(row) for row in report.rows] if args.json else [format_report(report)])
     return 0
 
 
@@ -164,7 +155,7 @@ def _add_recommender_args(p):
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = _Parser(prog="shoprec", description=__doc__.splitlines()[0] if __doc__ else None)
+    parser = argparse.ArgumentParser(prog="shoprec", description=__doc__.splitlines()[0] if __doc__ else None)
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("ingest-check", help="load and validate CSV inputs")
@@ -239,8 +230,8 @@ def main(argv=None) -> int:
         return 1
     try:
         args = parser.parse_args(argv)
-    except SystemExit as exc:
-        return int(exc.code or 0)
+    except SystemExit as exc:  # argparse exits 2 after a usage error and 0 after --help
+        return 1 if exc.code else 0
     try:
         return args.func(args)
     except (ShoprecError, OSError) as exc:

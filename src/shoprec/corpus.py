@@ -129,6 +129,13 @@ def _require(name: str, value, rule: _Rule, error: type[ShoprecError] = RangeErr
         raise error(f"{name} must be {rule.words}, got {_shown(value)}")
 
 
+def _require_type(name: str, value, cls: type) -> None:
+    """Raise ``TypeError("{name} must be a {cls}, got {value's type}")`` if ``value`` is not a ``cls``."""
+    if not isinstance(value, cls):
+        article = "an" if cls.__name__[0] in "AEIOU" else "a"
+        raise TypeError(f"{name} must be {article} {cls.__name__}, got {type(value).__name__}")
+
+
 def _check_fields(config, names: str, rule: _Rule) -> None:
     """ConfigError for the first field in ``names`` whose value breaks ``rule``."""
     for name in names.split():

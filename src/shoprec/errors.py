@@ -29,10 +29,6 @@ class NotFoundError(ShoprecError):
     """A referenced user or item does not exist in the dataset."""
 
 
-class EmptyDatasetError(ShoprecError):
-    """An operation needs a non-empty dataset and got an empty one."""
-
-
 class NoProfileError(ShoprecError):
     """The target user has no usable profile in the requested mode."""
 

@@ -20,10 +20,10 @@ profile in the active mode are skipped and counted, in both rows alike.
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field
 from typing import Iterable, Sequence
 
-from .corpus import _COUNT, _SEED, _THRESHOLD, _TRAIN_FRACTION, _check_fields, _config, _require, _Rule
+from .corpus import _COUNT, _SEED, _THRESHOLD, _TRAIN_FRACTION, _check_fields, _config, _require, _require_type, _Rule
 from .corpus import Dataset, split_users
 from .errors import ExperimentError, MetricUndefinedError, NoProfileError
 from .recommend import Profile, Recommendation, Recommender, RecommenderConfig
@@ -147,9 +147,13 @@ def run_experiment(dataset: Dataset, config: ExperimentConfig | None = None) -> 
     One engine per mode answers each held-out profile once; the rules-off
     row is scored from the neighbour entries of the same answer.
     Deterministic for a fixed dataset and config: the split, every index and
-    every recommendation are seed-driven and tie-broken by id.
+    every recommendation are seed-driven and tie-broken by id. A ``dataset``
+    that is not a ``Dataset``, or a ``config`` that is neither None nor an
+    ``ExperimentConfig``, raises TypeError.
     """
-    config = config or ExperimentConfig()
+    _require_type("dataset", dataset, Dataset)
+    config = ExperimentConfig() if config is None else config
+    _require_type("config", config, ExperimentConfig)
     train, test = split_users(dataset, config.train_fraction, config.seed)
     if not test.users:
         raise ExperimentError("test split is empty; dataset too small for this fraction")
@@ -192,11 +196,3 @@ def format_report(report: EvalReport) -> str:
         f"(train users: {report.train_user_count}, test users: {report.test_user_count})"
     )
     return "\n".join(lines)
-
-
-def report_rows_as_dicts(report: EvalReport) -> list[dict]:
-    """Each row's fields, its percentages rounded to 4 decimals."""
-    return [
-        {**asdict(r), "precision_pct": round(r.precision_pct, 4), "recall_pct": round(r.recall_pct, 4)}
-        for r in report.rows
-    ]

@@ -50,7 +50,7 @@ from operator import itemgetter
 from types import MappingProxyType
 
 from .corpus import _COUNT, _PERCENTAGE, _PURCHASE_COUNT, _RATING, _THRESHOLD, Dataset, _check_fields, _check_id
-from .corpus import _require, _Rule, _shown
+from .corpus import _require, _require_type, _Rule, _shown
 from .errors import IntegrityError, NoProfileError, NotFoundError
 from .implicit_vsm import build_iif, new_user_scores
 from .rules import AssociationRule, _sides, fp_growth, generate_rules
@@ -188,12 +188,15 @@ class Recommender:
     the rules mined at its (minsup, minconf), listed by antecedent item. A
     query only reads them, so one engine serves concurrent queries, and its
     neighbour search costs the postings of the query's items rather than a
-    pass over every training user.
+    pass over every training user. A ``train`` that is not a ``Dataset``, or a
+    ``config`` that is neither None nor a ``RecommenderConfig``, raises TypeError.
     """
 
     def __init__(self, train: Dataset, config: RecommenderConfig | None = None):
+        _require_type("train", train, Dataset)
+        self.config = cfg = RecommenderConfig() if config is None else config
+        _require_type("config", cfg, RecommenderConfig)
         self.train = train
-        self.config = cfg = config or RecommenderConfig()
         self.precedence = _index(train, "precedence", lambda: build_precedence_index(train))
         self.iif = _index(train, "iif", lambda: build_iif(train))
         self.ranked = _index(train, "ranked", lambda: _ranked_ratings(train))
@@ -211,8 +214,7 @@ class Recommender:
         ``exclude_user``, when not None, must be a valid user id (IntegrityError
         otherwise), which the neighbour search leaves out.
         """
-        if not isinstance(profile, Profile):
-            raise TypeError(f"profile must be a Profile, got {type(profile).__name__}")
+        _require_type("profile", profile, Profile)
         cfg = self.config
         ratings, counts = profile.ratings, profile.purchase_counts
         weights = profile_weights(ratings, counts, cfg.mode, self.iif)

@@ -10,7 +10,7 @@ from operator import itemgetter
 from typing import Iterable, Mapping, Sequence
 
 from shoprec.corpus import Dataset, Transaction
-from shoprec.errors import EmptyDatasetError, NoProfileError, RangeError
+from shoprec.errors import NoProfileError, RangeError
 from shoprec.recommend import Recommendation
 from shoprec.sequence import bought_after
 from shoprec.similarity import profile_weights, top_k_neighbors
@@ -38,12 +38,13 @@ def cosine_restricted(target: Mapping[str, float], other: Mapping[str, float]) -
 
 
 def itemset_support(transactions: Sequence[Transaction], itemset: Iterable[str]) -> tuple[int, float]:
-    """Count transactions containing every item of the set; also as a percentage."""
+    """Count transactions containing every item of the set; also as a percentage.
+
+    Over no transactions the percentage divides by zero: ZeroDivisionError.
+    """
     wanted = set(itemset)
     if not wanted:
         raise RangeError("itemset must be non-empty")
-    if not transactions:
-        raise EmptyDatasetError("support percentage undefined over zero transactions")
     count = sum(1 for t in transactions if wanted.issubset(t.items))
     return count, 100.0 * count / len(transactions)
 

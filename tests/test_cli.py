@@ -70,6 +70,55 @@ REFERENCE_EVALUATE_JSON = [
 # sha256 of test_reference_recommend_json_is_pinned's rendering
 REFERENCE_RECOMMEND_JSON_SHA256 = "7e9609e379d9de41e403c419091d4efa086bd90a20da0295a9c6533ab536d108"
 
+# evaluate's text table at the reference config
+REFERENCE_EVALUATE_TEXT = """\
+mode       rules precision%  recall%   N users skipped
+------------------------------------------------------
+simple     off        54.50    24.00   5    20       0
+simple     on         51.92    25.77   5    20       0
+method1    off        61.20    27.84   5    18       2
+method1    on         58.43    31.15   5    18       2
+method2    off        57.78    27.00   5    18       2
+method2    on         56.11    30.32   5    18       2
+implicit   off        46.85    21.85   5    18       2
+implicit   on         46.48    23.82   5    18       2
+(train users: 80, test users: 20)
+"""
+
+# recommend-new --json over Table 1's transactions: P3 is bought by no one
+TABLE1_RECOMMEND_NEW_JSON = """\
+{"explain": "cold-start", "item": "P1", "rank": 1, "score": -0.4055, "source": "popularity"}
+{"explain": "cold-start", "item": "P4", "rank": 2, "score": -0.6931, "source": "popularity"}
+{"explain": "cold-start", "item": "P2", "rank": 3, "score": -1.0986, "source": "popularity"}
+{"explain": "cold-start", "item": "P5", "rank": 4, "score": -1.0986, "source": "popularity"}
+"""
+
+RECOMMEND_USAGE = """\
+usage: shoprec recommend [-h] --transactions TRANSACTIONS --ratings RATINGS
+                         --user USER
+                         [--mode {simple,method1,method2,implicit}] [--k K]
+                         [--top-n TOP_N] [--minsup MINSUP] [--minconf MINCONF]
+                         [--threshold THRESHOLD] [--no-rules] [--json]
+"""
+
+RECOMMEND_HELP = RECOMMEND_USAGE + """
+options:
+  -h, --help            show this help message and exit
+  --transactions TRANSACTIONS
+                        transaction CSV path
+  --ratings RATINGS     rating CSV path
+  --user USER
+  --mode {simple,method1,method2,implicit}
+  --k K                 neighbor count
+  --top-n TOP_N
+  --minsup MINSUP       min support % for rules
+  --minconf MINCONF     min confidence % for rules
+  --threshold THRESHOLD
+                        rating exclusion threshold
+  --no-rules            disable rule expansion
+  --json
+"""
+
 
 def run_cli(*args, cwd=None):
     env = dict(os.environ, PYTHONPATH=str(SRC))
@@ -111,6 +160,27 @@ class TestExitCodes:
     def test_unknown_flag(self, data_dir):
         result = run_cli("mine-rules", "--transactions", str(data_dir / "table1.csv"), "--wat")
         assert result.returncode == 1
+
+    @pytest.mark.parametrize(
+        "argv, code, out, err",
+        [
+            (
+                ["--user", "U1", "--k", "x"],
+                1,
+                "",
+                RECOMMEND_USAGE + "shoprec recommend: error: argument --k: invalid int value: 'x'\n",
+            ),
+            ([], 1, "", RECOMMEND_USAGE + "shoprec recommend: error: the following arguments are required: --user\n"),
+            (["--help"], 0, RECOMMEND_HELP, ""),
+        ],
+        ids=["non-int", "missing-user", "help"],
+    )
+    def test_usage_bytes(self, monkeypatch, capsys, argv, code, out, err):
+        # argparse wraps to the terminal's width, and from Python 3.14 on colours a terminal's text
+        monkeypatch.setenv("COLUMNS", "80")
+        monkeypatch.setenv("PYTHON_COLORS", "0")
+        assert cli.main(["recommend", "--transactions", "t.csv", "--ratings", "r.csv", *argv]) == code
+        assert capsys.readouterr() == (out, err)
 
     def test_missing_file_is_data_error(self):
         result = run_cli("mine-rules", "--transactions", "no-such-file.csv")
@@ -291,6 +361,11 @@ class TestRecommendNew:
         assert "top_n" in result.stderr
 
 
+    def test_json_is_pinned(self, data_dir, capsys):
+        assert cli.main(["recommend-new", "--transactions", str(data_dir / "table1.csv"), "--json"]) == 0
+        assert capsys.readouterr() == (TABLE1_RECOMMEND_NEW_JSON, "")
+
+
 class TestDumpIndex:
     def test_golden_lines(self, data_dir):
         result = run_cli("dump-index", "--transactions", str(data_dir / "worked_t.csv"))
@@ -402,6 +477,16 @@ class TestGenDataAndEvaluate:
             "--json", "--seed", "42", "--minsup", "1", "--minconf", "10",
         ]) == 0
         assert capsys.readouterr().out.splitlines() == REFERENCE_EVALUATE_JSON
+
+    def test_reference_evaluate_text_is_pinned(self, reference_data, capsys):
+        """The same table as text: gen-data --seed 2024, evaluate --seed 42 --minsup 1 --minconf 10."""
+        assert cli.main([
+            "evaluate",
+            "--transactions", str(reference_data / "transactions.csv"),
+            "--ratings", str(reference_data / "ratings.csv"),
+            "--seed", "42", "--minsup", "1", "--minconf", "10",
+        ]) == 0
+        assert capsys.readouterr() == (REFERENCE_EVALUATE_TEXT, "")
 
     def test_reference_recommend_json_is_pinned(self, tmp_path, capsys, monkeypatch):
         """recommend --json --minsup 1 --minconf 10 for every user of gen-data --seed 2024,

@@ -11,6 +11,7 @@ ValueError, and never later.
 import dataclasses
 import math
 import re
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings
@@ -19,6 +20,7 @@ from hypothesis import strategies as st
 from shoprec import cli
 from shoprec.corpus import Dataset, RatingRecord, SyntheticConfig, Transaction, generate_synthetic
 from shoprec.errors import ConfigError, IntegrityError, NoProfileError, RangeError
+import shoprec.evaluate
 from shoprec.evaluate import ExperimentConfig, run_experiment
 from shoprec.recommend import Recommender, RecommenderConfig
 from shoprec.similarity import MODES
@@ -191,6 +193,48 @@ class TestConfigProbes:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err.startswith("shoprec: error: modes must be free of repeats")
+
+
+SEED_2024 = generate_synthetic(SyntheticConfig(rng_seed=2024))  # the files of gen-data --seed 2024
+# an engine config's fields, top_n among them broken, on an object that is not a RecommenderConfig
+STAND_IN_FIELDS = dict(mode="simple", k_neighbors=5, top_n=-1, minsup_pct=1.0, minconf_pct=10.0, exclusion_threshold=7.0)
+
+
+# Probes of an object of the wrong class: each went round every field check.
+class TestWrongClass:
+    @pytest.mark.parametrize(
+        "config",
+        [
+            STAND_IN_FIELDS,  # once a bare AttributeError: 'dict' object has no attribute 'mode'
+            {},  # once read as the default config
+            SimpleNamespace(**STAND_IN_FIELDS),  # once answered 3 items for U013, though top_n=-1 is no count
+            # once answered 15 of the 100 users otherwise than at 7.0
+            SimpleNamespace(**{**STAND_IN_FIELDS, "exclusion_threshold": math.nan}),
+        ],
+        ids=["dict", "empty-dict", "namespace", "namespace-nan"],
+    )
+    def test_engine_config_must_be_a_recommender_config(self, config):
+        with pytest.raises(TypeError, match=f"^config must be a RecommenderConfig, got {type(config).__name__}$"):
+            Recommender(SEED_2024, config)
+
+    @pytest.mark.parametrize(
+        "config",
+        [vars(ExperimentConfig()), {}, SimpleNamespace(**vars(ExperimentConfig()))],
+        ids=["dict", "empty-dict", "namespace"],
+    )
+    def test_protocol_config_must_be_an_experiment_config(self, config, monkeypatch):
+        monkeypatch.setattr(shoprec.evaluate, "split_users", None)  # nothing is split before the check
+        with pytest.raises(TypeError, match=f"^config must be an ExperimentConfig, got {type(config).__name__}$"):
+            run_experiment(SEED_2024, config)
+
+    def test_data_must_be_a_dataset(self):
+        with pytest.raises(TypeError, match="^train must be a Dataset, got str$"):
+            Recommender("transactions.csv", RecommenderConfig())
+        with pytest.raises(TypeError, match="^dataset must be a Dataset, got str$"):
+            run_experiment("transactions.csv", ExperimentConfig())
+
+    def test_none_is_the_default_config(self):
+        assert Recommender(SEED_2024).config == RecommenderConfig()
 
 
 SMALL = generate_synthetic(SyntheticConfig(users_per_class=4, rng_seed=11))

