@@ -607,8 +607,9 @@ def split_users(dataset: Dataset, train_fraction: float, seed: int) -> tuple[Dat
     share is floored, so tiny datasets keep every user in train. Neither side
     is checked again, and both share the dataset's rows. A ``train_fraction``
     that is not a real number in (0, 1), or a ``seed`` that is not an int,
-    raises RangeError.
+    raises RangeError, and a ``dataset`` that is not a ``Dataset`` TypeError.
     """
+    _require_type("dataset", dataset, Dataset)
     _require("train_fraction", train_fraction, _TRAIN_FRACTION)
     _require("seed", seed, _SEED)
 

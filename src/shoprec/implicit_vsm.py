@@ -18,15 +18,17 @@ from __future__ import annotations
 
 import math
 
-from .corpus import Dataset
+from .corpus import Dataset, _require_type
 
 
 def build_iif(dataset: Dataset) -> dict[str, float]:
     """Compute iif(i) = ln((1 + U) / U_i) for every purchased item.
 
     Items nobody purchased are absent (their frequency is undefined), so a
-    dataset without users gives an empty table.
+    dataset without users gives an empty table. A ``dataset`` that is not a
+    ``Dataset`` raises TypeError, here and in ``new_user_scores``.
     """
+    _require_type("dataset", dataset, Dataset)
     total = len(dataset.users)
     return {item: math.log((1 + total) / u_i) for item, u_i in dataset.purchaser_counts.items()}
 
@@ -37,6 +39,7 @@ def new_user_scores(dataset: Dataset) -> list[tuple[str, float]]:
     Scores are negative by construction and used purely as ranking keys;
     the order is identical to descending purchaser count.
     """
+    _require_type("dataset", dataset, Dataset)
     total = len(dataset.users)
     scored = [
         (item, math.log(u_i / (1 + total)))

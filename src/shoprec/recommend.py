@@ -125,6 +125,7 @@ class Recommendation:
 
 
 def profile_of(dataset: Dataset, user: str) -> Profile:
+    _require_type("dataset", dataset, Dataset)
     if not isinstance(user, str) or user not in dataset.ratings_by_user:  # a list or Decimal("sNaN") has no hash
         raise NotFoundError(f"unknown user {_shown(user)}")
     return Profile(dataset.ratings_by_user[user], dataset.purchase_counts_by_user[user])
@@ -190,6 +191,12 @@ class Recommender:
     neighbour search costs the postings of the query's items rather than a
     pass over every training user. A ``train`` that is not a ``Dataset``, or a
     ``config`` that is neither None nor a ``RecommenderConfig``, raises TypeError.
+
+    An engine exposes ``config``, ``train``, ``recommend_user`` and
+    ``recommend_profile``. It keeps its indexes under private names, since
+    they are shared by every engine over the dataset and a change to one
+    would reach them all; ``dump-index`` prints the precedence pairs and
+    ``mine-rules`` the rules, one line each.
     """
 
     def __init__(self, train: Dataset, config: RecommenderConfig | None = None):
@@ -197,12 +204,12 @@ class Recommender:
         self.config = cfg = RecommenderConfig() if config is None else config
         _require_type("config", cfg, RecommenderConfig)
         self.train = train
-        self.precedence = _index(train, "precedence", lambda: build_precedence_index(train))
-        self.iif = _index(train, "iif", lambda: build_iif(train))
-        self.ranked = _index(train, "ranked", lambda: _ranked_ratings(train))
-        self.postings = _index(train, ("postings", cfg.mode), lambda: _postings(train, cfg.mode, self.iif))
+        self._precedence = _index(train, "precedence", lambda: build_precedence_index(train))
+        self._iif = _index(train, "iif", lambda: build_iif(train))
+        self._ranked = _index(train, "ranked", lambda: _ranked_ratings(train))
+        self._postings = _index(train, ("postings", cfg.mode), lambda: _postings(train, cfg.mode, self._iif))
         thresholds = (cfg.minsup_pct, cfg.minconf_pct)
-        self.rules_by_item = _index(train, ("rules", *thresholds), lambda: _rules_by_item(train, *thresholds))
+        self._rules_by_item = _index(train, ("rules", *thresholds), lambda: _rules_by_item(train, *thresholds))
 
     def recommend_user(self, user: str) -> list[Recommendation]:
         """Recommend for a user already present in the training data."""
@@ -217,13 +224,13 @@ class Recommender:
         _require_type("profile", profile, Profile)
         cfg = self.config
         ratings, counts = profile.ratings, profile.purchase_counts
-        weights = profile_weights(ratings, counts, cfg.mode, self.iif)
+        weights = profile_weights(ratings, counts, cfg.mode, self._iif)
         if not any(w != 0.0 for w in weights.values()):
             raise NoProfileError(f"query profile is empty in mode {cfg.mode}")
-        neighbors = top_k_neighbors(weights, self.postings, cfg.k_neighbors, exclude=exclude_user)
+        neighbors = top_k_neighbors(weights, self._postings, cfg.k_neighbors, exclude=exclude_user)
 
         history = counts.keys()
-        precedence, ranked, threshold = self.precedence, self.ranked, cfg.exclusion_threshold
+        precedence, ranked, threshold = self._precedence, self._ranked, cfg.exclusion_threshold
 
         # Phase A: one pick per neighbor, best rating first, sequence-filtered
         neighbor_scores: dict[str, tuple[float, str]] = {}
@@ -245,14 +252,14 @@ class Recommender:
             for item, (score, user) in ranked_candidates[: cfg.top_n]
         ]
         slots = cfg.top_n - len(result)
-        if not (slots and self.rules_by_item):
+        if not (slots and self._rules_by_item):
             return result
 
         # Phase B: parents in rank order and rules in mined order, so a later
         # rule with an equal score never replaces an earlier one
         best: dict[str, tuple[float, AssociationRule]] = {}
         for parent_item, (parent_score, _) in ranked_candidates:
-            for rule in self.rules_by_item.get(parent_item, ()):
+            for rule in self._rules_by_item.get(parent_item, ()):
                 score = rule.confidence_pct / 100.0 * parent_score
                 for item in rule.consequent:
                     kept = best.get(item)
@@ -274,8 +281,10 @@ class Recommender:
 def cold_start(train: Dataset, top_n: int) -> list[Recommendation]:
     """The top_n most-purchased items, for a user with no profile; builds no index.
 
-    A ``top_n`` that is not an int >= 1 raises RangeError.
+    A ``train`` that is not a ``Dataset`` raises TypeError, and a ``top_n``
+    that is not an int >= 1 RangeError.
     """
+    _require_type("train", train, Dataset)
     _require("top_n", top_n, _COUNT)
     return [
         Recommendation(item=item, score=score, source="popularity", explain="cold-start")

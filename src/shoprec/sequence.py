@@ -30,7 +30,7 @@ from dataclasses import dataclass, field
 from itertools import groupby
 from operator import itemgetter
 
-from .corpus import Dataset
+from .corpus import Dataset, _require_type
 
 _NONE: frozenset[str] = frozenset()
 
@@ -51,7 +51,11 @@ class PrecedenceIndex:
 
 
 def build_precedence_index(dataset: Dataset) -> PrecedenceIndex:
-    """Find, per item c, every item h with first_pos_u(h) < last_pos_u(c) for some user u."""
+    """Find, per item c, every item h with first_pos_u(h) < last_pos_u(c) for some user u.
+
+    A ``dataset`` that is not a ``Dataset`` raises TypeError.
+    """
+    _require_type("dataset", dataset, Dataset)
     before: dict[str, set[str]] = {}
     for _, rows in groupby(dataset.transaction_rows, itemgetter(1)):  # one user's rows, seq-sorted
         first: dict[str, int] = {}

@@ -13,7 +13,7 @@ from shoprec.evaluate import ExperimentConfig, precision_at_n, recall_at_n, run_
 from shoprec.implicit_vsm import new_user_scores
 from shoprec.recommend import Profile, Recommender, RecommenderConfig
 from shoprec.rules import fp_growth, generate_rules
-from shoprec.similarity import profile_weights, top_k_neighbors
+from shoprec.similarity import build_postings, profile_weights, top_k_neighbors
 
 from conftest import random_dataset, rate, tx
 from oracles import cosine_restricted
@@ -70,8 +70,9 @@ def test_criterion_01_worked_cosine_example(worked_example):
     assert first == approx(0.7296, abs=0.005)
     assert second == approx(0.9951, abs=0.005)
     ds = worked_example
-    postings = Recommender(ds, RecommenderConfig(mode="simple")).postings
-    query = profile_weights(ds.ratings_by_user["U3"], ds.purchase_counts_by_user["U3"], "simple")
+    vectors = {u: profile_weights(ds.ratings_by_user[u], ds.purchase_counts_by_user[u], "simple") for u in ds.users}
+    query = vectors["U3"]
+    postings = build_postings(vectors)
     neighbors = top_k_neighbors(query, postings, 1, exclude="U3")
     assert neighbors[0][0] == "U2"
     elapsed = time.perf_counter() - started

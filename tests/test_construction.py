@@ -18,11 +18,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from shoprec import cli
-from shoprec.corpus import Dataset, RatingRecord, SyntheticConfig, Transaction, generate_synthetic
+from shoprec.corpus import Dataset, RatingRecord, SyntheticConfig, Transaction, generate_synthetic, split_users
 from shoprec.errors import ConfigError, IntegrityError, NoProfileError, RangeError
 import shoprec.evaluate
 from shoprec.evaluate import ExperimentConfig, run_experiment
-from shoprec.recommend import Recommender, RecommenderConfig
+from shoprec.implicit_vsm import build_iif, new_user_scores
+from shoprec.recommend import Recommender, RecommenderConfig, cold_start, profile_of
+from shoprec.sequence import build_precedence_index
 from shoprec.similarity import MODES
 
 from conftest import rate, small_datasets, tx
@@ -232,6 +234,23 @@ class TestWrongClass:
             Recommender("transactions.csv", RecommenderConfig())
         with pytest.raises(TypeError, match="^dataset must be a Dataset, got str$"):
             run_experiment("transactions.csv", ExperimentConfig())
+
+    @pytest.mark.parametrize(
+        "call, name",
+        [
+            (lambda data: split_users(data, 0.8, 1), "dataset"),
+            (build_iif, "dataset"),
+            (new_user_scores, "dataset"),
+            (build_precedence_index, "dataset"),
+            (lambda data: cold_start(data, 5), "train"),
+            (lambda data: profile_of(data, "U001"), "dataset"),
+        ],
+        ids=["split_users", "build_iif", "new_user_scores", "build_precedence_index", "cold_start", "profile_of"],
+    )
+    def test_functions_of_a_dataset_must_be_given_one(self, call, name):
+        # each raised a bare AttributeError, such as 'str' object has no attribute 'users'
+        with pytest.raises(TypeError, match=f"^{name} must be a Dataset, got str$"):
+            call("transactions.csv")
 
     def test_none_is_the_default_config(self):
         assert Recommender(SEED_2024).config == RecommenderConfig()
@@ -453,4 +472,4 @@ class TestFrozenDataset:
         ds = Dataset(transactions=[tx("U1", 1, "P1")], ratings=[rate("U1", "P1", 8)])
         assert ds.ratings_by_user is ds.ratings_by_user
         a, b = Recommender(ds), Recommender(ds)
-        assert a.precedence is b.precedence and a.postings is b.postings and a.rules_by_item is b.rules_by_item
+        assert a._precedence is b._precedence and a._postings is b._postings and a._rules_by_item is b._rules_by_item

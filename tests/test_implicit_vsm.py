@@ -7,8 +7,8 @@ from pytest import approx
 from shoprec.corpus import Dataset
 from shoprec.errors import NotFoundError
 from shoprec.implicit_vsm import build_iif, new_user_scores
-from shoprec.recommend import Recommender, RecommenderConfig, profile_of
-from shoprec.similarity import profile_weights
+from shoprec.recommend import profile_of
+from shoprec.similarity import build_postings, profile_weights
 
 from conftest import random_dataset, rate, tx
 
@@ -126,7 +126,7 @@ def test_neighbor_search_uses_same_kernel_in_implicit_mode():
         if not ds.users:
             continue
         table = build_iif(ds)
-        postings = Recommender(ds, RecommenderConfig(mode="implicit")).postings
+        postings = build_postings({u: implicit_weights(ds, table, u) for u in ds.users})
         for target in ds.users:
             tv = implicit_weights(ds, table, target)
             if not any(tv.values()):

@@ -2,7 +2,10 @@ import importlib
 import inspect
 import pkgutil
 
+import pytest
+
 import shoprec
+from shoprec.recommend import Recommender
 
 import oracles
 
@@ -29,3 +32,12 @@ def test_no_test_oracle_is_part_of_the_package():
         assert name not in shoprec.__all__
         for module in package_modules():
             assert not hasattr(module, name), f"{module.__name__}.{name}"
+
+
+def test_an_engine_exposes_no_index(worked_example):
+    """The indexes are shared by every engine over the dataset, so none is reachable by a public name."""
+    engine = Recommender(worked_example)
+    assert {name for name in vars(engine) if not name.startswith("_")} == {"config", "train"}
+    for name in ("precedence", "iif", "ranked", "postings", "rules_by_item"):
+        with pytest.raises(AttributeError):
+            getattr(engine, name)

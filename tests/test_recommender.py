@@ -32,10 +32,11 @@ from shoprec.corpus import (
 )
 from shoprec.errors import ConfigError, IntegrityError, NoProfileError, NotFoundError, RangeError
 from shoprec.evaluate import ExperimentConfig, run_experiment
+from shoprec.implicit_vsm import build_iif
 from shoprec.recommend import Profile, Recommender, RecommenderConfig, cold_start, profile_of
 from shoprec.rules import fp_growth, generate_rules
 from shoprec.sequence import bought_after, build_precedence_index
-from shoprec.similarity import MODES, profile_weights, top_k_neighbors
+from shoprec.similarity import MODES, build_postings, profile_weights, top_k_neighbors
 
 from conftest import RATING_VALUES, TABLE1_ROWS, random_dataset, rate, rule_datasets, small_datasets, tx
 from oracles import recommend_reference
@@ -92,6 +93,15 @@ def equal_scores_query():
     return ds, profile_of(ds, "A"), "A"
 
 
+def non_first_antecedent_query():
+    """N picks B; over S's baskets ABC, A and B, the only rule that reaches C at 60% is
+    A;B => C (100%), which lists B second, while B;C => A lists it first."""
+    ratings = [rate("Q", "Z", 5.0), rate("N", "Z", 5.0), rate("N", "B", 8.0)]
+    txns = [tx("S", 1, "A", "B", "C"), tx("S", 2, "A"), tx("S", 3, "B")]
+    ds = Dataset(transactions=txns, ratings=ratings)
+    return ds, profile_of(ds, "Q"), "Q"
+
+
 def cross_parent_tie():
     """A's neighbours B and C, in that order, pick P1 (score 5) and P2 (score 10); the
     rules P1 => X at 100% and P2 => X at 50% both score X at 5, and P1 => X comes
@@ -128,7 +138,7 @@ class TestRuleExpansion:
         """Thresholds that no rule meets: Phase B is skipped, and every answer is the list without rules."""
         ds = rule_expansion_dataset()
         engine = Recommender(ds, self.config(minsup=100.0, minconf=100.0))
-        assert not engine.rules_by_item
+        assert not generate_rules(fp_growth(ds.transaction_rows, 100.0), 100.0)
         queries = [(self.query(), None)] + [(profile_of(ds, user), user) for user in ds.users]
         for profile, user in queries:
             try:
@@ -158,13 +168,22 @@ class TestRuleExpansion:
         rules = generate_rules(fp_growth(ds.transactions, 10.0), 30.0)
         mined = [f"{';'.join(r.antecedent)} => {';'.join(r.consequent)}" for r in rules]
         assert mined[:5] == ["P => X", "P => X;Y", "P => Y", "P;X => Y", "P;Y => X"]
-        # the engine lists P's rules in the same mined order
-        assert engine.rules_by_item["P"] == [r for r in rules if "P" in r.antecedent]
         recs = engine.recommend_user(user)
+        # the engine reads P's rules in the same mined order as the reference
+        assert recs == recommend_reference(engine, profile_of(ds, user), user)
         assert [(r.item, r.score, r.source) for r in recs] == [
             ("P", 8.0, "neighbor"), ("X", 8.0, "rule"), ("Y", 8.0, "rule"),
         ]
         assert [r.explain for r in recs[1:]] == ["P => X", "P => X;Y"]
+
+    def test_rule_reached_from_a_later_antecedent_item(self):
+        """The pick B is the second antecedent item of A;B => C, the one rule that reaches C."""
+        ds, profile, user = non_first_antecedent_query()
+        engine = Recommender(ds, self.config(minsup=10.0, minconf=60.0))
+        recs = engine.recommend_profile(profile, exclude_user=user)
+        assert [(r.item, r.score, r.source, r.explain) for r in recs] == [
+            ("B", 8.0, "neighbor", "N"), ("A", 8.0, "rule", "B;C => A"), ("C", 8.0, "rule", "A;B => C"),
+        ]
 
     def test_equal_scores_from_two_parents_keep_the_higher_parent(self):
         """X scores 5 from both parents; the rule met first, from the higher-ranked parent, names it."""
@@ -355,6 +374,7 @@ class TestReferenceEquivalence:
     @example(query=equal_scores_query(), mode="simple", top_n=3, threshold=7.0)
     @example(query=equal_scores_query(), mode="simple", top_n=2, threshold=7.0)
     @example(query=(*cross_parent_tie(), "A"), mode="simple", top_n=3, threshold=5.0)
+    @example(query=non_first_antecedent_query(), mode="simple", top_n=3, threshold=7.0)
     def test_matches_the_reference(self, query, mode, top_n, threshold):
         engine_rows, reference_rows, engine_off, reference_off = answers(query, mode, top_n, threshold)
         assert engine_rows == reference_rows
@@ -381,6 +401,10 @@ class TestPhaseAPick:
         config = RecommenderConfig(mode=mode, k_neighbors=k, top_n=100, exclusion_threshold=threshold)
         engine = Recommender(ds, config)
         index = build_precedence_index(ds)
+        iif = build_iif(ds)
+        postings = build_postings(
+            {u: profile_weights(ds.ratings_by_user[u], ds.purchase_counts_by_user[u], mode, iif) for u in ds.users}
+        )
         for user in ds.users:
             profile = profile_of(ds, user)
             try:
@@ -388,8 +412,8 @@ class TestPhaseAPick:
             except NoProfileError:
                 continue
             assert recs == recommend_reference(engine, profile, user, rules=False)
-            weights = profile_weights(profile.ratings, profile.purchase_counts, mode, engine.iif)
-            neighbors = [n for n, _ in top_k_neighbors(weights, engine.postings, k, exclude=user)]
+            weights = profile_weights(profile.ratings, profile.purchase_counts, mode, iif)
+            neighbors = [n for n, _ in top_k_neighbors(weights, postings, k, exclude=user)]
             for rec in recs:
                 assert rec.explain in neighbors
                 assert rec.item == neighbor_pick(ds, rec.explain, threshold, profile, index)
@@ -401,7 +425,7 @@ class TestPhaseAPick:
     @settings(max_examples=50, deadline=None)
     @given(ds=small_datasets())
     def test_ranked_ratings_are_untracked_dicts_best_first(self, ds):
-        ranked = Recommender(ds, RecommenderConfig()).ranked
+        ranked = Recommender(ds, RecommenderConfig())._ranked
         assert list(ranked) == list(ds.users)
         for user, ratings in ranked.items():
             assert ratings == ds.ratings_by_user[user]
@@ -672,7 +696,7 @@ class TestSharedSnapshot:
         calls = count_builds(monkeypatch)
         engines = [Recommender(worked_example, RecommenderConfig(mode=mode)) for mode in MODES]
         assert calls == {"build_precedence_index": 1, "build_iif": 1, "fp_growth": 1}
-        for name in ("precedence", "iif", "ranked", "rules_by_item"):
+        for name in ("_precedence", "_iif", "_ranked", "_rules_by_item"):
             assert all(getattr(e, name) is getattr(engines[0], name) for e in engines)
 
     def test_run_experiment_builds_once(self, monkeypatch):
@@ -708,7 +732,7 @@ class TestSharedSnapshot:
         calls = count_builds(monkeypatch)
         a, b = Recommender(build()), Recommender(build())
         assert a.train == b.train
-        assert a.precedence is not b.precedence and a.postings is not b.postings
+        assert a._precedence is not b._precedence and a._postings is not b._postings
         assert calls["build_precedence_index"] == 2
 
     def test_concurrent_engines_build_each_index_once(self, monkeypatch):
@@ -741,7 +765,7 @@ class TestSharedSnapshot:
         assert calls == {"build_precedence_index": 1, "build_iif": 1, "fp_growth": 1}
         for t in range(0, len(modes), 2):
             assert engines[t].config.mode == engines[t + 1].config.mode
-            assert engines[t].postings is engines[t + 1].postings
+            assert engines[t]._postings is engines[t + 1]._postings
 
     def test_indexes_do_not_keep_their_dataset_alive(self):
         ds = generate_synthetic(SyntheticConfig(users_per_class=8, rng_seed=5))

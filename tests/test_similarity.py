@@ -31,10 +31,9 @@ def dataset_weights(ds, user, mode):
 
 
 def neighbors(ds, target, k, mode):
-    """The engine's neighbour search for a dataset user, over the dataset's indexes."""
-    engine = Recommender(ds, RecommenderConfig(mode=mode))
-    weights = profile_weights(ds.ratings_by_user[target], ds.purchase_counts_by_user[target], mode, engine.iif)
-    return top_k_neighbors(weights, engine.postings, k, exclude=target)
+    """The neighbour search for a dataset user, over the postings of every user's weights."""
+    vectors = {u: dataset_weights(ds, u, mode) for u in ds.users}
+    return top_k_neighbors(vectors[target], build_postings(vectors), k, exclude=target)
 
 
 _ITEMS = ("P1", "P2", "P3", "P4")
@@ -276,7 +275,7 @@ class TestTopKNeighbors:
     def test_posting_lists_are_untracked_dicts(self, ds):
         """A posting list holds no object the garbage collector must walk."""
         for mode in MODES:
-            for posting in Recommender(ds, RecommenderConfig(mode=mode)).postings.values():
+            for posting in Recommender(ds, RecommenderConfig(mode=mode))._postings.values():
                 assert type(posting) is dict
                 assert not gc.is_tracked(posting)
 
