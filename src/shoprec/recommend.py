@@ -188,8 +188,9 @@ class Recommender:
     best first, ties by ascending item id), the posting lists of its mode and
     the rules mined at its (minsup, minconf), listed by antecedent item. A
     query only reads them, so one engine serves concurrent queries, and its
-    neighbour search costs the postings of the query's items rather than a
-    pass over every training user. A ``train`` that is not a ``Dataset``, or a
+    neighbour search costs the postings of the query's items; only a query
+    that reads more posting entries than there are training users also
+    passes over every user. A ``train`` that is not a ``Dataset``, or a
     ``config`` that is neither None nor a ``RecommenderConfig``, raises TypeError.
 
     An engine exposes ``config``, ``train``, ``recommend_user`` and
@@ -225,7 +226,7 @@ class Recommender:
         cfg = self.config
         ratings, counts = profile.ratings, profile.purchase_counts
         weights = profile_weights(ratings, counts, cfg.mode, self._iif)
-        if not any(w != 0.0 for w in weights.values()):
+        if not any(weights.values()):  # 0, 0.0 and -0.0 are false, NaN is true, as for w != 0.0
             raise NoProfileError(f"query profile is empty in mode {cfg.mode}")
         neighbors = top_k_neighbors(weights, self._postings, cfg.k_neighbors, exclude=exclude_user)
 

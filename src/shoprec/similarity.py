@@ -15,16 +15,28 @@ user with no purchases has an empty weighted vector.
 Users are compared by the restricted cosine: the cosine between the target's
 vector and the other user's vector restricted to the target's coordinates,
 so items outside them are ignored and items the other user lacks count 0.
-Neighbours are found through posting lists (item -> {user: weight}) rather
-than by scoring every user: the restricted cosine reads only the target's
-coordinates, so both the dot product and the other user's restricted norm
-accumulate from the posting lists of the target's items. A query's cost
-follows the postings it touches, and users sharing no coordinate with the
-target are never visited (inverted-index accumulation; Bayardo, Ma and
-Srikant, "Scaling Up All Pairs Similarity Search", WWW 2007). The k best are
-then selected by threshold: one float sort of every candidate's similarity
-gives the k-th largest, and only the candidates at or above it, ties included,
-are sorted by (similarity, id). This holds for finite, non-negative weights.
+Neighbours are found through posting lists (item -> {slot: weight}, a user's
+slot being its position in the sorted ``users`` that the postings carry)
+rather than by scoring every user: the restricted cosine reads only the
+target's coordinates, so both the dot product and the other user's
+restricted norm accumulate from the posting lists of the target's items. A
+query's cost follows the postings it touches (inverted-index accumulation;
+Bayardo, Ma and Srikant, "Scaling Up All Pairs Similarity Search", WWW 2007).
+
+The sums go into one of two accumulators, picked per query from its own
+shape (Zobel and Moffat, "Inverted Files for Text Search Engines", ACM
+Computing Surveys 2006). A query that reads more posting entries than there
+are users, as a long purchase history's implicit vector does, adds into two
+float lists indexed by slot; any other adds into a dict of [dot, norm] pairs
+keyed by the slots it meets, so users sharing no coordinate with the target
+are never visited. Both add the products in the target's coordinate order,
+and the lists start at 0.0, which changes no sum of non-negative products
+but the sign of a zero dot; a zero dot never ranks, so the two give the
+same bits. The k best are then selected by threshold:
+one float sort of every candidate's similarity gives the k-th largest, and
+only the candidates at or above it, ties included, are sorted by
+(similarity, slot), which is (similarity, id) since the slots follow the
+sorted ids. This holds for finite, non-negative weights.
 
 Each quantity has one path: ``profile_weights`` builds a weight map, and
 ``build_postings`` and ``top_k_neighbors`` find the neighbours.
@@ -33,19 +45,33 @@ Each quantity has one path: ``profile_weights`` builds a weight map, and
 from __future__ import annotations
 
 import math
+from bisect import bisect_left
 from collections.abc import Mapping
+from typing import NamedTuple
 
-from .corpus import _COUNT, _check_id, _require, _Rule
+from .corpus import _COUNT, _check_id, _require, _require_type, _Rule
+from .errors import IntegrityError
 
 MODES = ("simple", "method1", "method2", "implicit")
 # the mode rule, which RecommenderConfig and profile_weights both check; a list or
 # an sNaN Decimal never reaches a hash here, since ``in`` on a tuple compares by ==
 _MODE = _Rule(lambda v: v in MODES, f"one of {MODES}")
 _IIF = _Rule(lambda m: isinstance(m, Mapping), "a mapping of item ids to inverse frequencies in implicit mode")
+_WEIGHTS = _Rule(lambda m: isinstance(m, Mapping), "a mapping of item ids to weights")
+_VECTORS = _Rule(lambda m: isinstance(m, Mapping), "a mapping of user ids to weight maps")
 
-# item -> {user: weight}, users in the order their vectors were given; unlike a
-# list of (user, weight) tuples, such a dict is not tracked by the garbage collector
-Postings = dict[str, dict[str, float]]
+
+class Postings(NamedTuple):
+    """Posting lists over a set of users, each user known by its slot.
+
+    ``users`` holds the user ids in ascending order, and a user's slot is its
+    position there; ``lists`` maps each item to {slot: weight}, slots
+    ascending. Of ints and floats only, a posting list is not tracked by the
+    garbage collector.
+    """
+
+    users: tuple[str, ...]
+    lists: dict[str, dict[int, float]]
 
 
 def profile_weights(
@@ -73,15 +99,51 @@ def profile_weights(
 
 
 def build_postings(vectors: Mapping[str, Mapping[str, float]]) -> Postings:
-    """Invert user -> weight maps into item -> {user: weight} posting lists."""
-    postings: Postings = {}
-    for user, weights in vectors.items():
-        for item, w in weights.items():
-            posting = postings.get(item)
+    """Invert user -> weight maps into item -> {slot: weight} posting lists.
+
+    ``vectors`` must be a Mapping (IntegrityError otherwise). Every user gets
+    a slot, one with an empty map too.
+    """
+    _require("vectors", vectors, _VECTORS, IntegrityError)
+    users = tuple(sorted(vectors))
+    lists: dict[str, dict[int, float]] = {}
+    for slot, user in enumerate(users):
+        for item, w in vectors[user].items():
+            posting = lists.get(item)
             if posting is None:
-                posting = postings[item] = {}
-            posting[user] = w
-    return postings
+                posting = lists[item] = {}
+            posting[slot] = w
+    return Postings(users, lists)
+
+
+def _in_dict(hits, skip: int | None):
+    """The sums of the slots the hits meet, as (slots, [dot, norm] pairs)."""
+    sums: dict[int, list[float]] = {}
+    for w, posting in hits:
+        for slot, v in posting.items():
+            acc = sums.get(slot)
+            if acc is None:
+                # w * v alone differs from 0.0 + w * v only in the sign of a
+                # zero, and a zero dot never makes a positive similarity
+                sums[slot] = [w * v, v * v]
+            else:
+                acc[0] += w * v
+                acc[1] += v * v
+    sums.pop(skip, None)
+    return sums.keys(), sums.values()
+
+
+def _in_lists(hits, n: int, skip: int | None):
+    """The sums of every slot, as (slots, (dot, norm) pairs); a slot no hit meets sums to 0."""
+    dots = [0.0] * n
+    norms = [0.0] * n
+    for w, posting in hits:
+        for slot, v in posting.items():
+            dots[slot] += w * v
+            norms[slot] += v * v
+    if skip is not None:
+        dots[skip] = 0.0
+    return range(n), zip(dots, norms)
 
 
 def top_k_neighbors(
@@ -91,11 +153,15 @@ def top_k_neighbors(
 
     Ranked by descending similarity, ties by ascending user id; ``exclude``
     never appears, and one that is not None must be a valid user id
-    (IntegrityError otherwise). Each score equals the pairwise restricted
-    cosine bit for bit: per candidate, the products are summed in the
-    target's coordinate order, and the coordinates the candidate lacks,
-    which are skipped here, would only ever add 0.0. Only the candidates at
-    or above the k-th best similarity, ties included, are sorted, so the
+    (IntegrityError otherwise). ``weights`` must be a Mapping
+    (IntegrityError otherwise) and ``postings`` a ``Postings`` (TypeError
+    otherwise). Each score equals the pairwise restricted cosine bit for
+    bit: per candidate, the products are summed in the target's coordinate
+    order, and the coordinates the candidate lacks, which are skipped here,
+    would only ever add 0.0. A query that reads more posting entries than
+    there are users sums into lists indexed by slot, any other into a dict
+    of the slots it meets; the two give the same bits. Only the candidates
+    at or above the k-th best similarity, ties included, are sorted, so the
     answer is a full sort's. Weights must be finite and non-negative, as
     ``profile_weights`` makes them, and no sum of squares may overflow but
     the target's, which gives [].
@@ -103,27 +169,31 @@ def top_k_neighbors(
     _require("k", k, _COUNT)
     if exclude is not None:
         _check_id("user", exclude)
-    sums: dict[str, list[float]] = {}  # user -> [dot, restricted norm]
+    _require("weights", weights, _WEIGHTS, IntegrityError)
+    _require_type("postings", postings, Postings)
+    users, lists = postings
+    hits = []  # (weight, posting list) of each target coordinate that has one, in target order
+    reads = 0
     norm_t = 0.0
     for item, w in weights.items():
         norm_t += w * w
-        posting = postings.get(item)
-        if posting is None:
-            continue
-        for user, v in posting.items():
-            acc = sums.get(user)
-            if acc is None:
-                # w * v alone differs from 0.0 + w * v only in the sign of a
-                # zero, and a zero dot never makes a positive similarity
-                sums[user] = [w * v, v * v]
-            else:
-                acc[0] += w * v
-                acc[1] += v * v
-    sums.pop(exclude, None)
-    if norm_t == 0.0 or not sums:
+        posting = lists.get(item)
+        if posting is not None:
+            hits.append((w, posting))
+            reads += len(posting)
+    if norm_t == 0.0:
         return []
+    n = len(users)
+    skip = None
+    if exclude is not None:
+        at = bisect_left(users, exclude)
+        if at < n and users[at] == exclude:
+            skip = at
+    slots, sums = _in_lists(hits, n, skip) if reads > n else _in_dict(hits, skip)
     root_t = math.sqrt(norm_t)
-    sims = [dot / (root_t * math.sqrt(norm_o)) if norm_o else 0.0 for dot, norm_o in sums.values()]
+    sims = [dot / (root_t * math.sqrt(norm_o)) if norm_o else 0.0 for dot, norm_o in sums]
+    if not sims:  # no candidate, or only the excluded one
+        return []
     floor = max(sorted(sims)[-k:][0], math.ulp(0.0))  # the k-th largest, or the least if fewer; 0 never ranks
-    finalists = sorted((-sim, user) for user, sim in zip(sums, sims) if sim >= floor)
-    return [(user, -neg) for neg, user in finalists[:k]]
+    finalists = sorted((-sim, slot) for slot, sim in zip(slots, sims) if sim >= floor)
+    return [(users[slot], -neg) for neg, slot in finalists[:k]]

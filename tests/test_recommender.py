@@ -228,6 +228,14 @@ class TestContracts:
         with pytest.raises(NoProfileError):
             Recommender(ds, RecommenderConfig()).recommend_profile(Profile())
 
+    def test_all_zero_ratings_are_no_profile_in_simple_mode(self):
+        # every weight is 0, 0.0 or -0.0, so no cosine is defined
+        ds = Dataset(ratings=[rate("N", "P1", 8.0)])
+        with pytest.raises(NoProfileError):
+            Recommender(ds, RecommenderConfig(mode="simple")).recommend_profile(
+                Profile({"P1": 0, "P2": 0.0, "P3": -0.0}, {"P1": 1})
+            )
+
     def test_unknown_user(self):
         ds = Dataset(ratings=[rate("N", "P1", 8.0)])
         with pytest.raises(NotFoundError):

@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 from pytest import approx
 
 import shoprec
+from shoprec import similarity
 from shoprec.errors import NoProfileError, NotFoundError, RangeError
 from shoprec.implicit_vsm import build_iif
 from shoprec.recommend import Recommender, RecommenderConfig, profile_of
@@ -39,6 +40,9 @@ def neighbors(ds, target, k, mode):
 _ITEMS = ("P1", "P2", "P3", "P4")
 _USERS = tuple(f"U{n}" for n in range(8))
 _TIE_WEIGHTS = (0.0, 1.0, 2.0, 2.5)
+# both zeros, exact ties, and floats down to the subnormals, whose squares can
+# round to 0.0 while their products with a larger weight do not
+_ANY_WEIGHT = st.one_of(st.sampled_from((0.0, -0.0, 1.0, 2.0, 2.5)), st.floats(0.0, 1e3))
 
 
 def brute_force_scan(target, vectors, k, exclude):
@@ -239,30 +243,55 @@ class TestTopKNeighbors:
         assert got == expected
         assert [(u, sim.hex()) for u, sim in got] == [(u, sim.hex()) for u, sim in expected]
 
+    @settings(max_examples=300, deadline=None)
+    @given(
+        target=st.dictionaries(st.sampled_from(_ITEMS), _ANY_WEIGHT, min_size=1),
+        vectors=st.dictionaries(
+            st.sampled_from(_USERS), st.dictionaries(st.sampled_from(_ITEMS), _ANY_WEIGHT)
+        ),
+        k=st.integers(1, 10),
+        exclude=st.sampled_from(_USERS + ("U9", None)),
+    )
+    def test_both_accumulators_give_the_same_bits(self, target, vectors, k, exclude):
+        """The slot lists and the slot dict, each forced on the query, give the answer that
+        the shape rule picks and the brute-force scan, bit for bit."""
+        postings = build_postings(vectors)
+        answers = [top_k_neighbors(target, postings, k, exclude=exclude), brute_force_scan(target, vectors, k, exclude)]
+        in_dict, in_lists, n = similarity._in_dict, similarity._in_lists, len(postings.users)
+        for name, forced in (
+            ("_in_lists", lambda hits, _n, skip: in_dict(hits, skip)),
+            ("_in_dict", lambda hits, skip: in_lists(hits, n, skip)),
+        ):
+            with pytest.MonkeyPatch.context() as patch:
+                patch.setattr(similarity, name, forced)
+                answers.append(top_k_neighbors(target, postings, k, exclude=exclude))
+        picked, *others = [[(u, sim.hex()) for u, sim in answer] for answer in answers]
+        assert all(other == picked for other in others)
+
     def test_exact_tie_keeps_the_smallest_ids(self):
-        postings = {"P1": {u: 2.0 for u in ("U7", "U3", "U6", "U1", "U5", "U2", "U4")}}
+        postings = build_postings({u: {"P1": 2.0} for u in ("U7", "U3", "U6", "U1", "U5", "U2", "U4")})
         got = top_k_neighbors({"P1": 1.0}, postings, 5)
         assert got == [(u, 1.0) for u in ("U1", "U2", "U3", "U4", "U5")]
 
     def test_zero_weight_overlap_is_absent(self):
         """A candidate with a zero dot, from its own 0.0 weight or the target's, never ranks."""
-        postings = {"P1": {"Z": 0.0, "A": 1.0}, "P2": {"Y": 3.0}}
+        postings = build_postings({"Z": {"P1": 0.0}, "A": {"P1": 1.0}, "Y": {"P2": 3.0}})
         got = top_k_neighbors({"P1": 1.0, "P2": 0.0}, postings, 5)
         assert got == [("A", 1.0)]
 
     def test_overflowing_target_norm_gives_nothing(self):
         # the target's norm is inf: A scores 0.0, and B, whose dot and norm are inf, scores NaN
-        postings = {"P1": {"A": 1.0, "B": 1e200}}
+        postings = build_postings({"A": {"P1": 1.0}, "B": {"P1": 1e200}})
         assert top_k_neighbors({"P1": 1e200}, postings, 5) == []
 
     def test_k_beyond_the_candidates_returns_them_all(self):
-        postings = {"P1": {"A": 1.0, "B": 2.0}, "P2": {"B": 1.0, "C": 4.0}}
+        postings = build_postings({"A": {"P1": 1.0}, "B": {"P1": 2.0, "P2": 1.0}, "C": {"P2": 4.0}})
         got = top_k_neighbors({"P1": 1.0, "P2": 1.0}, postings, 10)
         # A and C tie exactly: 4 / (root_t * 4) is 1 / root_t
         assert got == [("B", 3 / (math.sqrt(2) * math.sqrt(5))), ("A", 1 / math.sqrt(2)), ("C", 1 / math.sqrt(2))]
 
     def test_excluding_the_best_neighbour(self):
-        postings = {"P1": {"A": 1.0, "B": 2.0}, "P2": {"B": 1.0, "C": 4.0}}
+        postings = build_postings({"A": {"P1": 1.0}, "B": {"P1": 2.0, "P2": 1.0}, "C": {"P2": 4.0}})
         got = top_k_neighbors({"P1": 1.0, "P2": 1.0}, postings, 2, exclude="B")
         assert [u for u, _ in got] == ["A", "C"]
 
@@ -270,12 +299,17 @@ class TestTopKNeighbors:
         with pytest.raises(RangeError):
             top_k_neighbors({"P1": 1.0}, {}, 0)
 
+    def test_postings_must_be_postings(self):
+        # raised a bare AttributeError: 'int' object has no attribute 'get'
+        with pytest.raises(TypeError, match="^postings must be a Postings, got int$"):
+            top_k_neighbors({"P1": 1.0}, 5, 1)
+
     @settings(max_examples=50, deadline=None)
     @given(ds=small_datasets())
     def test_posting_lists_are_untracked_dicts(self, ds):
         """A posting list holds no object the garbage collector must walk."""
         for mode in MODES:
-            for posting in Recommender(ds, RecommenderConfig(mode=mode))._postings.values():
+            for posting in Recommender(ds, RecommenderConfig(mode=mode))._postings.lists.values():
                 assert type(posting) is dict
                 assert not gc.is_tracked(posting)
 

@@ -2,7 +2,8 @@
 
 A count, a percentage, a train fraction, a seed, a rating threshold, a stored
 rating and a profile purchase count each have one predicate and one wording
-in ``shoprec.corpus``, and a similarity mode has one in ``shoprec.similarity``.
+in ``shoprec.corpus``, and a similarity mode, a weight map and a map of users'
+weight maps each have one in ``shoprec.similarity``.
 Every config, record, profile and public function that takes such a value
 checks it there, so a value that breaks the rule raises
 the entry point's documented error class with the message ``"{name} must be
@@ -27,7 +28,7 @@ from shoprec.errors import ConfigError, IntegrityError, NotFoundError, RangeErro
 from shoprec.evaluate import ExperimentConfig, precision_at_n, recall_at_n
 from shoprec.recommend import Profile, Recommender, RecommenderConfig, cold_start
 from shoprec.rules import fp_growth, generate_rules
-from shoprec.similarity import profile_weights, top_k_neighbors
+from shoprec.similarity import build_postings, profile_weights, top_k_neighbors
 
 HUGE = 10**5000  # more digits than str() converts by default
 
@@ -37,7 +38,7 @@ DS = Dataset(
 )
 ENGINE = Recommender(DS, RecommenderConfig())
 QUERY = Profile({"P1": 8.0}, {"P1": 1})
-POSTINGS = {"P1": {"U1": 1.0, "U2": 0.5}}
+POSTINGS = build_postings({"U1": {"P1": 1.0}, "U2": {"P1": 0.5}})
 
 
 def config_field(config, name):
@@ -164,6 +165,9 @@ HUGE_SIZE = "int of 16610 bits"  # HUGE's bit_length()
             "iif must be a mapping of item ids to inverse frequencies in implicit mode, got None",
         ),
         (lambda: top_k_neighbors({}, {}, 1, exclude=["U1"]), "invalid user id ['U1']"),
+        # each raised a bare AttributeError: 'int' object has no attribute 'items'
+        (lambda: top_k_neighbors(5, {}, 1), "weights must be a mapping of item ids to weights, got 5"),
+        (lambda: build_postings(5), "vectors must be a mapping of user ids to weight maps, got 5"),
         (lambda: Profile({"I1": HUGE}), f"item I1: rating must be {RATING}, got an {HUGE_SIZE}"),
         (
             lambda: Profile({"I1": Fraction(HUGE, 3)}),
@@ -186,6 +190,8 @@ HUGE_SIZE = "int of 16610 bits"  # HUGE's bit_length()
         "mode",
         "iif",
         "exclude",
+        "weights",
+        "vectors",
         "rating-huge",
         "rating-huge-fraction",
         "rating-fraction",
