@@ -26,26 +26,25 @@ from .evaluate import (
     recall_at_n,
     run_experiment,
 )
-from .implicit_vsm import build_iif, new_user_scores
 from .recommend import (
     Profile,
     Recommendation,
     Recommender,
     RecommenderConfig,
+    cold_start,
 )
-from .rules import AssociationRule, FrequentItemset, fp_growth, generate_rules
-from .sequence import PrecedenceIndex, bought_after, build_precedence_index
+from .rules import AssociationRule
 from .similarity import MODES
 
+# the data model, the engine and the protocol; the layer functions below the
+# engine are internal, and are given only values that these names have checked
 __all__ = [
     "AssociationRule",
     "Dataset",
     "EvalReport",
     "EvalRow",
     "ExperimentConfig",
-    "FrequentItemset",
     "MODES",
-    "PrecedenceIndex",
     "Profile",
     "RatingRecord",
     "Recommendation",
@@ -53,14 +52,9 @@ __all__ = [
     "RecommenderConfig",
     "SyntheticConfig",
     "Transaction",
-    "bought_after",
-    "build_iif",
-    "build_precedence_index",
-    "fp_growth",
-    "generate_rules",
+    "cold_start",
     "generate_synthetic",
     "load_dataset",
-    "new_user_scores",
     "precision_at_n",
     "recall_at_n",
     "run_experiment",

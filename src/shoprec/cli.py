@@ -90,7 +90,8 @@ def _cmd_recommend_new(args) -> int:
 
 def _cmd_mine_rules(args) -> int:
     ds = load_dataset(args.transactions)
-    rules = generate_rules(fp_growth(ds.transaction_rows, args.minsup_pct), args.minconf_pct)
+    cfg = RecommenderConfig(minsup_pct=args.minsup_pct, minconf_pct=args.minconf_pct)
+    rules = generate_rules(fp_growth(ds.transaction_rows, cfg.minsup_pct), cfg.minconf_pct)
     if args.antecedent is not None:
         rules = [rule for rule in rules if args.antecedent in rule.antecedent]
     _write(_json(rule) if args.json else format_rule(rule) for rule in rules)

@@ -468,12 +468,17 @@ def _write(path, text: str) -> None:
 
 
 def save_transactions(dataset: Dataset, path) -> None:
-    """Write the dataset's transaction CSV to ``path``, a str or an ``os.PathLike`` as in :func:`load_dataset`."""
+    """Write the dataset's transaction CSV to ``path``, a str or an ``os.PathLike`` as in :func:`load_dataset`.
+
+    A ``dataset`` that is not a ``Dataset`` raises TypeError, and no file is opened.
+    """
+    _require_type("dataset", dataset, Dataset)
     _write(path, to_transaction_csv(dataset))
 
 
 def save_ratings(dataset: Dataset, path) -> None:
     """:func:`save_transactions` for the rating CSV."""
+    _require_type("dataset", dataset, Dataset)
     _write(path, to_rating_csv(dataset))
 
 
@@ -531,8 +536,10 @@ def generate_synthetic(config: SyntheticConfig) -> Dataset:
     of the user's in-class purchases with a fixed probability, so purchase
     counts concentrate on liked items the way frequency weighting assumes.
     Users rate what they bought first: the rated pool starts with the
-    distinct purchases and is topped up with class-biased draws.
+    distinct purchases and is topped up with class-biased draws. A ``config``
+    that is not a ``SyntheticConfig`` raises TypeError.
     """
+    _require_type("config", config, SyntheticConfig)
     rng = random.Random(config.rng_seed)
 
     items = [f"I{i + 1:03d}" for i in range(config.num_items)]

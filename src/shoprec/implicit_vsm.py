@@ -12,23 +12,24 @@ Brand-new users, who have no profile at all, are served a popularity ranking
 through ln(U_i / (1 + U)). The formula is negative-valued but strictly
 increasing in U_i, so sorting by it descending is exactly purchaser-count
 order.
+
+Both functions are internal: the engine and ``recommend.cold_start`` give
+them only a checked ``Dataset``, and they check nothing again.
 """
 
 from __future__ import annotations
 
 import math
 
-from .corpus import Dataset, _require_type
+from .corpus import Dataset
 
 
 def build_iif(dataset: Dataset) -> dict[str, float]:
     """Compute iif(i) = ln((1 + U) / U_i) for every purchased item.
 
     Items nobody purchased are absent (their frequency is undefined), so a
-    dataset without users gives an empty table. A ``dataset`` that is not a
-    ``Dataset`` raises TypeError, here and in ``new_user_scores``.
+    dataset without users gives an empty table.
     """
-    _require_type("dataset", dataset, Dataset)
     total = len(dataset.users)
     return {item: math.log((1 + total) / u_i) for item, u_i in dataset.purchaser_counts.items()}
 
@@ -39,7 +40,6 @@ def new_user_scores(dataset: Dataset) -> list[tuple[str, float]]:
     Scores are negative by construction and used purely as ranking keys;
     the order is identical to descending purchaser count.
     """
-    _require_type("dataset", dataset, Dataset)
     total = len(dataset.users)
     scored = [
         (item, math.log(u_i / (1 + total)))

@@ -228,6 +228,8 @@ class Recommender:
         weights = profile_weights(ratings, counts, cfg.mode, self._iif)
         if not any(weights.values()):  # 0, 0.0 and -0.0 are false, NaN is true, as for w != 0.0
             raise NoProfileError(f"query profile is empty in mode {cfg.mode}")
+        if exclude_user is not None:
+            _check_id("user", exclude_user)
         neighbors = top_k_neighbors(weights, self._postings, cfg.k_neighbors, exclude=exclude_user)
 
         history = counts.keys()

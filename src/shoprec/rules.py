@@ -9,6 +9,10 @@ counted over the transactions of its first item, and a larger itemset's
 transactions are the ``&`` of two of its subsets', counted with
 ``int.bit_count()``. Output is in canonical order (size, then item ids), so it
 is deterministic and golden-testable.
+
+The miner and the rule generator are internal: the engine and ``mine-rules``
+give them thresholds a ``RecommenderConfig`` has checked, and they check
+nothing again.
 """
 
 from __future__ import annotations
@@ -19,7 +23,7 @@ from collections import Counter, defaultdict
 from dataclasses import dataclass
 from typing import Iterable
 
-from .corpus import _PERCENTAGE, Transaction, _require
+from .corpus import Transaction
 
 
 @dataclass(frozen=True)
@@ -88,7 +92,6 @@ def fp_growth(transactions: Iterable[Transaction], minsup_pct: float) -> list[Fr
     stays because the benchmark's tracer and build counters look the
     function up by it, and renaming it is a change to the benchmark.
     """
-    _require("minsup_pct", minsup_pct, _PERCENTAGE)
     baskets = [items for _, _, _, items in transactions]
     n = len(baskets)  # with none, min_count is 1 and no item is found, so n is never divided by
     min_count = _min_count(n, minsup_pct)
@@ -126,7 +129,6 @@ def generate_rules(frequents: Iterable[FrequentItemset], minconf_pct: float) -> 
     Confidence comes from the frequent-itemset counts themselves (every
     antecedent of a frequent itemset is frequent, so its count is known).
     """
-    _require("minconf_pct", minconf_pct, _PERCENTAGE)
     by_items = {f.items: f for f in frequents}
     rules = []
     for f in by_items.values():

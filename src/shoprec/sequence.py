@@ -20,6 +20,10 @@ Both (a, b) and (b, a) may be present: different users shop in different
 orders. How often a pair occurs is not kept: the filter never reads it, and
 counting every pair would cost the square of each user's events.
 ``dump_lines`` renders the index itself, which is what ``dump-index`` prints.
+
+These functions are internal to the engine and the CLI, which give them only
+a checked ``Dataset`` and its own profiles' purchase histories; they check
+nothing again.
 """
 
 from __future__ import annotations
@@ -30,7 +34,7 @@ from dataclasses import dataclass, field
 from itertools import groupby
 from operator import itemgetter
 
-from .corpus import Dataset, _require_type
+from .corpus import Dataset
 
 _NONE: frozenset[str] = frozenset()
 
@@ -51,11 +55,7 @@ class PrecedenceIndex:
 
 
 def build_precedence_index(dataset: Dataset) -> PrecedenceIndex:
-    """Find, per item c, every item h with first_pos_u(h) < last_pos_u(c) for some user u.
-
-    A ``dataset`` that is not a ``Dataset`` raises TypeError.
-    """
-    _require_type("dataset", dataset, Dataset)
+    """Find, per item c, every item h with first_pos_u(h) < last_pos_u(c) for some user u."""
     before: dict[str, set[str]] = {}
     for _, rows in groupby(dataset.transaction_rows, itemgetter(1)):  # one user's rows, seq-sorted
         first: dict[str, int] = {}

@@ -39,7 +39,10 @@ only the candidates at or above it, ties included, are sorted by
 sorted ids. This holds for finite, non-negative weights.
 
 Each quantity has one path: ``profile_weights`` builds a weight map, and
-``build_postings`` and ``top_k_neighbors`` find the neighbours.
+``build_postings`` and ``top_k_neighbors`` find the neighbours. They are
+internal to the engine, which calls them only with values the boundary has
+checked: a ``Profile``'s maps, a ``Dataset``'s tables and a
+``RecommenderConfig``'s mode and k. They check nothing again.
 """
 
 from __future__ import annotations
@@ -49,16 +52,12 @@ from bisect import bisect_left
 from collections.abc import Mapping
 from typing import NamedTuple
 
-from .corpus import _COUNT, _check_id, _require, _require_type, _Rule
-from .errors import IntegrityError
+from .corpus import _Rule
 
 MODES = ("simple", "method1", "method2", "implicit")
-# the mode rule, which RecommenderConfig and profile_weights both check; a list or
-# an sNaN Decimal never reaches a hash here, since ``in`` on a tuple compares by ==
+# the mode rule, which RecommenderConfig checks, and ExperimentConfig through it; a list
+# or an sNaN Decimal never reaches a hash here, since ``in`` on a tuple compares by ==
 _MODE = _Rule(lambda v: v in MODES, f"one of {MODES}")
-_IIF = _Rule(lambda m: isinstance(m, Mapping), "a mapping of item ids to inverse frequencies in implicit mode")
-_WEIGHTS = _Rule(lambda m: isinstance(m, Mapping), "a mapping of item ids to weights")
-_VECTORS = _Rule(lambda m: isinstance(m, Mapping), "a mapping of user ids to weight maps")
 
 
 class Postings(NamedTuple):
@@ -80,31 +79,25 @@ def profile_weights(
     mode: str,
     iif: Mapping[str, float] | None = None,
 ) -> dict[str, float]:
-    """Construct the sparse weight map for one profile in the given mode.
+    """Construct the sparse weight map for one profile in one of ``MODES``.
 
     ``iif`` is required in implicit mode; items absent from it (never bought
-    by anyone in the reference dataset) get no coordinate. An unknown mode,
-    or implicit mode without an iif mapping, raises RangeError.
+    by anyone in the reference dataset) get no coordinate.
     """
     if mode == "simple":
         return dict(ratings)
-    if mode in ("method1", "method2"):
-        counts = purchase_counts.values()
-        d = sum(counts) if mode == "method1" else max(counts, default=0)
-        return {item: r * n / d for item, r in ratings.items() if (n := purchase_counts.get(item))}
     if mode == "implicit":
-        _require("iif", iif, _IIF)
         return {item: n * iif[item] for item, n in purchase_counts.items() if item in iif}
-    _require("mode", mode, _MODE)  # a valid mode has returned above, so this raises
+    counts = purchase_counts.values()
+    d = sum(counts) if mode == "method1" else max(counts, default=0)
+    return {item: r * n / d for item, r in ratings.items() if (n := purchase_counts.get(item))}
 
 
 def build_postings(vectors: Mapping[str, Mapping[str, float]]) -> Postings:
     """Invert user -> weight maps into item -> {slot: weight} posting lists.
 
-    ``vectors`` must be a Mapping (IntegrityError otherwise). Every user gets
-    a slot, one with an empty map too.
+    Every user gets a slot, one with an empty map too.
     """
-    _require("vectors", vectors, _VECTORS, IntegrityError)
     users = tuple(sorted(vectors))
     lists: dict[str, dict[int, float]] = {}
     for slot, user in enumerate(users):
@@ -152,10 +145,7 @@ def top_k_neighbors(
     """The k users most cosine-similar to a profile, similarity above 0 only.
 
     Ranked by descending similarity, ties by ascending user id; ``exclude``
-    never appears, and one that is not None must be a valid user id
-    (IntegrityError otherwise). ``weights`` must be a Mapping
-    (IntegrityError otherwise) and ``postings`` a ``Postings`` (TypeError
-    otherwise). Each score equals the pairwise restricted cosine bit for
+    never appears. Each score equals the pairwise restricted cosine bit for
     bit: per candidate, the products are summed in the target's coordinate
     order, and the coordinates the candidate lacks, which are skipped here,
     would only ever add 0.0. A query that reads more posting entries than
@@ -166,11 +156,6 @@ def top_k_neighbors(
     ``profile_weights`` makes them, and no sum of squares may overflow but
     the target's, which gives [].
     """
-    _require("k", k, _COUNT)
-    if exclude is not None:
-        _check_id("user", exclude)
-    _require("weights", weights, _WEIGHTS, IntegrityError)
-    _require_type("postings", postings, Postings)
     users, lists = postings
     hits = []  # (weight, posting list) of each target coordinate that has one, in target order
     reads = 0

@@ -186,6 +186,23 @@ class TestExitCodes:
         result = run_cli("mine-rules", "--transactions", "no-such-file.csv")
         assert result.returncode == 2
 
+    @pytest.mark.parametrize(
+        "flags, message",
+        [
+            (["--minsup", "0"], "minsup_pct must be a real in (0, 100], got 0.0"),
+            (["--minconf", "101"], "minconf_pct must be a real in (0, 100], got 101.0"),
+            (["--minsup", "0", "--minconf", "101"], "minsup_pct must be a real in (0, 100], got 0.0"),
+        ],
+        ids=["minsup", "minconf", "both"],
+    )
+    def test_bad_rule_threshold_is_config_error(self, data_dir, capsys, flags, message):
+        assert cli.main(["mine-rules", "--transactions", str(data_dir / "table1.csv"), *flags]) == 2
+        assert capsys.readouterr() == ("", f"shoprec: error: {message}\n")
+
+    def test_missing_file_is_reported_before_a_bad_threshold(self, capsys):
+        assert cli.main(["mine-rules", "--transactions", "no-such-file.csv", "--minsup", "0"]) == 2
+        assert capsys.readouterr() == ("", "shoprec: error: [Errno 2] No such file or directory: 'no-such-file.csv'\n")
+
     def test_bad_flag_value_is_config_error(self, data_dir):
         # parses as an int, but no engine takes zero neighbours
         result = run_cli(

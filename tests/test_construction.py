@@ -18,13 +18,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from shoprec import cli
-from shoprec.corpus import Dataset, RatingRecord, SyntheticConfig, Transaction, generate_synthetic, split_users
+from shoprec.corpus import Dataset, RatingRecord, SyntheticConfig, Transaction, generate_synthetic
+from shoprec.corpus import save_ratings, save_transactions, split_users
 from shoprec.errors import ConfigError, IntegrityError, NoProfileError, RangeError
 import shoprec.evaluate
 from shoprec.evaluate import ExperimentConfig, run_experiment
-from shoprec.implicit_vsm import build_iif, new_user_scores
 from shoprec.recommend import Recommender, RecommenderConfig, cold_start, profile_of
-from shoprec.sequence import build_precedence_index
 from shoprec.similarity import MODES
 
 from conftest import rate, small_datasets, tx
@@ -239,18 +238,22 @@ class TestWrongClass:
         "call, name",
         [
             (lambda data: split_users(data, 0.8, 1), "dataset"),
-            (build_iif, "dataset"),
-            (new_user_scores, "dataset"),
-            (build_precedence_index, "dataset"),
             (lambda data: cold_start(data, 5), "train"),
             (lambda data: profile_of(data, "U001"), "dataset"),
+            (lambda data: save_transactions(data, "unwritten.csv"), "dataset"),
+            (lambda data: save_ratings(data, "unwritten.csv"), "dataset"),
         ],
-        ids=["split_users", "build_iif", "new_user_scores", "build_precedence_index", "cold_start", "profile_of"],
+        ids=["split_users", "cold_start", "profile_of", "save_transactions", "save_ratings"],
     )
     def test_functions_of_a_dataset_must_be_given_one(self, call, name):
         # each raised a bare AttributeError, such as 'str' object has no attribute 'users'
         with pytest.raises(TypeError, match=f"^{name} must be a Dataset, got str$"):
             call("transactions.csv")
+
+    def test_the_generator_must_be_given_a_synthetic_config(self):
+        # raised a bare AttributeError: 'dict' object has no attribute 'rng_seed'
+        with pytest.raises(TypeError, match="^config must be a SyntheticConfig, got dict$"):
+            generate_synthetic({"rng_seed": 1})
 
     def test_none_is_the_default_config(self):
         assert Recommender(SEED_2024).config == RecommenderConfig()

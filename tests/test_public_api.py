@@ -1,6 +1,8 @@
 import importlib
 import inspect
 import pkgutil
+import re
+from pathlib import Path
 
 import pytest
 
@@ -8,6 +10,21 @@ import shoprec
 from shoprec.recommend import Recommender
 
 import oracles
+
+# functions and records of the layers below the engine, which are internal
+LAYER_NAMES = (
+    "bought_after",
+    "build_precedence_index",
+    "PrecedenceIndex",
+    "build_iif",
+    "new_user_scores",
+    "fp_growth",
+    "generate_rules",
+    "FrequentItemset",
+    "profile_weights",
+    "build_postings",
+    "top_k_neighbors",
+)
 
 
 def package_modules():
@@ -23,6 +40,15 @@ def test_every_exported_name_resolves():
 
 def test_no_name_is_exported_twice():
     assert len(shoprec.__all__) == len(set(shoprec.__all__))
+
+
+def test_readme_names_the_public_names_and_no_layer():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    library = readme.split("\n## Library\n", 1)[1]  # as CI's Library-example step cuts it
+    sentence = re.search(r"The public names, `shoprec.__all__`, are [^:]*:([^.]*)\.", library).group(1)
+    names = re.findall(r"`(\w+)`", sentence)
+    assert names == shoprec.__all__
+    assert not set(LAYER_NAMES) & set(shoprec.__all__)
 
 
 def test_no_test_oracle_is_part_of_the_package():

@@ -13,7 +13,7 @@ from pytest import approx
 
 import shoprec
 from shoprec import similarity
-from shoprec.errors import NoProfileError, NotFoundError, RangeError
+from shoprec.errors import NoProfileError, NotFoundError
 from shoprec.implicit_vsm import build_iif
 from shoprec.recommend import Recommender, RecommenderConfig, profile_of
 from shoprec.similarity import MODES, build_postings, profile_weights, top_k_neighbors
@@ -294,15 +294,6 @@ class TestTopKNeighbors:
         postings = build_postings({"A": {"P1": 1.0}, "B": {"P1": 2.0, "P2": 1.0}, "C": {"P2": 4.0}})
         got = top_k_neighbors({"P1": 1.0, "P2": 1.0}, postings, 2, exclude="B")
         assert [u for u, _ in got] == ["A", "C"]
-
-    def test_invalid_k(self):
-        with pytest.raises(RangeError):
-            top_k_neighbors({"P1": 1.0}, {}, 0)
-
-    def test_postings_must_be_postings(self):
-        # raised a bare AttributeError: 'int' object has no attribute 'get'
-        with pytest.raises(TypeError, match="^postings must be a Postings, got int$"):
-            top_k_neighbors({"P1": 1.0}, 5, 1)
 
     @settings(max_examples=50, deadline=None)
     @given(ds=small_datasets())

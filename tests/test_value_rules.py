@@ -2,8 +2,7 @@
 
 A count, a percentage, a train fraction, a seed, a rating threshold, a stored
 rating and a profile purchase count each have one predicate and one wording
-in ``shoprec.corpus``, and a similarity mode, a weight map and a map of users'
-weight maps each have one in ``shoprec.similarity``.
+in ``shoprec.corpus``, and a similarity mode has one in ``shoprec.similarity``.
 Every config, record, profile and public function that takes such a value
 checks it there, so a value that breaks the rule raises
 the entry point's documented error class with the message ``"{name} must be
@@ -24,11 +23,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from shoprec.corpus import Dataset, SyntheticConfig, split_users
-from shoprec.errors import ConfigError, IntegrityError, NotFoundError, RangeError, ShoprecError
+from shoprec.errors import ConfigError, IntegrityError, NoProfileError, NotFoundError, RangeError, ShoprecError
 from shoprec.evaluate import ExperimentConfig, precision_at_n, recall_at_n
 from shoprec.recommend import Profile, Recommender, RecommenderConfig, cold_start
-from shoprec.rules import fp_growth, generate_rules
-from shoprec.similarity import build_postings, profile_weights, top_k_neighbors
 
 HUGE = 10**5000  # more digits than str() converts by default
 
@@ -38,7 +35,6 @@ DS = Dataset(
 )
 ENGINE = Recommender(DS, RecommenderConfig())
 QUERY = Profile({"P1": 8.0}, {"P1": 1})
-POSTINGS = build_postings({"U1": {"P1": 1.0}, "U2": {"P1": 0.5}})
 
 
 def config_field(config, name):
@@ -62,14 +58,8 @@ ENTRY_POINTS = {
     "split_users.train_fraction": (lambda v: split_users(DS, v, 0), RangeError),
     "split_users.seed": (lambda v: split_users(DS, 0.5, v), RangeError),
     "cold_start.top_n": (lambda v: cold_start(DS, v), RangeError),
-    "top_k_neighbors.k": (lambda v: top_k_neighbors({"P1": 1.0}, POSTINGS, v), RangeError),
-    "top_k_neighbors.exclude": (lambda v: top_k_neighbors({"P1": 1.0}, POSTINGS, 2, exclude=v), IntegrityError),
-    "profile_weights.mode": (lambda v: profile_weights({"P1": 8.0}, {"P1": 1}, v), RangeError),
-    "profile_weights.iif": (lambda v: profile_weights({"P1": 8.0}, {"P1": 1}, "implicit", v), RangeError),
     "precision_at_n.n": (lambda v: precision_at_n(["P1", "P2"], ["P1"], v), RangeError),
     "recall_at_n.n": (lambda v: recall_at_n(["P1", "P2"], ["P1"], v), RangeError),
-    "fp_growth.minsup_pct": (lambda v: fp_growth(DS.transaction_rows, v), RangeError),
-    "generate_rules.minconf_pct": (lambda v: generate_rules(fp_growth(DS.transaction_rows, 50.0), v), RangeError),
     "Profile.rating": (lambda v: Profile({"P1": v}), RangeError),
     "Profile.purchase_count": (lambda v: Profile({}, {"P1": v}), RangeError),
     "Profile.ratings": (lambda v: Profile(v), IntegrityError),
@@ -100,7 +90,6 @@ VALUES = {
 
 # entry point -> the VALUES it once took, or failed on partway with a bare
 # TypeError, or failed on with a bare ValueError while building its message
-# (or, in profile_weights, for any mode it did not know)
 DIVERGED = {
     **{f"RecommenderConfig.{name}": ["-huge"] for name in ("k_neighbors", "top_n")},
     **{f"RecommenderConfig.{name}": ["huge", "-huge"] for name in ("minsup_pct", "minconf_pct", "exclusion_threshold")},
@@ -112,11 +101,8 @@ DIVERGED = {
     **{f"SyntheticConfig.{name}": ["-huge"] for name in ("num_classes", "num_items")},
     "split_users.train_fraction": ["huge", "-huge"],
     "cold_start.top_n": ["-huge"],
-    "top_k_neighbors.k": ["true", "2.5", "str", "nan", "-huge"],
     "precision_at_n.n": ["true", "2.5", "str", "nan", "-huge"],
     "recall_at_n.n": ["true", "2.5", "str", "nan", "-huge"],
-    "fp_growth.minsup_pct": ["true", "str", "huge", "-huge"],
-    "generate_rules.minconf_pct": ["true", "str", "huge", "-huge"],
     "Profile.rating": ["true", "half", "huge", "-huge"],
     "Profile.purchase_count": ["-huge"],
     "Profile.ratings": ["huge", "-huge"],
@@ -126,12 +112,7 @@ DIVERGED = {
     "Dataset.transactions": ["huge", "-huge"],
     **{entry: ["mapping"] for entry in ("Dataset.users", "Dataset.items")},  # its keys were taken as the ids
     "Recommender.recommend_user": ["huge", "-huge"],
-    "profile_weights.mode": ["true", "2.5", "str", "half", "nan", "huge", "-huge", "list"],
-    "profile_weights.iif": ["true", "2.5", "str", "half", "nan", "huge", "-huge", "list"],
-    **{
-        entry: ["true", "2.5", "half", "nan", "huge", "-huge", "list"]
-        for entry in ("top_k_neighbors.exclude", "Recommender.recommend_profile.exclude_user")
-    },
+    "Recommender.recommend_profile.exclude_user": ["true", "2.5", "half", "nan", "huge", "-huge", "list"],
 }
 
 
@@ -154,20 +135,13 @@ HUGE_SIZE = "int of 16610 bits"  # HUGE's bit_length()
     [
         (lambda: RecommenderConfig(k_neighbors=-HUGE), f"k_neighbors must be an int >= 1, got a negative {HUGE_SIZE}"),
         (lambda: cold_start(DS, -HUGE), f"top_n must be an int >= 1, got a negative {HUGE_SIZE}"),
-        (lambda: top_k_neighbors({}, {}, 2.5), "k must be an int >= 1, got 2.5"),
-        (lambda: fp_growth([], True), "minsup_pct must be a real in (0, 100], got True"),
+        (lambda: RecommenderConfig(k_neighbors=2.5), "k_neighbors must be an int >= 1, got 2.5"),
+        (lambda: RecommenderConfig(minsup_pct=True), "minsup_pct must be a real in (0, 100], got True"),
         (
-            lambda: profile_weights({}, {}, "bogus"),
+            lambda: RecommenderConfig(mode="bogus"),
             "mode must be one of ('simple', 'method1', 'method2', 'implicit'), got 'bogus'",
         ),
-        (
-            lambda: profile_weights({}, {"P1": 1}, "implicit"),
-            "iif must be a mapping of item ids to inverse frequencies in implicit mode, got None",
-        ),
-        (lambda: top_k_neighbors({}, {}, 1, exclude=["U1"]), "invalid user id ['U1']"),
-        # each raised a bare AttributeError: 'int' object has no attribute 'items'
-        (lambda: top_k_neighbors(5, {}, 1), "weights must be a mapping of item ids to weights, got 5"),
-        (lambda: build_postings(5), "vectors must be a mapping of user ids to weight maps, got 5"),
+        (lambda: ENGINE.recommend_profile(QUERY, ["U1"]), "invalid user id ['U1']"),
         (lambda: Profile({"I1": HUGE}), f"item I1: rating must be {RATING}, got an {HUGE_SIZE}"),
         (
             lambda: Profile({"I1": Fraction(HUGE, 3)}),
@@ -188,10 +162,7 @@ HUGE_SIZE = "int of 16610 bits"  # HUGE's bit_length()
         "k",
         "minsup",
         "mode",
-        "iif",
         "exclude",
-        "weights",
-        "vectors",
         "rating-huge",
         "rating-huge-fraction",
         "rating-fraction",
@@ -203,6 +174,11 @@ HUGE_SIZE = "int of 16610 bits"  # HUGE's bit_length()
 def test_one_message_form_names_every_value(call, message):
     with pytest.raises(ShoprecError, match=f"^{re.escape(message)}$"):
         call()
+
+
+def test_an_empty_profile_is_reported_before_a_bad_user_to_leave_out():
+    with pytest.raises(NoProfileError):
+        ENGINE.recommend_profile(Profile(), ["U1"])
 
 
 VALUES_OF_EVERY_KIND = st.one_of(
