@@ -192,8 +192,13 @@ class TestExitCodes:
             (["--minsup", "0"], "minsup_pct must be a real in (0, 100], got 0.0"),
             (["--minconf", "101"], "minconf_pct must be a real in (0, 100], got 101.0"),
             (["--minsup", "0", "--minconf", "101"], "minsup_pct must be a real in (0, 100], got 0.0"),
+            # values the miner once refused as well, which only the config refuses now
+            (["--minsup", "-5"], "minsup_pct must be a real in (0, 100], got -5.0"),
+            (["--minsup", "nan"], "minsup_pct must be a real in (0, 100], got nan"),
+            (["--minsup", "inf"], "minsup_pct must be a real in (0, 100], got inf"),
+            (["--minconf", "0"], "minconf_pct must be a real in (0, 100], got 0.0"),
         ],
-        ids=["minsup", "minconf", "both"],
+        ids=["minsup", "minconf", "both", "minsup-negative", "minsup-nan", "minsup-inf", "minconf-zero"],
     )
     def test_bad_rule_threshold_is_config_error(self, data_dir, capsys, flags, message):
         assert cli.main(["mine-rules", "--transactions", str(data_dir / "table1.csv"), *flags]) == 2

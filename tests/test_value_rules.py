@@ -55,6 +55,7 @@ ENTRY_POINTS = {
         )
         for name in names.split()
     },
+    "ExperimentConfig.modes": (lambda v: ExperimentConfig(modes=(v,)), ConfigError),  # one mode of the protocol
     "split_users.train_fraction": (lambda v: split_users(DS, v, 0), RangeError),
     "split_users.seed": (lambda v: split_users(DS, 0.5, v), RangeError),
     "cold_start.top_n": (lambda v: cold_start(DS, v), RangeError),
@@ -115,10 +116,35 @@ DIVERGED = {
     "Recommender.recommend_profile.exclude_user": ["true", "2.5", "half", "nan", "huge", "-huge", "list"],
 }
 
+# entry point -> the VALUES that a layer function (the neighbour search, the
+# vector builder, the miner) once refused as well, and that only the boundary
+# refuses now: each engine and protocol config checks its mode, neighbour
+# count and rule thresholds before any layer sees them
+CHECKED_ONLY_HERE = {
+    **{
+        f"{config}.{name}": labels
+        for config in ("RecommenderConfig", "ExperimentConfig")
+        for name, labels in (
+            ("k_neighbors", ["true", "2.5", "str", "nan"]),
+            ("minsup_pct", ["true", "str"]),
+            ("minconf_pct", ["true", "str"]),
+        )
+    },
+    **{
+        entry: ["true", "2.5", "str", "half", "nan", "huge", "-huge", "list"]
+        for entry in ("RecommenderConfig.mode", "ExperimentConfig.modes")
+    },
+}
+
 
 @pytest.mark.parametrize(
     "entry, value",
-    [pytest.param(entry, VALUES[label], id=f"{entry}-{label}") for entry in DIVERGED for label in DIVERGED[entry]],
+    [
+        pytest.param(entry, VALUES[label], id=f"{entry}-{label}")
+        for table in (DIVERGED, CHECKED_ONLY_HERE)
+        for entry in table
+        for label in table[entry]
+    ],
 )
 def test_a_value_that_breaks_the_rule_raises_the_documented_class(entry, value):
     call, error = ENTRY_POINTS[entry]
@@ -136,10 +162,15 @@ HUGE_SIZE = "int of 16610 bits"  # HUGE's bit_length()
         (lambda: RecommenderConfig(k_neighbors=-HUGE), f"k_neighbors must be an int >= 1, got a negative {HUGE_SIZE}"),
         (lambda: cold_start(DS, -HUGE), f"top_n must be an int >= 1, got a negative {HUGE_SIZE}"),
         (lambda: RecommenderConfig(k_neighbors=2.5), "k_neighbors must be an int >= 1, got 2.5"),
+        (lambda: RecommenderConfig(k_neighbors=math.nan), "k_neighbors must be an int >= 1, got nan"),
         (lambda: RecommenderConfig(minsup_pct=True), "minsup_pct must be a real in (0, 100], got True"),
         (
             lambda: RecommenderConfig(mode="bogus"),
             "mode must be one of ('simple', 'method1', 'method2', 'implicit'), got 'bogus'",
+        ),
+        (
+            lambda: ExperimentConfig(modes=(2.5,)),
+            "mode must be one of ('simple', 'method1', 'method2', 'implicit'), got 2.5",
         ),
         (lambda: ENGINE.recommend_profile(QUERY, ["U1"]), "invalid user id ['U1']"),
         (lambda: Profile({"I1": HUGE}), f"item I1: rating must be {RATING}, got an {HUGE_SIZE}"),
@@ -160,8 +191,10 @@ HUGE_SIZE = "int of 16610 bits"  # HUGE's bit_length()
         "config",
         "cold-start",
         "k",
+        "k-nan",
         "minsup",
         "mode",
+        "one-mode",
         "exclude",
         "rating-huge",
         "rating-huge-fraction",
