@@ -60,7 +60,7 @@ import os
 import random
 from codecs import BOM_UTF8
 from collections import Counter
-from collections.abc import Callable, Iterable, Mapping
+from collections.abc import Callable, Iterable, Mapping, Sequence
 from dataclasses import dataclass, fields
 from functools import cached_property
 from itertools import chain, islice
@@ -119,7 +119,9 @@ _THRESHOLD = _Rule(lambda v: _is_real(v) and 0.0 <= v <= 10.0, "a real in [0, 10
 _RATING = _Rule(lambda v: (isinstance(v, float) or _is_int(v)) and 0.0 <= v <= 10.0, "an int or a float in [0, 10]")
 # far above a file's counts; a larger one can overflow a query's floats
 _PURCHASE_COUNT = _Rule(lambda v: _is_int(v) and 1 <= v <= 2**53, "an int from 1 to 2**53")
-_IDS = _Rule(_is_collection, "a collection of ids")  # users, items
+_IDS = _Rule(_is_collection, "a collection of ids")  # users, items, and the items relevant to a query
+# a ranked list of ids, such as a query's recommended items: a string, bytes or a set is not one
+_RANKED_IDS = _Rule(lambda v: isinstance(v, Sequence) and not isinstance(v, (str, bytes)), "a sequence of ids")
 _RECORDS = _Rule(_is_collection, "a collection of records")  # transactions, ratings
 
 
@@ -199,12 +201,7 @@ class Dataset:
         ratings = _rows("rating", ratings, RatingRecord._fields)
         tx_users, tx_items = _check_transactions(transactions, _nowhere)
         rt_users, rt_items = _check_ratings(ratings, _nowhere)
-        self._fill(
-            _declared_ids("user", users, tx_users | rt_users),
-            _declared_ids("item", items, tx_items | rt_items),
-            _sorted_transactions(transactions),
-            sorted(ratings),  # a rating's tuple order is its (user, item) order: the pair is unique
-        )
+        self._fill(*_canonical(users, items, tx_users | rt_users, tx_items | rt_items, transactions, ratings))
 
     @classmethod
     def _trusted(cls, users, items, transactions, ratings) -> "Dataset":
@@ -254,10 +251,6 @@ class Dataset:
         """Number of distinct users who purchased each item (purchased items only)."""
         # each user's count map holds each item it bought once, so its keys count buyers
         return Counter(chain.from_iterable(self.purchase_counts_by_user.values()))
-
-
-def _sorted_transactions(rows):
-    return sorted(rows, key=itemgetter(1, 2))  # by (user, seq)
 
 
 def _rows(kind: str, records, fields: tuple[str, ...]) -> list[tuple]:
@@ -323,6 +316,17 @@ def _check_ratings(ratings, at):
             raise IntegrityError(f"{at(k)}duplicate rating for ({user}, {item})")
         rated.add(item)
     return rated_by_user.keys(), items
+
+
+def _canonical(users, items, met_users, met_items, transactions, ratings):
+    """A dataset's fields in canonical order: the declared ids, or the ids met when None,
+    sorted; the transaction rows by (user, seq); the rating rows by (user, item)."""
+    return (
+        _declared_ids("user", users, met_users),
+        _declared_ids("item", items, met_items),
+        sorted(transactions, key=itemgetter(1, 2)),
+        sorted(ratings),  # a rating's tuple order is its (user, item) order: the pair is unique
+    )
 
 
 def _declared_ids(kind: str, declared, met) -> list[str]:
@@ -440,12 +444,7 @@ def load_dataset(transactions_path=None, ratings_path=None) -> Dataset:
         transactions_path, TRANSACTION_HEADER, _transaction_row, _check_transactions, ids
     )
     ratings, rt_users, rt_items = _parse(ratings_path, RATING_HEADER, _rating_row, _check_ratings, ids)
-    return Dataset._trusted(
-        sorted({*tx_users, *rt_users}),
-        sorted({*tx_items, *rt_items}),
-        _sorted_transactions(transactions),  # as the Dataset constructor orders its records
-        sorted(ratings),
-    )
+    return Dataset._trusted(*_canonical(None, None, tx_users | rt_users, tx_items | rt_items, transactions, ratings))
 
 
 def _csv(header: str, lines: Iterable[str]) -> str:

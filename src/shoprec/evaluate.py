@@ -23,9 +23,10 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Iterable, Sequence
 
-from .corpus import _COUNT, _SEED, _THRESHOLD, _TRAIN_FRACTION, _check_fields, _config, _require, _require_type, _Rule
+from .corpus import _COUNT, _IDS, _RANKED_IDS, _SEED, _THRESHOLD, _TRAIN_FRACTION, _check_fields, _config, _require
+from .corpus import _require_type, _Rule
 from .corpus import Dataset, split_users
-from .errors import ExperimentError, MetricUndefinedError, NoProfileError
+from .errors import ExperimentError, IntegrityError, MetricUndefinedError, NoProfileError
 from .recommend import Profile, Recommendation, Recommender, RecommenderConfig
 from .similarity import MODES
 
@@ -34,9 +35,14 @@ def precision_at_n(recommended: Sequence[str], relevant: Iterable[str], n: int) 
     """Percentage of the top-n recommended items that are relevant.
 
     The denominator is min(n, len(recommended)) so short lists are not
-    penalized for slots they never filled; an empty list scores 0.
+    penalized for slots they never filled; an empty list scores 0. An ``n``
+    that is no count raises RangeError, then a ``recommended`` that is no
+    sequence of ids (a string, bytes or a set is not one) or a ``relevant``
+    that is no collection of ids raises IntegrityError, as in recall_at_n.
     """
     _require("n", n, _COUNT)
+    _require("recommended", recommended, _RANKED_IDS, IntegrityError)
+    _require("relevant", relevant, _IDS, IntegrityError)
     if not recommended:
         return 0.0
     top = recommended[:n]
@@ -46,8 +52,14 @@ def precision_at_n(recommended: Sequence[str], relevant: Iterable[str], n: int) 
 
 
 def recall_at_n(recommended: Sequence[str], relevant: Iterable[str], n: int) -> float:
-    """Percentage of the relevant items found in the top-n recommendations."""
+    """Percentage of the relevant items found in the top-n recommendations.
+
+    Its arguments are checked as in precision_at_n; an empty ``relevant``
+    then raises MetricUndefinedError.
+    """
     _require("n", n, _COUNT)
+    _require("recommended", recommended, _RANKED_IDS, IntegrityError)
+    _require("relevant", relevant, _IDS, IntegrityError)
     relevant = set(relevant)
     if not relevant:
         raise MetricUndefinedError("recall is undefined for an empty relevant set")

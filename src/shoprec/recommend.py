@@ -190,7 +190,9 @@ class Recommender:
     query only reads them, so one engine serves concurrent queries, and its
     neighbour search costs the postings of the query's items; only a query
     that reads more posting entries than there are training users also
-    passes over every user. A ``train`` that is not a ``Dataset``, or a
+    passes over every user. The user a query leaves out, such as
+    ``recommend_user``'s own, is summed as any other and struck only from
+    the ranked finalists. A ``train`` that is not a ``Dataset``, or a
     ``config`` that is neither None nor a ``RecommenderConfig``, raises TypeError.
 
     An engine exposes ``config``, ``train``, ``recommend_user`` and

@@ -126,17 +126,16 @@ def fp_growth(transactions: Iterable[Transaction], minsup_pct: float) -> list[Fr
 def generate_rules(frequents: Iterable[FrequentItemset], minconf_pct: float) -> list[AssociationRule]:
     """Derive every rule X => Y from the frequent itemsets at the confidence floor.
 
-    Confidence comes from the frequent-itemset counts themselves (every
-    antecedent of a frequent itemset is frequent, so its count is known).
+    Confidence comes from the frequent-itemset counts themselves: every
+    antecedent of a frequent itemset is frequent, so ``frequents``, which
+    holds every frequent itemset as ``fp_growth`` returns them, has its count.
     """
     by_items = {f.items: f for f in frequents}
     rules = []
     for f in by_items.values():
         for r in range(1, len(f.items)):  # none for a single item
             for antecedent in itertools.combinations(f.items, r):
-                parent = by_items.get(antecedent)
-                if parent is None:
-                    continue  # caller passed a pruned frequent set
+                parent = by_items[antecedent]
                 if 100.0 * f.support_count < minconf_pct * parent.support_count - 1e-9:
                     continue
                 consequent = tuple(i for i in f.items if i not in antecedent)

@@ -36,7 +36,11 @@ same bits. The k best are then selected by threshold:
 one float sort of every candidate's similarity gives the k-th largest, and
 only the candidates at or above it, ties included, are sorted by
 (similarity, slot), which is (similarity, id) since the slots follow the
-sorted ids. This holds for finite, non-negative weights.
+sorted ids. This holds for finite, non-negative weights. A user to leave
+out is dropped there and nowhere else: the accumulators sum it as any other
+slot, the floor is taken at the (k+1)-th largest, and its id is filtered
+from the sorted finalists, since the k best of the other users are the
+first k of the k + 1 best of all once it is struck out.
 
 Each quantity has one path: ``profile_weights`` builds a weight map, and
 ``build_postings`` and ``top_k_neighbors`` find the neighbours. They are
@@ -48,7 +52,6 @@ checked: a ``Profile``'s maps, a ``Dataset``'s tables and a
 from __future__ import annotations
 
 import math
-from bisect import bisect_left
 from collections.abc import Mapping
 from typing import NamedTuple
 
@@ -109,7 +112,7 @@ def build_postings(vectors: Mapping[str, Mapping[str, float]]) -> Postings:
     return Postings(users, lists)
 
 
-def _in_dict(hits, skip: int | None):
+def _in_dict(hits):
     """The sums of the slots the hits meet, as (slots, [dot, norm] pairs)."""
     sums: dict[int, list[float]] = {}
     for w, posting in hits:
@@ -122,11 +125,10 @@ def _in_dict(hits, skip: int | None):
             else:
                 acc[0] += w * v
                 acc[1] += v * v
-    sums.pop(skip, None)
     return sums.keys(), sums.values()
 
 
-def _in_lists(hits, n: int, skip: int | None):
+def _in_lists(hits, n: int):
     """The sums of every slot, as (slots, (dot, norm) pairs); a slot no hit meets sums to 0."""
     dots = [0.0] * n
     norms = [0.0] * n
@@ -134,8 +136,6 @@ def _in_lists(hits, n: int, skip: int | None):
         for slot, v in posting.items():
             dots[slot] += w * v
             norms[slot] += v * v
-    if skip is not None:
-        dots[skip] = 0.0
     return range(n), zip(dots, norms)
 
 
@@ -147,12 +147,14 @@ def top_k_neighbors(
     Ranked by descending similarity, ties by ascending user id; ``exclude``
     never appears. Each score equals the pairwise restricted cosine bit for
     bit: per candidate, the products are summed in the target's coordinate
-    order, and the coordinates the candidate lacks, which are skipped here,
+    order, and the coordinates the candidate lacks, which are not read here,
     would only ever add 0.0. A query that reads more posting entries than
     there are users sums into lists indexed by slot, any other into a dict
     of the slots it meets; the two give the same bits. Only the candidates
     at or above the k-th best similarity, ties included, are sorted, so the
-    answer is a full sort's. Weights must be finite and non-negative, as
+    answer is a full sort's. With ``exclude`` given, the floor is the
+    (k+1)-th best, and ``exclude`` is struck from the sorted finalists: the
+    one place it is left out. Weights must be finite and non-negative, as
     ``profile_weights`` makes them, and no sum of squares may overflow but
     the target's, which gives [].
     """
@@ -169,16 +171,12 @@ def top_k_neighbors(
     if norm_t == 0.0:
         return []
     n = len(users)
-    skip = None
-    if exclude is not None:
-        at = bisect_left(users, exclude)
-        if at < n and users[at] == exclude:
-            skip = at
-    slots, sums = _in_lists(hits, n, skip) if reads > n else _in_dict(hits, skip)
+    slots, sums = _in_lists(hits, n) if reads > n else _in_dict(hits)
     root_t = math.sqrt(norm_t)
     sims = [dot / (root_t * math.sqrt(norm_o)) if norm_o else 0.0 for dot, norm_o in sums]
-    if not sims:  # no candidate, or only the excluded one
+    if not sims:  # no candidate
         return []
-    floor = max(sorted(sims)[-k:][0], math.ulp(0.0))  # the k-th largest, or the least if fewer; 0 never ranks
+    cut = k if exclude is None else k + 1  # the user left out may be one of the k + 1 best
+    floor = max(sorted(sims)[-cut:][0], math.ulp(0.0))  # the cut-th largest, or the least if fewer; 0 never ranks
     finalists = sorted((-sim, slot) for slot, sim in zip(slots, sims) if sim >= floor)
-    return [(users[slot], -neg) for neg, slot in finalists[:k]]
+    return [(users[slot], -neg) for neg, slot in finalists[:cut] if users[slot] != exclude][:k]

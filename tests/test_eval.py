@@ -46,6 +46,11 @@ class TestPrecision:
         with pytest.raises(RangeError):
             precision_at_n(["A"], {"A"}, 0)
 
+    @pytest.mark.parametrize("metric", [precision_at_n, recall_at_n])
+    def test_n_is_checked_before_the_lists(self, metric):
+        with pytest.raises(RangeError):
+            metric(None, None, 0)
+
     def test_relevant_given_as_an_iterator(self):
         # the relevant items are read once, not once per recommended item
         assert precision_at_n(["a", "b"], iter(["a", "b"]), 2) == 100.0

@@ -154,6 +154,7 @@ class TestGenerateRules:
     def test_confidence_floor_boundary(self, antecedent_count, union_count, minconf_pct, kept):
         frequents = [
             FrequentItemset(("A",), antecedent_count, 100.0),
+            FrequentItemset(("B",), 100, 100.0),  # B => A stays below every floor here
             FrequentItemset(("A", "B"), union_count, 50.0),
         ]
         rules = generate_rules(frequents, minconf_pct)

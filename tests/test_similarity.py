@@ -259,8 +259,8 @@ class TestTopKNeighbors:
         answers = [top_k_neighbors(target, postings, k, exclude=exclude), brute_force_scan(target, vectors, k, exclude)]
         in_dict, in_lists, n = similarity._in_dict, similarity._in_lists, len(postings.users)
         for name, forced in (
-            ("_in_lists", lambda hits, _n, skip: in_dict(hits, skip)),
-            ("_in_dict", lambda hits, skip: in_lists(hits, n, skip)),
+            ("_in_lists", lambda hits, _n: in_dict(hits)),
+            ("_in_dict", lambda hits: in_lists(hits, n)),
         ):
             with pytest.MonkeyPatch.context() as patch:
                 patch.setattr(similarity, name, forced)

@@ -11,7 +11,9 @@ OverflowError. An int too long for ``str()`` is named by its size. A user id
 given to be left out of the neighbours obeys the id rule, whose message is
 ``invalid user id {value}``. The ``users`` and ``items`` given to a
 ``Dataset`` obey the collection rule of its records: bytes or a mapping is
-not a collection of ids.
+not a collection of ids. So do the relevant items given to ``precision_at_n``
+and ``recall_at_n``, and their recommended items are a sequence of ids: a
+string, bytes or a set is not one.
 """
 
 import math
@@ -23,7 +25,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from shoprec.corpus import Dataset, SyntheticConfig, split_users
-from shoprec.errors import ConfigError, IntegrityError, NoProfileError, NotFoundError, RangeError, ShoprecError
+from shoprec.errors import (
+    ConfigError,
+    IntegrityError,
+    MetricUndefinedError,
+    NoProfileError,
+    NotFoundError,
+    RangeError,
+    ShoprecError,
+)
 from shoprec.evaluate import ExperimentConfig, precision_at_n, recall_at_n
 from shoprec.recommend import Profile, Recommender, RecommenderConfig, cold_start
 
@@ -61,6 +71,11 @@ ENTRY_POINTS = {
     "cold_start.top_n": (lambda v: cold_start(DS, v), RangeError),
     "precision_at_n.n": (lambda v: precision_at_n(["P1", "P2"], ["P1"], v), RangeError),
     "recall_at_n.n": (lambda v: recall_at_n(["P1", "P2"], ["P1"], v), RangeError),
+    "precision_at_n.recommended": (lambda v: precision_at_n(v, ["P1"], 1), IntegrityError),
+    "precision_at_n.relevant": (lambda v: precision_at_n(["P1"], v, 1), IntegrityError),
+    "recall_at_n.recommended": (lambda v: recall_at_n(v, ["P1"], 1), IntegrityError),
+    # an empty collection obeys the rule, and has no recall
+    "recall_at_n.relevant": (lambda v: recall_at_n(["P1"], v, 1), (IntegrityError, MetricUndefinedError)),
     "Profile.rating": (lambda v: Profile({"P1": v}), RangeError),
     "Profile.purchase_count": (lambda v: Profile({}, {"P1": v}), RangeError),
     "Profile.ratings": (lambda v: Profile(v), IntegrityError),
@@ -104,6 +119,12 @@ DIVERGED = {
     "cold_start.top_n": ["-huge"],
     "precision_at_n.n": ["true", "2.5", "str", "nan", "-huge"],
     "recall_at_n.n": ["true", "2.5", "str", "nan", "-huge"],
+    # a string or a mapping was read as its characters or keys, any other value failed with a bare TypeError
+    **{
+        f"{metric}.{name}": ["true", "2.5", "str", "half", "nan", "huge", "-huge", "mapping"]
+        for metric in ("precision_at_n", "recall_at_n")
+        for name in ("recommended", "relevant")
+    },
     "Profile.rating": ["true", "half", "huge", "-huge"],
     "Profile.purchase_count": ["-huge"],
     "Profile.ratings": ["huge", "-huge"],
@@ -186,6 +207,13 @@ HUGE_SIZE = "int of 16610 bits"  # HUGE's bit_length()
         # each byte was once checked as an id: "invalid user id 85"
         (lambda: Dataset(users=b"U1", ratings=[("U1", "P1", 5.0)]), "users must be a collection of ids, got b'U1'"),
         (lambda: Dataset(items=b"P1", ratings=[("U1", "P1", 5.0)]), "items must be a collection of ids, got b'P1'"),
+        # read as the items a, b and c: recall 33.3
+        (lambda: recall_at_n(["a"], "abc", 1), "relevant must be a collection of ids, got 'abc'"),
+        (lambda: precision_at_n(None, ["a"], 1), "recommended must be a sequence of ids, got None"),  # once 0.0
+        # once a bare TypeError: 'NoneType' object is not iterable
+        (lambda: precision_at_n(["a"], None, 1), "relevant must be a collection of ids, got None"),
+        # once a bare TypeError at the slice
+        (lambda: precision_at_n({"a"}, ["a"], 1), "recommended must be a sequence of ids, got {'a'}"),
     ],
     ids=[
         "config",
@@ -202,6 +230,10 @@ HUGE_SIZE = "int of 16610 bits"  # HUGE's bit_length()
         "seq",
         "users-bytes",
         "items-bytes",
+        "relevant-str",
+        "recommended-none",
+        "relevant-none",
+        "recommended-set",
     ],
 )
 def test_one_message_form_names_every_value(call, message):
