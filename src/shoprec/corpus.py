@@ -84,8 +84,11 @@ def _check_id(kind: str, value, at=_nowhere, k: int = 0) -> str:
     return value
 
 
-def _is_collection(value) -> bool:  # of records or of ids: a string, bytes or a mapping is not one
-    return isinstance(value, Iterable) and not isinstance(value, (str, bytes, Mapping))
+_TEXT = (str, bytes, bytearray, memoryview)  # text and bytes-like values, whose elements are no ids
+
+
+def _is_collection(value) -> bool:  # of records or of ids: a string, a bytes-like value or a mapping is not one
+    return isinstance(value, Iterable) and not isinstance(value, (*_TEXT, Mapping))
 
 
 def _is_int(value) -> bool:  # a count, a seq or a seed
@@ -120,8 +123,8 @@ _RATING = _Rule(lambda v: (isinstance(v, float) or _is_int(v)) and 0.0 <= v <= 1
 # far above a file's counts; a larger one can overflow a query's floats
 _PURCHASE_COUNT = _Rule(lambda v: _is_int(v) and 1 <= v <= 2**53, "an int from 1 to 2**53")
 _IDS = _Rule(_is_collection, "a collection of ids")  # users, items, and the items relevant to a query
-# a ranked list of ids, such as a query's recommended items: a string, bytes or a set is not one
-_RANKED_IDS = _Rule(lambda v: isinstance(v, Sequence) and not isinstance(v, (str, bytes)), "a sequence of ids")
+# a ranked list of ids, such as a query's recommended items: a string, a bytes-like value or a set is not one
+_RANKED_IDS = _Rule(lambda v: isinstance(v, Sequence) and not isinstance(v, _TEXT), "a sequence of ids")
 _RECORDS = _Rule(_is_collection, "a collection of records")  # transactions, ratings
 
 
@@ -191,11 +194,11 @@ class Dataset:
         Users and items are inferred from the records when None. A record may
         be a Transaction or RatingRecord or a plain tuple. A faulty record
         raises what :func:`load_dataset` raises for it, without the line; an
-        argument that is not a collection (a string, bytes or a mapping is
-        not one), an unknown reference, a record without its fields or a field
-        of the wrong type raises IntegrityError (RangeError for a value): ids
-        are str, a seq an int, items a tuple, a value an int or a float, a bool
-        none of these.
+        argument that is not a collection (a string, a bytes-like value or a
+        mapping is not one), an unknown reference, a record without its
+        fields or a field of the wrong type raises IntegrityError (RangeError
+        for a value): ids are str, a seq an int, items a tuple, a value an int
+        or a float, a bool none of these.
         """
         transactions = _rows("transaction", transactions, Transaction._fields)
         ratings = _rows("rating", ratings, RatingRecord._fields)
@@ -255,7 +258,7 @@ class Dataset:
 
 def _rows(kind: str, records, fields: tuple[str, ...]) -> list[tuple]:
     """The records as plain tuples; IntegrityError names the argument if it is not a
-    collection of records (a string, bytes or a mapping is not), or else the first
+    collection of records (a string, a bytes-like value or a mapping is not), or else the first
     record that does not hold the ``fields``."""
     _require(f"{kind}s", records, _RECORDS, IntegrityError)
     rows = []

@@ -8,11 +8,13 @@ the hidden relevant set. Each similarity mode is reported twice, with rule
 expansion off and on, and metrics are macro-averaged over the test users
 that could be evaluated.
 
-Both rows of a mode come from one engine and one query per test user. The
-rules-off row scores the neighbour entries of that answer, which are the
-list without rule expansion: the engine ranks every neighbour candidate
-ahead of every rule candidate and truncates last, so rules cannot lower
-recall by construction.
+Both rows of a mode come from one engine and one query per test user. Each
+answer's item list is built once, checked once against the metrics' rules,
+and scored once for each row. The rules-off row is the answer's neighbour
+prefix, which is the list without rule expansion: the engine ranks every
+neighbour candidate ahead of every rule candidate and truncates last, so
+rules cannot lower recall by construction. ``precision_at_n`` and
+``recall_at_n`` are the checked public entry to the same two formulas.
 
 Test users with no relevant items (recall undefined) or an empty residual
 profile in the active mode are skipped and counted, in both rows alike.
@@ -27,28 +29,24 @@ from .corpus import _COUNT, _IDS, _RANKED_IDS, _SEED, _THRESHOLD, _TRAIN_FRACTIO
 from .corpus import _require_type, _Rule
 from .corpus import Dataset, split_users
 from .errors import ExperimentError, IntegrityError, MetricUndefinedError, NoProfileError
-from .recommend import Profile, Recommendation, Recommender, RecommenderConfig
+from .recommend import Profile, Recommender, RecommenderConfig
 from .similarity import MODES
 
 
 def precision_at_n(recommended: Sequence[str], relevant: Iterable[str], n: int) -> float:
     """Percentage of the top-n recommended items that are relevant.
 
-    The denominator is min(n, len(recommended)) so short lists are not
-    penalized for slots they never filled; an empty list scores 0. An ``n``
+    Each position counts, so an id listed twice is two hits here and one in
+    recall_at_n, which counts distinct relevant ids. The denominator is
+    min(n, len(recommended)) so short lists are not penalized for slots they
+    never filled; an empty list scores 0. An ``n``
     that is no count raises RangeError, then a ``recommended`` that is no
-    sequence of ids (a string, bytes or a set is not one) or a ``relevant``
-    that is no collection of ids raises IntegrityError, as in recall_at_n.
+    sequence of ids (a string, a bytes-like value or a set is not one) or a
+    ``relevant`` that is no collection of ids raises IntegrityError, as in
+    recall_at_n.
     """
-    _require("n", n, _COUNT)
-    _require("recommended", recommended, _RANKED_IDS, IntegrityError)
-    _require("relevant", relevant, _IDS, IntegrityError)
-    if not recommended:
-        return 0.0
-    top = recommended[:n]
-    relevant = set(relevant)
-    hits = sum(1 for item in top if item in relevant)
-    return 100.0 * hits / min(n, len(recommended))
+    _check(recommended, relevant, n)
+    return _precision(recommended, set(relevant), n)
 
 
 def recall_at_n(recommended: Sequence[str], relevant: Iterable[str], n: int) -> float:
@@ -57,14 +55,31 @@ def recall_at_n(recommended: Sequence[str], relevant: Iterable[str], n: int) -> 
     Its arguments are checked as in precision_at_n; an empty ``relevant``
     then raises MetricUndefinedError.
     """
-    _require("n", n, _COUNT)
-    _require("recommended", recommended, _RANKED_IDS, IntegrityError)
-    _require("relevant", relevant, _IDS, IntegrityError)
+    _check(recommended, relevant, n)
     relevant = set(relevant)
     if not relevant:
         raise MetricUndefinedError("recall is undefined for an empty relevant set")
-    top = set(recommended[:n])
-    hits = sum(1 for item in relevant if item in top)
+    return _recall(recommended, relevant, n)
+
+
+def _check(recommended, relevant, n) -> None:
+    """The metrics' rules in their order: the count ``n``, the ranked list, the relevant ids."""
+    _require("n", n, _COUNT)
+    _require("recommended", recommended, _RANKED_IDS, IntegrityError)
+    _require("relevant", relevant, _IDS, IntegrityError)
+
+
+def _precision(recommended: Sequence[str], relevant: set[str], n: int) -> float:
+    """Precision's formula: the positions in the top n that hold a relevant id, over min(n, len)."""
+    if not recommended:
+        return 0.0
+    hits = sum(1 for item in recommended[:n] if item in relevant)
+    return 100.0 * hits / min(n, len(recommended))
+
+
+def _recall(recommended: Sequence[str], relevant: set[str], n: int) -> float:
+    """Recall's formula: the distinct relevant ids in the top n, over the (non-empty) relevant ids."""
+    hits = len(relevant.intersection(recommended[:n]))
     return 100.0 * hits / len(relevant)
 
 
@@ -125,10 +140,9 @@ def _holdout_profile(dataset: Dataset, user: str, relevance_threshold: float):
     return Profile(ratings=residual_ratings, purchase_counts=residual_purchases), relevant
 
 
-def _scores(recs: Sequence[Recommendation], relevant: set[str], n: int) -> tuple[float, float]:
-    """(precision, recall) of one recommendation list against the hidden relevant set."""
-    items = [r.item for r in recs]
-    return precision_at_n(items, relevant, n), recall_at_n(items, relevant, n)
+def _scores(items: Sequence[str], relevant: set[str], n: int) -> tuple[float, float]:
+    """(precision, recall) of one checked list of items against the hidden relevant set."""
+    return _precision(items, relevant, n), _recall(items, relevant, n)
 
 
 def _row(
@@ -156,8 +170,8 @@ def _row(
 def run_experiment(dataset: Dataset, config: ExperimentConfig | None = None) -> EvalReport:
     """Run the full mode x rules comparison on one dataset.
 
-    One engine per mode answers each held-out profile once; the rules-off
-    row is scored from the neighbour entries of the same answer.
+    One engine per mode answers each held-out profile once; the answer is
+    checked once, and the rules-off row is scored from its neighbour prefix.
     Deterministic for a fixed dataset and config: the split, every index and
     every recommendation are seed-driven and tie-broken by id. A ``dataset``
     that is not a ``Dataset``, or a ``config`` that is neither None nor an
@@ -187,8 +201,11 @@ def run_experiment(dataset: Dataset, config: ExperimentConfig | None = None) -> 
             except NoProfileError:
                 skipped += 1
                 continue
-            off.append(_scores([r for r in recs if r.source == "neighbor"], relevant, n))
-            on.append(_scores(recs, relevant, n))
+            items = [r.item for r in recs]
+            _check(items, relevant, n)  # the public metrics' rules, once per answer
+            # the neighbour entries come first, so the answer without rules is a prefix
+            off.append(_scores(items[: [r.source for r in recs].count("neighbor")], relevant, n))
+            on.append(_scores(items, relevant, n))
         report.rows.append(_row(mode, False, n, off, skipped))
         report.rows.append(_row(mode, True, n, on, skipped))
     return report

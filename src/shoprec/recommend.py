@@ -89,9 +89,11 @@ class Profile:
         for item in chain(ratings, counts):
             _check_id("item", item)
         for item, rating in ratings.items():
-            _require(f"item {item}: rating", rating, _RATING)
+            if not _RATING.ok(rating):  # the name is built only for a bad value
+                _require(f"item {item}: rating", rating, _RATING)
         for item, count in counts.items():
-            _require(f"item {item}: purchase count", count, _PURCHASE_COUNT)
+            if not _PURCHASE_COUNT.ok(count):
+                _require(f"item {item}: purchase count", count, _PURCHASE_COUNT)
         vars(self).update(ratings=MappingProxyType(ratings), purchase_counts=MappingProxyType(counts))
 
     def __reduce__(self):  # a read-only view does not pickle: copy and pickle rebuild from dicts

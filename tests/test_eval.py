@@ -72,6 +72,16 @@ class TestRecall:
             recall_at_n(["A"], set(), 1)
 
 
+def test_precision_counts_positions_and_recall_counts_ids():
+    """A relevant id listed twice is two hits of precision and one of recall, so one
+    hit count shared by both metrics fails here; the exhaustive oracle below draws
+    no repeats."""
+    assert precision_at_n(["a", "a", "b"], {"a", "c"}, 3) == 100.0 * 2 / 3
+    assert recall_at_n(["a", "a", "b"], {"a", "c"}, 3) == 50.0
+    # only recall is undefined without relevant items
+    assert precision_at_n(["a"], set(), 1) == 0.0
+
+
 def test_rating_at_the_relevance_threshold_is_hidden_as_relevant():
     """The protocol hides the items rated at or above the threshold, from ratings and purchases both."""
     ds = Dataset(

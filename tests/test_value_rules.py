@@ -10,10 +10,11 @@ the entry point's documented error class with the message ``"{name} must be
 OverflowError. An int too long for ``str()`` is named by its size. A user id
 given to be left out of the neighbours obeys the id rule, whose message is
 ``invalid user id {value}``. The ``users`` and ``items`` given to a
-``Dataset`` obey the collection rule of its records: bytes or a mapping is
-not a collection of ids. So do the relevant items given to ``precision_at_n``
-and ``recall_at_n``, and their recommended items are a sequence of ids: a
-string, bytes or a set is not one.
+``Dataset`` obey the collection rule of its records: a bytes-like value
+(``bytes``, ``bytearray``, ``memoryview``) or a mapping is not a collection of
+ids. So do the relevant items given to ``precision_at_n`` and
+``recall_at_n``, and their recommended items are a sequence of ids: a
+string, a bytes-like value or a set is not one.
 """
 
 import math
@@ -38,6 +39,7 @@ from shoprec.evaluate import ExperimentConfig, precision_at_n, recall_at_n
 from shoprec.recommend import Profile, Recommender, RecommenderConfig, cold_start
 
 HUGE = 10**5000  # more digits than str() converts by default
+MEMORY = memoryview(b"P1")  # its repr names its address, so one object serves the test and its message
 
 DS = Dataset(
     transactions=[("T1", "U1", 1, ("P1", "P2")), ("T2", "U2", 1, ("P1",))],
@@ -102,6 +104,8 @@ VALUES = {
     "-huge": -HUGE,
     "list": ["U1"],  # unhashable
     "mapping": {"U1": 3, "P1": 3},
+    "bytearray": bytearray(b"P1"),
+    "memoryview": MEMORY,
 }
 
 # entry point -> the VALUES it once took, or failed on partway with a bare
@@ -119,9 +123,10 @@ DIVERGED = {
     "cold_start.top_n": ["-huge"],
     "precision_at_n.n": ["true", "2.5", "str", "nan", "-huge"],
     "recall_at_n.n": ["true", "2.5", "str", "nan", "-huge"],
-    # a string or a mapping was read as its characters or keys, any other value failed with a bare TypeError
+    # a string or a mapping was read as its characters or keys, a bytes-like value as its bytes (each an
+    # int, so no hit), any other value failed with a bare TypeError
     **{
-        f"{metric}.{name}": ["true", "2.5", "str", "half", "nan", "huge", "-huge", "mapping"]
+        f"{metric}.{name}": ["true", "2.5", "str", "half", "nan", "huge", "-huge", "mapping", "bytearray", "memoryview"]
         for metric in ("precision_at_n", "recall_at_n")
         for name in ("recommended", "relevant")
     },
@@ -207,6 +212,21 @@ HUGE_SIZE = "int of 16610 bits"  # HUGE's bit_length()
         # each byte was once checked as an id: "invalid user id 85"
         (lambda: Dataset(users=b"U1", ratings=[("U1", "P1", 5.0)]), "users must be a collection of ids, got b'U1'"),
         (lambda: Dataset(items=b"P1", ratings=[("U1", "P1", 5.0)]), "items must be a collection of ids, got b'P1'"),
+        (
+            lambda: Dataset(users=bytearray(b"U1"), ratings=[("U1", "P1", 5.0)]),
+            "users must be a collection of ids, got bytearray(b'U1')",
+        ),
+        (
+            lambda: Dataset(items=MEMORY, ratings=[("U1", "P1", 5.0)]),
+            f"items must be a collection of ids, got {MEMORY!r}",
+        ),
+        # each byte was read as an int, which no list holds: 0.0
+        (
+            lambda: precision_at_n(bytearray(b"a"), ["a"], 1),
+            "recommended must be a sequence of ids, got bytearray(b'a')",
+        ),
+        (lambda: recall_at_n(["a"], bytearray(b"a"), 1), "relevant must be a collection of ids, got bytearray(b'a')"),
+        (lambda: precision_at_n(MEMORY, ["P1"], 1), f"recommended must be a sequence of ids, got {MEMORY!r}"),
         # read as the items a, b and c: recall 33.3
         (lambda: recall_at_n(["a"], "abc", 1), "relevant must be a collection of ids, got 'abc'"),
         (lambda: precision_at_n(None, ["a"], 1), "recommended must be a sequence of ids, got None"),  # once 0.0
@@ -230,6 +250,11 @@ HUGE_SIZE = "int of 16610 bits"  # HUGE's bit_length()
         "seq",
         "users-bytes",
         "items-bytes",
+        "users-bytearray",
+        "items-memoryview",
+        "recommended-bytearray",
+        "relevant-bytearray",
+        "recommended-memoryview",
         "relevant-str",
         "recommended-none",
         "relevant-none",
