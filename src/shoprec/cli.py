@@ -9,8 +9,9 @@ input file and for a flag that parses but has a bad value (--k 0, --minsup 0,
 --modes bogus).
 A flag that sets a config field has that field's name as its dest and takes
 its default from the config, so each command builds its config from the parsed
-flags by field name: --k sets k_neighbors, evaluate --n sets top_n, and
-evaluate --threshold sets both thresholds.
+flags by field name, and no flag sets two fields: --k sets k_neighbors,
+evaluate --n sets top_n, and evaluate --threshold sets exclusion_threshold,
+the one rating threshold by which the neighbours pick and the protocol hides.
 Each command builds its output lines and writes them to stdout in one write;
 an error is one "shoprec: error:" line on stderr. --json switches list
 outputs to one JSON object per line, the record's fields (a Recommendation,
@@ -120,9 +121,7 @@ def _cmd_gen_data(args) -> int:
 
 def _cmd_evaluate(args) -> int:
     ds = load_dataset(args.transactions, args.ratings)
-    modes = tuple(args.modes.split(","))
-    # --threshold sets both thresholds
-    config = _config(ExperimentConfig, args, modes=modes, relevance_threshold=args.exclusion_threshold)
+    config = _config(ExperimentConfig, args, modes=tuple(args.modes.split(",")))
     report = run_experiment(ds, config)
     _write([_json(row) for row in report.rows] if args.json else [format_report(report)])
     return 0
@@ -210,7 +209,7 @@ def build_parser() -> argparse.ArgumentParser:
     _field(p, "--k", ExperimentConfig, "k_neighbors")
     _field(p, "--minsup", ExperimentConfig, "minsup_pct")
     _field(p, "--minconf", ExperimentConfig, "minconf_pct")
-    _field(p, "--threshold", ExperimentConfig, "exclusion_threshold")
+    _field(p, "--threshold", ExperimentConfig, "exclusion_threshold", help="rating threshold of liked and hidden items")
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=_cmd_evaluate)
 

@@ -1,7 +1,8 @@
 """Offline evaluation protocol: top-N precision/recall over a user split.
 
 Users are split 80/20 (configurable) into train and test. For every test
-user the items they rated at or above the relevance threshold are hidden
+user the items they rated at or above ``exclusion_threshold``, the rating
+threshold by which the engine's neighbours pick their items too, are hidden
 from their profile - ratings and purchases both - and the rest is fed as the
 query. Recommendations from the training population are then scored against
 the hidden relevant set. Each similarity mode is reported twice, with rule
@@ -14,7 +15,9 @@ and scored once for each row. The rules-off row is the answer's neighbour
 prefix, which is the list without rule expansion: the engine ranks every
 neighbour candidate ahead of every rule candidate and truncates last, so
 rules cannot lower recall by construction. ``precision_at_n`` and
-``recall_at_n`` are the checked public entry to the same two formulas.
+``recall_at_n`` are the checked public entry to the same two formulas; they
+also check every id against the id rule, which the protocol does not repeat,
+since its ids come from the engine's answer and the checked test split.
 
 Test users with no relevant items (recall undefined) or an empty residual
 profile in the active mode are skipped and counted, in both rows alike.
@@ -25,8 +28,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Iterable, Sequence
 
-from .corpus import _COUNT, _IDS, _RANKED_IDS, _SEED, _THRESHOLD, _TRAIN_FRACTION, _check_fields, _config, _require
-from .corpus import _require_type, _Rule
+from .corpus import _COUNT, _IDS, _RANKED_IDS, _SEED, _TRAIN_FRACTION, _check_fields, _config, _require
+from .corpus import _check_id, _require_type, _Rule
 from .corpus import Dataset, split_users
 from .errors import ExperimentError, IntegrityError, MetricUndefinedError, NoProfileError
 from .recommend import Profile, Recommender, RecommenderConfig
@@ -43,10 +46,9 @@ def precision_at_n(recommended: Sequence[str], relevant: Iterable[str], n: int) 
     that is no count raises RangeError, then a ``recommended`` that is no
     sequence of ids (a string, a bytes-like value or a set is not one) or a
     ``relevant`` that is no collection of ids raises IntegrityError, as in
-    recall_at_n.
+    recall_at_n; so does an id in either that breaks the id rule.
     """
-    _check(recommended, relevant, n)
-    return _precision(recommended, set(relevant), n)
+    return _precision(recommended, _checked(recommended, relevant, n), n)
 
 
 def recall_at_n(recommended: Sequence[str], relevant: Iterable[str], n: int) -> float:
@@ -55,8 +57,7 @@ def recall_at_n(recommended: Sequence[str], relevant: Iterable[str], n: int) -> 
     Its arguments are checked as in precision_at_n; an empty ``relevant``
     then raises MetricUndefinedError.
     """
-    _check(recommended, relevant, n)
-    relevant = set(relevant)
+    relevant = _checked(recommended, relevant, n)
     if not relevant:
         raise MetricUndefinedError("recall is undefined for an empty relevant set")
     return _recall(recommended, relevant, n)
@@ -67,6 +68,14 @@ def _check(recommended, relevant, n) -> None:
     _require("n", n, _COUNT)
     _require("recommended", recommended, _RANKED_IDS, IntegrityError)
     _require("relevant", relevant, _IDS, IntegrityError)
+
+
+def _checked(recommended, relevant, n) -> set[str]:
+    """The public metrics' rules: those of _check, then the id rule on every id; the relevant ids as a set."""
+    _check(recommended, relevant, n)
+    for item in recommended:
+        _check_id("item", item)
+    return {_check_id("item", item) for item in relevant}  # read once: it may be an iterator
 
 
 def _precision(recommended: Sequence[str], relevant: set[str], n: int) -> float:
@@ -95,12 +104,10 @@ class ExperimentConfig:
     minsup_pct: float = RecommenderConfig.minsup_pct
     minconf_pct: float = RecommenderConfig.minconf_pct
     exclusion_threshold: float = RecommenderConfig.exclusion_threshold
-    relevance_threshold: float = 7.0
 
     def __post_init__(self) -> None:
         _check_fields(self, "train_fraction", _TRAIN_FRACTION)
         _check_fields(self, "seed", _SEED)
-        _check_fields(self, "relevance_threshold", _THRESHOLD)
         _check_fields(self, "modes", _Rule(lambda v: isinstance(v, tuple) and len(v) > 0, "a non-empty tuple"))
         for mode in self.modes:  # each mode is known, and the engine's fields are valid
             self.engine_config(mode)
@@ -129,10 +136,10 @@ class EvalReport:
     test_user_count: int = 0
 
 
-def _holdout_profile(dataset: Dataset, user: str, relevance_threshold: float):
+def _holdout_profile(dataset: Dataset, user: str, threshold: float):
     """Split a test user into (residual query profile, hidden relevant set)."""
     ratings = dataset.ratings_by_user[user]
-    relevant = {i for i, v in ratings.items() if v >= relevance_threshold}
+    relevant = {i for i, v in ratings.items() if v >= threshold}
     residual_ratings = {i: v for i, v in ratings.items() if i not in relevant}
     residual_purchases = {
         i: n for i, n in dataset.purchase_counts_by_user[user].items() if i not in relevant
@@ -184,7 +191,7 @@ def run_experiment(dataset: Dataset, config: ExperimentConfig | None = None) -> 
     if not test.users:
         raise ExperimentError("test split is empty; dataset too small for this fraction")
 
-    holdouts = [_holdout_profile(test, user, config.relevance_threshold) for user in test.users]
+    holdouts = [_holdout_profile(test, user, config.exclusion_threshold) for user in test.users]
     report = EvalReport(train_user_count=len(train.users), test_user_count=len(test.users))
     n = config.top_n
     for mode in config.modes:
@@ -202,7 +209,7 @@ def run_experiment(dataset: Dataset, config: ExperimentConfig | None = None) -> 
                 skipped += 1
                 continue
             items = [r.item for r in recs]
-            _check(items, relevant, n)  # the public metrics' rules, once per answer
+            _check(items, relevant, n)  # the metrics' list rules, once per answer; the ids are checked ones
             # the neighbour entries come first, so the answer without rules is a prefix
             off.append(_scores(items[: [r.source for r in recs].count("neighbor")], relevant, n))
             on.append(_scores(items, relevant, n))

@@ -40,7 +40,6 @@ PINNED_EXPERIMENT = ExperimentConfig(
     minsup_pct=1.0,
     minconf_pct=10.0,
     exclusion_threshold=7.0,
-    relevance_threshold=7.0,
 )
 
 ALL_MODES = ("simple", "method1", "method2", "implicit")

@@ -1,3 +1,4 @@
+import argparse
 import codecs
 import contextlib
 import dataclasses
@@ -548,55 +549,59 @@ class TestGenDataAndEvaluate:
         assert ev.returncode == 2
 
 
-def _own_fields(names: str) -> dict:
-    return {name: name for name in names.split()}
-
-
-# command -> its required flags, the config that owns its defaults, and each
-# config-backed flag's dest -> the fields it sets; a dest is the name of its field
+# command -> its required flags, the config that owns its defaults, and the dest
+# of each config-backed flag, which is the name of the one field it sets
 ENGINE_FLAGS = "k_neighbors minsup_pct minconf_pct"
 CONFIG_BACKED_FLAGS = {
     "recommend": (
         ["--transactions", "t.csv", "--ratings", "r.csv", "--user", "U1"],
         RecommenderConfig,
-        _own_fields(f"mode top_n exclusion_threshold {ENGINE_FLAGS}"),
+        f"mode top_n exclusion_threshold {ENGINE_FLAGS}",
     ),
-    "recommend-new": (["--transactions", "t.csv"], RecommenderConfig, _own_fields("top_n")),
-    "mine-rules": (["--transactions", "t.csv"], RecommenderConfig, _own_fields("minsup_pct minconf_pct")),
+    "recommend-new": (["--transactions", "t.csv"], RecommenderConfig, "top_n"),
+    "mine-rules": (["--transactions", "t.csv"], RecommenderConfig, "minsup_pct minconf_pct"),
     "gen-data": (
         ["--out", "out"],
         SyntheticConfig,
-        _own_fields(
-            "num_classes num_items users_per_class ratings_per_user transactions_per_user"
-            " class_affinity noise_rating_spread rng_seed"
-        ),
+        "num_classes num_items users_per_class ratings_per_user transactions_per_user"
+        " class_affinity noise_rating_spread rng_seed",
     ),
     "evaluate": (
         ["--transactions", "t.csv", "--ratings", "r.csv"],
         ExperimentConfig,
-        {
-            **_own_fields(f"train_fraction seed top_n modes {ENGINE_FLAGS}"),
-            "exclusion_threshold": "exclusion_threshold relevance_threshold",
-        },
+        f"train_fraction seed top_n modes exclusion_threshold {ENGINE_FLAGS}",
     ),
 }
+BUILDS_ITS_CONFIG = ("recommend", "gen-data", "evaluate")  # the others read a few engine fields
+
+
+def _options(command: str) -> list:
+    """The optional arguments of ``command``'s subparser, in the order it adds them."""
+    parser = cli.build_parser()
+    (commands,) = [action for action in parser._actions if isinstance(action, argparse._SubParsersAction)]
+    return [action for action in commands.choices[command]._actions if action.option_strings]
 
 
 @pytest.mark.parametrize("command", CONFIG_BACKED_FLAGS)
 def test_flag_defaults_are_the_config_defaults(command):
-    required, config, fields_of = CONFIG_BACKED_FLAGS[command]
+    required, config, dests = CONFIG_BACKED_FLAGS[command]
+    dests = dests.split()
     args = vars(cli.build_parser().parse_args([command, *required]))
     given = {flag.lstrip("-").replace("-", "_") for flag in required[::2]}
     # every flag with a default, switches and optional paths aside, is listed
     defaulted = {d for d, v in args.items() if d not in given and v is not None and v is not False}
-    assert defaulted - {"command", "func"} == set(fields_of)
+    assert defaulted - {"command", "func"} == set(dests)
+    # one flag per field: no two of the command's flags share a dest
+    flags_of = {dest: [action.option_strings for action in _options(command) if action.dest == dest] for dest in dests}
+    assert all(len(flags) == 1 for flags in flags_of.values()), flags_of
     defaults = {f.name: f.default for f in dataclasses.fields(config)}
-    for dest, fields in fields_of.items():
-        value = args[dest]
+    if command in BUILDS_ITS_CONFIG:  # every field of the config it builds has a flag
+        assert set(dests) == set(defaults)
+    for name in dests:
+        value = args[name]
         # the commands pass --modes split at commas and each LO HI pair as a tuple
-        value = tuple(value.split(",")) if dest == "modes" else tuple(value) if dest.endswith("_user") else value
-        for name in fields.split():
-            assert value == defaults[name] and type(value) is type(defaults[name]), (dest, name)
+        value = tuple(value.split(",")) if name == "modes" else tuple(value) if name.endswith("_user") else value
+        assert value == defaults[name] and type(value) is type(defaults[name]), name
 
 
 class _Built(Exception):
@@ -682,10 +687,45 @@ class TestEachFlagSetsItsField:
             k_neighbors=3,
             minsup_pct=2.0,
             minconf_pct=20.0,
-            exclusion_threshold=6.5,  # --threshold sets both thresholds
-            relevance_threshold=6.5,
+            exclusion_threshold=6.5,
         )
         assert _typed(config) == _typed(expected)
+
+    # command -> the stand-in that receives the built config last, and an argument for each
+    # config-backed flag that is away from its default and valid with every other default
+    ONE_AT_A_TIME = {
+        "recommend": (
+            "Recommender",
+            {"--mode": ["method2"], "--k": ["3"], "--top-n": ["4"], "--minsup": ["12.5"], "--minconf": ["33"],
+             "--threshold": ["6.5"]},
+        ),
+        "gen-data": (
+            "generate_synthetic",
+            {"--classes": ["3"], "--items": ["32"], "--users-per-class": ["12"], "--ratings-per-user": ["6", "10"],
+             "--transactions-per-user": ["4", "8"], "--affinity": ["0.8"], "--spread": ["2.5"], "--seed": ["7"]},
+        ),
+        "evaluate": (
+            "run_experiment",
+            {"--split": ["0.75"], "--seed": ["11"], "--n": ["4"], "--k": ["3"], "--minsup": ["2"], "--minconf": ["20"],
+             "--threshold": ["6.5"], "--modes": ["implicit,simple"]},
+        ),
+    }
+
+    @pytest.mark.parametrize("command", BUILDS_ITS_CONFIG)
+    def test_each_flag_alone_sets_one_field_and_each_field_has_one_flag(self, monkeypatch, command):
+        stand_in, arguments = self.ONE_AT_A_TIME[command]
+        required, _, dests = CONFIG_BACKED_FLAGS[command]
+        # the table holds every config-backed flag of the command
+        options = [action for action in _options(command) if action.dest in dests.split()]
+        assert set(arguments) == {flag for action in options for flag in action.option_strings}
+        default = self.built_by(monkeypatch, stand_in, command, *required)[-1]
+        flags_of = {field.name: [] for field in dataclasses.fields(default)}
+        for flag, argument in arguments.items():
+            config = self.built_by(monkeypatch, stand_in, command, *required, flag, *argument)[-1]
+            changed = [name for name in flags_of if getattr(config, name) != getattr(default, name)]
+            assert len(changed) == 1, f"{command} {flag} sets {changed}"
+            flags_of[changed[0]].append(flag)
+        assert all(len(flags) == 1 for flags in flags_of.values()), flags_of
 
 
 @pytest.mark.parametrize(
@@ -698,7 +738,7 @@ class TestEachFlagSetsItsField:
         (RecommenderConfig, "exclusion_threshold", 7.0),
         (ExperimentConfig, "seed", 0),
         (ExperimentConfig, "train_fraction", 0.8),
-        (ExperimentConfig, "relevance_threshold", 7.0),
+        (ExperimentConfig, "exclusion_threshold", 7.0),
     ],
 )
 def test_readme_key_defaults(config, name, value):

@@ -102,7 +102,6 @@ BAD_FIELDS = {
             st.sampled_from(MODES).map(lambda mode: (mode, mode)),
             st.permutations(MODES + MODES[:1]).map(tuple),
         ),
-        "relevance_threshold": not_a_real_within(0, 10),
         **ENGINE_FIELDS,
     },
     SyntheticConfig: {
@@ -303,7 +302,7 @@ class TestValidConfigsWork:
             seed=st.integers(),
             modes=st.lists(st.sampled_from(MODES), min_size=1, unique=True).map(tuple),
             minsup_pct=reals_within(10, 100),
-            relevance_threshold=reals_within(0, 10),
+            exclusion_threshold=reals_within(0, 10),
         )
     )
     def test_experiment(self, config):

@@ -187,9 +187,9 @@ class TestRunExperiment:
         [
             {"modes": ("simple", "bogus")},
             {"modes": ()},
-            {"relevance_threshold": 10.5},
-            {"relevance_threshold": -1.0},
-            {"relevance_threshold": float("nan")},
+            {"exclusion_threshold": 10.5},
+            {"exclusion_threshold": -1.0},
+            {"exclusion_threshold": float("nan")},
             {"k_neighbors": 0},
             {"minsup_pct": 0.0},
             *({name: value} for name in ("top_n", "k_neighbors") for value in (2.5, "3", True)),
@@ -205,10 +205,10 @@ class TestRunExperiment:
         with pytest.raises(ConfigError):
             run_experiment(ds, ExperimentConfig(seed=1, minconf_pct=10.0, **{"minsup_pct": 1.0, **bad}))
 
-    def test_relevance_threshold_bounds_inclusive(self):
+    def test_threshold_bounds_inclusive(self):
         ds = generate_synthetic(SyntheticConfig(users_per_class=8, rng_seed=5))
         for threshold in (0.0, 10.0):
-            config = ExperimentConfig(modes=("simple",), seed=1, relevance_threshold=threshold)
+            config = ExperimentConfig(modes=("simple",), seed=1, exclusion_threshold=threshold)
             assert len(run_experiment(ds, config).rows) == 2
 
     def test_rules_never_hurt_recall(self, pinned_report):
@@ -249,7 +249,7 @@ def reference_rows(dataset: Dataset, config: ExperimentConfig) -> list[EvalRow]:
         for rules in (False, True):
             precisions, recalls, skipped = [], [], 0
             for user in test.users:
-                profile, relevant = _holdout_profile(test, user, config.relevance_threshold)
+                profile, relevant = _holdout_profile(test, user, config.exclusion_threshold)
                 if not relevant:
                     skipped += 1
                     continue
@@ -285,7 +285,6 @@ def oracle_case(ds, seed, top_n, threshold, minsup_pct):
         minsup_pct=minsup_pct,
         minconf_pct=20.0,
         exclusion_threshold=threshold,
-        relevance_threshold=threshold,
     )
     assume(split_users(ds, config.train_fraction, seed)[1].users)
     rows = run_experiment(ds, config).rows

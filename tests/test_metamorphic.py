@@ -6,11 +6,13 @@ effect the formulas fix, so it needs no second copy of the algorithm.
 
 import math
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from shoprec.corpus import Dataset
+from shoprec.corpus import Dataset, SyntheticConfig, generate_synthetic
 from shoprec.errors import NoProfileError
+from shoprec.evaluate import ExperimentConfig, run_experiment
 from shoprec.implicit_vsm import build_iif
 from shoprec.recommend import Profile, Recommender, RecommenderConfig, profile_of
 from shoprec.similarity import MODES
@@ -81,3 +83,68 @@ def test_a_training_user_with_no_records_changes_no_rating_mode_answer(ds, mode)
         assert answer(grown_engine.recommend_user, user) == answer(engine.recommend_user, user)
         profile = profile_of(ds, user)
         assert answer(grown_engine.recommend_profile, profile) == answer(engine.recommend_profile, profile)
+
+
+PREFIX = "x"  # p + a < p + b exactly when a < b, so the relabel keeps every id's place in every order
+
+
+def relabel(ds: Dataset) -> Dataset:
+    """``ds`` with every user, item and transaction id prefixed by PREFIX."""
+    return Dataset(
+        users=[PREFIX + user for user in ds.users],
+        items=[PREFIX + item for item in ds.items],
+        transactions=[
+            (PREFIX + tid, PREFIX + user, seq, tuple(PREFIX + item for item in items))
+            for tid, user, seq, items in ds.transaction_rows
+        ],
+        ratings=[(PREFIX + user, PREFIX + item, value) for user, item, value in ds.rating_rows],
+    )
+
+
+def relabelled(answer_):
+    """An ``answer`` mapped through the relabel: its items, and the neighbour or the rule's items that explain them."""
+    if answer_ is None:
+        return None
+    return [
+        (
+            PREFIX + item,
+            score,
+            source,
+            PREFIX + explain if source == "neighbor"
+            else " => ".join(";".join(PREFIX + i for i in side.split(";")) for side in explain.split(" => ")),
+        )
+        for item, score, source, explain in answer_
+    ]
+
+
+@settings(max_examples=150, deadline=None)
+@given(ds=small_datasets(), mode=st.sampled_from(MODES))
+def test_an_order_preserving_relabel_of_the_ids_maps_every_answer(ds, mode):
+    """Prefixing every id with one string keeps their order, so every tie-break and every answer, bit for bit.
+
+    The relabelled engine's answer, through ``recommend_user`` and through
+    ``recommend_profile``, is the original's with each item, neighbour and
+    rule side relabelled, and the same score bits and sources.
+    """
+    config = RecommenderConfig(mode=mode, **CONFIG)
+    engine, relabelled_engine = Recommender(ds, config), Recommender(relabel(ds), config)
+    for user in ds.users:
+        assert answer(relabelled_engine.recommend_user, PREFIX + user) == relabelled(
+            answer(engine.recommend_user, user)
+        )
+        profile = profile_of(ds, user)
+        relabelled_profile = Profile(
+            {PREFIX + item: r for item, r in profile.ratings.items()},
+            {PREFIX + item: n for item, n in profile.purchase_counts.items()},
+        )
+        assert answer(relabelled_engine.recommend_profile, relabelled_profile) == relabelled(
+            answer(engine.recommend_profile, profile)
+        )
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_an_order_preserving_relabel_of_the_ids_keeps_every_report_row(seed):
+    """The split shuffles the users in id order, and every answer maps through the relabel, so the rows are equal."""
+    ds = generate_synthetic(SyntheticConfig(users_per_class=8, rng_seed=seed))
+    config = ExperimentConfig(seed=seed, minsup_pct=1.0, minconf_pct=10.0)
+    assert run_experiment(relabel(ds), config) == run_experiment(ds, config)

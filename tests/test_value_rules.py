@@ -14,7 +14,8 @@ given to be left out of the neighbours obeys the id rule, whose message is
 (``bytes``, ``bytearray``, ``memoryview``) or a mapping is not a collection of
 ids. So do the relevant items given to ``precision_at_n`` and
 ``recall_at_n``, and their recommended items are a sequence of ids: a
-string, a bytes-like value or a set is not one.
+string, a bytes-like value or a set is not one. Every id in either obeys the
+id rule, whose message is ``invalid item id {value}``.
 """
 
 import math
@@ -59,10 +60,7 @@ ENTRY_POINTS = {
         f"{config.__name__}.{name}": (config_field(config, name), ConfigError)
         for config, names in (
             (RecommenderConfig, "mode k_neighbors top_n minsup_pct minconf_pct exclusion_threshold"),
-            (
-                ExperimentConfig,
-                "train_fraction top_n seed k_neighbors minsup_pct minconf_pct exclusion_threshold relevance_threshold",
-            ),
+            (ExperimentConfig, "train_fraction top_n seed k_neighbors minsup_pct minconf_pct exclusion_threshold"),
             (SyntheticConfig, "num_classes num_items rng_seed"),
         )
         for name in names.split()
@@ -116,7 +114,7 @@ DIVERGED = {
     **{f"ExperimentConfig.{name}": ["-huge"] for name in ("top_n", "k_neighbors")},
     **{
         f"ExperimentConfig.{name}": ["huge", "-huge"]
-        for name in ("train_fraction", "minsup_pct", "minconf_pct", "exclusion_threshold", "relevance_threshold")
+        for name in ("train_fraction", "minsup_pct", "minconf_pct", "exclusion_threshold")
     },
     **{f"SyntheticConfig.{name}": ["-huge"] for name in ("num_classes", "num_items")},
     "split_users.train_fraction": ["huge", "-huge"],
@@ -234,6 +232,11 @@ HUGE_SIZE = "int of 16610 bits"  # HUGE's bit_length()
         (lambda: precision_at_n(["a"], None, 1), "relevant must be a collection of ids, got None"),
         # once a bare TypeError at the slice
         (lambda: precision_at_n({"a"}, ["a"], 1), "recommended must be a sequence of ids, got {'a'}"),
+        # once a bare TypeError: unhashable type: 'list'
+        (lambda: precision_at_n(["a"], [["x"]], 1), "invalid item id ['x']"),
+        (lambda: recall_at_n([["x"]], ["a"], 1), "invalid item id ['x']"),
+        (lambda: precision_at_n([5], ["a"], 1), "invalid item id 5"),  # once 0.0
+        (lambda: recall_at_n([""], [""], 1), "invalid item id ''"),  # once 100.0
     ],
     ids=[
         "config",
@@ -259,6 +262,10 @@ HUGE_SIZE = "int of 16610 bits"  # HUGE's bit_length()
         "recommended-none",
         "relevant-none",
         "recommended-set",
+        "relevant-list-id",
+        "recommended-list-id",
+        "recommended-int-id",
+        "empty-ids",
     ],
 )
 def test_one_message_form_names_every_value(call, message):
