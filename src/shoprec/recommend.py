@@ -26,7 +26,8 @@ the filter's purchase history is the purchase map's keys: a query builds no
 set of the profile.
 
 Neighbor candidates are ranked by similarity * neighbor rating, rule
-candidates by (confidence / 100) * parent score, and the final list keeps
+candidates by (confidence / 100) * parent score, each tier by the plain
+tuple order of (-score, item), and the final list keeps
 all neighbor candidates ahead of all rule candidates. That two-tier order
 guarantees that rule expansion never pushes a neighbor recommendation out of
 the top-N: the answer's neighbor entries are the list without rules, so
@@ -77,6 +78,8 @@ class Profile:
     ``Dataset``'s stored values, so a bool, a Fraction or a numpy int is not
     one. Each map is copied and kept as a read-only view, so no one can
     change a profile once made; ``dataclasses.replace`` checks the copy again.
+    The engine reads the two copied dicts themselves, never the views, which
+    wrap those same dicts, so nothing public changes.
     """
 
     ratings: Mapping[str, float]
@@ -94,7 +97,10 @@ class Profile:
         for item, count in counts.items():
             if not _PURCHASE_COUNT.ok(count):
                 _require(f"item {item}: purchase count", count, _PURCHASE_COUNT)
-        vars(self).update(ratings=MappingProxyType(ratings), purchase_counts=MappingProxyType(counts))
+        # _dicts holds the dicts the views wrap, so a query skips the views' forwarding
+        vars(self).update(
+            ratings=MappingProxyType(ratings), purchase_counts=MappingProxyType(counts), _dicts=(ratings, counts)
+        )
 
     def __reduce__(self):  # a read-only view does not pickle: copy and pickle rebuild from dicts
         return Profile, (dict(self.ratings), dict(self.purchase_counts))
@@ -226,9 +232,10 @@ class Recommender:
         ``exclude_user``, when not None, must be a valid user id (IntegrityError
         otherwise), which the neighbour search leaves out.
         """
-        _require_type("profile", profile, Profile)
+        if profile.__class__ is not Profile:  # a subclass or anything else meets the full check
+            _require_type("profile", profile, Profile)
         cfg = self.config
-        ratings, counts = profile.ratings, profile.purchase_counts
+        ratings, counts = profile._dicts
         weights = profile_weights(ratings, counts, cfg.mode, self._iif)
         if not any(weights.values()):  # 0, 0.0 and -0.0 are false, NaN is true, as for w != 0.0
             raise NoProfileError(f"query profile is empty in mode {cfg.mode}")
@@ -252,12 +259,11 @@ class Recommender:
                     neighbor_scores[item] = (score, user)
                 break  # this neighbor has made its pick
 
-        # best score first, ties by item id: Phase B's parent order and the result's
-        ranked_candidates = sorted(neighbor_scores.items(), key=lambda e: (-e[1][0], e[0]))
-        result = [
-            Recommendation(item=item, score=score, source="neighbor", explain=user)
-            for item, (score, user) in ranked_candidates[: cfg.top_n]
-        ]
+        # best score first, ties by item id: Phase B's parent order and the result's;
+        # the items are distinct, so no user is compared, and -(-score) is score
+        picks = [(-score, item, user) for item, (score, user) in neighbor_scores.items()]
+        picks.sort()
+        result = [Recommendation(item, -neg, "neighbor", user) for neg, item, user in picks[: cfg.top_n]]
         slots = cfg.top_n - len(result)
         if not (slots and self._rules_by_item):
             return result
@@ -265,23 +271,23 @@ class Recommender:
         # Phase B: parents in rank order and rules in mined order, so a later
         # rule with an equal score never replaces an earlier one
         best: dict[str, tuple[float, AssociationRule]] = {}
-        for parent_item, (parent_score, _) in ranked_candidates:
+        for neg, parent_item, _ in picks:
             for rule in self._rules_by_item.get(parent_item, ()):
-                score = rule.confidence_pct / 100.0 * parent_score
+                score = rule.confidence_pct / 100.0 * -neg
                 for item in rule.consequent:
                     kept = best.get(item)
                     if kept is None or score > kept[0]:
                         best[item] = (score, rule)
         # every filter depends on the item alone, so it runs once per item
         survivors = [
-            (item, kept)
-            for item, kept in best.items()
+            (-score, item, rule)
+            for item, (score, rule) in best.items()
             if not (item in ratings or item in counts or item in neighbor_scores)
             and bought_after(precedence, item, history)
         ]
-        survivors.sort(key=lambda e: (-e[1][0], e[0]))
-        for item, (score, rule) in survivors[:slots]:
-            result.append(Recommendation(item=item, score=score, source="rule", explain=_sides(rule)))
+        survivors.sort()  # the items are distinct, so no rule is compared
+        for neg, item, rule in survivors[:slots]:
+            result.append(Recommendation(item, -neg, "rule", _sides(rule)))
         return result
 
 
@@ -293,7 +299,4 @@ def cold_start(train: Dataset, top_n: int) -> list[Recommendation]:
     """
     _require_type("train", train, Dataset)
     _require("top_n", top_n, _COUNT)
-    return [
-        Recommendation(item=item, score=score, source="popularity", explain="cold-start")
-        for item, score in new_user_scores(train)[:top_n]
-    ]
+    return [Recommendation(item, score, "popularity", "cold-start") for item, score in new_user_scores(train)[:top_n]]

@@ -51,8 +51,8 @@ checked: a ``Profile``'s maps, a ``Dataset``'s tables and a
 
 from __future__ import annotations
 
-import math
 from collections.abc import Mapping
+from math import sqrt, ulp
 from typing import NamedTuple
 
 from .corpus import _Rule
@@ -61,6 +61,7 @@ MODES = ("simple", "method1", "method2", "implicit")
 # the mode rule, which RecommenderConfig checks, and ExperimentConfig through it; a list
 # or an sNaN Decimal never reaches a hash here, since ``in`` on a tuple compares by ==
 _MODE = _Rule(lambda v: v in MODES, f"one of {MODES}")
+_LEAST = ulp(0.0)  # the least positive float, the floor below which no similarity ranks
 
 
 class Postings(NamedTuple):
@@ -172,11 +173,12 @@ def top_k_neighbors(
         return []
     n = len(users)
     slots, sums = _in_lists(hits, n) if reads > n else _in_dict(hits)
-    root_t = math.sqrt(norm_t)
-    sims = [dot / (root_t * math.sqrt(norm_o)) if norm_o else 0.0 for dot, norm_o in sums]
+    root_t = sqrt(norm_t)
+    sims = [dot / (root_t * sqrt(norm_o)) if norm_o else 0.0 for dot, norm_o in sums]
     if not sims:  # no candidate
         return []
     cut = k if exclude is None else k + 1  # the user left out may be one of the k + 1 best
-    floor = max(sorted(sims)[-cut:][0], math.ulp(0.0))  # the cut-th largest, or the least if fewer; 0 never ranks
-    finalists = sorted((-sim, slot) for slot, sim in zip(slots, sims) if sim >= floor)
+    floor = max(sorted(sims)[-cut:][0], _LEAST)  # the cut-th largest, or the least if fewer; 0 never ranks
+    finalists = [(-sim, slot) for slot, sim in zip(slots, sims) if sim >= floor]
+    finalists.sort()
     return [(users[slot], -neg) for neg, slot in finalists[:cut] if users[slot] != exclude][:k]

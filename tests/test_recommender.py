@@ -112,6 +112,16 @@ def cross_parent_tie():
     return Dataset(transactions=txns, ratings=ratings), Profile(ratings={"Z": 5.0})
 
 
+def equal_picks_query():
+    """A's neighbours B and C, equally similar, pick Q2 and Q1 at the same score 8;
+    the lower item comes from the later neighbour, so neither the neighbour id nor a
+    descending item order gives the ranking by item id."""
+    ratings = [rate("A", "Z", 5.0), rate("B", "Z", 5.0), rate("B", "Q2", 8.0)]
+    ratings += [rate("C", "Z", 5.0), rate("C", "Q1", 8.0)]
+    ds = Dataset(ratings=ratings)
+    return ds, profile_of(ds, "A"), "A"
+
+
 class TestRuleExpansion:
     def config(self, minsup=10.0, minconf=30.0):
         return RecommenderConfig(top_n=5, minsup_pct=minsup, minconf_pct=minconf)
@@ -193,6 +203,14 @@ class TestRuleExpansion:
         assert [(r.item, r.score, r.source, r.explain) for r in recs] == [
             ("P2", 10.0, "neighbor", "C"), ("P1", 5.0, "neighbor", "B"), ("X", 5.0, "rule", "P2 => X"),
         ]
+
+    @pytest.mark.parametrize("top_n", [5, 1])
+    def test_equal_neighbour_scores_rank_by_item_id(self, top_n):
+        """Q1 and Q2 both score 8; the lower item id ranks first, and a top-1 keeps it."""
+        ds, profile, user = equal_picks_query()
+        recs = Recommender(ds, RecommenderConfig(top_n=top_n)).recommend_profile(profile, exclude_user=user)
+        expected = [("Q1", (8.0).hex(), "neighbor", "C"), ("Q2", (8.0).hex(), "neighbor", "B")]
+        assert [(r.item, r.score.hex(), r.source, r.explain) for r in recs] == expected[:top_n]
 
     @pytest.mark.parametrize("top_n, filtered", [(1, 1), (3, 3)])
     def test_each_rule_item_is_filtered_once(self, monkeypatch, top_n, filtered):
@@ -383,6 +401,7 @@ class TestReferenceEquivalence:
     @example(query=equal_scores_query(), mode="simple", top_n=2, threshold=7.0)
     @example(query=(*cross_parent_tie(), "A"), mode="simple", top_n=3, threshold=5.0)
     @example(query=non_first_antecedent_query(), mode="simple", top_n=3, threshold=7.0)
+    @example(query=equal_picks_query(), mode="simple", top_n=1, threshold=7.0)
     def test_matches_the_reference(self, query, mode, top_n, threshold):
         engine_rows, reference_rows, engine_off, reference_off = answers(query, mode, top_n, threshold)
         assert engine_rows == reference_rows
@@ -541,13 +560,36 @@ class TestProfileChecks:
             with pytest.raises(TypeError):
                 made.ratings["x"] = 1.0
 
+    def test_every_way_to_make_a_profile_gets_the_same_answer(self):
+        # a query reads the dicts a Profile keeps beside its views; each of these must keep them
+        engine = seed_2024_engine("method1")
+        user = "U013"  # whose answer has both tiers
+        profile = profile_of(engine.train, user)
+
+        def answer(made):
+            return [(r.item, r.score.hex(), r.source, r.explain) for r in engine.recommend_profile(made, user)]
+
+        expected = answer(profile)
+        assert {r[2] for r in expected} == {"neighbor", "rule"}
+        made = (
+            copy.copy(profile),
+            copy.deepcopy(profile),
+            pickle.loads(pickle.dumps(profile)),
+            dataclasses.replace(profile),
+            _Profile(profile.ratings, profile.purchase_counts),
+        )
+        for other in made:
+            assert answer(other) == expected
+
     def test_query_takes_only_a_profile(self):
-        # an unchecked stand-in once met the query's own checks; it must never answer
+        # an unchecked stand-in once met the query's own checks; it must never answer,
+        # not even one that carries the dicts a Profile keeps for the query
         engine = seed_2024_engine("simple")
         for ratings in ({"I001": 99.0}, {"I001": 8.0}):
-            stand_in = SimpleNamespace(ratings=ratings, purchase_counts={})
-            with pytest.raises(TypeError, match="^profile must be a Profile, got SimpleNamespace$"):
-                engine.recommend_profile(stand_in)
+            for private in ({}, {"_dicts": (ratings, {})}):
+                stand_in = SimpleNamespace(ratings=ratings, purchase_counts={}, **private)
+                with pytest.raises(TypeError, match="^profile must be a Profile, got SimpleNamespace$"):
+                    engine.recommend_profile(stand_in)
 
     @pytest.mark.parametrize("mode, ratings, counts", BAD_RANGES.values(), ids=list(BAD_RANGES))
     def test_bad_profile_is_range_error(self, mode, ratings, counts):
@@ -596,6 +638,10 @@ class TestProfileChecks:
 
 class _Float(float):
     """A float subclass, as numpy.float64 is."""
+
+
+class _Profile(Profile):
+    """A Profile subclass, which answers through the query's full type check."""
 
 
 class TestColdStart:
