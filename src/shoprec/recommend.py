@@ -76,10 +76,11 @@ class Profile:
     int or a float in [0, 10] (NaN is not), or a purchase count that is not
     an int in [1, 2**53], raises RangeError. A rating obeys the rule of a
     ``Dataset``'s stored values, so a bool, a Fraction or a numpy int is not
-    one. Each map is copied and kept as a read-only view, so no one can
-    change a profile once made; ``dataclasses.replace`` checks the copy again.
-    The engine reads the two copied dicts themselves, never the views, which
-    wrap those same dicts, so nothing public changes.
+    one. Each map is copied and kept as a read-only view; ``dataclasses.replace``
+    checks the copy again. The engine reads the two copied dicts themselves,
+    kept under the private ``_dicts``, never the views, which wrap those same
+    dicts. So nothing public can change a profile once made, as long as
+    nothing writes to ``_dicts``: a value written there skips every check.
     """
 
     ratings: Mapping[str, float]
@@ -232,8 +233,7 @@ class Recommender:
         ``exclude_user``, when not None, must be a valid user id (IntegrityError
         otherwise), which the neighbour search leaves out.
         """
-        if profile.__class__ is not Profile:  # a subclass or anything else meets the full check
-            _require_type("profile", profile, Profile)
+        _require_type("profile", profile, Profile)
         cfg = self.config
         ratings, counts = profile._dicts
         weights = profile_weights(ratings, counts, cfg.mode, self._iif)

@@ -31,8 +31,8 @@ def tiny_history(tmp_path_factory):
 
 def ab_query(parent, change, data):
     files = ["--transactions", str(data / "transactions.csv"), "--ratings", str(data / "ratings.csv")]
-    args = [sys.executable, "tools/ab_query.py", str(parent), str(change), *files, "--rounds", "2"]
-    return subprocess.run(args, cwd=ROOT, capture_output=True, text=True, timeout=300)
+    args = ["tools/ab_query.py", str(parent), str(change), "--workload", "history-long", *files, "--rounds", "2"]
+    return subprocess.run([sys.executable, *args], cwd=ROOT, capture_output=True, text=True, timeout=300)
 
 
 def test_ab_query_of_one_checkout_against_itself_exits_0(tiny_history):

@@ -1,14 +1,18 @@
 """Time the query path of two checkouts side by side, in one process.
 
     python3 bench/gen.py history-long 1 0 DIR
-    python tools/ab_query.py PARENT_ROOT CHANGE_ROOT \\
-        --transactions DIR/transactions.csv --ratings DIR/ratings.csv --train-fraction 0.25
+    python tools/ab_query.py PARENT_ROOT CHANGE_ROOT --workload history-long \\
+        --transactions DIR/transactions.csv --ratings DIR/ratings.csv
 
 Each ROOT is a checkout whose package is ROOT/src/shoprec. Both are imported
 into this process under the one name ``shoprec``, one after the other, and
-each side then builds its own split, its test users' leave-relevant-out
-profiles (each test user without the items rated at or above 7, as the
-bench's query workloads make them) and one engine per mode.
+each side then builds the workload's query set-up as ``bench/workloads.py``
+makes it: the split at the workload's train fraction and the bench's split
+seed, ``holdout_profiles``' leave-relevant-out profiles and one engine per
+mode at the workload's minsup and minconf and the bench's k and top-N. The
+workload, its constants and ``holdout_profiles`` are this checkout's, so
+give ``--transactions`` and ``--ratings`` from ``bench/gen.py`` of the same
+workload.
 
 Every answer of the two sides must be identical: items, ``score.hex()``,
 source and explain, and the same profiles empty. If any differs, the tool
@@ -16,7 +20,7 @@ names the first and exits 1. Otherwise it times interleaved passes over the
 whole query cycle, every profile in every mode, the side that goes first
 alternating by round. It prints each side's median µs per query over the
 rounds, the change's ratio to the parent and the rounds the change won.
-Standard library only; it writes no file but Python's bytecode caches.
+Standard library only; it writes no file.
 """
 
 from __future__ import annotations
@@ -29,8 +33,10 @@ from pathlib import Path
 from time import perf_counter
 from types import SimpleNamespace
 
-MODES = ("simple", "method1", "method2", "implicit")
-RELEVANCE_THRESHOLD = 7.0  # the bench's cut, and the default exclusion_threshold
+sys.dont_write_bytecode = True  # no caches under bench/ or either checkout
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "bench"))
+
+import workloads  # noqa: E402
 
 
 def import_checkout(root: str) -> SimpleNamespace:
@@ -55,22 +61,20 @@ def import_checkout(root: str) -> SimpleNamespace:
 
 def build_side(lib, args) -> SimpleNamespace:
     """One side's query cycle: (mode, engine, profile) for every test user in every mode."""
+    w = workloads.WORKLOADS[args.workload]
     dataset = lib.corpus.load_dataset(args.transactions, args.ratings)
-    train, test = lib.corpus.split_users(dataset, args.train_fraction, args.split_seed)
-    profiles = []
-    for user in test.users:
-        ratings, counts = test.ratings_by_user[user], test.purchase_counts_by_user[user]
-        relevant = {i for i, v in ratings.items() if v >= RELEVANCE_THRESHOLD}
-        profiles.append(
-            lib.recommend.Profile(
-                {i: v for i, v in ratings.items() if i not in relevant},
-                {i: n for i, n in counts.items() if i not in relevant},
-            )
-        )
+    train, test = lib.corpus.split_users(dataset, w.train_fraction, workloads.SPLIT_SEED)
+    profiles = workloads.holdout_profiles(lib, test)
     engines = {
         mode: lib.recommend.Recommender(
             train,
-            lib.recommend.RecommenderConfig(mode=mode, minsup_pct=args.minsup, minconf_pct=args.minconf),
+            lib.recommend.RecommenderConfig(
+                mode=mode,
+                k_neighbors=workloads.K_NEIGHBORS,
+                top_n=workloads.TOP_N,
+                minsup_pct=w.minsup_pct,
+                minconf_pct=w.minconf_pct,
+            ),
         )
         for mode in args.modes
     }
@@ -107,13 +111,10 @@ def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("parent_root")
     parser.add_argument("change_root")
+    parser.add_argument("--workload", required=True, choices=list(workloads.WORKLOADS))
     parser.add_argument("--transactions", required=True)
     parser.add_argument("--ratings", required=True)
-    parser.add_argument("--train-fraction", type=float, default=0.8)
-    parser.add_argument("--split-seed", type=int, default=42)
-    parser.add_argument("--minsup", type=float, default=1.0)
-    parser.add_argument("--minconf", type=float, default=10.0)
-    parser.add_argument("--modes", nargs="+", choices=MODES, default=list(MODES))
+    parser.add_argument("--modes", nargs="+", choices=workloads.MODES, default=list(workloads.MODES))
     parser.add_argument("--rounds", type=int, default=21)
     args = parser.parse_args(argv)
     if args.rounds < 1:
@@ -137,7 +138,7 @@ def main(argv=None) -> int:
             times[name].append(one_pass(sides[name]))
     won = sum(c < p for p, c in zip(times["parent"], times["change"]))
     median = {name: 1e6 * statistics.median(t) / n for name, t in times.items()}
-    print(f"{n} queries a pass ({len(args.modes)} modes), {args.rounds} rounds")
+    print(f"{args.workload}: {n} queries a pass ({len(args.modes)} modes), {args.rounds} rounds")
     for name in ("parent", "change"):
         print(f"{name}: {median[name]:.2f} µs per query (median)")
     print(f"change / parent: {median['change'] / median['parent']:.3f}, change won {won} of {args.rounds} rounds")
