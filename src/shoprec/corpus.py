@@ -58,11 +58,11 @@ from __future__ import annotations
 
 import os
 import random
+import threading
 from codecs import BOM_UTF8
 from collections import Counter
 from collections.abc import Callable, Iterable, Mapping, Sequence
 from dataclasses import dataclass, fields
-from functools import cached_property
 from itertools import chain, islice
 from numbers import Real
 from operator import itemgetter
@@ -173,14 +173,49 @@ class RatingRecord(NamedTuple):
     value: float
 
 
+# The lookup tables derived from a Dataset, each built once, on first read, into its one store
+# (Dataset._derived) and read through a read-only property of the same name.
+
+_DERIVED_LOCK = threading.RLock()  # re-entrant: an index build reads the tables
+
+
+def _table(build) -> property:
+    return property(lambda self: self._derived(build.__name__.lstrip("_"), build), doc=build.__doc__)
+
+
+def _ratings_by_user(dataset: Dataset) -> dict[str, dict[str, float]]:
+    """Per-user ratings {item: value}, each user's items in ascending order."""
+    table: dict[str, dict[str, float]] = {u: {} for u in dataset.users}
+    for user, item, value in dataset.rating_rows:
+        table[user][item] = value
+    return table
+
+
+def _purchase_counts_by_user(dataset: Dataset) -> dict[str, dict[str, int]]:
+    """Per-user purchase occurrence counts n(user, item) across transactions."""
+    table: dict[str, dict[str, int]] = {u: {} for u in dataset.users}
+    for _, user, _, items in dataset.transaction_rows:
+        counts = table[user]
+        for i in items:
+            counts[i] = counts.get(i, 0) + 1
+    return table
+
+
+def _purchaser_counts(dataset: Dataset) -> dict[str, int]:
+    """Number of distinct users who purchased each item (purchased items only)."""
+    # each user's count map holds each item it bought once, so its keys count buyers
+    return Counter(chain.from_iterable(dataset.purchase_counts_by_user.values()))
+
+
 @dataclass(frozen=True, init=False)
 class Dataset:
     """Frozen container of users, items, transaction rows and rating rows.
 
     :attr:`transactions` and :attr:`ratings` copy the rows into records on
     each read. The constructor is the one checked way in, as a config's is;
-    assigning a field raises ``FrozenInstanceError``. Derived lookup tables
-    are cached on first access.
+    assigning a field raises ``FrozenInstanceError``. The lookup tables and
+    the engines' indexes share one store, each built once, on first use; a
+    copy or a pickle carries only the four fields.
     """
 
     users: tuple[str, ...]
@@ -230,30 +265,25 @@ class Dataset:
         a new tuple in O(rows), so counts and library code read :attr:`rating_rows`."""
         return tuple(map(RatingRecord._make, self.rating_rows))
 
-    # Derived lookup tables, cached in the instance's __dict__, which freezing leaves writable.
+    def __reduce__(self):  # a copy or a pickle carries the four fields, never the derived store
+        return type(self)._trusted, (self.users, self.items, self.transaction_rows, self.rating_rows)
 
-    @cached_property
-    def ratings_by_user(self) -> dict[str, dict[str, float]]:
-        table: dict[str, dict[str, float]] = {u: {} for u in self.users}
-        for user, item, value in self.rating_rows:
-            table[user][item] = value
-        return table
+    def _derived(self, key, build):
+        """The value derived under ``key``: ``build(self)`` on first use, the kept value after that.
 
-    @cached_property
-    def purchase_counts_by_user(self) -> dict[str, dict[str, int]]:
-        """Per-user purchase occurrence counts n(user, item) across transactions."""
-        table: dict[str, dict[str, int]] = {u: {} for u in self.users}
-        for _, user, _, items in self.transaction_rows:
-            counts = table[user]
-            for i in items:
-                counts[i] = counts.get(i, 0) + 1
-        return table
+        Every table and engine index lives in one dict, ``_indexes`` in the instance's __dict__,
+        which freezing leaves writable. One lock serialises the builds, so each is built once,
+        also under concurrent first use.
+        """
+        with _DERIVED_LOCK:
+            store = vars(self).setdefault("_indexes", {})
+            if key not in store:
+                store[key] = build(self)
+            return store[key]
 
-    @cached_property
-    def purchaser_counts(self) -> dict[str, int]:
-        """Number of distinct users who purchased each item (purchased items only)."""
-        # each user's count map holds each item it bought once, so its keys count buyers
-        return Counter(chain.from_iterable(self.purchase_counts_by_user.values()))
+    ratings_by_user = _table(_ratings_by_user)
+    purchase_counts_by_user = _table(_purchase_counts_by_user)
+    purchaser_counts = _table(_purchaser_counts)
 
 
 def _rows(kind: str, records, fields: tuple[str, ...]) -> list[tuple]:

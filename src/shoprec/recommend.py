@@ -37,13 +37,15 @@ Brand-new users (no ratings, no purchases) get the popularity ranking from
 the implicit model instead, through ``cold_start``, which reads no index.
 
 Every index derived from a training dataset is built by the first engine
-over that dataset object that needs it, and kept on the dataset, so
-building several engines (one per mode, say) builds each index once.
+over that dataset object that needs it, through ``Dataset._derived``, and
+kept in the dataset's one store beside its lookup tables, so building
+several engines (one per mode, say) builds each index once, also when they
+are built concurrently. None of them refers back to the dataset, and a copy
+or a pickle of the dataset carries none of them.
 """
 
 from __future__ import annotations
 
-import threading
 from collections.abc import Mapping
 from dataclasses import dataclass
 from itertools import chain
@@ -104,7 +106,7 @@ class Profile:
         )
 
     def __reduce__(self):  # a read-only view does not pickle: copy and pickle rebuild from dicts
-        return Profile, (dict(self.ratings), dict(self.purchase_counts))
+        return type(self), (dict(self.ratings), dict(self.purchase_counts))
 
 
 @dataclass(frozen=True)
@@ -143,22 +145,6 @@ def profile_of(dataset: Dataset, user: str) -> Profile:
 # Rules listed under each item of their antecedents, each list in mined order.
 RulesByItem = dict[str, list[AssociationRule]]
 
-# Serialises index builds, so that engines constructed concurrently still
-# build each index once. No build asks for another index while it holds it.
-_BUILD_LOCK = threading.Lock()
-
-
-def _index(train: Dataset, key, build):
-    """The dataset's index under ``key``: ``build()`` on first use, the stored value
-    after that. The indexes live in one dict in the dataset's __dict__, beside its
-    cached tables, and none of them refers back to the dataset."""
-    with _BUILD_LOCK:
-        indexes = train.__dict__.setdefault("_indexes", {})
-        if key not in indexes:
-            indexes[key] = build()
-        return indexes[key]
-
-
 def _ranked_ratings(train: Dataset) -> dict[str, dict[str, float]]:
     # user -> {item: rating} in (-rating, item) order; of strings and floats
     # only, the inner dicts are not tracked by the garbage collector
@@ -172,12 +158,8 @@ def _ranked_ratings(train: Dataset) -> dict[str, dict[str, float]]:
 
 
 def _postings(train: Dataset, mode: str, iif: dict[str, float]) -> Postings:
-    return build_postings(
-        {
-            u: profile_weights(train.ratings_by_user[u], train.purchase_counts_by_user[u], mode, iif)
-            for u in train.users
-        }
-    )
+    ratings, counts = train.ratings_by_user, train.purchase_counts_by_user
+    return build_postings({u: profile_weights(ratings[u], counts[u], mode, iif) for u in train.users})
 
 
 def _rules_by_item(train: Dataset, minsup_pct: float, minconf_pct: float) -> RulesByItem:
@@ -216,12 +198,13 @@ class Recommender:
         self.config = cfg = RecommenderConfig() if config is None else config
         _require_type("config", cfg, RecommenderConfig)
         self.train = train
-        self._precedence = _index(train, "precedence", lambda: build_precedence_index(train))
-        self._iif = _index(train, "iif", lambda: build_iif(train))
-        self._ranked = _index(train, "ranked", lambda: _ranked_ratings(train))
-        self._postings = _index(train, ("postings", cfg.mode), lambda: _postings(train, cfg.mode, self._iif))
+        # each builder is looked up here, at call time, so a wrapped one is the one called
+        self._precedence = train._derived("precedence", build_precedence_index)
+        self._iif = train._derived("iif", build_iif)
+        self._ranked = train._derived("ranked", _ranked_ratings)
+        self._postings = train._derived(("postings", cfg.mode), lambda t: _postings(t, cfg.mode, self._iif))
         thresholds = (cfg.minsup_pct, cfg.minconf_pct)
-        self._rules_by_item = _index(train, ("rules", *thresholds), lambda: _rules_by_item(train, *thresholds))
+        self._rules_by_item = train._derived(("rules", *thresholds), lambda t: _rules_by_item(t, *thresholds))
 
     def recommend_user(self, user: str) -> list[Recommendation]:
         """Recommend for a user already present in the training data."""

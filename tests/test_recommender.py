@@ -554,11 +554,11 @@ class TestProfileChecks:
         assert dataclasses.replace(profile, ratings={"I002": 5.0}) == Profile({"I002": 5.0}, {"I001": 2})
 
     def test_copy_and_pickle_make_an_equal_profile(self):
-        profile = Profile({"I001": 8.0}, {"I001": 2})
-        for made in (copy.copy(profile), copy.deepcopy(profile), pickle.loads(pickle.dumps(profile))):
-            assert made == profile
-            with pytest.raises(TypeError):
-                made.ratings["x"] = 1.0
+        for profile in (Profile({"I001": 8.0}, {"I001": 2}), _Profile({"I001": 8.0}, {"I001": 2})):
+            for made in (copy.copy(profile), copy.deepcopy(profile), pickle.loads(pickle.dumps(profile))):
+                assert type(made) is type(profile) and made == profile
+                with pytest.raises(TypeError):
+                    made.ratings["x"] = 1.0
 
     def test_every_way_to_make_a_profile_gets_the_same_answer(self):
         # a query reads the dicts a Profile keeps beside its views; each of these must keep them
@@ -825,7 +825,8 @@ class TestSharedSnapshot:
         ds = generate_synthetic(SyntheticConfig(users_per_class=8, rng_seed=5))
         for mode in MODES:
             Recommender(ds, RecommenderConfig(mode=mode, minsup_pct=1.0, minconf_pct=10.0))
-        assert len(vars(ds)["_indexes"]) == 3 + len(MODES) + 1
+        # the three lookup tables, the precedence, iif and ranked indexes, one postings per mode, one rules
+        assert len(vars(ds)["_indexes"]) == 3 + 3 + len(MODES) + 1
         dataset = weakref.ref(ds)
         gc.disable()  # so that only reference counting can free it
         try:
@@ -833,6 +834,97 @@ class TestSharedSnapshot:
             assert dataset() is None
         finally:
             gc.enable()
+
+    @pytest.mark.parametrize("seed", range(10))  # a race shows in some runs only
+    def test_concurrent_first_reads_get_one_object_per_table(self, monkeypatch, seed):
+        """Half the threads read the three tables while the other half build one engine per mode."""
+        ds = generate_synthetic(SyntheticConfig(rng_seed=seed))
+        calls = count_builds(monkeypatch)
+        tables = ("ratings_by_user", "purchase_counts_by_user", "purchaser_counts")
+        barrier = threading.Barrier(2 * len(MODES))
+        read: list = []
+        errors: list[Exception] = []
+
+        def reader():
+            try:
+                barrier.wait(timeout=60)
+                read.append([getattr(ds, name) for name in tables])
+            except Exception as exc:  # reported by the main thread
+                errors.append(exc)
+
+        def builder(mode):
+            try:
+                barrier.wait(timeout=60)
+                Recommender(ds, RecommenderConfig(mode=mode, minsup_pct=1.0, minconf_pct=10.0))
+            except Exception as exc:
+                errors.append(exc)
+
+        threads = [threading.Thread(target=reader) for _ in MODES]
+        threads += [threading.Thread(target=builder, args=(mode,)) for mode in MODES]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)  # so that the first reads interleave
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert errors == []
+        assert len(read) == len(MODES)
+        for k, name in enumerate(tables):
+            assert all(values[k] is getattr(ds, name) for values in read)
+        assert calls == {"build_precedence_index": 1, "build_iif": 1, "fp_growth": 1}
+
+
+class _Dataset(Dataset):
+    """A Dataset subclass, which a copy or a pickle keeps."""
+
+
+class TestDatasetCopies:
+    CONFIG = RecommenderConfig(mode="method1", minsup_pct=1.0, minconf_pct=10.0)
+
+    def test_a_trained_dataset_pickles_as_a_fresh_one(self):
+        ds = generate_synthetic(SyntheticConfig(users_per_class=8, rng_seed=5))
+        fresh = pickle.dumps(ds)
+        for mode in MODES:
+            Recommender(ds, RecommenderConfig(mode=mode, minsup_pct=1.0, minconf_pct=10.0))
+        assert pickle.dumps(ds) == fresh
+
+    @pytest.mark.parametrize("cls", [Dataset, _Dataset])
+    def test_copy_deepcopy_and_pickle_make_an_equal_dataset_without_a_store(self, cls):
+        ds = cls._trusted(*dataclasses.astuple(generate_synthetic(SyntheticConfig(users_per_class=2, rng_seed=5))))
+        Recommender(ds, self.CONFIG)
+        assert vars(ds)["_indexes"]
+        for made in (copy.copy(ds), copy.deepcopy(ds), pickle.loads(pickle.dumps(ds))):
+            assert type(made) is cls and made == ds
+            assert "_indexes" not in vars(made)
+
+    def test_engines_over_a_copy_build_their_own_indexes(self, monkeypatch):
+        ds = generate_synthetic(SyntheticConfig(users_per_class=8, rng_seed=5))
+        original = Recommender(ds, self.CONFIG)
+        store = dict(vars(ds)["_indexes"])
+        calls = count_builds(monkeypatch)
+        copied = Recommender(copy.copy(ds), self.CONFIG)
+        assert calls == {"build_precedence_index": 1, "build_iif": 1, "fp_growth": 1}
+        assert copied._precedence is not original._precedence and copied._postings is not original._postings
+        assert vars(ds)["_indexes"].keys() == store.keys()
+        assert all(vars(ds)["_indexes"][key] is value for key, value in store.items())
+
+    def test_an_engine_over_an_unpickled_dataset_answers_as_the_original(self):
+        original = seed_2024_engine("method1")
+        engine = Recommender(pickle.loads(pickle.dumps(original.train)), original.config)
+
+        def answers(engine):
+            return {
+                user: [(r.item, r.score.hex(), r.source, r.explain) for r in engine.recommend_user(user)]
+                for user in engine.train.users
+            }
+
+        expected = answers(original)
+        assert {r[2] for recs in expected.values() for r in recs} == {"neighbor", "rule"}
+        assert answers(engine) == expected
 
 
 def engine_state(engine):

@@ -48,3 +48,13 @@ def test_ab_query_exits_1_when_an_answer_differs(tiny_history, tmp_path):
     out = ab_query(ROOT, tmp_path, tiny_history)
     assert out.returncode == 1, out.stdout + out.stderr
     assert out.stdout.startswith("answers differ in mode ")
+
+
+def test_code_lines_prints_each_file_then_the_total():
+    paths = sorted(str(path.relative_to(ROOT)) for path in (ROOT / "src" / "shoprec").glob("*.py"))
+    args = [sys.executable, "tools/code_lines.py", *paths]
+    out = subprocess.run(args, cwd=ROOT, capture_output=True, text=True, timeout=60)
+    assert out.returncode == 0, out.stderr
+    *per_file, total = out.stdout.splitlines()
+    assert [line.rsplit(" ", 1)[0] for line in per_file] == paths
+    assert int(total) == sum(int(line.rsplit(" ", 1)[1]) for line in per_file) > 0

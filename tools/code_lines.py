@@ -3,8 +3,9 @@ comment, a line break, an indent or a docstring (a string that starts a statemen
 
     python tools/code_lines.py src/shoprec/*.py
 
-prints the total over the files given; a token that spans lines counts each
-line it covers. Docstrings and comments can grow without changing the count.
+prints one ``path count`` line per file given, in the order given, then the
+total over them as its last line; a token that spans lines counts each line it
+covers. Docstrings and comments can grow without changing the count.
 """
 
 import sys
@@ -37,4 +38,7 @@ def code_lines(path: str) -> int:
 
 
 if __name__ == "__main__":
-    print(sum(map(code_lines, sys.argv[1:])))
+    counts = [code_lines(path) for path in sys.argv[1:]]
+    for path, count in zip(sys.argv[1:], counts):
+        print(path, count)
+    print(sum(counts))
