@@ -179,8 +179,8 @@ class RatingRecord(NamedTuple):
 _DERIVED_LOCK = threading.RLock()  # re-entrant: an index build reads the tables
 
 
-def _table(build) -> property:
-    return property(lambda self: self._derived(build.__name__.lstrip("_"), build), doc=build.__doc__)
+def _table(key: str, build) -> property:
+    return property(lambda self: self._derived(key, build), doc=build.__doc__)
 
 
 def _ratings_by_user(dataset: Dataset) -> dict[str, dict[str, float]]:
@@ -273,17 +273,19 @@ class Dataset:
 
         Every table and engine index lives in one dict, ``_indexes`` in the instance's __dict__,
         which freezing leaves writable. One lock serialises the builds, so each is built once,
-        also under concurrent first use.
+        also under concurrent first use. A kept value is read without the lock: an entry is
+        added only once its build has finished, so a reader sees it whole or not at all.
         """
-        with _DERIVED_LOCK:
-            store = vars(self).setdefault("_indexes", {})
-            if key not in store:
-                store[key] = build(self)
-            return store[key]
+        if key not in (store := vars(self).get("_indexes", ())):  # () until a first build makes the store
+            with _DERIVED_LOCK:
+                store = vars(self).setdefault("_indexes", {})
+                if key not in store:
+                    store[key] = build(self)
+        return store[key]
 
-    ratings_by_user = _table(_ratings_by_user)
-    purchase_counts_by_user = _table(_purchase_counts_by_user)
-    purchaser_counts = _table(_purchaser_counts)
+    ratings_by_user = _table("ratings_by_user", _ratings_by_user)
+    purchase_counts_by_user = _table("purchase_counts_by_user", _purchase_counts_by_user)
+    purchaser_counts = _table("purchaser_counts", _purchaser_counts)
 
 
 def _rows(kind: str, records, fields: tuple[str, ...]) -> list[tuple]:

@@ -137,9 +137,10 @@ class Recommendation:
 
 def profile_of(dataset: Dataset, user: str) -> Profile:
     _require_type("dataset", dataset, Dataset)
-    if not isinstance(user, str) or user not in dataset.ratings_by_user:  # a list or Decimal("sNaN") has no hash
+    # a list or Decimal("sNaN") has no hash
+    if not isinstance(user, str) or user not in (ratings := dataset.ratings_by_user):
         raise NotFoundError(f"unknown user {_shown(user)}")
-    return Profile(dataset.ratings_by_user[user], dataset.purchase_counts_by_user[user])
+    return Profile(ratings[user], dataset.purchase_counts_by_user[user])
 
 
 # Rules listed under each item of their antecedents, each list in mined order.

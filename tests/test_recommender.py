@@ -20,7 +20,7 @@ from hypothesis import Phase, example, find, given, settings
 from hypothesis import strategies as st
 from pytest import approx
 
-from shoprec import cli
+from shoprec import cli, corpus
 from shoprec.corpus import (
     Dataset,
     SyntheticConfig,
@@ -876,6 +876,19 @@ class TestSharedSnapshot:
         for k, name in enumerate(tables):
             assert all(values[k] is getattr(ds, name) for values in read)
         assert calls == {"build_precedence_index": 1, "build_iif": 1, "fp_growth": 1}
+
+    def test_a_query_over_built_tables_does_not_wait_on_the_build_lock(self):
+        ds = generate_synthetic(SyntheticConfig(users_per_class=8, rng_seed=5))
+        engine = Recommender(ds)
+        user = ds.users[0]
+        expected = engine.recommend_user(user)
+        answers: list = []
+        with corpus._DERIVED_LOCK:  # held here, so a query that took it would wait for the join to time out
+            query = threading.Thread(target=lambda: answers.append(engine.recommend_user(user)))
+            query.start()
+            query.join(timeout=60)
+            assert not query.is_alive()
+        assert answers == [expected]
 
 
 class _Dataset(Dataset):
